@@ -14,7 +14,6 @@ from .nncore import (
     Rng,
     adam_step,
     finite_diff_grad,
-    linear_forward,
 )
 from .icnn import (
     IcnnConfig,
@@ -42,7 +41,6 @@ from .lot import (
     EmbeddingSet,
     ReferenceMeasure,
     lot_distance_empirical,
-    lot_distance_resampled,
     pairwise_matrix,
     theorem_bound,
 )
@@ -63,7 +61,6 @@ from .classify import (
     Metrics,
     TrainSchedule,
     WeightNet,
-    embed_test_cloud,
     evaluate,
     predict_resampled,
     score,
@@ -81,20 +78,18 @@ from .bundle import ModelBundle, load_bundle, save_bundle
 
 __all__ = [
     "LotnnError", "ShapeError", "NumericError", "DataError",
-    "Rng", "OptimState", "adam_step", "finite_diff_grad", "linear_forward",
+    "Rng", "OptimState", "adam_step", "finite_diff_grad",
     "IcnnConfig", "IcnnParams", "init_icnn", "project_nonneg",
     "icnn_forward", "icnn_input_grad", "icnn_backward", "icnn_inputgrad_vjp",
     "DualPair", "SolverConfig", "GaussianSpec",
     "dual_objective_V", "estimate_w2_dual", "train_map",
     "exact_ot_discrete", "exact_w2_discrete", "gaussian_w2",
     "ReferenceMeasure", "EmbeddingSet", "BoundParams",
-    "lot_distance_empirical", "lot_distance_resampled",
-    "pairwise_matrix", "theorem_bound",
+    "lot_distance_empirical", "pairwise_matrix", "theorem_bound",
     "PointCloud", "LabeledDataset", "TransformMap", "SyntheticSpec",
     "apply_transform", "gen_synthetic", "load_csv_dir", "save_csv_dir", "split",
     "WeightNet", "ClassifierModel", "TrainSchedule", "ClassifierConfig",
-    "Metrics", "score", "train_alternating", "embed_test_cloud",
-    "predict_resampled", "evaluate",
+    "Metrics", "score", "train_alternating", "predict_resampled", "evaluate",
     "DeepSetsConfig", "DeepSetsModel", "init_deepsets",
     "ds_forward", "ds_train", "ds_bagging",
     "ModelBundle", "save_bundle", "load_bundle",

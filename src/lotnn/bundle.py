@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import DataError
 from .classify import ClassifierModel, WeightNet
-from .deepsets import DeepSetsConfig, DeepSetsModel
 from .icnn import IcnnConfig, IcnnParams
 from .lot import ReferenceMeasure
 from .nncore import Array, MlpParams
@@ -113,7 +112,6 @@ class ModelBundle:
     seed: int = 0
     build_version: str = ""
     history_digest: dict = field(default_factory=dict)
-    deepsets: list[DeepSetsModel] = field(default_factory=list)
 
     def classifier(self) -> ClassifierModel:
         if self.weightnet is None:
@@ -138,16 +136,6 @@ def save_bundle(bundle: ModelBundle, path) -> None:
             "hidden": list(bundle.weightnet.hidden),
             "mlp": _enc_mlp(bundle.weightnet.params),
         },
-        "deepsets": [
-            {"phi": _enc_mlp(m.phi), "rho": _enc_mlp(m.rho),
-             "cfg": {"phi_hidden": list(m.cfg.phi_hidden),
-                     "pooled_dim": m.cfg.pooled_dim,
-                     "rho_hidden": list(m.cfg.rho_hidden),
-                     "lr": m.cfg.lr,
-                     "batch_points": m.cfg.batch_points,
-                     "init_scale": m.cfg.init_scale}}
-            for m in bundle.deepsets
-        ],
     }
     Path(path).write_text(json.dumps(doc, indent=1))
 
@@ -165,15 +153,6 @@ def load_bundle(path) -> ModelBundle:
     if doc.get("weightnet"):
         wn = WeightNet(_dec_mlp(doc["weightnet"]["mlp"]),
                        tuple(doc["weightnet"]["hidden"]))
-    ds_models = []
-    for d in doc.get("deepsets", []):
-        c = d["cfg"]
-        cfg = DeepSetsConfig(phi_hidden=tuple(c["phi_hidden"]),
-                             pooled_dim=c["pooled_dim"],
-                             rho_hidden=tuple(c["rho_hidden"]), lr=c["lr"],
-                             batch_points=c["batch_points"],
-                             init_scale=c["init_scale"])
-        ds_models.append(DeepSetsModel(_dec_mlp(d["phi"]), _dec_mlp(d["rho"]), cfg))
     return ModelBundle(
         reference=_dec_reference(doc["reference"]),
         pair_ids=[d["id"] for d in doc["pairs"]],
@@ -188,5 +167,4 @@ def load_bundle(path) -> ModelBundle:
         seed=doc.get("seed", 0),
         build_version=doc.get("build_version", ""),
         history_digest=doc.get("history_digest", {}),
-        deepsets=ds_models,
     )

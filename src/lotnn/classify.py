@@ -24,7 +24,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import DataError, NumericError, ShapeError
-from .data import LabeledDataset, PointCloud
+from .data import LabeledDataset
 from .lot import EmbeddingSet, ReferenceMeasure
 from .nncore import (
     Array,
@@ -33,12 +33,14 @@ from .nncore import (
     Rng,
     adam_step,
     as_f64,
+    bce,
     mlp_apply,
     mlp_backward,
     mlp_forward,
     mlp_init,
+    sorted_mean,
 )
-from .otsolve import DualPair, SolverConfig, pair_for_cloud, solver_step, train_map
+from .otsolve import DualPair, SolverConfig, pair_for_cloud, solver_step
 
 
 @dataclass
@@ -58,17 +60,14 @@ class WeightNet:
 @dataclass
 class ClassifierModel:
     weightnet: WeightNet
-    rho: str = "sigmoid"  # softmax reserved for a future multiclass path
     threshold: float = 0.5
 
     def __post_init__(self):
         if not (0.0 < self.threshold < 1.0):
             raise ValueError("threshold must be in (0, 1)")
-        if self.rho != "sigmoid":
-            raise ValueError("only the binary sigmoid head is implemented")
 
     def copy(self) -> "ClassifierModel":
-        return ClassifierModel(self.weightnet.copy(), self.rho, self.threshold)
+        return ClassifierModel(self.weightnet.copy(), self.threshold)
 
 
 @dataclass(frozen=True)
@@ -149,11 +148,6 @@ def evaluate(preds, labels, threshold: float = 0.5) -> Metrics:
     )
 
 
-def _sorted_mean(values: Array) -> float:
-    # summing in sorted order makes the result independent of input order
-    return float(np.sort(values).sum() / values.size)
-
-
 def pooled_logit(model: ClassifierModel, pair: DualPair, sample: Array) -> float:
     """Mean inner product between weight-net values and map values."""
     S = np.atleast_2d(as_f64(sample))
@@ -161,7 +155,7 @@ def pooled_logit(model: ClassifierModel, pair: DualPair, sample: Array) -> float
         raise ShapeError("empty sample")
     W = model.weightnet.apply(S)
     G = pair.map_forward(S)
-    return _sorted_mean(np.sum(W * G, axis=1))
+    return float(sorted_mean(np.sum(W * G, axis=1)))
 
 
 def score(model: ClassifierModel, pair: DualPair, sample: Array) -> float:
@@ -170,12 +164,6 @@ def score(model: ClassifierModel, pair: DualPair, sample: Array) -> float:
     Exactly (bitwise) invariant to permutations of the sample.
     """
     return float(expit(pooled_logit(model, pair, sample)))
-
-
-def embed_test_cloud(reference: ReferenceMeasure, cloud: PointCloud,
-                     solver_cfg: SolverConfig) -> DualPair:
-    """Train a fresh pair for a held-out cloud; labels never enter here."""
-    return train_map(reference, cloud, solver_cfg)
 
 
 def predict_resampled(model: ClassifierModel, pair: DualPair,
@@ -187,12 +175,6 @@ def predict_resampled(model: ClassifierModel, pair: DualPair,
     vals = [score(model, pair, reference.sample(n, seed=rng.spawn(j).seed))
             for j in range(k)]
     return float(np.mean(vals))
-
-
-def _bce(logits: Array, y: Array) -> float:
-    # stable binary cross-entropy from logits
-    return float(np.mean(np.maximum(logits, 0.0) - logits * y
-                         + np.log1p(np.exp(-np.abs(logits)))))
 
 
 @dataclass
@@ -294,10 +276,9 @@ def train_alternating(
         for _ in range(clf_epochs):
             Wvals, cache = mlp_forward(wn.params, X_eval)
             logits = np.einsum("nd,ind->i", Wvals, G_tr) / X_eval.shape[0]
-            clf_loss = _bce(logits, labels_tr)
+            clf_loss, resid = bce(logits, labels_tr)
             if not np.isfinite(clf_loss):
                 raise NumericError(f"non-finite classifier loss (phase {phase})")
-            resid = (expit(logits) - labels_tr) / labels_tr.size
             upstream = np.einsum("i,ind->nd", resid, G_tr) / X_eval.shape[0]
             grads, _ = mlp_backward(wn.params, cache, upstream)
             new_flat, wn_state = adam_step(wn.params.to_flat(), grads, wn_state)

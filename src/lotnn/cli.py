@@ -5,8 +5,8 @@ Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric failure.
 
 Every emitted report (history/metrics CSVs, bundles, manifests) embeds
 the resolved config hash, the seeds, and the build version, so a run is
-reproducible from its artifacts alone. With --threads 1 (the default)
-reruns are byte-identical; more threads void the determinism guarantee.
+reproducible from its artifacts alone. Reruns with the same config and
+seed are byte-identical.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .errors import DataError, LotnnError, NumericError
 from .classify import (
     ClassifierConfig,
     TrainSchedule,
-    embed_test_cloud,
     evaluate,
     predict_resampled,
     score,
@@ -43,7 +42,7 @@ from .data import (
 from .deepsets import DeepSetsConfig, ds_bagging, ds_forward, ds_train
 from .lot import BoundParams, EmbeddingSet, ReferenceMeasure, pairwise_matrix, theorem_bound
 from .bundle import ModelBundle, load_bundle, save_bundle
-from .otsolve import SolverConfig
+from .otsolve import SolverConfig, train_map
 
 
 @dataclass(frozen=True)
@@ -51,7 +50,6 @@ class RunConfig:
     """Every tunable in one serializable record."""
 
     seed: int = 0
-    threads: int = 1
     reference: str = "fitted"          # fitted | standard | box
     box_halfwidth: float = 1.0
     subsample_n: int = 1000
@@ -96,7 +94,7 @@ class RunConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def load_config(path: str | None, seed: int | None, threads: int | None) -> RunConfig:
+def load_config(path: str | None, seed: int | None) -> RunConfig:
     cfg = RunConfig()
     if path is not None:
         try:
@@ -115,13 +113,10 @@ def load_config(path: str | None, seed: int | None, threads: int | None) -> RunC
             else:
                 base[k] = v
         cfg = RunConfig.from_dict(base)
-    updates: dict = {}
-    if seed is not None:
-        updates["seed"] = seed
-        updates["solver"] = dataclasses.replace(cfg.solver, seed=seed)
-    if threads is not None:
-        updates["threads"] = threads
-    return dataclasses.replace(cfg, **updates) if updates else cfg
+    if seed is None:
+        return cfg
+    return dataclasses.replace(cfg, seed=seed,
+                               solver=dataclasses.replace(cfg.solver, seed=seed))
 
 
 def _report_header(cfg: RunConfig) -> list[str]:
@@ -242,7 +237,7 @@ def cmd_eval(cfg: RunConfig, bundle_path: str, data_dir: str, resamples: int,
             solver_cfg = dataclasses.replace(
                 cfg.solver, seed=int(np.random.SeedSequence(
                     [cfg.seed, 77, j]).generate_state(1)[0]))
-            pair = embed_test_cloud(bundle.reference, ds.cloud(cid), solver_cfg)
+            pair = train_map(bundle.reference, ds.cloud(cid), solver_cfg)
         labels.append(ds.labels[cid])
         p1.append(score(model, pair, eval_sample))
         pk.append(predict_resampled(model, pair, bundle.reference, bundle.eval_n,
@@ -332,8 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="JSON file overriding RunConfig fields")
     parser.add_argument("--seed", type=int, help="master seed override")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads (values > 1 void determinism)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a synthetic two-class dataset")
@@ -373,7 +366,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(args.config, args.seed, args.threads)
+        cfg = load_config(args.config, args.seed)
         if args.command == "gen":
             return cmd_gen(cfg, args.out)
         if args.command == "train":

@@ -22,10 +22,12 @@ from .nncore import (
     Rng,
     adam_step,
     as_f64,
+    bce,
     mlp_backward,
     mlp_forward,
+    mlp_init,
+    sorted_mean,
 )
-from .nncore import mlp_init
 
 
 @dataclass(frozen=True)
@@ -60,17 +62,12 @@ def init_deepsets(dim: int, cfg: DeepSetsConfig, rng: Rng) -> DeepSetsModel:
     return DeepSetsModel(phi, rho, cfg)
 
 
-def _pool_sorted(features: Array) -> Array:
-    # column-wise sorted sums: same result for any row (point) order
-    return np.sort(features, axis=0).sum(axis=0) / features.shape[0]
-
-
 def ds_logit(model: DeepSetsModel, points: Array) -> float:
     pts = np.atleast_2d(as_f64(points))
     if pts.size == 0:
         raise ShapeError("empty cloud")
     feats, _ = mlp_forward(model.phi, pts)
-    pooled = _pool_sorted(feats)
+    pooled = sorted_mean(feats)
     out, _ = mlp_forward(model.rho, pooled[None, :])
     return float(out[0, 0])
 
@@ -86,11 +83,6 @@ def ds_bagging(models, points) -> float:
     if not models:
         raise ValueError("need at least one model")
     return float(np.mean([ds_forward(m, points) for m in models]))
-
-
-def _bce(logits: Array, y: Array) -> float:
-    return float(np.mean(np.maximum(logits, 0.0) - logits * y
-                         + np.log1p(np.exp(-np.abs(logits)))))
 
 
 def ds_train(
@@ -150,11 +142,10 @@ def ds_train(
             pooled[i] = feats[offsets[i]:offsets[i + 1]].mean(axis=0)
         logits_mat, rho_cache = mlp_forward(model.rho, pooled)
         logits = logits_mat[:, 0]
-        loss = _bce(logits, y)
+        loss, resid = bce(logits, y)
         if not np.isfinite(loss):
             raise NumericError(f"non-finite DeepSets loss at epoch {epoch}")
-        resid = (expit(logits) - y)[:, None] / y.size
-        rho_grads, d_pooled = mlp_backward(model.rho, rho_cache, resid)
+        rho_grads, d_pooled = mlp_backward(model.rho, rho_cache, resid[:, None])
         upstream = np.empty_like(feats)
         for i in range(len(ids)):
             upstream[offsets[i]:offsets[i + 1]] = d_pooled[i] / counts[i]

@@ -325,7 +325,3 @@ def icnn_inputgrad_vjp(
         xg = xg + A @ params.wx[i]
         A_next = A
     return grads, xg
-
-
-def zero_like_grads(params: IcnnParams, prefix: str = "") -> dict[str, Array]:
-    return {k: np.zeros_like(a) for k, a in params.to_flat(prefix).items()}

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial.distance import pdist, squareform
 
 from .errors import DataError, ShapeError
 from .nncore import Array, as_f64
@@ -143,27 +144,17 @@ def lot_distance_empirical(pair_i: DualPair, pair_j: DualPair, sample: Array) ->
     return float(np.sqrt(np.mean(np.sum((Gi - Gj) ** 2, axis=1))))
 
 
-def lot_distance_resampled(pair_i: DualPair, pair_j: DualPair,
-                           reference: ReferenceMeasure, n: int, seed: int) -> float:
-    """Distance on a fresh reference sample of size n drawn with the seed."""
-    return lot_distance_empirical(pair_i, pair_j, reference.sample(n, seed=seed))
-
-
 def pairwise_matrix(emb: EmbeddingSet) -> Array:
     """Symmetric zero-diagonal matrix of distances on the shared sample.
 
-    Gradient maps are evaluated once per cloud, not once per pair.
+    Gradient maps are evaluated once per cloud. The RMS displacement
+    between two maps is the Euclidean distance between their flattened
+    values over sqrt(eval_n), so the whole matrix is one pdist call.
     """
     if not emb.ids:
         raise ShapeError("empty embedding set")
-    maps = [emb.pairs[i].map_forward(emb.eval_sample) for i in emb.ids]
-    N = len(maps)
-    D = np.zeros((N, N))
-    for i in range(N):
-        for j in range(i + 1, N):
-            d = float(np.sqrt(np.mean(np.sum((maps[i] - maps[j]) ** 2, axis=1))))
-            D[i, j] = D[j, i] = d
-    return D
+    maps = np.stack([emb.pairs[i].map_forward(emb.eval_sample) for i in emb.ids])
+    return squareform(pdist(maps.reshape(len(emb.ids), -1))) / math.sqrt(emb.eval_n)
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,9 @@
 
 Everything downstream (ICNN potentials, weight networks, the DeepSets
 baseline) is built from the pieces here: a seeded RNG wrapper, an Adam
-update, small tanh MLPs with hand-written backward passes, and the
-central-difference oracle used to cross-check every analytic gradient.
+update, order-independent pooling, a binary cross-entropy loss, small
+tanh MLPs with hand-written backward passes, and the central-difference
+oracle used to cross-check every analytic gradient.
 All arrays are float64; 32-bit cannot hold the gradient-check tolerances.
 """
 
@@ -13,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.special import expit
 
 from .errors import NumericError, ShapeError
 
@@ -60,20 +62,6 @@ class Rng:
         """Deterministic child stream; distinct keys give distinct streams."""
         child = np.random.SeedSequence([self.seed, int(key)]).generate_state(1)[0]
         return Rng(int(child))
-
-
-def linear_forward(W: Array, b: Array, x: Array) -> Array:
-    """Return W x + b for a single vector x."""
-    W, b, x = as_f64(W), as_f64(b), as_f64(x)
-    if W.ndim != 2 or x.ndim != 1 or b.ndim != 1:
-        raise ShapeError("linear_forward expects matrix W, vectors b and x")
-    if W.shape[1] != x.shape[0] or W.shape[0] != b.shape[0]:
-        raise ShapeError(
-            f"incompatible dims: W {W.shape}, b {b.shape}, x {x.shape}"
-        )
-    out = W @ x + b
-    check_finite("linear_forward output", out)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +124,26 @@ def adam_step(
         step=t, m=new_m, v=new_v,
     )
     return new_p, new_state
+
+
+# ---------------------------------------------------------------------------
+# Pooling and loss shared by the classifier and the DeepSets baseline
+# ---------------------------------------------------------------------------
+
+def sorted_mean(values: Array) -> Array:
+    """Mean over axis 0, each column summed in sorted order.
+
+    Summing sorted addends makes the result bitwise independent of the
+    row order, not just equal up to rounding.
+    """
+    return np.sort(values, axis=0).sum(axis=0) / values.shape[0]
+
+
+def bce(logits: Array, y: Array) -> tuple[float, Array]:
+    """Mean binary cross-entropy from logits and its gradient in the logits."""
+    loss = float(np.mean(np.maximum(logits, 0.0) - logits * y
+                         + np.log1p(np.exp(-np.abs(logits)))))
+    return loss, (expit(logits) - y) / y.size
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+from scipy.spatial.distance import cdist
 
 from .errors import NumericError, ShapeError
 from .icnn import (
@@ -106,12 +107,6 @@ class DualPair:
     def _mu_side(self, y: Array) -> Array:
         return (np.atleast_2d(as_f64(y)) - np.asarray(self.frame.mu_mean)) \
             / self.frame.scale
-
-    def potential_psi(self, x: Array) -> Array:
-        s = self.frame.scale
-        x2 = np.atleast_2d(as_f64(x))
-        return (s * s * icnn_forward(self.psi, self.psi_cfg, self._sigma_side(x))
-                + x2 @ np.asarray(self.frame.mu_mean))
 
     def potential_phi(self, y: Array) -> Array:
         s = self.frame.scale
@@ -405,7 +400,7 @@ def exact_ot_discrete(X, Y) -> tuple[Array, float]:
         raise ShapeError("empty cloud")
     if Xp.shape != Yp.shape:
         raise ShapeError(f"clouds must match in size and dim: {Xp.shape} vs {Yp.shape}")
-    d2 = np.sum((Xp[:, None, :] - Yp[None, :, :]) ** 2, axis=2)
+    d2 = cdist(Xp, Yp, "sqeuclidean")
     rows, cols = linear_sum_assignment(d2)
     perm = np.empty(Xp.shape[0], dtype=np.int64)
     perm[rows] = cols

@@ -8,7 +8,6 @@ from lotnn.classify import (
     ClassifierModel,
     TrainSchedule,
     WeightNet,
-    embed_test_cloud,
     evaluate,
     pooled_logit,
     predict_resampled,
@@ -141,29 +140,14 @@ class TestBceGradientThroughPooling:
 
 
 class TestEmbedTestCloud:
-    def test_delegates_to_train_map(self, rng):
-        ref = ReferenceMeasure.standard(2, seed=3)
-        cloud = PointCloud("t", ref.sample(100, seed=4) + np.array([1.0, 0.0]))
-        cfg = SolverConfig(batch_size=32, iters=25, hidden=(6,), seed=12)
-        a = embed_test_cloud(ref, cloud, cfg)
-        b = train_map(ref, cloud, cfg)
-        for x, yv in zip(a.psi.to_flat().values(), b.psi.to_flat().values()):
-            assert np.array_equal(x, yv)
-
     def test_self_transport_near_identity(self):
         ref = ReferenceMeasure.standard(2, seed=5)
         cloud = PointCloud("t", ref.sample(600, seed=6))
         cfg = SolverConfig(batch_size=128, iters=400, lr=3e-3, hidden=(12,), seed=1)
-        pair = embed_test_cloud(ref, cloud, cfg)
+        pair = train_map(ref, cloud, cfg)
         X = ref.sample(1500, seed=7)
         disp = float(np.mean(np.linalg.norm(pair.map_forward(X) - X, axis=1)))
         assert disp <= 0.1 * float(np.mean(np.linalg.norm(X, axis=1)))
-
-    def test_empty_cloud_rejected(self):
-        ref = ReferenceMeasure.standard(2, seed=3)
-        with pytest.raises((ShapeError, DataError)):
-            embed_test_cloud(ref, np.empty((0, 2)),
-                             SolverConfig(batch_size=8, iters=1))
 
 
 class TestPredictResampled:

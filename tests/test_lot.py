@@ -10,10 +10,11 @@ from lotnn.lot import (
     EmbeddingSet,
     ReferenceMeasure,
     lot_distance_empirical,
-    lot_distance_resampled,
     pairwise_matrix,
     theorem_bound,
 )
+from lotnn.nncore import Rng
+from lotnn.otsolve import Frame, SolverConfig, init_dual_pair
 from conftest import quad_pair, relerr
 
 
@@ -90,13 +91,13 @@ class TestLotDistance:
         ref = ReferenceMeasure.standard(2, seed=1)
         pair = quad_pair(2, q_psi=1.5, psi_tilt=(0.3, -0.2))
         for seed in (0, 1, 2):
-            assert lot_distance_resampled(pair, pair, ref, 50, seed) == 0.0
+            assert lot_distance_empirical(pair, pair, ref.sample(50, seed=seed)) == 0.0
 
     def test_resampled_single_point(self):
         ref = ReferenceMeasure.standard(2, seed=1)
         p1 = quad_pair(2, q_psi=1.0)
         p2 = quad_pair(2, q_psi=1.0, psi_tilt=(3.0, 4.0))
-        assert relerr(lot_distance_resampled(p1, p2, ref, 1, seed=5), 5.0) < 1e-12
+        assert relerr(lot_distance_empirical(p1, p2, ref.sample(1, seed=5)), 5.0) < 1e-12
 
 
 class TestPairwiseMatrix:
@@ -131,6 +132,23 @@ class TestPairwiseMatrix:
         D = pairwise_matrix(emb)
         assert np.array_equal(D, D.T)
         assert np.all(D >= 0) and np.all(np.diag(D) == 0)
+
+    def test_matches_pairwise_distance_on_nonlinear_maps(self, rng):
+        # ICNN maps with random frames: summation order matters here,
+        # unlike for the linear quad_pair maps above
+        cfg = SolverConfig(hidden=(8, 8))
+        pairs = {}
+        for i in range(6):
+            frame = Frame(sigma_mean=tuple(rng.normal(2)), mu_mean=tuple(rng.normal(2)),
+                          scale=float(rng.uniform((), 0.5, 2.0)))
+            pairs[f"p{i}"] = init_dual_pair(2, cfg, Rng(100 + i), frame=frame)
+        emb = self._embedding(pairs, n=200)
+        D = pairwise_matrix(emb)
+        assert np.array_equal(D, D.T) and np.all(np.diag(D) == 0)
+        for i, a in enumerate(emb.ids):
+            for j, b in enumerate(emb.ids):
+                want = lot_distance_empirical(pairs[a], pairs[b], emb.eval_sample)
+                assert abs(D[i, j] - want) <= 1e-12 * want
 
 
 class TestTheoremBound:

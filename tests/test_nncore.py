@@ -6,36 +6,15 @@ from lotnn.nncore import (
     OptimState,
     Rng,
     adam_step,
+    bce,
     finite_diff_grad,
-    linear_forward,
     mlp_apply,
     mlp_backward,
     mlp_forward,
     mlp_init,
+    sorted_mean,
 )
 from conftest import relerr
-
-
-class TestLinearForward:
-    def test_identity(self):
-        out = linear_forward(np.eye(2), np.zeros(2), np.array([1.0, -2.0]))
-        assert np.array_equal(out, [1.0, -2.0])
-
-    def test_zero_map(self):
-        out = linear_forward(np.zeros((2, 2)), np.array([3.0, 3.0]),
-                             np.array([17.0, -4.0]))
-        assert np.array_equal(out, [3.0, 3.0])
-
-    def test_hand_multiply(self):
-        W = np.array([[1.0, 2.0], [0.0, 1.0]])
-        out = linear_forward(W, np.array([1.0, 0.0]), np.array([1.0, 1.0]))
-        assert np.array_equal(out, [4.0, 1.0])
-
-    def test_dim_mismatch(self):
-        with pytest.raises(ShapeError):
-            linear_forward(np.eye(2), np.zeros(2), np.ones(3))
-        with pytest.raises(ShapeError):
-            linear_forward(np.eye(2), np.zeros(3), np.ones(2))
 
 
 class TestAdam:
@@ -151,3 +130,36 @@ class TestMlp:
                         U * mlp_apply(p, np.vstack([X[:b], xx[None], X[b + 1:]])))),
                     X[b].copy(), 1e-6)
                 assert relerr(xg[b], fd) < 1e-6
+
+
+class TestSortedMean:
+    def test_1d_bitwise_permutation_invariant(self, rng):
+        # magnitudes spread over 12 decades, so a plain sum depends on order
+        v = rng.normal(500) * 10.0 ** rng.uniform(500, -6.0, 6.0)
+        want = sorted_mean(v)
+        assert want == float(np.sort(v).sum() / v.size)  # the classifier's pooling
+        for k in range(5):
+            assert sorted_mean(v[rng.spawn(k).permutation(v.size)]) == want
+
+    def test_2d_bitwise_permutation_invariant(self, rng):
+        F = rng.normal((300, 4)) * 10.0 ** rng.uniform((300, 4), -6.0, 6.0)
+        want = sorted_mean(F)
+        assert np.array_equal(want, np.sort(F, axis=0).sum(axis=0) / F.shape[0])
+        for k in range(5):
+            assert np.array_equal(sorted_mean(F[rng.spawn(k).permutation(300)]), want)
+
+
+class TestBce:
+    def test_hand_value(self):
+        loss, grad = bce(np.zeros(2), np.array([1.0, 0.0]))
+        assert abs(loss - np.log(2.0)) < 1e-15
+        assert np.array_equal(grad, [-0.25, 0.25])
+
+    def test_gradient_matches_finite_differences(self, rng):
+        for trial in range(6):
+            n = int(rng.integers(1, 8))
+            logits = rng.normal(n, scale=4.0)
+            y = rng.integers(0, 2, size=n).astype(np.float64)
+            _, grad = bce(logits, y)
+            fd = finite_diff_grad(lambda z: bce(z, y)[0], logits.copy(), 1e-6)
+            assert relerr(grad, fd) < 1e-6
