@@ -213,9 +213,30 @@ def _metrics_row(tag: str, m) -> list:
             int(m.precision_defined)]
 
 
+def _embedding_solver(cfg: RunConfig, bundle: ModelBundle) -> SolverConfig:
+    """The solver config the bundle's maps were trained with.
+
+    Clouds without a trained pair are embedded with it, whatever this
+    run's --config says; bundles that store no solver config fall back
+    to the run's own. Seeds are not compared, as each cloud gets its own.
+    """
+    if "solver" not in bundle.config:
+        return cfg.solver
+    try:
+        solver = RunConfig.from_dict({"solver": bundle.config["solver"]}).solver
+    except (TypeError, ValueError) as e:
+        raise DataError(f"bundle has an unusable solver config: {e}") from e
+    if dataclasses.replace(solver, seed=cfg.solver.seed) != cfg.solver:
+        print(f"note: this run's solver config differs from the bundle's "
+              f"(config_hash={bundle.config_hash}); embedding with the bundle's",
+              file=sys.stderr)
+    return solver
+
+
 def cmd_eval(cfg: RunConfig, bundle_path: str, data_dir: str, resamples: int,
              subset: str, out_path: str | None) -> int:
     bundle = load_bundle(bundle_path)
+    embed_solver = _embedding_solver(cfg, bundle)
     ds = load_csv_dir(data_dir, cfg.subsample_n, seed=cfg.seed)
     if subset == "all":
         ids = sorted(ds.ids)
@@ -235,7 +256,7 @@ def cmd_eval(cfg: RunConfig, bundle_path: str, data_dir: str, resamples: int,
         pair = bundle.pairs.get(cid)
         if pair is None:
             solver_cfg = dataclasses.replace(
-                cfg.solver, seed=int(np.random.SeedSequence(
+                embed_solver, seed=int(np.random.SeedSequence(
                     [cfg.seed, 77, j]).generate_state(1)[0]))
             pair = train_map(bundle.reference, ds.cloud(cid), solver_cfg)
         labels.append(ds.labels[cid])
@@ -248,14 +269,17 @@ def cmd_eval(cfg: RunConfig, bundle_path: str, data_dir: str, resamples: int,
     mk = evaluate(pk, labels, model.threshold)
     cols = ["tag", "tp", "fp", "fn", "tn", "precision", "recall", "accuracy",
             "precision_defined"]
-    metric_rows = [_metrics_row("k=1", m1), _metrics_row(f"k={resamples}", mk)]
+    # "eval_sample" is the score on the bundle's fixed sample; k=... is the
+    # mean over resamples, a distinct row even when resamples == 1
+    metric_rows = [_metrics_row("eval_sample", m1),
+                   _metrics_row(f"k={resamples}", mk)]
     if out_path:
         _write_csv(Path(out_path), _report_header(cfg), cols, metric_rows)
         probs_path = Path(out_path).with_suffix(".probs.csv")
         _write_csv(probs_path, _report_header(cfg),
-                   ["id", "label", "prob_k1", f"prob_k{resamples}"], rows)
+                   ["id", "label", "prob_eval_sample", f"prob_k{resamples}"], rows)
     print(f"evaluated {len(ids)} clouds (subset={subset})")
-    print(f"k=1  precision={m1.precision:.4f} recall={m1.recall:.4f} "
+    print(f"eval_sample precision={m1.precision:.4f} recall={m1.recall:.4f} "
           f"accuracy={m1.accuracy:.4f}")
     print(f"k={resamples} precision={mk.precision:.4f} recall={mk.recall:.4f} "
           f"accuracy={mk.accuracy:.4f}")

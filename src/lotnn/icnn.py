@@ -25,7 +25,10 @@ Every pass is checked against central finite differences in the tests.
 
 The passes share one activation cache per (params, input) batch; the
 solver evaluates several quantities at the same points each step, so
-callers on the hot path build the cache once via icnn_cache().
+callers on the hot path build the cache once via icnn_cache(). For the
+smooth activation the cache computes one exp per layer, e = exp(-|k a|),
+and builds the softplus s, its slope s' and its curvature s'' from it
+(see IcnnCache).
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ShapeError
 from .nncore import Array, Rng, as_f64, check_finite
@@ -128,61 +130,65 @@ def project_nonneg(params: IcnnParams) -> IcnnParams:
     return IcnnParams(params.wx, [np.maximum(a, 0.0) for a in params.wz], params.b)
 
 
-def _softplus(a: Array, k: float) -> Array:
-    return np.logaddexp(0.0, k * a) / k
-
-
 class IcnnCache:
-    """Forward pass plus lazily-computed activation derivatives.
+    """Forward pass plus the activation s and its derivatives per layer.
+
+    z[i] = s(a_i), sd[i] = s'(a_i) and sdd[i] = s''(a_i) for the hidden
+    pre-activations a_i of the input batch. For the smooth activation
+    s(a) = log(1 + exp(k a)) / k each layer computes e = exp(-|k a|)
+    once and builds all three from it:
+
+        s   = (max(k a, 0) + log1p(e)) / k
+        s'  = 1/(1 + e) where k a >= 0, else e/(1 + e)
+        s'' = k e / (1 + e)^2
+
+    None of these overflows for any finite a, and s'' keeps full
+    relative precision where s' is close to 1 (k s' (1 - s') does not).
+    s'' is formed on first use from the kept e and 1/(1 + e), since the
+    forward value and the input gradient never read it.
 
     Valid only for the exact (params, cfg, input batch) it was built
     from; the training loop rebuilds it after every parameter update.
     """
 
-    __slots__ = ("x", "out", "a", "z", "_cfg", "_sd", "_sdd")
+    __slots__ = ("x", "out", "z", "sd", "_cfg", "_er", "_sdd")
 
     def __init__(self, params: IcnnParams, cfg: IcnnConfig, x2: Array):
         L = len(cfg.hidden)
         self._cfg = cfg
         self.x = x2
-        a_list: list[Array] = [x2 @ params.wx[0].T + params.b[0]]
-        z_list: list[Array] = []
-        for i in range(1, L):
-            z_list.append(self._act(a_list[i - 1]))
-            a_list.append(x2 @ params.wx[i].T + z_list[i - 1] @ params.wz[i - 1].T
-                          + params.b[i])
-        z_list.append(self._act(a_list[L - 1]))
-        out = x2 @ params.wx[L].T + z_list[L - 1] @ params.wz[L - 1].T + params.b[L]
-        self.out = out[:, 0] + 0.5 * cfg.quad * np.sum(x2 * x2, axis=1)
-        self.a = a_list
-        self.z = z_list
-        self._sd: list[Array] | None = None
+        self.z: list[Array] = []
+        self.sd: list[Array] = []
+        self._er: list[tuple[Array, Array]] = []
         self._sdd: list[Array] | None = None
+        a = x2 @ params.wx[0].T + params.b[0]
+        for i in range(1, L + 1):  # layer L is the scalar head
+            self._activate(a)
+            a = x2 @ params.wx[i].T + self.z[-1] @ params.wz[i - 1].T + params.b[i]
+        self.out = a[:, 0] + 0.5 * cfg.quad * np.sum(x2 * x2, axis=1)
 
-    def _act(self, a: Array) -> Array:
+    def _activate(self, a: Array) -> None:
         if self._cfg.activation == "relu":
-            return np.maximum(a, 0.0)
-        return _softplus(a, self._cfg.sharpness)
-
-    @property
-    def sd(self) -> list[Array]:
-        """First derivative s'(a_i) per layer."""
-        if self._sd is None:
-            if self._cfg.activation == "relu":
-                self._sd = [(a > 0.0).astype(np.float64) for a in self.a]
-            else:
-                self._sd = [expit(self._cfg.sharpness * a) for a in self.a]
-        return self._sd
+            self.z.append(np.maximum(a, 0.0))
+            self.sd.append((a > 0.0).astype(np.float64))
+            return
+        k = self._cfg.sharpness
+        t = k * a
+        e = np.exp(-np.abs(t))
+        r = 1.0 / (1.0 + e)
+        self.z.append((np.maximum(t, 0.0) + np.log1p(e)) / k)
+        self.sd.append(np.where(t >= 0.0, r, e * r))
+        self._er.append((e, r))
 
     @property
     def sdd(self) -> list[Array]:
         """Second derivative s''(a_i) per layer; zero a.e. for relu."""
         if self._sdd is None:
             if self._cfg.activation == "relu":
-                self._sdd = [np.zeros_like(a) for a in self.a]
+                self._sdd = [np.zeros_like(s) for s in self.sd]
             else:
                 k = self._cfg.sharpness
-                self._sdd = [k * s * (1.0 - s) for s in self.sd]
+                self._sdd = [k * e * r * r for e, r in self._er]
         return self._sdd
 
 

@@ -32,13 +32,47 @@ def workdir(tmp_path_factory):
     return d, base
 
 
-def test_eval_test_subset(workdir):
+def _csv_rows(path):
+    return [line.split(",") for line in path.read_text().splitlines()
+            if not line.startswith("#")]
+
+
+def test_eval_test_subset(workdir, capsys):
     d, base = workdir
     out = d / "metrics.csv"
     assert main(base + ["eval", "--bundle", str(d / "bundle.json"),
                         "--data", str(d / "data"), "--subset", "test",
                         "--resamples", "2", "--out", str(out)]) == 0
     assert out.exists() and out.with_suffix(".probs.csv").exists()
+    assert "config_hash" not in capsys.readouterr().err
+
+
+def test_eval_embeds_with_the_bundle_solver(workdir, capsys):
+    # without --config the run's solver is the default (5000 iterations,
+    # hidden (64, 64, 64)); held-out clouds must still get the bundle's
+    d, base = workdir
+    args = ["eval", "--bundle", str(d / "bundle.json"), "--data", str(d / "data"),
+            "--subset", "test", "--resamples", "1"]
+    assert main(base + args + ["--out", str(d / "with_config.csv")]) == 0
+    capsys.readouterr()
+    assert main(args + ["--out", str(d / "bare.csv")]) == 0
+    config_hash = json.loads((d / "bundle.json").read_text())["config_hash"]
+    err = capsys.readouterr().err.splitlines()
+    assert len([line for line in err if f"config_hash={config_hash}" in line]) == 1
+    assert (_csv_rows(d / "bare.probs.csv")
+            == _csv_rows(d / "with_config.probs.csv"))
+
+
+def test_eval_single_resample_rows_are_distinct(workdir):
+    d, base = workdir
+    out = d / "metrics_k1.csv"
+    assert main(base + ["eval", "--bundle", str(d / "bundle.json"),
+                        "--data", str(d / "data"), "--subset", "test",
+                        "--resamples", "1", "--out", str(out)]) == 0
+    tags = [row[0] for row in _csv_rows(out)[1:]]
+    assert tags == ["eval_sample", "k=1"]
+    header = _csv_rows(out.with_suffix(".probs.csv"))[0]
+    assert header == ["id", "label", "prob_eval_sample", "prob_k1"]
 
 
 def test_dist_writes_square_csv(workdir):
@@ -46,8 +80,7 @@ def test_dist_writes_square_csv(workdir):
     out = d / "dist.csv"
     assert main(base + ["dist", "--bundle", str(d / "bundle.json"),
                         "--out", str(out)]) == 0
-    rows = [line.split(",") for line in out.read_text().splitlines()
-            if not line.startswith("#")]
+    rows = _csv_rows(out)
     ids = rows[0][1:]
     D = np.array([[float(v) for v in row[1:]] for row in rows[1:]])
     bundle_ids = [p["id"] for p in json.loads((d / "bundle.json").read_text())["pairs"]]

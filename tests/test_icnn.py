@@ -1,11 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from lotnn.errors import ShapeError
 from lotnn.icnn import (
     IcnnConfig,
     IcnnParams,
     icnn_backward,
+    icnn_cache,
     icnn_forward,
     icnn_input_grad,
     icnn_inputgrad_vjp,
@@ -54,6 +58,34 @@ class TestForward:
         params, cfg = random_icnn(rng, dim=2)
         with pytest.raises(ShapeError):
             icnn_forward(params, cfg, np.ones(3))
+
+
+class TestActivationCache:
+    # both signs of every scale: exp(-|k a|) is 1, near 1, moderate, near
+    # the double underflow, and 0
+    GRID = np.array([0.0, 1e-8, -1e-8, 1.0, -1.0, 36.0, -36.0,
+                     700.0, -700.0, 1e5, -1e5])
+
+    @pytest.mark.parametrize("k", [0.5, 1.0, 2.0])
+    def test_fused_kernel_matches_reference_expressions(self, k):
+        # one hidden unit with a_0 = x, so the cache holds s, s', s'' at GRID
+        cfg = IcnnConfig(dim=1, hidden=(1,), sharpness=k, quad=0.0)
+        params = IcnnParams(wx=[np.ones((1, 1)), np.zeros((1, 1))],
+                            wz=[np.ones((1, 1))], b=[np.zeros(1), np.zeros(1)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            c = icnn_cache(params, cfg, self.GRID[:, None])
+            z, sd, sdd = c.z[0][:, 0], c.sd[0][:, 0], c.sdd[0][:, 0]
+        t = k * self.GRID
+
+        def close(got, want, rtol):
+            return np.all(np.abs(got - want) <= rtol * np.abs(want) + 1e-300)
+
+        assert close(z, np.logaddexp(0.0, t) / k, 1e-15)
+        assert close(sd, expit(t), 1e-15)
+        assert close(sdd, k * expit(t) * expit(-t), 1e-14)
+        assert np.all(np.isfinite(z) & np.isfinite(sd) & np.isfinite(sdd))
+        assert np.all((sd >= 0.0) & (sd <= 1.0) & (sdd >= 0.0))
 
 
 class TestInputGrad:
