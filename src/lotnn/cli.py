@@ -137,6 +137,12 @@ def _write_csv(path: Path, header: list[str], columns: list[str],
     path.write_text("\n".join(lines) + "\n")
 
 
+def _note_single_class(subset: str, labels) -> None:
+    if len(classes := set(labels)) == 1:
+        print(f"note: subset {subset!r} holds only class {min(classes)}; "
+              "accuracy on it is that class's recall alone", file=sys.stderr)
+
+
 def _reference_for(cfg: RunConfig, ds: LabeledDataset, seed: int) -> ReferenceMeasure:
     if cfg.reference == "fitted":
         return ReferenceMeasure.fitted(ds.clouds, seed=seed)
@@ -173,6 +179,7 @@ def cmd_train(cfg: RunConfig, data_dir: str, bundle_path: str,
               history_path: str | None) -> int:
     ds = load_csv_dir(data_dir, cfg.subsample_n, seed=cfg.seed)
     train_ds, val_ds, test_ds = split(ds, seed=cfg.seed)
+    _note_single_class("val", val_ds.labels.values())
     reference = _reference_for(cfg, train_ds, seed=cfg.seed)
     emb, model, history = train_alternating(
         train_ds, val_ds, cfg.schedule, cfg.solver, cfg.classifier,
@@ -244,13 +251,15 @@ def cmd_eval(cfg: RunConfig, bundle_path: str, data_dir: str, resamples: int,
         ids = [i for i in bundle.split_ids.get(subset, []) if i in set(ds.ids)]
     if not ids:
         raise DataError(f"no clouds to evaluate in subset {subset!r}")
+    labels = [ds.labels[i] for i in ids]
+    _note_single_class(subset, labels)
     if ds.dim != bundle.reference.dim:
         raise DataError(f"data dim {ds.dim} != bundle dim {bundle.reference.dim}")
     model = bundle.classifier()
     eval_sample = bundle.reference.sample(bundle.eval_n, seed=bundle.eval_seed)
 
     rows = []
-    labels, p1, pk = [], [], []
+    p1, pk = [], []
     for j, cid in enumerate(ids):
         # reuse the trained pair when the bundle has one, else embed fresh
         pair = bundle.pairs.get(cid)
@@ -259,11 +268,10 @@ def cmd_eval(cfg: RunConfig, bundle_path: str, data_dir: str, resamples: int,
                 embed_solver, seed=int(np.random.SeedSequence(
                     [cfg.seed, 77, j]).generate_state(1)[0]))
             pair = train_map(bundle.reference, ds.cloud(cid), solver_cfg)
-        labels.append(ds.labels[cid])
         p1.append(score(model, pair, eval_sample))
         pk.append(predict_resampled(model, pair, bundle.reference, bundle.eval_n,
                                     resamples, seed=cfg.seed + j))
-        rows.append([cid, ds.labels[cid], p1[-1], pk[-1]])
+        rows.append([cid, labels[j], p1[-1], pk[-1]])
 
     m1 = evaluate(p1, labels, model.threshold)
     mk = evaluate(pk, labels, model.threshold)

@@ -122,14 +122,6 @@ class DualPair:
              + np.asarray(self.frame.mu_mean))
         return g[0] if single else g
 
-    def map_inverse(self, y: Array) -> Array:
-        """Inverse-direction map values grad phi(y)."""
-        single = np.asarray(y).ndim == 1
-        g = (self.frame.scale
-             * icnn_input_grad(self.phi, self.phi_cfg, self._mu_side(y))
-             + np.asarray(self.frame.sigma_mean))
-        return g[0] if single else g
-
     def copy(self) -> "DualPair":
         return DualPair(self.psi.copy(), self.psi_cfg,
                         self.phi.copy(), self.phi_cfg, self.frame,
@@ -178,15 +170,9 @@ class SolverConfig:
         if self.lambda_cyc < 0:
             raise ValueError("lambda_cyc must be >= 0")
 
-    def psi_config(self, dim: int, quad: float | None = None) -> IcnnConfig:
+    def icnn_config(self, dim: int, quad: float) -> IcnnConfig:
         return IcnnConfig(dim=dim, hidden=self.hidden, activation=self.activation,
-                          sharpness=self.sharpness,
-                          quad=self.quad_psi if quad is None else quad)
-
-    def phi_config(self, dim: int, quad: float | None = None) -> IcnnConfig:
-        return IcnnConfig(dim=dim, hidden=self.hidden, activation=self.activation,
-                          sharpness=self.sharpness,
-                          quad=self.quad_phi if quad is None else quad)
+                          sharpness=self.sharpness, quad=quad)
 
 
 def _batch_pair(sigma_batch: Array, mu_batch: Array, dim: int) -> tuple[Array, Array]:
@@ -309,9 +295,9 @@ def adaptive_quads(sigma: "ReferenceMeasure", points: Array) -> tuple[float, flo
 def init_dual_pair(dim: int, cfg: SolverConfig, rng: Rng,
                    frame: Frame | None = None,
                    quads: tuple[float, float] | None = None) -> DualPair:
-    q_psi, q_phi = quads if quads is not None else (None, None)
-    psi_cfg = cfg.psi_config(dim, q_psi)
-    phi_cfg = cfg.phi_config(dim, q_phi)
+    q_psi, q_phi = quads if quads is not None else (cfg.quad_psi, cfg.quad_phi)
+    psi_cfg = cfg.icnn_config(dim, q_psi)
+    phi_cfg = cfg.icnn_config(dim, q_phi)
     psi = project_nonneg(init_icnn(psi_cfg, rng.spawn(1), scale=cfg.init_scale))
     phi = project_nonneg(init_icnn(phi_cfg, rng.spawn(2), scale=cfg.init_scale))
     return DualPair(psi, psi_cfg, phi, phi_cfg,
@@ -346,6 +332,36 @@ def solver_step(
             state, loss)
 
 
+def fit_pairs(sigma: "ReferenceMeasure", clouds: dict[str, Array],
+              pairs: dict[str, DualPair], states: dict[str, OptimState],
+              cfg: SolverConfig, batch_rng: Rng, steps: int) -> list[float]:
+    """Advance each cloud's pair by `steps` solver steps, in place.
+
+    Each step draws one reference batch shared by all clouds, visited in
+    dict order; a missing Adam state is created from cfg, and each step
+    adds one to the pair's meta["iterations"]. Returns the losses, step-major.
+    """
+    losses: list[float] = []
+    for _ in range(steps):
+        X = sigma.sample(cfg.batch_size, seed=int(batch_rng.integers(0, 2**62)))
+        for cid, points in clouds.items():
+            idx = batch_rng.integers(0, points.shape[0], size=cfg.batch_size)
+            step = pairs[cid].meta.get("iterations", 0)
+            if cid not in states:
+                states[cid] = OptimState(lr=cfg.lr, beta1=cfg.beta1,
+                                         beta2=cfg.beta2, eps=cfg.eps)
+            try:
+                pairs[cid], states[cid], loss = solver_step(
+                    pairs[cid], X, points[idx], cfg.lambda_cyc, states[cid])
+            except NumericError as e:
+                raise NumericError(f"{e} (cloud {cid}, step {step})") from e
+            if not np.isfinite(loss):
+                raise NumericError(f"non-finite loss (cloud {cid}, step {step})")
+            pairs[cid].meta["iterations"] = step + 1
+            losses.append(loss)
+    return losses
+
+
 def train_map(sigma: "ReferenceMeasure", mu, cfg: SolverConfig) -> DualPair:
     """Train a DualPair pushing the reference measure onto one cloud.
 
@@ -359,28 +375,15 @@ def train_map(sigma: "ReferenceMeasure", mu, cfg: SolverConfig) -> DualPair:
     if points.shape[1] != sigma.dim:
         raise ShapeError(f"cloud dim {points.shape[1]} != reference dim {sigma.dim}")
     rng = Rng(cfg.seed)
-    pair = pair_for_cloud(sigma, points, cfg, rng.spawn(0))
-    state = OptimState(lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
-    batch_rng = rng.spawn(3)
-    losses: list[float] = []
-    for t in range(cfg.iters):
-        X = sigma.sample(cfg.batch_size, seed=int(batch_rng.integers(0, 2**62)))
-        idx = batch_rng.integers(0, points.shape[0], size=cfg.batch_size)
-        Y = points[idx]
-        try:
-            pair, state, loss = solver_step(pair, X, Y, cfg.lambda_cyc, state)
-        except NumericError as e:
-            raise NumericError(f"{e} (train_map iteration {t})") from e
-        if not np.isfinite(loss):
-            raise NumericError(f"non-finite loss at train_map iteration {t}")
-        losses.append(loss)
-    pair.meta.update({
-        "iterations": cfg.iters,
+    cid = getattr(mu, "id", "target")
+    pairs = {cid: pair_for_cloud(sigma, points, cfg, rng.spawn(0))}
+    losses = fit_pairs(sigma, {cid: points}, pairs, {}, cfg, rng.spawn(3), cfg.iters)
+    pairs[cid].meta.update({
         "final_loss": losses[-1] if losses else None,
         "seed": cfg.seed,
         "loss_history": losses,
     })
-    return pair
+    return pairs[cid]
 
 
 # ---------------------------------------------------------------------------

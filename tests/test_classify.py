@@ -6,6 +6,7 @@ from lotnn.errors import DataError, ShapeError
 from lotnn.classify import (
     ClassifierConfig,
     ClassifierModel,
+    Metrics,
     TrainSchedule,
     WeightNet,
     evaluate,
@@ -197,9 +198,9 @@ class TestTrainAlternating:
     def test_classifier_phase_never_touches_pairs(self, rng, monkeypatch):
         # with the solver stubbed out, any pair change must come from the
         # classifier phase; there must be none
-        import lotnn.classify as classify_mod
+        import lotnn.otsolve as otsolve_mod
 
-        monkeypatch.setattr(classify_mod, "solver_step",
+        monkeypatch.setattr(otsolve_mod, "solver_step",
                             lambda pair, X, Y, lam, state: (pair, state, 0.0))
         train, val = two_class_sets(rng)
         sched = TrainSchedule(ot_epochs_per_phase=2, clf_epochs_per_phase=4,
@@ -216,6 +217,33 @@ class TestTrainAlternating:
             want = fresh.psi.to_flat()
             for k in want:
                 assert np.array_equal(got[k], want[k])
+
+    @pytest.mark.parametrize("accuracies", [(1.0, 0.5, 0.5), (0.5, 1.0, 1.0),
+                                            (0.2, 0.4, 0.6)])
+    def test_pairs_record_their_steps_through_the_best_phase(
+            self, rng, monkeypatch, accuracies):
+        # validation accuracy is scripted per phase, so the best phase is
+        # the first maximum of `accuracies`
+        import lotnn.classify as classify_mod
+
+        scripted = iter(accuracies)
+        monkeypatch.setattr(
+            classify_mod, "evaluate",
+            lambda preds, labels, threshold: Metrics(0, 0, 0, 0, 0.0, 0.0,
+                                                     next(scripted)))
+        train, val = two_class_sets(rng)
+        sched = TrainSchedule(ot_epochs_per_phase=3, clf_epochs_per_phase=2,
+                              total_epochs=12, steps_per_ot_epoch=2)
+        emb, _, history = train_alternating(train, val, sched, QUICK_SOLVER,
+                                            QUICK_CLF, seed=7)
+        # phases run 3, 3 and (cut by the 12-epoch budget) 2 solver epochs
+        # of 2 steps each, the last with no classifier epochs left
+        assert [row["epoch"] for row in history] == [5, 10, 12]
+        phase_steps = [6, 6, 4]
+        best = emb.meta["best_phase"]
+        assert best == accuracies.index(max(accuracies))
+        want = sum(phase_steps[:best + 1])
+        assert {p.meta["iterations"] for p in emb.pairs.values()} == {want}
 
     def test_single_class_training_rejected(self, rng):
         train, val = two_class_sets(rng)

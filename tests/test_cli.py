@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lotnn.cli import main
+from lotnn.errors import NumericError
 
 TINY_CONFIG = {
     "subsample_n": 50,
@@ -44,7 +45,10 @@ def test_eval_test_subset(workdir, capsys):
                         "--data", str(d / "data"), "--subset", "test",
                         "--resamples", "2", "--out", str(out)]) == 0
     assert out.exists() and out.with_suffix(".probs.csv").exists()
-    assert "config_hash" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config_hash" not in err
+    # split() leaves the tiny config a test set of class 1 only
+    assert err.count("note: subset 'test' holds only class 1;") == 1
 
 
 def test_eval_embeds_with_the_bundle_solver(workdir, capsys):
@@ -94,6 +98,29 @@ def test_train_rerun_is_byte_identical(workdir):
     assert main(base + ["train", "--data", str(d / "data"),
                         "--bundle", str(again)]) == 0
     assert again.read_bytes() == (d / "bundle.json").read_bytes()
+
+
+def test_bundle_pairs_record_their_solver_steps(workdir):
+    # one phase of one solver epoch of one step
+    d, _ = workdir
+    pairs = json.loads((d / "bundle.json").read_text())["pairs"]
+    assert pairs and all(p["meta"]["iterations"] == 1 for p in pairs)
+
+
+def test_train_numeric_failure_exits_4(workdir, monkeypatch, capsys):
+    import lotnn.otsolve as otsolve_mod
+
+    def fail(pair, X, Y, lam, state):
+        raise NumericError("injected")
+
+    d, base = workdir
+    monkeypatch.setattr(otsolve_mod, "solver_step", fail)
+    assert main(base + ["train", "--data", str(d / "data"),
+                        "--bundle", str(d / "failed.json")]) == 4
+    first = json.loads((d / "bundle.json").read_text())["split"]["train"][0]
+    err = capsys.readouterr().err
+    assert "numeric failure" in err and first in err and "step 0" in err
+    assert not (d / "failed.json").exists()
 
 
 def test_baseline_and_bound(workdir):

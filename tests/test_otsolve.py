@@ -13,8 +13,10 @@ from lotnn.otsolve import (
     estimate_w2_dual,
     exact_ot_discrete,
     exact_w2_discrete,
+    fit_pairs,
     gaussian_w2,
     init_dual_pair,
+    pair_for_cloud,
     solver_loss_and_grads,
     train_map,
 )
@@ -162,6 +164,91 @@ class TestTrainMap:
         sigma = ReferenceMeasure.standard(2, seed=0)
         with pytest.raises(ShapeError):
             train_map(sigma, np.empty((0, 2)), SolverConfig(batch_size=8, iters=1))
+
+
+class TestFitPairs:
+    @staticmethod
+    def _setup(n_clouds=2):
+        sigma = ReferenceMeasure.standard(2, seed=41)
+        cfg = SolverConfig(batch_size=16, hidden=(5,), seed=3)
+        clouds = {f"c{i}": sigma.sample(40, seed=42 + i) + np.array([i, -i])
+                  for i in range(n_clouds)}
+        pairs = {cid: pair_for_cloud(sigma, pts, cfg, Rng(50 + i))
+                 for i, (cid, pts) in enumerate(clouds.items())}
+        return sigma, cfg, clouds, pairs
+
+    def test_split_budget_equals_one_call(self):
+        # pairs, Adam states and the batch stream all carry over between
+        # calls, so 3 + 2 steps are bitwise the same as 5
+        sigma, cfg, clouds, pairs = self._setup()
+        states = {}
+        rng = Rng(60)
+        losses = fit_pairs(sigma, clouds, pairs, states, cfg, rng, 3)
+        losses += fit_pairs(sigma, clouds, pairs, states, cfg, rng, 2)
+        _, _, _, whole = self._setup()
+        want = fit_pairs(sigma, clouds, whole, {}, cfg, Rng(60), 5)
+        assert losses == want and len(losses) == 5 * len(clouds)
+        assert set(states) == set(clouds)
+        for cid in clouds:
+            assert pairs[cid].meta["iterations"] == whole[cid].meta["iterations"] == 5
+            for k, v in whole[cid].psi.to_flat().items():
+                assert np.array_equal(pairs[cid].psi.to_flat()[k], v)
+
+    def test_train_map_is_one_cloud_fit(self):
+        sigma, _, clouds, _ = self._setup(1)
+        cfg = SolverConfig(batch_size=16, hidden=(5,), iters=4, seed=3)
+        got = train_map(sigma, clouds["c0"], cfg)
+        pairs = {"c0": pair_for_cloud(sigma, clouds["c0"], cfg, Rng(cfg.seed).spawn(0))}
+        losses = fit_pairs(sigma, clouds, pairs, {}, cfg, Rng(cfg.seed).spawn(3), 4)
+        assert got.meta["loss_history"] == losses
+        assert got.meta["iterations"] == 4
+        for k, v in pairs["c0"].phi.to_flat().items():
+            assert np.array_equal(got.phi.to_flat()[k], v)
+
+    def test_clouds_share_each_steps_reference_batch(self, monkeypatch):
+        import lotnn.otsolve as otsolve_mod
+
+        sigma, cfg, clouds, pairs = self._setup(3)
+        seen = []
+        monkeypatch.setattr(otsolve_mod, "solver_step",
+                            lambda pair, X, Y, lam, state:
+                            seen.append((X, Y)) or (pair, state, 0.0))
+        fit_pairs(sigma, clouds, pairs, {}, cfg, Rng(0), 2)
+        assert len(seen) == 6
+        for step in (0, 1):
+            X0 = seen[3 * step][0]
+            for j, points in enumerate(clouds.values()):
+                X, Y = seen[3 * step + j]
+                assert np.array_equal(X, X0) and Y.shape == (cfg.batch_size, 2)
+                assert all(any(np.array_equal(y, p) for p in points) for y in Y)
+        assert not np.array_equal(seen[0][0], seen[3][0])
+
+    def test_nonfinite_loss_names_cloud_and_step(self, monkeypatch):
+        import lotnn.otsolve as otsolve_mod
+
+        sigma, cfg, clouds, pairs = self._setup()
+        calls = []
+
+        def fake_step(pair, X, Y, lam, state):
+            calls.append(1)
+            return pair, state, float("nan") if len(calls) == 4 else 0.0
+
+        monkeypatch.setattr(otsolve_mod, "solver_step", fake_step)
+        with pytest.raises(NumericError, match=r"non-finite loss \(cloud c1, step 1\)"):
+            fit_pairs(sigma, clouds, pairs, {}, cfg, Rng(0), 3)
+        assert pairs["c0"].meta["iterations"] == 2
+        assert pairs["c1"].meta["iterations"] == 1
+
+    def test_step_error_names_cloud_and_step(self, monkeypatch):
+        import lotnn.otsolve as otsolve_mod
+
+        def fail(pair, X, Y, lam, state):
+            raise NumericError("injected")
+
+        sigma, cfg, clouds, pairs = self._setup()
+        monkeypatch.setattr(otsolve_mod, "solver_step", fail)
+        with pytest.raises(NumericError, match=r"^injected \(cloud c0, step 0\)$"):
+            fit_pairs(sigma, clouds, pairs, {}, cfg, Rng(0), 1)
 
 
 def brute_force_cost(X, Y):
