@@ -49,9 +49,13 @@ def _dec_icnn(d: dict) -> tuple[IcnnParams, IcnnConfig]:
     cfg = IcnnConfig(dim=c["dim"], hidden=tuple(c["hidden"]),
                      activation=c["activation"], sharpness=c["sharpness"],
                      quad=c["quad"])
+    b = [_dec(a) for a in d["b"]]
+    # older documents also store the head bias, which training never moves
+    if len(b) == len(cfg.hidden) + 1:
+        if np.any(b.pop() != 0.0):
+            raise DataError("bundle stores a nonzero ICNN head bias")
     return IcnnParams([_dec(a) for a in d["wx"]],
-                      [_dec(a) for a in d["wz"]],
-                      [_dec(a) for a in d["b"]]), cfg
+                      [_dec(a) for a in d["wz"]], b), cfg
 
 
 def _enc_mlp(p: MlpParams) -> dict:

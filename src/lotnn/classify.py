@@ -266,8 +266,8 @@ def train_alternating(
                 raise NumericError(f"non-finite classifier loss (phase {phase})")
             upstream = np.einsum("i,ind->nd", resid, G_tr) / X_eval.shape[0]
             grads, _ = mlp_backward(wn.params, cache, upstream)
-            new_flat, wn_state = adam_step(wn.params.to_flat(), grads, wn_state)
-            wn.params = wn.params.from_flat(new_flat)
+            theta, wn_state = adam_step(wn.params.theta, grads, wn_state)
+            wn.params = wn.params.with_theta(theta)
             epoch += 1
 
         acc = val_accuracy()

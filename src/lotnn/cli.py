@@ -221,22 +221,29 @@ def _metrics_row(tag: str, m) -> list:
 
 
 def _embedding_solver(cfg: RunConfig, bundle: ModelBundle) -> SolverConfig:
-    """The solver config the bundle's maps were trained with.
+    """The solver config and step count the bundle's maps were trained with.
 
     Clouds without a trained pair are embedded with it, whatever this
     run's --config says; bundles that store no solver config fall back
     to the run's own. Seeds are not compared, as each cloud gets its own.
+    The steps are those every kept pair records; bundles written before
+    pairs recorded them hold 0 and keep solver.iters.
     """
-    if "solver" not in bundle.config:
-        return cfg.solver
-    try:
-        solver = RunConfig.from_dict({"solver": bundle.config["solver"]}).solver
-    except (TypeError, ValueError) as e:
-        raise DataError(f"bundle has an unusable solver config: {e}") from e
-    if dataclasses.replace(solver, seed=cfg.solver.seed) != cfg.solver:
-        print(f"note: this run's solver config differs from the bundle's "
-              f"(config_hash={bundle.config_hash}); embedding with the bundle's",
-              file=sys.stderr)
+    solver = cfg.solver
+    if "solver" in bundle.config:
+        try:
+            solver = RunConfig.from_dict({"solver": bundle.config["solver"]}).solver
+        except (TypeError, ValueError) as e:
+            raise DataError(f"bundle has an unusable solver config: {e}") from e
+        if dataclasses.replace(solver, seed=cfg.solver.seed) != cfg.solver:
+            print(f"note: this run's solver config differs from the bundle's "
+                  f"(config_hash={bundle.config_hash}); embedding with the bundle's",
+                  file=sys.stderr)
+    steps = {p.meta.get("iterations", 0) for p in bundle.pairs.values()}
+    if len(steps) > 1:
+        raise DataError(f"bundle pairs record different step counts {sorted(steps)}")
+    if steps and (count := steps.pop()):
+        solver = dataclasses.replace(solver, iters=count)
     return solver
 
 

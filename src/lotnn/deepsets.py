@@ -151,10 +151,10 @@ def ds_train(
             upstream[offsets[i]:offsets[i + 1]] = d_pooled[i] / counts[i]
         phi_grads, _ = mlp_backward(model.phi, phi_cache, upstream)
 
-        new_rho, state_rho = adam_step(model.rho.to_flat(), rho_grads, state_rho)
-        new_phi, state_phi = adam_step(model.phi.to_flat(), phi_grads, state_phi)
-        model.rho = model.rho.from_flat(new_rho)
-        model.phi = model.phi.from_flat(new_phi)
+        new_rho, state_rho = adam_step(model.rho.theta, rho_grads, state_rho)
+        new_phi, state_phi = adam_step(model.phi.theta, phi_grads, state_phi)
+        model.rho = model.rho.with_theta(new_rho)
+        model.phi = model.phi.with_theta(new_phi)
 
         acc = val_accuracy()
         history.append({"epoch": epoch, "loss": loss, "val_accuracy": acc})

@@ -4,12 +4,13 @@ The potential is
 
     a_0 = Wx[0] x + b[0]
     a_i = Wx[i] x + Wz[i-1] s(a_{i-1}) + b[i],   i = 1..L-1
-    h(x) = Wx[L] x + Wz[L-1] s(a_{L-1}) + b[L] + (q/2) ||x||^2
+    h(x) = Wx[L] x + Wz[L-1] s(a_{L-1}) + (q/2) ||x||^2
 
 with every Wz entrywise nonnegative and s convex and non-decreasing, so
 x -> h(x) is convex; with q > 0 it is q-strongly convex. The gradient
 map x -> grad h(x) is the transport-map approximation used everywhere
-else in the package.
+else in the package, so the head carries no bias: a constant offset of
+h never changes grad h.
 
 Besides the forward pass this module provides three hand-written
 differentiation passes, all specialized to this fixed architecture:
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .nncore import Array, Rng, as_f64, check_finite
+from .nncore import Array, FlatParams, Rng, as_f64, check_finite
 
 
 @dataclass(frozen=True)
@@ -70,39 +71,16 @@ class IcnnConfig:
             raise ValueError("quad must be >= 0")
 
 
-@dataclass
-class IcnnParams:
-    """Layer parameters; wz holds the nonnegativity-constrained matrices.
+class IcnnParams(FlatParams):
+    """Layer parameters in one vector; wz are the nonnegative matrices.
 
     wx[i] is (h_i, d) for i < L and (1, d) for the scalar head;
-    wz[i-1] is (h_i, h_{i-1}) feeding layer i, wz[L-1] is (1, h_{L-1}).
+    wz[i-1] is (h_i, h_{i-1}) feeding layer i, wz[L-1] is (1, h_{L-1});
+    b[i] is (h_i,) for the L hidden layers. The blocks are laid out
+    wx, then wz, then b, so span("wz") is one contiguous slice.
     """
 
-    wx: list[Array]
-    wz: list[Array]
-    b: list[Array]
-
-    def to_flat(self, prefix: str = "") -> dict[str, Array]:
-        out: dict[str, Array] = {}
-        for k, a in enumerate(self.wx):
-            out[f"{prefix}wx{k}"] = a
-        for k, a in enumerate(self.wz):
-            out[f"{prefix}wz{k}"] = a
-        for k, a in enumerate(self.b):
-            out[f"{prefix}b{k}"] = a
-        return out
-
-    def from_flat(self, flat: dict[str, Array], prefix: str = "") -> "IcnnParams":
-        return IcnnParams(
-            wx=[flat[f"{prefix}wx{k}"] for k in range(len(self.wx))],
-            wz=[flat[f"{prefix}wz{k}"] for k in range(len(self.wz))],
-            b=[flat[f"{prefix}b{k}"] for k in range(len(self.b))],
-        )
-
-    def copy(self) -> "IcnnParams":
-        return IcnnParams([a.copy() for a in self.wx],
-                          [a.copy() for a in self.wz],
-                          [a.copy() for a in self.b])
+    GROUPS = ("wx", "wz", "b")
 
 
 def init_icnn(cfg: IcnnConfig, rng: Rng, scale: float = 0.1) -> IcnnParams:
@@ -111,23 +89,25 @@ def init_icnn(cfg: IcnnConfig, rng: Rng, scale: float = 0.1) -> IcnnParams:
     With small weights the gradient map starts near x -> q x.
     """
     widths = list(cfg.hidden) + [1]
-    wx, wz, b = [], [], []
+    wx, wz = [], []
     for i, w in enumerate(widths):
         wx.append(rng.normal((w, cfg.dim), scale=scale / np.sqrt(cfg.dim)))
         if i > 0:
             fan = widths[i - 1]
             wz.append(np.abs(rng.normal((w, fan), scale=scale / np.sqrt(fan))))
-        b.append(np.zeros(w))
-    return IcnnParams(wx, wz, b)
+    return IcnnParams(wx, wz, [np.zeros(w) for w in cfg.hidden])
 
 
 def project_nonneg(params: IcnnParams) -> IcnnParams:
-    """Clamp every pass-through weight at zero; other params untouched.
+    """Clamp the pass-through weights at zero, in a copy; others untouched.
 
     Idempotent; this is what keeps the potential convex after each
     optimizer step.
     """
-    return IcnnParams(params.wx, [np.maximum(a, 0.0) for a in params.wz], params.b)
+    theta = params.theta.copy()
+    wz = theta[params.span("wz")]
+    np.maximum(wz, 0.0, out=wz)
+    return params.with_theta(theta)
 
 
 class IcnnCache:
@@ -162,9 +142,11 @@ class IcnnCache:
         self._er: list[tuple[Array, Array]] = []
         self._sdd: list[Array] | None = None
         a = x2 @ params.wx[0].T + params.b[0]
-        for i in range(1, L + 1):  # layer L is the scalar head
+        for i in range(1, L):
             self._activate(a)
             a = x2 @ params.wx[i].T + self.z[-1] @ params.wz[i - 1].T + params.b[i]
+        self._activate(a)
+        a = x2 @ params.wx[L].T + self.z[-1] @ params.wz[L - 1].T  # scalar head
         self.out = a[:, 0] + 0.5 * cfg.quad * np.sum(x2 * x2, axis=1)
 
     def _activate(self, a: Array) -> None:
@@ -240,37 +222,35 @@ def icnn_backward(
     cfg: IcnnConfig,
     x: Array,
     upstream,
-    prefix: str = "",
     cache: IcnnCache | None = None,
-) -> tuple[dict[str, Array], Array]:
+) -> tuple[Array, Array]:
     """Reverse pass for sum_b upstream_b * h(x_b).
 
-    upstream is a scalar or (n,). Returns parameter grads keyed like
-    to_flat() and the input gradient (n, d).
+    upstream is a scalar or (n,). Returns the parameter gradient as a
+    vector in params' layout and the input gradient (n, d).
     """
     c = cache if cache is not None else icnn_cache(params, cfg, x)
     x2 = c.x
     n = x2.shape[0]
     u = np.broadcast_to(np.asarray(upstream, dtype=np.float64).reshape(-1), (n,))
     L = len(cfg.hidden)
-    grads: dict[str, Array] = {}
+    g = params.with_theta(np.empty_like(params.theta))
     uc = u[:, None]
 
-    grads[f"{prefix}wx{L}"] = uc.T @ x2
-    grads[f"{prefix}wz{L - 1}"] = uc.T @ c.z[L - 1]
-    grads[f"{prefix}b{L}"] = np.array([u.sum()])
+    g.wx[L][...] = uc.T @ x2
+    g.wz[L - 1][...] = uc.T @ c.z[L - 1]
     xg = uc * (cfg.quad * x2 + params.wx[L])
 
     delta = (uc * params.wz[L - 1]) * c.sd[L - 1]
     for i in range(L - 1, -1, -1):
-        grads[f"{prefix}wx{i}"] = delta.T @ x2
-        grads[f"{prefix}b{i}"] = delta.sum(axis=0)
+        g.wx[i][...] = delta.T @ x2
+        g.b[i][...] = delta.sum(axis=0)
         if i > 0:
-            grads[f"{prefix}wz{i - 1}"] = delta.T @ c.z[i - 1]
+            g.wz[i - 1][...] = delta.T @ c.z[i - 1]
         xg = xg + delta @ params.wx[i]
         if i > 0:
             delta = (delta @ params.wz[i - 1]) * c.sd[i - 1]
-    return grads, xg
+    return g.theta, xg
 
 
 def icnn_inputgrad_vjp(
@@ -278,15 +258,15 @@ def icnn_inputgrad_vjp(
     cfg: IcnnConfig,
     x: Array,
     v: Array,
-    prefix: str = "",
     cache: IcnnCache | None = None,
-) -> tuple[dict[str, Array], Array]:
+) -> tuple[Array, Array]:
     """Gradients of S = sum_b <v_b, grad_x h(x_b)> w.r.t. params and x.
 
     v is held constant. S equals the directional derivative D_v h, so it
     is computed forward-mode and then differentiated in reverse through
     that computation; the activation's second derivative appears where
-    the value path feeds s'(a_i).
+    the value path feeds s'(a_i). The parameter gradient is a vector in
+    params' layout.
 
     The x-gradient output is the Hessian-vector product
     grad^2 h(x_b) v_b per sample. Exact for smooth activations; with
@@ -308,11 +288,9 @@ def icnn_inputgrad_vjp(
         adot.append(v2 @ params.wx[i].T + zdot[i - 1] @ params.wz[i - 1].T)
     zdot.append(c.sd[L - 1] * adot[L - 1])
 
-    grads: dict[str, Array] = {
-        f"{prefix}wx{L}": np.sum(v2, axis=0, keepdims=True),
-        f"{prefix}wz{L - 1}": np.sum(zdot[L - 1], axis=0, keepdims=True),
-        f"{prefix}b{L}": np.zeros(1),
-    }
+    g = params.with_theta(np.empty_like(params.theta))
+    g.wx[L][...] = np.sum(v2, axis=0, keepdims=True)
+    g.wz[L - 1][...] = np.sum(zdot[L - 1], axis=0, keepdims=True)
     xg = cfg.quad * v2
 
     # reverse sweep over the tangent graph; A = dS/da, Adot = dS/dadot
@@ -323,11 +301,11 @@ def icnn_inputgrad_vjp(
         A = gamma * adot[i] * c.sdd[i]
         if A_next is not None:
             A = A + (A_next @ params.wz[i]) * c.sd[i]
-        grads[f"{prefix}wx{i}"] = A.T @ x2 + Adot.T @ v2
-        grads[f"{prefix}b{i}"] = A.sum(axis=0)
+        g.wx[i][...] = A.T @ x2 + Adot.T @ v2
+        g.b[i][...] = A.sum(axis=0)
         if i > 0:
-            grads[f"{prefix}wz{i - 1}"] = A.T @ c.z[i - 1] + Adot.T @ zdot[i - 1]
+            g.wz[i - 1][...] = A.T @ c.z[i - 1] + Adot.T @ zdot[i - 1]
             gamma = Adot @ params.wz[i - 1]
         xg = xg + A @ params.wx[i]
         A_next = A
-    return grads, xg
+    return g.theta, xg

@@ -1,16 +1,19 @@
 """Dense numeric building blocks.
 
 Everything downstream (ICNN potentials, weight networks, the DeepSets
-baseline) is built from the pieces here: a seeded RNG wrapper, an Adam
-update, order-independent pooling, a binary cross-entropy loss, small
-tanh MLPs with hand-written backward passes, and the central-difference
+baseline) is built from the pieces here: a seeded RNG wrapper, one
+vector per network's parameters, an Adam update of such a vector,
+order-independent pooling, a binary cross-entropy loss, small tanh
+MLPs with hand-written backward passes, and the central-difference
 oracle used to cross-check every analytic gradient.
 All arrays are float64; 32-bit cannot hold the gradient-check tolerances.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import dataclasses
+import math
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -70,11 +73,11 @@ class Rng:
 
 @dataclass
 class OptimState:
-    """Per-parameter Adam accumulators plus hyperparameters.
+    """Adam accumulators over one parameter vector, plus hyperparameters.
 
     The paper behind this artifact names no optimizer; the de-facto
     standard defaults (1e-3, 0.9/0.999, 1e-8) are used and echoed into
-    run reports.
+    run reports. m and v are None until the first step.
     """
 
     lr: float = 1e-3
@@ -82,48 +85,32 @@ class OptimState:
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m: dict[str, Array] = field(default_factory=dict)
-    v: dict[str, Array] = field(default_factory=dict)
+    m: Array | None = None
+    v: Array | None = None
 
 
-def adam_step(
-    params: dict[str, Array],
-    grads: dict[str, Array],
-    state: OptimState,
-) -> tuple[dict[str, Array], OptimState]:
-    """One bias-corrected Adam update; functional, deterministic.
+def adam_step(params: Array, grads: Array,
+              state: OptimState) -> tuple[Array, OptimState]:
+    """One bias-corrected Adam update of a parameter vector; functional.
 
-    Returns fresh parameter arrays and a fresh state; inputs are not
-    mutated. Raises on non-finite gradients or shape mismatch.
+    Returns a fresh vector and a fresh state; inputs are not mutated.
+    Raises on non-finite gradients or shape mismatch.
     """
     if state.lr <= 0:
         raise ValueError("step size must be > 0")
+    if grads.shape != params.shape:
+        raise ShapeError(f"grad shape {grads.shape} != param shape {params.shape}")
+    if not np.all(np.isfinite(grads)):
+        raise NumericError("non-finite gradient")
     t = state.step + 1
-    new_m: dict[str, Array] = {}
-    new_v: dict[str, Array] = {}
-    new_p: dict[str, Array] = {}
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
-    for k, p in params.items():
-        g = grads[k]
-        if g.shape != p.shape:
-            raise ShapeError(f"grad shape {g.shape} != param shape {p.shape} for {k}")
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient for parameter {k}")
-        m = state.m.get(k, np.zeros_like(p))
-        v = state.v.get(k, np.zeros_like(p))
-        m = state.beta1 * m + (1.0 - state.beta1) * g
-        v = state.beta2 * v + (1.0 - state.beta2) * (g * g)
-        m_hat = m / bc1
-        v_hat = v / bc2
-        new_p[k] = p - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
-        new_m[k] = m
-        new_v[k] = v
-    new_state = OptimState(
-        lr=state.lr, beta1=state.beta1, beta2=state.beta2, eps=state.eps,
-        step=t, m=new_m, v=new_v,
-    )
-    return new_p, new_state
+    m = np.zeros_like(params) if state.m is None else state.m
+    v = np.zeros_like(params) if state.v is None else state.v
+    m = state.beta1 * m + (1.0 - state.beta1) * grads
+    v = state.beta2 * v + (1.0 - state.beta2) * (grads * grads)
+    m_hat = m / (1.0 - state.beta1**t)
+    v_hat = v / (1.0 - state.beta2**t)
+    new_p = params - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    return new_p, dataclasses.replace(state, step=t, m=m, v=v)
 
 
 # ---------------------------------------------------------------------------
@@ -172,15 +159,60 @@ def finite_diff_grad(f: Callable[[Array], float], x: Array, h: float = 1e-5) -> 
 
 
 # ---------------------------------------------------------------------------
+# Parameter layout: one float64 vector per network
+# ---------------------------------------------------------------------------
+
+class FlatParams:
+    """Parameter blocks held as reshaped views into one float64 vector.
+
+    A subclass names its groups of blocks in GROUPS, the constructor's
+    arguments. Each group is a list of views, laid out group after group
+    in `theta`, so it fills one contiguous span(). Adam, copies and
+    gradient sums work on `theta`; writing through a view changes it.
+    """
+
+    GROUPS: tuple[str, ...] = ()
+
+    def __init__(self, *groups: Sequence[Array]):
+        arrays = [[as_f64(a) for a in g] for g in groups]
+        self._bind(np.concatenate([a.ravel() for g in arrays for a in g]),
+                   tuple(tuple(a.shape for a in g) for g in arrays))
+
+    def _bind(self, theta: Array, shapes: tuple) -> None:
+        self.theta, self._shapes, self._spans = theta, shapes, {}
+        off = 0
+        for name, group in zip(self.GROUPS, shapes):
+            start, views = off, []
+            for shape in group:
+                views.append(theta[off:off + math.prod(shape)].reshape(shape))
+                off += math.prod(shape)
+            setattr(self, name, views)
+            self._spans[name] = slice(start, off)
+        if off != theta.size:
+            raise ShapeError(f"parameter vector has {theta.size} entries, layout {off}")
+
+    def with_theta(self, theta: Array):
+        """The same layout over another vector, sharing its memory."""
+        new = object.__new__(type(self))
+        new._bind(theta, self._shapes)
+        return new
+
+    def span(self, group: str) -> slice:
+        """The slice of theta that holds one group of blocks."""
+        return self._spans[group]
+
+    def copy(self):
+        return self.with_theta(self.theta.copy())
+
+
+# ---------------------------------------------------------------------------
 # Plain MLP (tanh hidden layers, linear head)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class MlpParams:
+class MlpParams(FlatParams):
     """Weights/biases of a fully-connected net; weights[k] is (out, in)."""
 
-    weights: list[Array]
-    biases: list[Array]
+    GROUPS = ("weights", "biases")
 
     @property
     def in_dim(self) -> int:
@@ -189,22 +221,6 @@ class MlpParams:
     @property
     def out_dim(self) -> int:
         return self.weights[-1].shape[0]
-
-    def to_flat(self, prefix: str = "") -> dict[str, Array]:
-        out: dict[str, Array] = {}
-        for k, (W, b) in enumerate(zip(self.weights, self.biases)):
-            out[f"{prefix}w{k}"] = W
-            out[f"{prefix}b{k}"] = b
-        return out
-
-    def from_flat(self, flat: dict[str, Array], prefix: str = "") -> "MlpParams":
-        ws = [flat[f"{prefix}w{k}"] for k in range(len(self.weights))]
-        bs = [flat[f"{prefix}b{k}"] for k in range(len(self.biases))]
-        return MlpParams(ws, bs)
-
-    def copy(self) -> "MlpParams":
-        return MlpParams([W.copy() for W in self.weights],
-                         [b.copy() for b in self.biases])
 
 
 def mlp_init(widths: Sequence[int], rng: Rng, scale: float = 1.0) -> MlpParams:
@@ -239,22 +255,22 @@ def mlp_apply(p: MlpParams, x: Array) -> Array:
     return out
 
 
-def mlp_backward(
-    p: MlpParams, cache: list[Array], upstream: Array, prefix: str = ""
-) -> tuple[dict[str, Array], Array]:
+def mlp_backward(p: MlpParams, cache: list[Array],
+                 upstream: Array) -> tuple[Array, Array]:
     """Reverse pass for sum_b <upstream_b, out_b>.
 
-    upstream is (n, out_dim). Returns param grads keyed like to_flat()
-    and the gradient with respect to the input batch (n, in_dim).
+    upstream is (n, out_dim). Returns the parameter gradient as a vector
+    in p's layout and the gradient with respect to the input batch
+    (n, in_dim).
     """
-    grads: dict[str, Array] = {}
+    g = p.with_theta(np.empty_like(p.theta))
     delta = np.atleast_2d(as_f64(upstream))
     last = len(p.weights) - 1
     for k in range(last, -1, -1):
         # cache[k] is the input to layer k; cache[k+1] its (activated) output
         if k < last:
             delta = delta * (1.0 - cache[k + 1] ** 2)  # tanh'
-        grads[f"{prefix}w{k}"] = delta.T @ cache[k]
-        grads[f"{prefix}b{k}"] = delta.sum(axis=0)
+        g.weights[k][...] = delta.T @ cache[k]
+        g.biases[k][...] = delta.sum(axis=0)
         delta = delta @ p.weights[k]
-    return grads, delta
+    return g.theta, delta

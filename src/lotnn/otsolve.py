@@ -201,8 +201,7 @@ def estimate_w2_dual(pair: DualPair, sigma_batch: Array, mu_batch: Array) -> flo
     At optimal potentials V + C equals half the squared distance, so the
     estimate is sqrt(2 * (V + C)) with C the empirical second-moment
     constant, clamped at zero: finite batches and imperfect potentials
-    can push the argument slightly negative, and the clamp is flagged in
-    run reports rather than silently hidden.
+    can push the argument slightly negative.
     """
     X, Y = _batch_pair(sigma_batch, mu_batch, pair.dim)
     V = dual_objective_V(pair, X, Y)
@@ -216,19 +215,18 @@ def estimate_w2_dual(pair: DualPair, sigma_batch: Array, mu_batch: Array) -> flo
 
 def solver_loss_and_grads(
     pair: DualPair, Xs: Array, Ys: Array, lambda_cyc: float
-) -> tuple[float, dict[str, Array]]:
+) -> tuple[float, Array, Array]:
     """Loss and exact gradients of the cycle-regularized dual objective.
 
     Xs/Ys are batches already in the pair's standardized coordinates.
-    Keys are prefixed "psi." / "phi.". The psi-gradient flows through
-    grad psi (and, in the cycle term, through the Hessian of phi), which
-    is where the second-order pass earns its keep.
+    Returns the loss and the psi and phi gradients, each a vector in its
+    network's layout. The psi-gradient flows through grad psi (and, in
+    the cycle term, through the Hessian of phi), which is where the
+    second-order pass earns its keep.
 
-    The output biases "psi.b{L}" and "phi.b{L}" get exactly zero
-    gradient: phi's enters as +E_Y[phi] and -E_X[phi(grad psi)] and
-    cancels, since with equal batch sizes the +1/n and -1/n terms are
-    exact negatives; psi's never reaches the loss, which sees psi only
-    through grad psi.
+    The potentials' heads have no bias because the loss could not move
+    one: it sees psi only through grad psi, and a constant in phi cancels
+    between +E_Y[phi] and -E_X[phi(grad psi)].
     """
     n = Xs.shape[0]
     c_psi_x = icnn_cache(pair.psi, pair.psi_cfg, Xs)
@@ -244,27 +242,20 @@ def solver_loss_and_grads(
     # phi parameter grads: direct terms at Ys and at G
     g_phi_y, _ = icnn_backward(pair.phi, pair.phi_cfg, Ys,
                                np.full(Ys.shape[0], 1.0 / Ys.shape[0]),
-                               prefix="phi.", cache=c_phi_y)
+                               cache=c_phi_y)
     g_phi_g, h_at_g = icnn_backward(pair.phi, pair.phi_cfg, G,
-                                    np.full(n, -1.0 / n),
-                                    prefix="phi.", cache=c_phi_g)
+                                    np.full(n, -1.0 / n), cache=c_phi_g)
     # cycle term: d/d(omega, u) of sum <w, grad phi(u)>, w = (2 lambda/n)(H - X)
     w = (2.0 * lambda_cyc / n) * (H - Xs)
     g_phi_cyc, u_grad = icnn_inputgrad_vjp(pair.phi, pair.phi_cfg, G, w,
-                                           prefix="phi.", cache=c_phi_g)
-
-    grads: dict[str, Array] = {}
-    for k in g_phi_y:
-        grads[k] = g_phi_y[k] + g_phi_g[k] + g_phi_cyc[k]
+                                           cache=c_phi_g)
 
     # psi parameter grads, all through G: v collects every dLoss/dG term.
     # h_at_g above is -(1/n) grad phi(G) = -(1/n) H, reused instead of
     # recomputing.
     v = Xs / n + h_at_g + u_grad
-    g_psi, _ = icnn_inputgrad_vjp(pair.psi, pair.psi_cfg, Xs, v,
-                                  prefix="psi.", cache=c_psi_x)
-    grads.update(g_psi)
-    return loss, grads
+    g_psi, _ = icnn_inputgrad_vjp(pair.psi, pair.psi_cfg, Xs, v, cache=c_psi_x)
+    return loss, g_psi, g_phi_y + g_phi_g + g_phi_cyc
 
 
 def make_frame(sigma: "ReferenceMeasure", points: Array) -> Frame:
@@ -319,15 +310,17 @@ def solver_step(
     """One joint Adam update on both potentials, followed by projection.
 
     X and Y are original-coordinates batches; standardization happens
-    here using the pair's frame.
+    here using the pair's frame. Adam sees psi's and phi's parameter
+    vectors as one, psi first.
     """
     Xs = pair._sigma_side(X)
     Ys = pair._mu_side(Y)
-    loss, grads = solver_loss_and_grads(pair, Xs, Ys, lambda_cyc)
-    params = pair.psi.to_flat("psi.") | pair.phi.to_flat("phi.")
-    new_params, state = adam_step(params, grads, state)
-    psi = project_nonneg(pair.psi.from_flat(new_params, "psi."))
-    phi = project_nonneg(pair.phi.from_flat(new_params, "phi."))
+    loss, g_psi, g_phi = solver_loss_and_grads(pair, Xs, Ys, lambda_cyc)
+    theta, state = adam_step(np.concatenate([pair.psi.theta, pair.phi.theta]),
+                             np.concatenate([g_psi, g_phi]), state)
+    n_psi = pair.psi.theta.size
+    psi = project_nonneg(pair.psi.with_theta(theta[:n_psi]))
+    phi = project_nonneg(pair.phi.with_theta(theta[n_psi:]))
     return (DualPair(psi, pair.psi_cfg, phi, pair.phi_cfg, pair.frame, pair.meta),
             state, loss)
 

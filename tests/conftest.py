@@ -7,18 +7,22 @@ from lotnn.icnn import IcnnConfig, IcnnParams
 from lotnn.otsolve import DualPair, Frame
 
 
-def quad_potential(dim, quad=1.0, tilt=None, bias=0.0, activation="smooth_relu"):
-    """Potential quad*||x||^2/2 + <tilt, x> + bias with a dormant hidden layer.
+def quad_potential(dim, quad=1.0, tilt=None, bias=0.0):
+    """Potential quad*||x||^2/2 + <tilt, x> + bias.
 
-    Zero weights silence the network part, so the gradient map is
-    exactly x -> quad*x + tilt.
+    The head has no bias of its own, so a positive bias is the relu of
+    one hidden unit with a_0 = bias passed through wz = 1; with bias 0
+    the hidden layer is dormant. Either way the gradient map is exactly
+    x -> quad*x + tilt.
     """
-    cfg = IcnnConfig(dim=dim, hidden=(1,), activation=activation, quad=quad)
+    if bias < 0:
+        raise ValueError("a relu unit holds only a bias >= 0")
+    cfg = IcnnConfig(dim=dim, hidden=(1,), activation="relu", quad=quad)
     wx = [np.zeros((1, dim)), np.zeros((1, dim))]
     if tilt is not None:
         wx[1] = np.asarray(tilt, dtype=np.float64).reshape(1, dim)
-    params = IcnnParams(wx=wx, wz=[np.zeros((1, 1))],
-                        b=[np.zeros(1), np.array([float(bias)])])
+    params = IcnnParams(wx, [np.full((1, 1), float(bias > 0))],
+                        [np.array([float(bias)])])
     return params, cfg
 
 
@@ -38,6 +42,17 @@ def shift_pair(dim, a):
     a = np.asarray(a, dtype=np.float64)
     return quad_pair(dim, q_psi=1.0, psi_tilt=a,
                      q_phi=1.0, phi_tilt=-a, phi_bias=0.5 * float(a @ a))
+
+
+def blocks(params, theta=None, prefix=""):
+    """(name, block) for every parameter block, named like "psi.wx0".
+
+    With theta the blocks are views into that vector (a gradient, say)
+    in params' layout instead of into params.theta.
+    """
+    p = params if theta is None else params.with_theta(theta)
+    return [(f"{prefix}{group}{k}", a)
+            for group in p.GROUPS for k, a in enumerate(getattr(p, group))]
 
 
 def relerr(got, want):

@@ -81,3 +81,33 @@ def test_document_with_deepsets_key_loads(bundle, tmp_path):
     doc["deepsets"] = []
     path.write_text(json.dumps(doc))
     assert load_bundle(path).pair_ids == bundle.pair_ids
+
+
+def _with_head_bias(path, value):
+    # the layout of documents written while the ICNN head had a bias
+    doc = json.loads(path.read_text())
+    for p in doc["pairs"]:
+        for net in ("psi", "phi"):
+            p[net]["b"].append({"shape": [1],
+                                "hex": np.array([value], "<f8").tobytes().hex()})
+    path.write_text(json.dumps(doc))
+
+
+def test_document_with_zero_head_bias_loads(bundle, tmp_path, rng):
+    path = tmp_path / "b.json"
+    save_bundle(bundle, path)
+    _with_head_bias(path, 0.0)
+    got = load_bundle(path)
+    X = rng.normal((20, 2))
+    for cid in bundle.pair_ids:
+        assert bitwise_equal(pair_arrays(got.pairs[cid]), pair_arrays(bundle.pairs[cid]))
+        assert (got.pairs[cid].map_forward(X).tobytes()
+                == bundle.pairs[cid].map_forward(X).tobytes())
+
+
+def test_document_with_nonzero_head_bias_rejected(bundle, tmp_path):
+    path = tmp_path / "b.json"
+    save_bundle(bundle, path)
+    _with_head_bias(path, 0.25)
+    with pytest.raises(DataError, match="head bias"):
+        load_bundle(path)

@@ -79,6 +79,50 @@ def test_eval_single_resample_rows_are_distinct(workdir):
     assert header == ["id", "label", "prob_eval_sample", "prob_k1"]
 
 
+def _eval_budgets(workdir, monkeypatch, bundle):
+    """iters of every train_map call that `eval --subset test` makes."""
+    import lotnn.cli as cli_mod
+
+    d, base = workdir
+    real, budgets = cli_mod.train_map, []
+    monkeypatch.setattr(cli_mod, "train_map", lambda ref, cloud, cfg:
+                        budgets.append(cfg.iters) or real(ref, cloud, cfg))
+    code = main(base + ["eval", "--bundle", str(bundle), "--data", str(d / "data"),
+                        "--subset", "test", "--resamples", "1"])
+    return code, budgets
+
+
+def _set_iterations(workdir, name, counts):
+    d, _ = workdir
+    doc = json.loads((d / "bundle.json").read_text())
+    for p, n in zip(doc["pairs"], counts):
+        p["meta"]["iterations"] = n
+    (d / name).write_text(json.dumps(doc))
+    return d / name
+
+
+def test_eval_embeds_at_the_recorded_budget(workdir, monkeypatch):
+    # the kept pairs took 1 step each, while solver.iters is 2
+    d, _ = workdir
+    test_ids = json.loads((d / "bundle.json").read_text())["split"]["test"]
+    code, budgets = _eval_budgets(workdir, monkeypatch, d / "bundle.json")
+    assert code == 0 and budgets == [1] * len(test_ids)
+
+
+def test_eval_budget_falls_back_to_solver_iters(workdir, monkeypatch):
+    # bundles written before pairs recorded their steps hold 0
+    path = _set_iterations(workdir, "zero_steps.json", [0] * 1000)
+    code, budgets = _eval_budgets(workdir, monkeypatch, path)
+    assert code == 0 and budgets and set(budgets) == {TINY_CONFIG["solver"]["iters"]}
+
+
+def test_eval_rejects_pairs_with_different_budgets(workdir, monkeypatch, capsys):
+    path = _set_iterations(workdir, "mixed_steps.json", [1, 3])
+    code, budgets = _eval_budgets(workdir, monkeypatch, path)
+    assert code == 3 and budgets == []
+    assert "different step counts [1, 3]" in capsys.readouterr().err
+
+
 def test_dist_writes_square_csv(workdir):
     d, base = workdir
     out = d / "dist.csv"

@@ -17,7 +17,7 @@ from lotnn.icnn import (
     project_nonneg,
 )
 from lotnn.nncore import Rng, finite_diff_grad
-from conftest import quad_potential, relerr
+from conftest import blocks, quad_potential, relerr
 
 
 def random_icnn(rng, dim=None, smooth=True):
@@ -36,17 +36,17 @@ def random_icnn(rng, dim=None, smooth=True):
 class TestForward:
     def test_relu_identity_layer_with_summing_head(self):
         cfg = IcnnConfig(dim=2, hidden=(2,), activation="relu", quad=0.0)
-        params = IcnnParams(wx=[np.eye(2), np.zeros((1, 2))],
-                            wz=[np.array([[1.0, 1.0]])],
-                            b=[np.zeros(2), np.zeros(1)])
+        params = IcnnParams([np.eye(2), np.zeros((1, 2))],  # wx, wz, b
+                            [np.array([[1.0, 1.0]])],
+                            [np.zeros(2)])
         assert icnn_forward(params, cfg, np.array([1.0, -2.0])) == 1.0
 
     def test_all_zero_weights_constant_in_x(self, rng):
         cfg = IcnnConfig(dim=3, hidden=(4, 4), quad=0.0)
         params = IcnnParams(
-            wx=[np.zeros((4, 3)), np.zeros((4, 3)), np.zeros((1, 3))],
-            wz=[np.zeros((4, 4)), np.zeros((1, 4))],
-            b=[np.zeros(4), np.zeros(4), np.array([2.25])])
+            [np.zeros((4, 3)), np.zeros((4, 3)), np.zeros((1, 3))],  # wx
+            [np.zeros((4, 4)), np.full((1, 4), 0.5)],                # wz
+            [np.zeros(4), np.full(4, 2.25)])                         # b
         vals = [icnn_forward(params, cfg, rng.normal(3)) for _ in range(5)]
         assert all(v == vals[0] for v in vals)
 
@@ -70,8 +70,8 @@ class TestActivationCache:
     def test_fused_kernel_matches_reference_expressions(self, k):
         # one hidden unit with a_0 = x, so the cache holds s, s', s'' at GRID
         cfg = IcnnConfig(dim=1, hidden=(1,), sharpness=k, quad=0.0)
-        params = IcnnParams(wx=[np.ones((1, 1)), np.zeros((1, 1))],
-                            wz=[np.ones((1, 1))], b=[np.zeros(1), np.zeros(1)])
+        params = IcnnParams([np.ones((1, 1)), np.zeros((1, 1))],  # wx, wz, b
+                            [np.ones((1, 1))], [np.zeros(1)])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             c = icnn_cache(params, cfg, self.GRID[:, None])
@@ -121,8 +121,9 @@ class TestProjection:
         assert project_nonneg(params).wz[0][0, 0] == 0.3
 
     def test_elementwise(self):
-        params, cfg = quad_potential(2)
-        params.wz[0] = np.array([[-1.0, 2.0], [0.0, -3.0]])
+        cfg = IcnnConfig(dim=2, hidden=(2, 2))
+        params = init_icnn(cfg, Rng(0))
+        params.wz[0][...] = [[-1.0, 2.0], [0.0, -3.0]]
         out = project_nonneg(params).wz[0]
         assert np.array_equal(out, [[0.0, 2.0], [0.0, 0.0]])
 
@@ -134,9 +135,53 @@ class TestProjection:
 
     def test_other_params_untouched(self, rng):
         params, cfg = random_icnn(rng)
+        params.theta[...] = rng.normal(params.theta.size)  # negatives everywhere
+        before = params.theta.copy()
         out = project_nonneg(params)
-        assert all(a is b for a, b in zip(params.wx, out.wx))
-        assert all(a is b for a, b in zip(params.b, out.b))
+        wz = params.span("wz")
+        assert np.array_equal(out.theta[wz], np.maximum(before[wz], 0.0))
+        keep = np.ones(before.size, dtype=bool)
+        keep[wz] = False
+        assert out.theta[keep].tobytes() == before[keep].tobytes()
+        assert params.theta.tobytes() == before.tobytes()  # input not mutated
+        assert all(np.all(a >= 0.0) for a in out.wz)
+
+
+class TestLayout:
+    def test_blocks_are_views_into_theta(self, rng):
+        params, cfg = random_icnn(rng)
+        L = len(cfg.hidden)
+        assert (len(params.wx), len(params.wz), len(params.b)) == (L + 1, L, L)
+        for name, block in blocks(params):
+            old = params.theta.copy()
+            block.flat[-1] += 1.0
+            changed = np.flatnonzero(params.theta != old)
+            assert changed.size == 1, name
+            block.flat[-1] -= 1.0
+
+    def test_wz_blocks_fill_one_slice(self, rng):
+        params, cfg = random_icnn(rng)
+        wz = params.theta[params.span("wz")]
+        assert np.array_equal(wz, np.concatenate([a.ravel() for a in params.wz]))
+
+    def test_copy_shares_no_memory(self, rng):
+        params, cfg = random_icnn(rng)
+        dup = params.copy()
+        assert dup.theta.tobytes() == params.theta.tobytes()
+        for (name, a), (_, b) in zip(blocks(params), blocks(dup)):
+            assert not np.shares_memory(a, b), name
+        dup.wx[0][...] = 7.0
+        assert not np.any(params.wx[0] == 7.0)
+
+    def test_init_values_fixed_for_a_seed(self):
+        # sha256 of the parameter values this init drew before the network
+        # was laid out in one vector, in the order wx, wz, b (hidden only)
+        import hashlib
+
+        params = init_icnn(IcnnConfig(dim=3, hidden=(4, 5)), Rng(7), scale=0.3)
+        assert params.theta.size == 3 * 4 + 3 * 5 + 3 + 5 * 4 + 5 + 4 + 5
+        assert (hashlib.sha256(params.theta.tobytes()).hexdigest()
+                == "26a734de99977185319847c4868d5618ffa563cac06d308064e21d89686a73f9")
 
 
 class TestBackward:
@@ -144,7 +189,7 @@ class TestBackward:
         params, cfg = random_icnn(rng)
         X = rng.normal((3, cfg.dim))
         grads, xg = icnn_backward(params, cfg, X, 0.0)
-        assert all(np.all(g == 0) for g in grads.values())
+        assert grads.shape == params.theta.shape and np.all(grads == 0)
         assert np.all(xg == 0)
 
     def test_input_grad_scales_with_upstream(self, rng):
@@ -160,16 +205,11 @@ class TestBackward:
             X = rng.normal((2, cfg.dim))
             U = rng.normal(2)
             grads, _ = icnn_backward(params, cfg, X, U)
-            flat = params.to_flat()
-            for key, arr in flat.items():
-                def f(w, key=key):
-                    saved = flat[key].copy()
-                    flat[key][...] = w
-                    val = float(np.sum(U * icnn_forward(params, cfg, X)))
-                    flat[key][...] = saved
-                    return val
-                fd = finite_diff_grad(f, arr.copy(), 1e-6)
-                assert relerr(grads[key], fd) < 1e-4
+            fd = finite_diff_grad(
+                lambda th: float(np.sum(U * icnn_forward(params.with_theta(th), cfg, X))),
+                params.theta.copy(), 1e-6)
+            for (key, g), (_, f) in zip(blocks(params, grads), blocks(params, fd)):
+                assert relerr(g, f) < 1e-4, key
 
 
 class TestInputGradVjp:
@@ -183,16 +223,10 @@ class TestInputGradVjp:
                 return float(np.sum(V * icnn_input_grad(pp, cfg, Xmat)))
 
             grads, xg = icnn_inputgrad_vjp(params, cfg, X, V)
-            flat = params.to_flat()
-            for key, arr in flat.items():
-                def f(w, key=key):
-                    saved = flat[key].copy()
-                    flat[key][...] = w
-                    val = S(params, X)
-                    flat[key][...] = saved
-                    return val
-                fd = finite_diff_grad(f, arr.copy(), 1e-6)
-                assert relerr(grads[key], fd) < 1e-4
+            fd = finite_diff_grad(lambda th: S(params.with_theta(th), X),
+                                  params.theta.copy(), 1e-6)
+            for (key, g), (_, f) in zip(blocks(params, grads), blocks(params, fd)):
+                assert relerr(g, f) < 1e-4, key
             for b in range(2):
                 fd = finite_diff_grad(
                     lambda xx, b=b: S(params, np.vstack([X[:b], xx[None], X[b + 1:]])),

@@ -14,48 +14,66 @@ from lotnn.nncore import (
     mlp_init,
     sorted_mean,
 )
-from conftest import relerr
+from conftest import blocks, relerr
 
 
 class TestAdam:
     def test_zero_gradient_leaves_params(self):
-        params = {"w": np.array([1.0, -2.0])}
-        grads = {"w": np.zeros(2)}
+        params = np.array([1.0, -2.0])
         state = OptimState(lr=0.1)
-        new_p, new_s = adam_step(params, grads, state)
-        assert np.array_equal(new_p["w"], params["w"])
+        new_p, new_s = adam_step(params, np.zeros(2), state)
+        assert np.array_equal(new_p, params)
         assert new_s.step == 1
 
     def test_first_step_hand_value(self):
         # scalar param 0, grad 1: bias-corrected update is -lr within eps
-        params = {"w": np.array([0.0])}
-        grads = {"w": np.array([1.0])}
-        new_p, _ = adam_step(params, grads, OptimState(lr=0.1))
-        assert abs(new_p["w"][0] + 0.1) < 1e-8
+        new_p, _ = adam_step(np.array([0.0]), np.array([1.0]), OptimState(lr=0.1))
+        assert abs(new_p[0] + 0.1) < 1e-8
 
     def test_repeated_grads_move_opposite_sign(self):
-        params = {"w": np.array([0.0])}
+        params = np.array([0.0])
         state = OptimState(lr=0.01)
         prev = 0.0
         for _ in range(20):
-            params, state = adam_step(params, {"w": np.array([2.5])}, state)
-            assert params["w"][0] < prev
-            prev = params["w"][0]
+            params, state = adam_step(params, np.array([2.5]), state)
+            assert params[0] < prev
+            prev = params[0]
 
     def test_nonfinite_gradient_raises(self):
         with pytest.raises(NumericError):
-            adam_step({"w": np.zeros(1)}, {"w": np.array([np.nan])}, OptimState())
+            adam_step(np.zeros(1), np.array([np.nan]), OptimState())
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ShapeError):
-            adam_step({"w": np.zeros(2)}, {"w": np.zeros(3)}, OptimState())
+            adam_step(np.zeros(2), np.zeros(3), OptimState())
 
     def test_step_counter_increases(self):
-        params = {"w": np.zeros(1)}
+        params = np.zeros(1)
         state = OptimState()
         for t in range(1, 5):
-            params, state = adam_step(params, {"w": np.ones(1)}, state)
+            params, state = adam_step(params, np.ones(1), state)
             assert state.step == t
+
+    def test_whole_vector_equals_blockwise_updates(self, rng):
+        # Adam is elementwise, so one update of the concatenated vector is
+        # bitwise the update of each block on its own
+        parts = [rng.normal(n) for n in (3, 7, 1)]
+        grads = [rng.normal(n) for n in (3, 7, 1)]
+        whole, s_whole = np.concatenate(parts), OptimState(lr=0.05)
+        states = [OptimState(lr=0.05) for _ in parts]
+        for _ in range(3):
+            whole, s_whole = adam_step(whole, np.concatenate(grads), s_whole)
+            for k in range(3):
+                parts[k], states[k] = adam_step(parts[k], grads[k], states[k])
+        assert whole.tobytes() == np.concatenate(parts).tobytes()
+        assert s_whole.v.tobytes() == np.concatenate([s.v for s in states]).tobytes()
+
+    def test_inputs_not_mutated(self, rng):
+        params, grads = rng.normal(4), rng.normal(4)
+        _, state = adam_step(params.copy(), grads, OptimState())
+        p0, m0 = params.copy(), state.m.copy()
+        adam_step(params, grads, state)
+        assert np.array_equal(params, p0) and np.array_equal(state.m, m0)
 
 
 class TestFiniteDiff:
@@ -114,22 +132,44 @@ class TestMlp:
             U = rng.normal((3, widths[-1]))
             out, cache = mlp_forward(p, X)
             grads, xg = mlp_backward(p, cache, U)
-            flat = p.to_flat()
-            for key, arr in flat.items():
-                def f(w, key=key):
-                    saved = flat[key].copy()
-                    flat[key][...] = w
-                    val = float(np.sum(U * mlp_apply(p, X)))
-                    flat[key][...] = saved
-                    return val
-                fd = finite_diff_grad(f, arr.copy(), 1e-6)
-                assert relerr(grads[key], fd) < 1e-6
+            fd = finite_diff_grad(
+                lambda th: float(np.sum(U * mlp_apply(p.with_theta(th), X))),
+                p.theta.copy(), 1e-6)
+            for (key, g), (_, f) in zip(blocks(p, grads), blocks(p, fd)):
+                assert relerr(g, f) < 1e-6, key
             for b in range(3):
                 fd = finite_diff_grad(
                     lambda xx, b=b: float(np.sum(
                         U * mlp_apply(p, np.vstack([X[:b], xx[None], X[b + 1:]])))),
                     X[b].copy(), 1e-6)
                 assert relerr(xg[b], fd) < 1e-6
+
+
+class TestMlpLayout:
+    def test_blocks_are_views_into_theta(self, rng):
+        p = mlp_init((3, 5, 2), rng)
+        assert p.theta.size == 3 * 5 + 5 * 2 + 5 + 2
+        p.weights[1][0, 0] = 4.5
+        p.biases[0][...] = -1.0
+        assert p.theta[p.span("weights")][15] == 4.5
+        assert np.all(p.theta[p.span("biases")][:5] == -1.0)
+
+    def test_copy_shares_no_memory(self, rng):
+        p = mlp_init((3, 5, 2), rng)
+        dup = p.copy()
+        assert not np.shares_memory(p.theta, dup.theta)
+        assert all(not np.shares_memory(a, b) for a, b in zip(p.weights, dup.weights))
+        dup.biases[1][...] = 3.0
+        assert np.all(p.biases[1] == 0.0)
+
+    def test_init_values_fixed_for_a_seed(self):
+        # sha256 of the values this init drew before the network was laid
+        # out in one vector, in the order weights, biases
+        import hashlib
+
+        p = mlp_init((3, 5, 2), Rng(7), scale=0.8)
+        assert (hashlib.sha256(p.theta.tobytes()).hexdigest()
+                == "bc3bb8cc9e482c48639390de9df77e32724aee2e6c4899640059f5917cf517a3")
 
 
 class TestSortedMean:
