@@ -14,7 +14,10 @@ from .nncore import (
     Rng,
     adam_step,
     finite_diff_grad,
+    set_heap_thresholds,
 )
+
+set_heap_thresholds()
 from .icnn import (
     IcnnConfig,
     IcnnParams,

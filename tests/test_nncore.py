@@ -1,3 +1,6 @@
+import platform
+import resource
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from lotnn.nncore import (
     mlp_backward,
     mlp_forward,
     mlp_init,
+    set_heap_thresholds,
     sorted_mean,
 )
 from conftest import blocks, relerr
@@ -203,3 +207,23 @@ class TestBce:
             _, grad = bce(logits, y)
             fd = finite_diff_grad(lambda z: bce(z, y)[0], logits.copy(), 1e-6)
             assert relerr(grad, fd) < 1e-6
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc heap only")
+class TestHeapThresholds:
+    def test_second_pass_reuses_the_heap(self):
+        # 16 x 2 MB of temporaries, as a large batch pass holds; importing
+        # lotnn set the thresholds, so the second pass faults no pages in
+        def batch_pass():
+            arrays = [np.ones((2 << 20) // 8) for _ in range(16)]
+            return sum(float(a[-1]) for a in arrays)
+
+        batch_pass()
+        before = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
+        batch_pass()
+        assert resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - before < 100
+
+    def test_environment_settings_win(self, monkeypatch):
+        assert set_heap_thresholds()
+        monkeypatch.setenv("MALLOC_TRIM_THRESHOLD_", "131072")
+        assert not set_heap_thresholds()
