@@ -54,8 +54,17 @@ def _dec_icnn(d: dict) -> tuple[IcnnParams, IcnnConfig]:
     if len(b) == len(cfg.hidden) + 1:
         if np.any(b.pop() != 0.0):
             raise DataError("bundle stores a nonzero ICNN head bias")
-    return IcnnParams([_dec(a) for a in d["wx"]],
-                      [_dec(a) for a in d["wz"]], b), cfg
+    blocks = {"wx": [_dec(a) for a in d["wx"]], "wz": [_dec(a) for a in d["wz"]], "b": b}
+    widths = list(cfg.hidden) + [1]
+    want = {"wx": [(w, cfg.dim) for w in widths],
+            "wz": [(w, v) for v, w in zip(widths, widths[1:])],
+            "b": [(w,) for w in cfg.hidden]}
+    for name, shapes in want.items():
+        got = [a.shape for a in blocks[name]]
+        if got != shapes:
+            raise DataError(f"ICNN {name} shapes {got} do not match dim {cfg.dim} "
+                            f"and hidden {cfg.hidden} (expected {shapes})")
+    return IcnnParams(blocks["wx"], blocks["wz"], blocks["b"]), cfg
 
 
 def _enc_mlp(p: MlpParams) -> dict:

@@ -13,6 +13,7 @@ plus `labels.csv` with header `id,label` and binary labels.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -272,7 +273,7 @@ def _parse_cloud_csv(path: Path) -> tuple[Array, int]:
             except ValueError:
                 dropped += 1
                 continue
-            if any(not np.isfinite(v) for v in vals):
+            if not all(map(math.isfinite, vals)):
                 dropped += 1
                 continue
             if dim is not None and len(vals) != dim:
@@ -359,8 +360,8 @@ def save_csv_dir(ds: LabeledDataset, path) -> None:
     for c in ds.clouds:
         with open(root / f"cloud_{c.id}.csv", "w", newline="") as fh:
             fh.write(f"#dim={c.dim}\n")
-            for row in c.points:
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
+            for row in c.points.tolist():
+                fh.write(",".join(map(repr, row)) + "\n")
     with open(root / "labels.csv", "w", newline="") as fh:
         fh.write("id,label\n")
         for c in ds.clouds:

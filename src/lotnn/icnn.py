@@ -17,7 +17,8 @@ differentiation passes, all specialized to this fixed architecture:
 
   icnn_input_grad     grad_x h(x)                   (reverse)
   icnn_backward       d/d(params, x) of u * h(x)    (reverse)
-  icnn_inputgrad_vjp  d/d(params, x) of sum_b <v_b, grad_x h(x_b)>
+  icnn_inputgrad_vjp  d/d(params, x) of sum_b <v_b, grad_x h(x_b)>,
+                      plus optionally sum_b u_b h(x_b)
                                                     (forward-over-reverse)
 
 The last one is what makes training objectives that contain grad h
@@ -26,10 +27,13 @@ Every pass is checked against central finite differences in the tests.
 
 The passes share one activation cache per (params, input) batch; the
 solver evaluates several quantities at the same points each step, so
-callers on the hot path build the cache once via icnn_cache(). For the
-smooth activation the cache computes one exp per layer, e = exp(-|k a|),
-and builds the softplus s, its slope s' and its curvature s'' from it
-(see IcnnCache).
+callers on the hot path build the cache once via icnn_cache(). Its two
+flags say what it builds beyond s' of every layer: value adds the last
+layer's softplus and h(x), which icnn_forward, icnn_backward and the
+upstream term of icnn_inputgrad_vjp read; curvature adds s'', which
+icnn_inputgrad_vjp reads. icnn_input_grad needs neither. For the smooth
+activation the cache builds s, s' and s'' of a layer from
+e = exp(-|k a|) (see IcnnCache).
 """
 
 from __future__ import annotations
@@ -114,64 +118,86 @@ class IcnnCache:
     """Forward pass plus the activation s and its derivatives per layer.
 
     z[i] = s(a_i), sd[i] = s'(a_i) and sdd[i] = s''(a_i) for the hidden
-    pre-activations a_i of the input batch. For the smooth activation
-    s(a) = log(1 + exp(k a)) / k each layer computes e = exp(-|k a|)
-    once and builds all three from it:
+    pre-activations a_i of the input batch. Each pass reads only part of
+    this, so two flags choose what is built:
+
+      value      z of the last hidden layer and out = h(x), read by
+                 icnn_forward, icnn_backward and the upstream term of
+                 icnn_inputgrad_vjp; without it z holds L-1 layers and
+                 out is None
+      curvature  sdd, read by icnn_inputgrad_vjp; without it sdd is None
+
+    sd and the other layers' z are always built; icnn_input_grad reads
+    sd alone, so a map evaluation sets neither flag. A pass handed a
+    cache without what it reads raises ValueError.
+
+    For the smooth activation s(a) = log(1 + exp(k a)) / k each layer
+    computes e = exp(-|k a|) and r = 1/(1 + e) once and builds from them
 
         s   = (max(k a, 0) + log1p(e)) / k
-        s'  = 1/(1 + e) where k a >= 0, else e/(1 + e)
-        s'' = k e / (1 + e)^2
+        s'  = exp(min(k a, 0)) * r
+        s'' = k e r^2
 
     None of these overflows for any finite a, and s'' keeps full
     relative precision where s' is close to 1 (k s' (1 - s') does not).
-    s'' is formed on first use from the kept e and 1/(1 + e), since the
-    forward value and the input gradient never read it.
+    s' is e r for k a < 0 and exactly r otherwise, with no select.
 
     Valid only for the exact (params, cfg, input batch) it was built
     from; the training loop rebuilds it after every parameter update.
     """
 
-    __slots__ = ("x", "out", "z", "sd", "_cfg", "_er", "_sdd")
+    __slots__ = ("x", "out", "z", "sd", "sdd")
 
-    def __init__(self, params: IcnnParams, cfg: IcnnConfig, x2: Array):
+    def __init__(self, params: IcnnParams, cfg: IcnnConfig, x2: Array,
+                 value: bool = True, curvature: bool = True):
         L = len(cfg.hidden)
-        self._cfg = cfg
         self.x = x2
+        self.out: Array | None = None
         self.z: list[Array] = []
         self.sd: list[Array] = []
-        self._er: list[tuple[Array, Array]] = []
-        self._sdd: list[Array] | None = None
-        a = x2 @ params.wx[0].T + params.b[0]
+        self.sdd: list[Array] | None = [] if curvature else None
+        a = x2 @ params.wx[0].T
+        a += params.b[0]
         for i in range(1, L):
-            self._activate(a)
-            a = x2 @ params.wx[i].T + self.z[-1] @ params.wz[i - 1].T + params.b[i]
-        self._activate(a)
-        a = x2 @ params.wx[L].T + self.z[-1] @ params.wz[L - 1].T  # scalar head
-        self.out = a[:, 0] + 0.5 * cfg.quad * np.sum(x2 * x2, axis=1)
+            self._activate(cfg, a, True)
+            a = x2 @ params.wx[i].T
+            a += self.z[-1] @ params.wz[i - 1].T
+            a += params.b[i]
+        self._activate(cfg, a, value)
+        if value:
+            a = x2 @ params.wx[L].T + self.z[-1] @ params.wz[L - 1].T  # scalar head
+            self.out = a[:, 0] + 0.5 * cfg.quad * np.sum(x2 * x2, axis=1)
 
-    def _activate(self, a: Array) -> None:
-        if self._cfg.activation == "relu":
-            self.z.append(np.maximum(a, 0.0))
+    def _activate(self, cfg: IcnnConfig, a: Array, keep_z: bool) -> None:
+        """Append s'(a), s(a) if keep_z and s''(a) if curvature; overwrites a."""
+        if cfg.activation == "relu":
             self.sd.append((a > 0.0).astype(np.float64))
+            if self.sdd is not None:
+                self.sdd.append(np.zeros_like(a))
+            if keep_z:
+                self.z.append(np.maximum(a, 0.0, out=a))
             return
-        k = self._cfg.sharpness
-        t = k * a
-        e = np.exp(-np.abs(t))
-        r = 1.0 / (1.0 + e)
-        self.z.append((np.maximum(t, 0.0) + np.log1p(e)) / k)
-        self.sd.append(np.where(t >= 0.0, r, e * r))
-        self._er.append((e, r))
-
-    @property
-    def sdd(self) -> list[Array]:
-        """Second derivative s''(a_i) per layer; zero a.e. for relu."""
-        if self._sdd is None:
-            if self._cfg.activation == "relu":
-                self._sdd = [np.zeros_like(s) for s in self.sd]
-            else:
-                k = self._cfg.sharpness
-                self._sdd = [k * e * r * r for e, r in self._er]
-        return self._sdd
+        k = cfg.sharpness
+        t = np.multiply(a, k, out=a)
+        e = np.abs(t)
+        np.negative(e, out=e)
+        np.exp(e, out=e)
+        r = e + 1.0
+        np.divide(1.0, r, out=r)
+        sd = np.minimum(t, 0.0)
+        np.exp(sd, out=sd)
+        sd *= r
+        self.sd.append(sd)
+        if self.sdd is not None:
+            sdd = np.multiply(e, k)
+            sdd *= r
+            sdd *= r
+            self.sdd.append(sdd)
+        if keep_z:
+            z = np.maximum(t, 0.0, out=t)
+            z += np.log1p(e, out=e)
+            z /= k
+            self.z.append(z)
 
 
 def _check_input(cfg: IcnnConfig, x: Array) -> Array:
@@ -181,14 +207,16 @@ def _check_input(cfg: IcnnConfig, x: Array) -> Array:
     return x2
 
 
-def icnn_cache(params: IcnnParams, cfg: IcnnConfig, x: Array) -> IcnnCache:
-    return IcnnCache(params, cfg, _check_input(cfg, x))
+def icnn_cache(params: IcnnParams, cfg: IcnnConfig, x: Array,
+               value: bool = True, curvature: bool = True) -> IcnnCache:
+    """Activation cache of a batch; see IcnnCache for what each flag builds."""
+    return IcnnCache(params, cfg, _check_input(cfg, x), value, curvature)
 
 
 def icnn_forward(params: IcnnParams, cfg: IcnnConfig, x: Array):
     """Potential value h(x); scalar for a single vector, (n,) for a batch."""
     single = np.asarray(x).ndim == 1
-    out = icnn_cache(params, cfg, x).out
+    out = icnn_cache(params, cfg, x, curvature=False).out
     check_finite("icnn_forward output", out)
     return float(out[0]) if single else out
 
@@ -211,10 +239,16 @@ def icnn_input_grad(params: IcnnParams, cfg: IcnnConfig, x: Array,
     With relu activation this is a subgradient at kinks.
     """
     single = np.asarray(x).ndim == 1
-    c = cache if cache is not None else icnn_cache(params, cfg, x)
+    c = cache if cache is not None else icnn_cache(params, cfg, x, False, False)
     g = _input_grad(params, cfg, c)
     check_finite("icnn_input_grad output", g)
     return g[0] if single else g
+
+
+def _upstream_column(upstream, n: int) -> Array:
+    """A scalar or (n,) upstream weight as an (n, 1) column."""
+    u = np.asarray(upstream, dtype=np.float64).reshape(-1)
+    return np.broadcast_to(u, (n,))[:, None]
 
 
 def icnn_backward(
@@ -227,15 +261,16 @@ def icnn_backward(
     """Reverse pass for sum_b upstream_b * h(x_b).
 
     upstream is a scalar or (n,). Returns the parameter gradient as a
-    vector in params' layout and the input gradient (n, d).
+    vector in params' layout and the input gradient (n, d). A given
+    cache must be built with value=True.
     """
-    c = cache if cache is not None else icnn_cache(params, cfg, x)
+    c = cache if cache is not None else icnn_cache(params, cfg, x, curvature=False)
+    if c.out is None:
+        raise ValueError("icnn_backward needs a cache built with value=True")
     x2 = c.x
-    n = x2.shape[0]
-    u = np.broadcast_to(np.asarray(upstream, dtype=np.float64).reshape(-1), (n,))
     L = len(cfg.hidden)
     g = params.with_theta(np.empty_like(params.theta))
-    uc = u[:, None]
+    uc = _upstream_column(upstream, x2.shape[0])
 
     g.wx[L][...] = uc.T @ x2
     g.wz[L - 1][...] = uc.T @ c.z[L - 1]
@@ -259,6 +294,7 @@ def icnn_inputgrad_vjp(
     x: Array,
     v: Array,
     cache: IcnnCache | None = None,
+    upstream=None,
 ) -> tuple[Array, Array]:
     """Gradients of S = sum_b <v_b, grad_x h(x_b)> w.r.t. params and x.
 
@@ -271,8 +307,19 @@ def icnn_inputgrad_vjp(
     The x-gradient output is the Hessian-vector product
     grad^2 h(x_b) v_b per sample. Exact for smooth activations; with
     relu the curvature terms vanish (s'' = 0 a.e.).
+
+    With upstream u (a scalar or (n,)) the pass differentiates
+    S + sum_b u_b h(x_b) instead, adding icnn_backward's result in the
+    same reverse sweep. A given cache must be built with curvature=True,
+    and with value=True when upstream is given.
     """
-    c = cache if cache is not None else icnn_cache(params, cfg, x)
+    c = cache if cache is not None else icnn_cache(params, cfg, x,
+                                                   value=upstream is not None)
+    if c.sdd is None:
+        raise ValueError("icnn_inputgrad_vjp needs a cache built with curvature=True")
+    if upstream is not None and c.out is None:
+        raise ValueError("icnn_inputgrad_vjp with upstream needs a cache built "
+                         "with value=True")
     x2 = c.x
     v2 = np.atleast_2d(as_f64(v))
     if v2.shape != x2.shape:
@@ -292,6 +339,12 @@ def icnn_inputgrad_vjp(
     g.wx[L][...] = np.sum(v2, axis=0, keepdims=True)
     g.wz[L - 1][...] = np.sum(zdot[L - 1], axis=0, keepdims=True)
     xg = cfg.quad * v2
+    uc = None
+    if upstream is not None:  # the head terms of icnn_backward
+        uc = _upstream_column(upstream, n)
+        g.wx[L] += uc.T @ x2
+        g.wz[L - 1] += uc.T @ c.z[L - 1]
+        xg += uc * (cfg.quad * x2 + params.wx[L])
 
     # reverse sweep over the tangent graph; A = dS/da, Adot = dS/dadot
     A_next: Array | None = None  # dS/da_{i+1}, set once i < L-1
@@ -300,7 +353,9 @@ def icnn_inputgrad_vjp(
         Adot = gamma * c.sd[i]
         A = gamma * adot[i] * c.sdd[i]
         if A_next is not None:
-            A = A + (A_next @ params.wz[i]) * c.sd[i]
+            A += (A_next @ params.wz[i]) * c.sd[i]
+        elif uc is not None:
+            A += uc * Adot  # d(sum u h)/da_{L-1} = u wz[L-1] s'(a_{L-1})
         g.wx[i][...] = A.T @ x2 + Adot.T @ v2
         g.b[i][...] = A.sum(axis=0)
         if i > 0:

@@ -128,13 +128,23 @@ def adam_step(params: Array, grads: Array,
     if not np.all(np.isfinite(grads)):
         raise NumericError("non-finite gradient")
     t = state.step + 1
-    m = np.zeros_like(params) if state.m is None else state.m
-    v = np.zeros_like(params) if state.v is None else state.v
-    m = state.beta1 * m + (1.0 - state.beta1) * grads
-    v = state.beta2 * v + (1.0 - state.beta2) * (grads * grads)
-    m_hat = m / (1.0 - state.beta1**t)
-    v_hat = v / (1.0 - state.beta2**t)
-    new_p = params - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2 and
+    # p - lr m_hat / (sqrt(v_hat) + eps) with the operations of those
+    # expressions in their order, so the result is bitwise theirs
+    tmp = np.multiply(1.0 - state.beta1, grads)
+    m = np.zeros_like(params) if state.m is None else state.beta1 * state.m
+    m += tmp
+    np.multiply(grads, grads, out=tmp)
+    tmp *= 1.0 - state.beta2
+    v = np.zeros_like(params) if state.v is None else state.beta2 * state.v
+    v += tmp
+    np.divide(v, 1.0 - state.beta2**t, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += state.eps
+    new_p = np.divide(m, 1.0 - state.beta1**t)
+    new_p *= state.lr
+    new_p /= tmp
+    np.subtract(params, new_p, out=new_p)
     return new_p, dataclasses.replace(state, step=t, m=m, v=v)
 
 

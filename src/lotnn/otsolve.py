@@ -229,33 +229,33 @@ def solver_loss_and_grads(
     between +E_Y[phi] and -E_X[phi(grad psi)].
     """
     n = Xs.shape[0]
-    c_psi_x = icnn_cache(pair.psi, pair.psi_cfg, Xs)
+    # each cache builds only what its passes read: psi at X feeds the
+    # input grad and the VJP, phi at Y the value and backward pass, and
+    # phi at G all of them
+    c_psi_x = icnn_cache(pair.psi, pair.psi_cfg, Xs, value=False)
     G = icnn_input_grad(pair.psi, pair.psi_cfg, Xs, cache=c_psi_x)  # grad psi(x)
     c_phi_g = icnn_cache(pair.phi, pair.phi_cfg, G)
-    c_phi_y = icnn_cache(pair.phi, pair.phi_cfg, Ys)
+    c_phi_y = icnn_cache(pair.phi, pair.phi_cfg, Ys, curvature=False)
     H = icnn_input_grad(pair.phi, pair.phi_cfg, G, cache=c_phi_g)   # grad phi(G)
     corr = np.sum(Xs * G, axis=1)
     cyc = np.sum((H - Xs) ** 2, axis=1)
     loss = float(np.mean(c_phi_y.out) + np.mean(corr - c_phi_g.out)
                  + lambda_cyc * np.mean(cyc))
 
-    # phi parameter grads: direct terms at Ys and at G
+    # phi parameter grads: the direct term at Ys, then in one sweep at G
+    # the direct term -(1/n) sum phi(G) and the cycle term
+    # sum <w, grad phi(G)>, w = (2 lambda/n)(H - X)
     g_phi_y, _ = icnn_backward(pair.phi, pair.phi_cfg, Ys,
                                np.full(Ys.shape[0], 1.0 / Ys.shape[0]),
                                cache=c_phi_y)
-    g_phi_g, h_at_g = icnn_backward(pair.phi, pair.phi_cfg, G,
-                                    np.full(n, -1.0 / n), cache=c_phi_g)
-    # cycle term: d/d(omega, u) of sum <w, grad phi(u)>, w = (2 lambda/n)(H - X)
     w = (2.0 * lambda_cyc / n) * (H - Xs)
-    g_phi_cyc, u_grad = icnn_inputgrad_vjp(pair.phi, pair.phi_cfg, G, w,
-                                           cache=c_phi_g)
+    g_phi_g, u_grad = icnn_inputgrad_vjp(pair.phi, pair.phi_cfg, G, w,
+                                         cache=c_phi_g, upstream=np.full(n, -1.0 / n))
 
-    # psi parameter grads, all through G: v collects every dLoss/dG term.
-    # h_at_g above is -(1/n) grad phi(G) = -(1/n) H, reused instead of
-    # recomputing.
-    v = Xs / n + h_at_g + u_grad
+    # psi parameter grads, all through G: v collects every dLoss/dG term
+    v = Xs / n + u_grad
     g_psi, _ = icnn_inputgrad_vjp(pair.psi, pair.psi_cfg, Xs, v, cache=c_psi_x)
-    return loss, g_psi, g_phi_y + g_phi_g + g_phi_cyc
+    return loss, g_psi, g_phi_y + g_phi_g
 
 
 def make_frame(sigma: "ReferenceMeasure", points: Array) -> Frame:

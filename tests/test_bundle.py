@@ -111,3 +111,20 @@ def test_document_with_nonzero_head_bias_rejected(bundle, tmp_path):
     _with_head_bias(path, 0.25)
     with pytest.raises(DataError, match="head bias"):
         load_bundle(path)
+
+
+def _drop_first_row(block):
+    a = np.frombuffer(bytes.fromhex(block["hex"]), "<f8").reshape(block["shape"])[1:]
+    return {"shape": list(a.shape), "hex": a.tobytes().hex()}
+
+
+@pytest.mark.parametrize("net,group", [("psi", "wx"), ("phi", "wz"), ("psi", "b")])
+def test_document_with_wrong_block_shape_rejected(bundle, tmp_path, net, group):
+    path = tmp_path / "b.json"
+    save_bundle(bundle, path)
+    doc = json.loads(path.read_text())
+    blocks = doc["pairs"][0][net][group]
+    blocks[0] = _drop_first_row(blocks[0])
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match=f"ICNN {group} shapes"):
+        load_bundle(path)

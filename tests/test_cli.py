@@ -136,6 +136,19 @@ def test_dist_writes_square_csv(workdir):
     assert np.array_equal(D, D.T) and np.all(np.diag(D) == 0)
 
 
+def test_dist_rejects_a_bundle_with_a_cut_block(workdir, capsys):
+    d, base = workdir
+    doc = json.loads((d / "bundle.json").read_text())
+    block = doc["pairs"][0]["psi"]["wx"][0]
+    wx0 = np.frombuffer(bytes.fromhex(block["hex"]), "<f8").reshape(block["shape"])
+    block.update(shape=[wx0.shape[0] - 1, wx0.shape[1]], hex=wx0[:-1].tobytes().hex())
+    path = d / "cut_wx0.json"
+    path.write_text(json.dumps(doc))
+    assert main(base + ["dist", "--bundle", str(path),
+                        "--out", str(d / "cut_dist.csv")]) == 3
+    assert "ICNN wx shapes" in capsys.readouterr().err
+
+
 def test_train_rerun_is_byte_identical(workdir):
     d, base = workdir
     again = d / "bundle_again.json"

@@ -63,7 +63,7 @@ class TestForward:
 class TestActivationCache:
     # both signs of every scale: exp(-|k a|) is 1, near 1, moderate, near
     # the double underflow, and 0
-    GRID = np.array([0.0, 1e-8, -1e-8, 1.0, -1.0, 36.0, -36.0,
+    GRID = np.array([0.0, -0.0, 1e-8, -1e-8, 1.0, -1.0, 36.0, -36.0,
                      700.0, -700.0, 1e5, -1e5])
 
     @pytest.mark.parametrize("k", [0.5, 1.0, 2.0])
@@ -86,6 +86,47 @@ class TestActivationCache:
         assert close(sdd, k * expit(t) * expit(-t), 1e-14)
         assert np.all(np.isfinite(z) & np.isfinite(sd) & np.isfinite(sdd))
         assert np.all((sd >= 0.0) & (sd <= 1.0) & (sdd >= 0.0))
+        # s' has no select, yet equals the two-branch expression bitwise
+        e = np.exp(-np.abs(t))
+        r = 1.0 / (1.0 + e)
+        assert sd.tobytes() == np.where(t >= 0.0, r, e * r).tobytes()
+
+    @pytest.mark.parametrize("smooth", [True, False])
+    @pytest.mark.parametrize("value,curvature", [(False, False), (True, False),
+                                                 (False, True)])
+    def test_lean_cache_equals_full_cache(self, rng, smooth, value, curvature):
+        params, cfg = random_icnn(rng, smooth=smooth)
+        X = rng.normal((7, cfg.dim), scale=2.0)
+        full = icnn_cache(params, cfg, X)
+        lean = icnn_cache(params, cfg, X, value=value, curvature=curvature)
+        L = len(cfg.hidden)
+        assert len(full.z) == L and len(lean.z) == (L if value else L - 1)
+        for got, want in zip(lean.z, full.z):
+            assert got.tobytes() == want.tobytes()
+        assert [a.tobytes() for a in lean.sd] == [a.tobytes() for a in full.sd]
+        if curvature:
+            assert [a.tobytes() for a in lean.sdd] == [a.tobytes() for a in full.sdd]
+        else:
+            assert lean.sdd is None
+        if value:
+            assert lean.out.tobytes() == full.out.tobytes()
+        else:
+            assert lean.out is None
+
+    def test_pass_without_what_it_reads_raises(self, rng):
+        params, cfg = random_icnn(rng)
+        X = rng.normal((3, cfg.dim))
+        no_curv = icnn_cache(params, cfg, X, curvature=False)
+        no_value = icnn_cache(params, cfg, X, value=False)
+        with pytest.raises(ValueError, match="curvature=True"):
+            icnn_inputgrad_vjp(params, cfg, X, X, cache=no_curv)
+        with pytest.raises(ValueError, match="value=True"):
+            icnn_inputgrad_vjp(params, cfg, X, X, cache=no_value, upstream=1.0)
+        with pytest.raises(ValueError, match="value=True"):
+            icnn_backward(params, cfg, X, 1.0, cache=no_value)
+        lean = icnn_cache(params, cfg, X, value=False, curvature=False)
+        assert (icnn_input_grad(params, cfg, X, cache=lean).tobytes()
+                == icnn_input_grad(params, cfg, X).tobytes())
 
 
 class TestInputGrad:
@@ -223,6 +264,31 @@ class TestInputGradVjp:
                 return float(np.sum(V * icnn_input_grad(pp, cfg, Xmat)))
 
             grads, xg = icnn_inputgrad_vjp(params, cfg, X, V)
+            fd = finite_diff_grad(lambda th: S(params.with_theta(th), X),
+                                  params.theta.copy(), 1e-6)
+            for (key, g), (_, f) in zip(blocks(params, grads), blocks(params, fd)):
+                assert relerr(g, f) < 1e-4, key
+            for b in range(2):
+                fd = finite_diff_grad(
+                    lambda xx, b=b: S(params, np.vstack([X[:b], xx[None], X[b + 1:]])),
+                    X[b].copy(), 1e-6)
+                assert relerr(xg[b], fd) < 1e-4
+
+    @pytest.mark.parametrize("smooth", [True, False])
+    def test_upstream_matches_finite_differences(self, rng, smooth):
+        # S + sum_b u_b h(x_b) in one sweep, with relu as well: its s'' is
+        # zero and the upstream term is the only curvature-free path
+        for _ in range(8):
+            params, cfg = random_icnn(rng, smooth=smooth)
+            X = rng.normal((2, cfg.dim))
+            V = rng.normal((2, cfg.dim))
+            U = rng.normal(2)
+
+            def S(pp, Xmat):
+                return float(np.sum(V * icnn_input_grad(pp, cfg, Xmat))
+                             + np.sum(U * icnn_forward(pp, cfg, Xmat)))
+
+            grads, xg = icnn_inputgrad_vjp(params, cfg, X, V, upstream=U)
             fd = finite_diff_grad(lambda th: S(params.with_theta(th), X),
                                   params.theta.copy(), 1e-6)
             for (key, g), (_, f) in zip(blocks(params, grads), blocks(params, fd)):

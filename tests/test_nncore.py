@@ -72,6 +72,27 @@ class TestAdam:
         assert whole.tobytes() == np.concatenate(parts).tobytes()
         assert s_whole.v.tobytes() == np.concatenate([s.v for s in states]).tobytes()
 
+    def test_equals_the_plain_expressions_bitwise(self, rng):
+        # the update written with one temporary per operation, same order
+        def plain(p, g, s):
+            t = s.step + 1
+            m = np.zeros_like(p) if s.m is None else s.m
+            v = np.zeros_like(p) if s.v is None else s.v
+            m = s.beta1 * m + (1.0 - s.beta1) * g
+            v = s.beta2 * v + (1.0 - s.beta2) * (g * g)
+            m_hat = m / (1.0 - s.beta1**t)
+            v_hat = v / (1.0 - s.beta2**t)
+            return p - s.lr * m_hat / (np.sqrt(v_hat) + s.eps), m, v
+
+        params, state = rng.normal(50), OptimState(lr=0.01)
+        for _ in range(6):
+            grads = rng.normal(50) * 10.0 ** rng.integers(-12, 3, size=50)
+            grads[:3] = 0.0
+            want, m, v = plain(params, grads, state)
+            params, state = adam_step(params, grads, state)
+            assert params.tobytes() == want.tobytes()
+            assert state.m.tobytes() == m.tobytes() and state.v.tobytes() == v.tobytes()
+
     def test_inputs_not_mutated(self, rng):
         params, grads = rng.normal(4), rng.normal(4)
         _, state = adam_step(params.copy(), grads, OptimState())

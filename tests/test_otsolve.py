@@ -7,6 +7,7 @@ from lotnn.errors import NumericError, ShapeError
 from lotnn.lot import ReferenceMeasure
 from lotnn.nncore import Rng, finite_diff_grad
 from lotnn.otsolve import (
+    Frame,
     GaussianSpec,
     SolverConfig,
     dual_objective_V,
@@ -81,6 +82,42 @@ class TestW2Estimate:
         pair = init_dual_pair(2, cfg, Rng(9))
         val = estimate_w2_dual(pair, rng.normal((30, 2)), rng.normal((30, 2)))
         assert np.isfinite(val) and val >= 0.0
+
+
+class TestMapForward:
+    @pytest.mark.parametrize("activation", ["smooth_relu", "relu"])
+    def test_equals_the_plain_expressions_bitwise(self, rng, activation):
+        # the forward and reverse expressions of the gradient map without
+        # buffer reuse, skipped layers or the select-free s'
+        cfg = SolverConfig(hidden=(5, 4, 3), activation=activation,
+                           sharpness=1.5, init_scale=1.0)
+        frame = Frame(sigma_mean=(0.5, -1.0, 2.0), mu_mean=(3.0, 0.0, -0.25),
+                      scale=1.7)
+        pair = init_dual_pair(3, cfg, rng, frame=frame, quads=(0.3, 0.7))
+        p, k, L = pair.psi, cfg.sharpness, len(cfg.hidden)
+        X = rng.normal((50, 3), scale=3.0)
+        x = (X - np.asarray(frame.sigma_mean)) / frame.scale
+        sd = []
+        for i in range(L):
+            a = x @ p.wx[0].T + p.b[0] if i == 0 else \
+                x @ p.wx[i].T + z @ p.wz[i - 1].T + p.b[i]
+            if activation == "relu":
+                z = np.maximum(a, 0.0)
+                sd.append((a > 0.0).astype(np.float64))
+            else:
+                t = k * a
+                e = np.exp(-np.abs(t))
+                r = 1.0 / (1.0 + e)
+                z = (np.maximum(t, 0.0) + np.log1p(e)) / k
+                sd.append(np.where(t >= 0.0, r, e * r))
+        g = pair.psi_cfg.quad * x + p.wx[L]
+        delta = sd[L - 1] * p.wz[L - 1]
+        g = g + delta @ p.wx[L - 1]
+        for i in range(L - 2, -1, -1):
+            delta = sd[i] * (delta @ p.wz[i])
+            g = g + delta @ p.wx[i]
+        want = frame.scale * g + np.asarray(frame.mu_mean)
+        assert pair.map_forward(X).tobytes() == want.tobytes()
 
 
 class TestSolverLossGradients:
