@@ -254,39 +254,18 @@ class TestBackward:
 
 
 class TestInputGradVjp:
-    def test_matches_finite_differences(self, rng):
-        for _ in range(8):
-            params, cfg = random_icnn(rng)
-            X = rng.normal((2, cfg.dim))
-            V = rng.normal((2, cfg.dim))
-
-            def S(pp, Xmat):
-                return float(np.sum(V * icnn_input_grad(pp, cfg, Xmat)))
-
-            grads, xg = icnn_inputgrad_vjp(params, cfg, X, V)
-            fd = finite_diff_grad(lambda th: S(params.with_theta(th), X),
-                                  params.theta.copy(), 1e-6)
-            for (key, g), (_, f) in zip(blocks(params, grads), blocks(params, fd)):
-                assert relerr(g, f) < 1e-4, key
-            for b in range(2):
-                fd = finite_diff_grad(
-                    lambda xx, b=b: S(params, np.vstack([X[:b], xx[None], X[b + 1:]])),
-                    X[b].copy(), 1e-6)
-                assert relerr(xg[b], fd) < 1e-4
-
-    @pytest.mark.parametrize("smooth", [True, False])
-    def test_upstream_matches_finite_differences(self, rng, smooth):
-        # S + sum_b u_b h(x_b) in one sweep, with relu as well: its s'' is
-        # zero and the upstream term is the only curvature-free path
+    @staticmethod
+    def check_against_finite_differences(rng, smooth=True, upstream=False):
+        """Parameter and x gradients of S = sum <v, grad h> (+ sum u h)."""
         for _ in range(8):
             params, cfg = random_icnn(rng, smooth=smooth)
             X = rng.normal((2, cfg.dim))
             V = rng.normal((2, cfg.dim))
-            U = rng.normal(2)
+            U = rng.normal(2) if upstream else None
 
             def S(pp, Xmat):
-                return float(np.sum(V * icnn_input_grad(pp, cfg, Xmat))
-                             + np.sum(U * icnn_forward(pp, cfg, Xmat)))
+                s = float(np.sum(V * icnn_input_grad(pp, cfg, Xmat)))
+                return s if U is None else s + float(np.sum(U * icnn_forward(pp, cfg, Xmat)))
 
             grads, xg = icnn_inputgrad_vjp(params, cfg, X, V, upstream=U)
             fd = finite_diff_grad(lambda th: S(params.with_theta(th), X),
@@ -298,6 +277,14 @@ class TestInputGradVjp:
                     lambda xx, b=b: S(params, np.vstack([X[:b], xx[None], X[b + 1:]])),
                     X[b].copy(), 1e-6)
                 assert relerr(xg[b], fd) < 1e-4
+
+    def test_matches_finite_differences(self, rng):
+        self.check_against_finite_differences(rng)
+
+    @pytest.mark.parametrize("smooth", [True, False])
+    def test_upstream_matches_finite_differences(self, rng, smooth):
+        # with relu, s'' = 0 and the check covers the first-order terms alone
+        self.check_against_finite_differences(rng, smooth, upstream=True)
 
     def test_hessian_vector_product_symmetry(self, rng):
         # grad^2 h is symmetric: <u, H v> == <v, H u>
