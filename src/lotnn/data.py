@@ -7,7 +7,19 @@ c x, and diagonal-plus-shear affine maps for perturbation studies.
 
 CSV layout (the only ingestion format): one `cloud_<id>.csv` per cloud,
 comma-separated decimal floats, optional single header line `#dim=<d>`,
-plus `labels.csv` with header `id,label` and binary labels.
+plus `labels.csv` with header `id,label`, binary labels and each id once.
+
+Row rules of a cloud file, applied to each line stripped of whitespace
+(lines end at `\\n`, `\\r\\n` or a bare `\\r`):
+- skipped and not counted: blank lines and lines starting with `#`.
+  Only the first line can declare `#dim=<d>`, and a `d` that is not an
+  integer is a `DataError`;
+- dropped and counted in `meta["dropped_rows"]`: a row with a field
+  `float` cannot parse (an empty field included), with a non-finite
+  value, or, under a `#dim=<d>` header, with other than d fields;
+- without a header the modal width wins: rows of any other field count
+  are dropped and counted too (a tie keeps one of the tied widths).
+A file left with no row is a `DataError`.
 """
 
 from __future__ import annotations
@@ -15,6 +27,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from itertools import chain, islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -253,8 +266,65 @@ def gen_synthetic(spec: SyntheticSpec, n_clouds_per_class: int, n_points: int,
 # CSV ingestion / export
 # ---------------------------------------------------------------------------
 
-def _parse_cloud_csv(path: Path) -> tuple[Array, int]:
-    """Parse one cloud file; returns (points, dropped-row count)."""
+# Lines per block of the clean-file path: big enough that the per-block
+# Python steps vanish, small enough that a block's field strings stay a
+# few MB however long the file is.
+_BLOCK_LINES = 4096
+
+
+def _declared_dim(line: str, path: Path) -> int | None:
+    """d of a `#dim=<d>` header line, or None when the line is no such header."""
+    line = line.strip()
+    if not line.startswith("#dim="):
+        return None
+    try:
+        return int(line[5:])
+    except ValueError:
+        raise DataError(f"{path}: bad header {line!r}, expected #dim=<integer>") from None
+
+
+def _parse_blocks(path: Path) -> Array | None:
+    """Points of a file that has no row to skip or drop, else None.
+
+    Reads `_BLOCK_LINES` lines at a time and converts each block with
+    one float map over its joined text. Returns None, leaving the file
+    to `_parse_rows`, on the first line with a width other than the
+    declared (or else the first row's) one, a field that is not a
+    finite float, or a bare \\r line end; blank and `#` lines after the
+    first fail as fields.
+    """
+    blocks: list[Array] = []
+    with open(path, newline="") as fh:
+        first = fh.readline()
+        width = _declared_dim(first, path)
+        lines = fh if first.strip().startswith("#") else chain([first], fh)
+        for block in iter(lambda: list(islice(lines, _BLOCK_LINES)), []):
+            text = "".join(block)
+            if "\r" in text:
+                text = text.replace("\r\n", "\n")
+                if "\r" in text:
+                    return None
+            if width is None:
+                width = block[0].count(",") + 1
+            commas = list(map(str.count, block, repeat(",")))
+            if commas.count(width - 1) != len(commas):
+                return None
+            if text.endswith("\n"):
+                text = text[:-1]
+            try:
+                vals = np.fromiter(map(float, text.replace("\n", ",").split(",")),
+                                   np.float64, len(block) * width)
+            except ValueError:
+                return None
+            if not np.isfinite(vals).all():
+                return None
+            blocks.append(vals.reshape(len(block), width))
+    return np.concatenate(blocks) if blocks else None
+
+
+def _parse_rows(path: Path) -> tuple[Array, int]:
+    """Parse one cloud file row by row under the rules in the module
+    docstring; returns (points, dropped-row count)."""
     rows: list[list[float]] = []
     dropped = 0
     dim: int | None = None
@@ -264,8 +334,8 @@ def _parse_cloud_csv(path: Path) -> tuple[Array, int]:
             if not line:
                 continue
             if line.startswith("#"):
-                if line_no == 0 and line.startswith("#dim="):
-                    dim = int(line[5:])
+                if line_no == 0:
+                    dim = _declared_dim(line, path)
                 continue
             fields = line.split(",")
             try:
@@ -292,6 +362,12 @@ def _parse_cloud_csv(path: Path) -> tuple[Array, int]:
     return np.array(rows, dtype=np.float64), dropped
 
 
+def _parse_cloud_csv(path: Path) -> tuple[Array, int]:
+    """Parse one cloud file; returns (points, dropped-row count)."""
+    pts = _parse_blocks(path)
+    return (pts, 0) if pts is not None else _parse_rows(path)
+
+
 def load_csv_dir(path, subsample_n: int, seed: int) -> LabeledDataset:
     """Load a cloud directory, dropping bad rows and subsampling per cloud.
 
@@ -309,6 +385,8 @@ def load_csv_dir(path, subsample_n: int, seed: int) -> LabeledDataset:
         if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != ["id", "label"]:
             raise DataError("labels.csv must have header 'id,label'")
         for row in reader:
+            if row["id"] in labels:
+                raise DataError(f"labels.csv repeats id {row['id']!r}")
             try:
                 labels[row["id"]] = int(row["label"])
             except (TypeError, ValueError):
@@ -358,10 +436,9 @@ def save_csv_dir(ds: LabeledDataset, path) -> None:
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
     for c in ds.clouds:
+        row = ",".join(["%r"] * c.dim) + "\n"
         with open(root / f"cloud_{c.id}.csv", "w", newline="") as fh:
-            fh.write(f"#dim={c.dim}\n")
-            for row in c.points.tolist():
-                fh.write(",".join(map(repr, row)) + "\n")
+            fh.write(f"#dim={c.dim}\n" + (row * c.n) % tuple(c.points.ravel().tolist()))
     with open(root / "labels.csv", "w", newline="") as fh:
         fh.write("id,label\n")
         for c in ds.clouds:

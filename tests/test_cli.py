@@ -187,6 +187,18 @@ def test_baseline_and_bound(workdir):
                  "--delta", "0.05", "--n", "1000"]) == 0
 
 
+@pytest.mark.parametrize("command", ["train", "eval", "baseline"])
+def test_non_integer_dim_header_exits_3(workdir, tmp_path, capsys, command):
+    d, base = workdir
+    (tmp_path / "cloud_a.csv").write_text("#dim=abc\n1.0,2.0\n")
+    (tmp_path / "labels.csv").write_text("id,label\na,0\n")
+    args = {"train": ["--bundle", str(tmp_path / "bundle.json")],
+            "eval": ["--bundle", str(d / "bundle.json")],
+            "baseline": []}[command]
+    assert main(base + [command, "--data", str(tmp_path)] + args) == 3
+    assert "cloud_a.csv: bad header '#dim=abc'" in capsys.readouterr().err
+
+
 def test_threads_flag_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--threads", "2", "bound", "--beta", "1", "--eps", "0.1",

@@ -142,6 +142,25 @@ class TestCsvRoundTrip:
         assert np.array_equal(l1.cloud("a").points, l2.cloud("a").points)
         assert l1.cloud("a").n == 20
 
+    def test_repeated_label_id_rejected(self, tmp_path):
+        (tmp_path / "cloud_a.csv").write_text("1.0,2.0\n")
+        (tmp_path / "labels.csv").write_text("id,label\na,0\na,1\n")
+        with pytest.raises(DataError, match="repeats id 'a'"):
+            load_csv_dir(tmp_path, subsample_n=10, seed=0)
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_writer_bytes_match_the_row_writer(self, tmp_path, rng, dim):
+        pts = rng.normal((40, dim)) * 10.0 ** rng.uniform((40, dim), -300, 300)
+        pts[0] = -0.0
+        pts[1] = [0.1] * dim
+        save_csv_dir(LabeledDataset([PointCloud("a", pts)], {"a": 0}), tmp_path)
+        want = tmp_path / "want.csv"
+        with open(want, "w", newline="") as fh:  # one write per row
+            fh.write(f"#dim={dim}\n")
+            for row in pts.tolist():
+                fh.write(",".join(map(repr, row)) + "\n")
+        assert (tmp_path / "cloud_a.csv").read_bytes() == want.read_bytes()
+
     def test_dim_header_respected(self, tmp_path):
         (tmp_path / "cloud_a.csv").write_text("#dim=2\n1.0,2.0\n1.0,2.0,9.0\n")
         (tmp_path / "labels.csv").write_text("id,label\na,0\n")

@@ -1,15 +1,21 @@
-"""Property tests on random hand-wired potential pairs.
+"""Property tests on random hand-wired potential pairs and cloud files.
 
 The LOT distance matrix is a pseudometric (exactly symmetric, zero
-diagonal, triangle inequality up to rounding), and a classifier score is
-bitwise invariant to the order of its evaluation sample.
+diagonal, triangle inequality up to rounding), a classifier score is
+bitwise invariant to the order of its evaluation sample, and a cloud
+file parses as the per-row rules parse it, clean or not.
 """
 
+from unittest import mock
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lotnn import data
 from lotnn.classify import ClassifierModel, WeightNet, score
+from lotnn.errors import DataError
 from lotnn.lot import EmbeddingSet, ReferenceMeasure, pairwise_matrix
 from lotnn.nncore import Rng, mlp_init
 from conftest import quad_pair, shift_pair
@@ -66,3 +72,65 @@ def scoring_cases(draw):
 def test_score_is_bitwise_permutation_invariant(case):
     model, pair, sample, perm = case
     assert score(model, pair, sample[perm]) == score(model, pair, sample)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+FIELDS = st.one_of(FINITE.map(repr), st.floats(-1e6, 1e6).map(lambda v: f" {v:.3g} "),
+                   st.integers(-99, 99).map(str))
+BAD_FIELDS = st.sampled_from(["", " ", "x", "1.0.0", "nan", "inf", "-inf", "1e999"])
+
+
+@st.composite
+def cloud_files(draw):
+    """(file text, clean): rows of one width, then, unless clean, blank
+    and `#` lines, bad fields and ragged rows; any header and line end."""
+    width = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(FIELDS, min_size=width, max_size=width),
+                         min_size=1, max_size=12))
+    mutations = draw(st.lists(st.sampled_from(["blank", "comment", "field", "ragged"]),
+                              max_size=4))
+    for kind in mutations:
+        i = draw(st.integers(0, len(rows) - 1))
+        if kind == "blank":
+            rows.insert(i, [draw(st.sampled_from(["", "  "]))])
+        elif kind == "comment":
+            rows.insert(i, ["# note"])
+        elif kind == "field":
+            rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(BAD_FIELDS)
+        elif draw(st.booleans()) and len(rows[i]) > 1:
+            rows[i] = rows[i][:-1]
+        else:
+            rows[i] = rows[i] + [draw(FIELDS)]
+    header = draw(st.sampled_from(
+        [None, "# cloud", f"#dim={width}", f"#dim={width + 1}", "#dim=abc"]))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    lines = ([header] if header else []) + [",".join(r) for r in rows]
+    text = end.join(lines) + (end if draw(st.booleans()) else "")
+    clean = (not mutations and end != "\r"
+             and header in (None, "# cloud", f"#dim={width}"))
+    return text, clean
+
+
+def _outcome(parse, path):
+    try:
+        pts, dropped = parse(path)
+    except DataError as e:
+        return str(e)
+    return pts.dtype, pts.shape, pts.tobytes(), dropped
+
+
+@pytest.fixture(scope="module")
+def cloud_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv") / "cloud_a.csv"
+
+
+@settings(PROPERTY, max_examples=150)
+@given(cloud_files(), st.sampled_from([1, 2, 3, 4096]))
+def test_cloud_files_parse_as_the_per_row_rules_parse_them(cloud_path, case, block_lines):
+    text, clean = case
+    cloud_path.write_bytes(text.encode())
+    with mock.patch.object(data, "_BLOCK_LINES", block_lines):
+        assert (_outcome(data._parse_cloud_csv, cloud_path)
+                == _outcome(data._parse_rows, cloud_path))
+        if clean:
+            assert data._parse_blocks(cloud_path) is not None
