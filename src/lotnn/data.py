@@ -18,7 +18,8 @@ Row rules of a cloud file, applied to each line stripped of whitespace
   `float` cannot parse (an empty field included), with a non-finite
   value, or, under a `#dim=<d>` header, with other than d fields;
 - without a header the modal width wins: rows of any other field count
-  are dropped and counted too (a tie keeps one of the tied widths).
+  are dropped and counted too; among tied widths the one seen first in
+  the file wins.
 A file left with no row is a `DataError`.
 """
 
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
 from pathlib import Path
@@ -356,7 +358,7 @@ def _parse_rows(path: Path) -> tuple[Array, int]:
     if len(set(widths)) > 1:
         # no declared dim: rows shorter/longer than the modal width are
         # incomplete measurements and get dropped like non-numeric ones
-        modal = max(set(widths), key=widths.count)
+        modal = Counter(widths).most_common(1)[0][0]
         dropped += sum(1 for w in widths if w != modal)
         rows = [r for r in rows if len(r) == modal]
     return np.array(rows, dtype=np.float64), dropped

@@ -49,7 +49,7 @@ from .icnn import (
     init_icnn,
     project_nonneg,
 )
-from .nncore import Array, OptimState, Rng, adam_step, as_f64
+from .nncore import Array, OptimState, Rng, adam_step, as_f64, check_finite
 
 if TYPE_CHECKING:  # pragma: no cover
     from .lot import ReferenceMeasure
@@ -389,6 +389,12 @@ def exact_ot_discrete(X, Y) -> tuple[Array, float]:
     Returns (pi, cost) where pi[k] matches X[k] with Y[pi[k]] and
     cost = (1/n) sum ||x_k - y_{pi(k)}||^2. The W2 distance is
     sqrt(cost); see exact_w2_discrete.
+
+    Centering each cloud on its own mean, then subtracting each row's and
+    each column's minimum, shifts every permutation's total by the same
+    constant, so the optimal assignment is unchanged; the solver just no
+    longer builds that separable part up one augmentation at a time. The
+    cost is summed in the original coordinates.
     """
     Xp = np.atleast_2d(as_f64(X.points if hasattr(X, "points") else X))
     Yp = np.atleast_2d(as_f64(Y.points if hasattr(Y, "points") else Y))
@@ -396,11 +402,21 @@ def exact_ot_discrete(X, Y) -> tuple[Array, float]:
         raise ShapeError("empty cloud")
     if Xp.shape != Yp.shape:
         raise ShapeError(f"clouds must match in size and dim: {Xp.shape} vs {Yp.shape}")
-    d2 = cdist(Xp, Yp, "sqeuclidean")
-    rows, cols = linear_sum_assignment(d2)
-    perm = np.empty(Xp.shape[0], dtype=np.int64)
-    perm[rows] = cols
-    cost = float(d2[rows, cols].mean())
+    check_finite("exact_ot_discrete input", Xp, Yp)
+    # finite clouds can still overflow a mean, a squared distance or the
+    # cost; each such overflow ends up non-finite and is raised below
+    with np.errstate(over="ignore"):
+        C = cdist(Xp - Xp.mean(axis=0), Yp - Yp.mean(axis=0), "sqeuclidean")
+        if not np.isfinite(C.max()):
+            raise NumericError("exact_ot_discrete: squared distances overflow")
+        C -= C.min(axis=1, keepdims=True)
+        C -= C.min(axis=0)
+        rows, cols = linear_sum_assignment(C)
+        perm = np.empty(Xp.shape[0], dtype=np.int64)
+        perm[rows] = cols
+        cost = float(np.mean(np.sum((Xp - Yp[perm]) ** 2, axis=1)))
+    if not np.isfinite(cost):
+        raise NumericError("exact_ot_discrete: non-finite cost")
     return perm, cost
 
 

@@ -120,6 +120,18 @@ class TestCsvRoundTrip:
         assert ds.cloud("a").n == 2
         assert ds.cloud("a").meta["dropped_rows"] == 2
 
+    @pytest.mark.parametrize("lines, width", [
+        (["1,2", "3,4", "5,6,7", "8,9,10"], 2),
+        (["5,6,7", "8,9,10", "1,2", "3,4"], 3),
+        (["5,6,7", "1,2", "8,9,10", "3,4"], 3),
+    ])
+    def test_width_tie_keeps_the_first_seen_width(self, tmp_path, lines, width):
+        (tmp_path / "cloud_a.csv").write_text("\n".join(lines) + "\n")
+        (tmp_path / "labels.csv").write_text("id,label\na,0\n")
+        cloud = load_csv_dir(tmp_path, subsample_n=10, seed=0).cloud("a")
+        assert cloud.points.shape == (2, width)
+        assert cloud.meta["dropped_rows"] == 2
+
     def test_dim_mismatch_between_files_rejected(self, tmp_path):
         (tmp_path / "cloud_a.csv").write_text("1.0,2.0\n")
         (tmp_path / "cloud_b.csv").write_text("1.0,2.0,3.0\n")

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -346,6 +347,46 @@ class TestExactOt:
         Y = rng.normal((6, 2))
         perm, _ = exact_ot_discrete(X, Y)
         assert sorted(perm) == list(range(6))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_rejected(self, rng, bad):
+        X = rng.normal((5, 2))
+        X[3, 1] = bad
+        with pytest.raises(NumericError):
+            exact_ot_discrete(X, rng.normal((5, 2)))
+        with pytest.raises(NumericError):
+            exact_ot_discrete(rng.normal((5, 2)), X)
+
+    def test_overflowing_cost_rejected(self, rng):
+        # centered, this cloud is all zeros: only the cost sum overflows
+        with pytest.raises(NumericError):
+            exact_ot_discrete(np.full((5, 2), 1e200), rng.normal((5, 2)))
+
+    def test_overflowing_squared_distance_rejected(self, rng):
+        X = rng.normal((5, 2))
+        X[0, 0] = 1e200
+        with pytest.raises(NumericError):
+            exact_ot_discrete(X, rng.normal((5, 2)))
+
+    def test_inputs_not_mutated(self, rng):
+        X = rng.normal((30, 3)) + 5.0
+        Y = rng.normal((30, 3))
+        X0, Y0 = X.copy(), Y.copy()
+        exact_ot_discrete(X, Y)
+        assert np.array_equal(X, X0) and np.array_equal(Y, Y0)
+
+    def test_peak_memory_is_one_cost_matrix(self, rng):
+        n, d = 1000, 10
+        X = rng.normal((n, d))
+        Y = rng.normal((n, d)) + 1.0
+        tracemalloc.start()
+        try:
+            exact_ot_discrete(X, Y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # an n x n x d float64 temporary alone would be 80 MB
+        assert peak < 1.5 * n * n * 8
 
 
 class TestGaussianOracle:

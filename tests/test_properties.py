@@ -2,8 +2,10 @@
 
 The LOT distance matrix is a pseudometric (exactly symmetric, zero
 diagonal, triangle inequality up to rounding), a classifier score is
-bitwise invariant to the order of its evaluation sample, and a cloud
-file parses as the per-row rules parse it, clean or not.
+bitwise invariant to the order of its evaluation sample, a cloud file
+parses as the per-row rules parse it, clean or not, and the exact OT
+oracle finds the optimum of a plain assignment on raw squared distances
+and obeys the translation law of W2.
 """
 
 from unittest import mock
@@ -12,12 +14,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
+from scipy.spatial.distance import cdist
 
 from lotnn import data
 from lotnn.classify import ClassifierModel, WeightNet, score
 from lotnn.errors import DataError
 from lotnn.lot import EmbeddingSet, ReferenceMeasure, pairwise_matrix
 from lotnn.nncore import Rng, mlp_init
+from lotnn.otsolve import exact_ot_discrete
 from conftest import quad_pair, shift_pair
 
 # derandomized so that every run of the suite checks the same examples
@@ -134,3 +139,50 @@ def test_cloud_files_parse_as_the_per_row_rules_parse_them(cloud_path, case, blo
                 == _outcome(data._parse_rows, cloud_path))
         if clean:
             assert data._parse_blocks(cloud_path) is not None
+
+
+def _plain_assignment_cost(X, Y):
+    """The oracle on raw squared distances, without centering or reductions."""
+    _, cols = linear_sum_assignment(cdist(X, Y, "sqeuclidean"))
+    return float(np.mean(np.sum((X - Y[cols]) ** 2, axis=1)))
+
+
+def _second_moment(*clouds):
+    return sum(float(np.mean(np.sum(c * c, axis=1))) for c in clouds)
+
+
+@st.composite
+def cloud_pairs(draw):
+    """Two equal-size clouds and an offset for each, up to 1e3 per
+    coordinate; half of the pairs repeat a few points many times."""
+    n = draw(st.integers(1, 40))
+    dim = draw(st.integers(1, 5))
+    offsets = st.lists(st.floats(-1e3, 1e3), min_size=dim, max_size=dim)
+    gen = np.random.default_rng(draw(SEEDS))
+    X = gen.standard_normal((n, dim))
+    Y = gen.standard_normal((n, dim)) * draw(st.floats(0.1, 3.0))
+    if draw(st.booleans()):
+        few = max(1, n // 4)
+        X = X[gen.integers(0, few, n)]
+        Y = np.concatenate([X[:few], Y])[gen.integers(0, 2 * few, n)]
+    return X, Y, np.array(draw(offsets)), np.array(draw(offsets))
+
+
+@settings(PROPERTY, max_examples=100)
+@given(cloud_pairs())
+def test_exact_ot_is_the_plain_optimum_and_obeys_the_translation_law(case):
+    X, Y, a, b = case
+    n = X.shape[0]
+    Xa, Yb = X + a, Y + b
+    perm, cost = exact_ot_discrete(Xa, Yb)
+    assert np.array_equal(np.sort(perm), np.arange(n))
+    along = float(np.mean(np.sum((Xa - Yb[perm]) ** 2, axis=1)))
+    assert abs(along - cost) <= 1e-12 * max(1.0, cost)
+    # the second moments bound the cost and the rounding of every
+    # squared distance, so they set the scale of both comparisons
+    scale = _second_moment(X, Y, Xa, Yb)
+    assert abs(cost - _plain_assignment_cost(Xa, Yb)) <= 1e-12 * scale
+    _, base = exact_ot_discrete(X, Y)
+    shift = a - b
+    law = base + shift @ shift + 2 * shift @ (X.mean(axis=0) - Y.mean(axis=0))
+    assert abs(cost - law) <= 1e-12 * scale
