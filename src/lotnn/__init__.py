@@ -52,7 +52,6 @@ from .data import (
     PointCloud,
     SyntheticSpec,
     TransformMap,
-    apply_transform,
     gen_synthetic,
     load_csv_dir,
     save_csv_dir,
@@ -90,7 +89,7 @@ __all__ = [
     "ReferenceMeasure", "EmbeddingSet", "BoundParams",
     "lot_distance_empirical", "pairwise_matrix", "theorem_bound",
     "PointCloud", "LabeledDataset", "TransformMap", "SyntheticSpec",
-    "apply_transform", "gen_synthetic", "load_csv_dir", "save_csv_dir", "split",
+    "gen_synthetic", "load_csv_dir", "save_csv_dir", "split",
     "WeightNet", "ClassifierModel", "TrainSchedule", "ClassifierConfig",
     "Metrics", "score", "train_alternating", "predict_resampled", "evaluate",
     "DeepSetsConfig", "DeepSetsModel", "init_deepsets",

@@ -1,100 +1,223 @@
-"""Model persistence: one JSON document, bit-exact float round trips.
+"""Model persistence: a one-line JSON header, then raw float64 parameters.
 
-Arrays are stored as little-endian float64 bytes in hex next to their
-shapes, so load(save(x)) reproduces every parameter bitwise while the
-header stays human-inspectable. The format version is the first field.
+A version-2 bundle file is
+
+    {"format_version":2, ...}<spaces>\\n<payload>
+
+The first line is compact JSON with every piece of metadata; the
+format version is its first field. Spaces pad that line, newline
+included, to a multiple of 8 bytes, so the payload starts on an 8-byte
+boundary. The payload is one little-endian float64 vector. The header
+names each block of it as [offset, length], counted in float64s:
+
+  - each pair's psi and phi as their FlatParams theta, next to the
+    IcnnConfig that fixes the layout of its blocks;
+  - each pair's frame as sigma_mean, mu_mean and scale, 2 dim + 1 values;
+  - the weight net's MlpParams theta, laid out for widths
+    (dim, *hidden, dim).
+
+save_bundle writes the file whole to a temporary name in the target's
+directory and renames it over the target, so a process that dies while
+saving leaves any earlier bundle as it was. Nothing is fsynced: the
+rename is atomic, not durable across a machine crash.
+
+load_bundle reads the file once into one buffer and binds every
+network's parameters to a view of it: they are aligned and writable,
+and nothing is copied. Parameters round-trip bitwise.
+
+Version-1 documents, one indented JSON text with every array stored as
+its shape and the hex of its little-endian float64 bytes, still load.
+Any malformed bundle raises DataError naming the file.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, LotnnError
 from .classify import ClassifierModel, WeightNet
 from .icnn import IcnnConfig, IcnnParams
 from .lot import ReferenceMeasure
 from .nncore import Array, MlpParams
 from .otsolve import DualPair, Frame
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
-def _enc(a: Array) -> dict:
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    return {"shape": list(a.shape), "hex": a.astype("<f8").tobytes().hex()}
+def write_document(path, header: dict, payload: Array) -> None:
+    """Write a header line and a float64 payload, replacing path at once.
+
+    The bytes go to a temporary file next to path, which is renamed over
+    path only once they are all written; on any failure it is removed
+    and path keeps its old bytes.
+    """
+    path = Path(path)
+    line = json.dumps(header, separators=(",", ":")).encode()
+    line += b" " * (-(len(line) + 1) % 8) + b"\n"
+    data = np.ascontiguousarray(payload, dtype="<f8")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(line)
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
-def _dec(d: dict) -> Array:
+def read_document(path) -> tuple[dict, Array]:
+    """The header and the float64 payload of a bundle file.
+
+    The payload is a view of the one buffer the file was read into. A
+    version-1 document is all header and has an empty payload.
+    """
+    try:
+        with open(path, "rb") as f:
+            buf = bytearray(os.fstat(f.fileno()).st_size)
+            f.readinto(buf)
+    except OSError as e:
+        raise DataError(f"cannot read bundle {path}: {e}") from e
+    end = buf.find(b"\n") + 1 or len(buf)
+    try:
+        header = json.loads(buf[:end])
+    except ValueError:
+        # a version-1 document spreads its JSON over many lines
+        try:
+            header, end = json.loads(buf), len(buf)
+        except ValueError as e:
+            raise DataError(f"cannot read bundle {path}: {e}") from e
+    if not isinstance(header, dict):
+        raise DataError(f"bundle {path}: the header is not a JSON object")
+    if end < len(buf) and (end % 8 or (len(buf) - end) % 8):
+        raise DataError(f"bundle {path}: a payload of {len(buf) - end} bytes at byte "
+                        f"{end} is not whole float64s on an 8-byte boundary")
+    return header, np.frombuffer(buf, dtype="<f8", offset=end)
+
+
+def _icnn_shapes(cfg: IcnnConfig) -> tuple:
+    """Block shapes of the wx, wz and b groups of an ICNN."""
+    widths = list(cfg.hidden) + [1]
+    return (tuple((w, cfg.dim) for w in widths),
+            tuple((w, v) for v, w in zip(widths, widths[1:])),
+            tuple((w,) for w in cfg.hidden))
+
+
+def _mlp_shapes(widths) -> tuple:
+    """Block shapes of the weights and biases groups of an MLP."""
+    return (tuple((w, v) for v, w in zip(widths, widths[1:])),
+            tuple((w,) for w in widths[1:]))
+
+
+def _enc_cfg(cfg: IcnnConfig) -> dict:
+    return {"dim": cfg.dim, "hidden": list(cfg.hidden), "activation": cfg.activation,
+            "sharpness": cfg.sharpness, "quad": cfg.quad}
+
+
+def _dec_cfg(c: dict) -> IcnnConfig:
+    return IcnnConfig(dim=c["dim"], hidden=tuple(c["hidden"]),
+                      activation=c["activation"], sharpness=c["sharpness"],
+                      quad=c["quad"])
+
+
+class _Payload:
+    """Hands out the payload blocks the header names, as views.
+
+    Each layout is built once, zero-filled, and rebound with with_theta
+    to the view of every network that has it.
+    """
+
+    def __init__(self, data: Array):
+        self.data, self.used, self._layouts = data, 0, {}
+
+    def take(self, span, n: int, what: str) -> Array:
+        off, length = span
+        if length != n:
+            raise DataError(f"{what} holds {length} values; its layout has {n}")
+        if not 0 <= off <= self.data.size - n:
+            raise DataError(f"{what} at [{off}, {off + n}) lies outside the payload "
+                            f"of {self.data.size} values")
+        self.used += n
+        return self.data[off:off + n]
+
+    def params(self, cls, shapes: tuple, span, what: str):
+        if (cls, shapes) not in self._layouts:
+            self._layouts[cls, shapes] = cls(*([np.zeros(s) for s in g] for g in shapes))
+        layout = self._layouts[cls, shapes]
+        return layout.with_theta(self.take(span, layout.theta.size, what))
+
+    def finish(self) -> None:
+        if self.used != self.data.size:
+            raise DataError(f"the payload holds {self.data.size} values; "
+                            f"the header names {self.used}")
+
+
+def _dec_icnn(d: dict, payload: _Payload, what: str) -> tuple[IcnnParams, IcnnConfig]:
+    cfg = _dec_cfg(d["cfg"])
+    return payload.params(IcnnParams, _icnn_shapes(cfg), d["theta"], what), cfg
+
+
+def _dec_pair(d: dict, payload: _Payload) -> DualPair:
+    psi, psi_cfg = _dec_icnn(d["psi"], payload, f"pair {d['id']!r} psi")
+    phi, phi_cfg = _dec_icnn(d["phi"], payload, f"pair {d['id']!r} phi")
+    dim = psi_cfg.dim
+    f = payload.take(d["frame"], 2 * dim + 1, f"pair {d['id']!r} frame")
+    frame = Frame(sigma_mean=tuple(f[:dim].tolist()),
+                  mu_mean=tuple(f[dim:2 * dim].tolist()), scale=float(f[2 * dim]))
+    return DualPair(psi, psi_cfg, phi, phi_cfg, frame, dict(d["meta"]))
+
+
+def _dec_weightnet(d: dict, payload: _Payload, dim: int) -> WeightNet:
+    hidden = tuple(d["hidden"])
+    return WeightNet(payload.params(MlpParams, _mlp_shapes((dim, *hidden, dim)),
+                                    d["theta"], "weight net"), hidden)
+
+
+# ---------------------------------------------------------------------------
+# Version 1: every array as its shape and hex bytes inside one JSON text
+# ---------------------------------------------------------------------------
+
+def _dec_v1(d: dict) -> Array:
     raw = bytes.fromhex(d["hex"])
     return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(d["shape"])
 
 
-def _enc_icnn(params: IcnnParams, cfg: IcnnConfig) -> dict:
-    return {
-        "cfg": {"dim": cfg.dim, "hidden": list(cfg.hidden),
-                "activation": cfg.activation, "sharpness": cfg.sharpness,
-                "quad": cfg.quad},
-        "wx": [_enc(a) for a in params.wx],
-        "wz": [_enc(a) for a in params.wz],
-        "b": [_enc(a) for a in params.b],
-    }
-
-
-def _dec_icnn(d: dict) -> tuple[IcnnParams, IcnnConfig]:
-    c = d["cfg"]
-    cfg = IcnnConfig(dim=c["dim"], hidden=tuple(c["hidden"]),
-                     activation=c["activation"], sharpness=c["sharpness"],
-                     quad=c["quad"])
-    b = [_dec(a) for a in d["b"]]
+def _dec_icnn_v1(d: dict) -> tuple[IcnnParams, IcnnConfig]:
+    cfg = _dec_cfg(d["cfg"])
+    b = [_dec_v1(a) for a in d["b"]]
     # older documents also store the head bias, which training never moves
     if len(b) == len(cfg.hidden) + 1:
         if np.any(b.pop() != 0.0):
             raise DataError("bundle stores a nonzero ICNN head bias")
-    blocks = {"wx": [_dec(a) for a in d["wx"]], "wz": [_dec(a) for a in d["wz"]], "b": b}
-    widths = list(cfg.hidden) + [1]
-    want = {"wx": [(w, cfg.dim) for w in widths],
-            "wz": [(w, v) for v, w in zip(widths, widths[1:])],
-            "b": [(w,) for w in cfg.hidden]}
-    for name, shapes in want.items():
+    blocks = {"wx": [_dec_v1(a) for a in d["wx"]],
+              "wz": [_dec_v1(a) for a in d["wz"]], "b": b}
+    for name, shapes in zip(IcnnParams.GROUPS, _icnn_shapes(cfg)):
         got = [a.shape for a in blocks[name]]
-        if got != shapes:
+        if got != list(shapes):
             raise DataError(f"ICNN {name} shapes {got} do not match dim {cfg.dim} "
-                            f"and hidden {cfg.hidden} (expected {shapes})")
+                            f"and hidden {cfg.hidden} (expected {list(shapes)})")
     return IcnnParams(blocks["wx"], blocks["wz"], blocks["b"]), cfg
 
 
-def _enc_mlp(p: MlpParams) -> dict:
-    return {"weights": [_enc(a) for a in p.weights],
-            "biases": [_enc(a) for a in p.biases]}
-
-
-def _dec_mlp(d: dict) -> MlpParams:
-    return MlpParams([_dec(a) for a in d["weights"]],
-                     [_dec(a) for a in d["biases"]])
-
-
-def _enc_pair(cid: str, pair: DualPair) -> dict:
-    meta = {k: v for k, v in pair.meta.items() if k != "loss_history"}
-    return {"id": cid, "psi": _enc_icnn(pair.psi, pair.psi_cfg),
-            "phi": _enc_icnn(pair.phi, pair.phi_cfg),
-            "frame": {"sigma_mean": _enc(np.asarray(pair.frame.sigma_mean)),
-                      "mu_mean": _enc(np.asarray(pair.frame.mu_mean)),
-                      "scale": _enc(np.asarray([pair.frame.scale]))},
-            "meta": meta}
-
-
-def _dec_pair(d: dict) -> tuple[str, DualPair]:
-    psi, psi_cfg = _dec_icnn(d["psi"])
-    phi, phi_cfg = _dec_icnn(d["phi"])
+def _dec_pair_v1(d: dict) -> DualPair:
     f = d["frame"]
-    frame = Frame(sigma_mean=tuple(_dec(f["sigma_mean"])),
-                  mu_mean=tuple(_dec(f["mu_mean"])),
-                  scale=float(_dec(f["scale"])[0]))
-    return d["id"], DualPair(psi, psi_cfg, phi, phi_cfg, frame, dict(d["meta"]))
+    frame = Frame(sigma_mean=tuple(_dec_v1(f["sigma_mean"])),
+                  mu_mean=tuple(_dec_v1(f["mu_mean"])),
+                  scale=float(_dec_v1(f["scale"])[0]))
+    return DualPair(*_dec_icnn_v1(d["psi"]), *_dec_icnn_v1(d["phi"]), frame,
+                    dict(d["meta"]))
+
+
+def _dec_weightnet_v1(d: dict) -> WeightNet:
+    mlp = d["mlp"]
+    return WeightNet(MlpParams([_dec_v1(a) for a in mlp["weights"]],
+                               [_dec_v1(a) for a in mlp["biases"]]),
+                     tuple(d["hidden"]))
 
 
 def _enc_reference(ref: ReferenceMeasure) -> dict:
@@ -133,7 +256,26 @@ class ModelBundle:
 
 
 def save_bundle(bundle: ModelBundle, path) -> None:
-    doc = {
+    blocks: list[Array] = []
+    size = 0
+
+    def put(a: Array) -> list[int]:
+        nonlocal size
+        blocks.append(a)
+        size += a.size
+        return [size - a.size, a.size]
+
+    def enc_pair(cid: str) -> dict:
+        p = bundle.pairs[cid]
+        f = p.frame
+        return {"id": cid,
+                "psi": {"cfg": _enc_cfg(p.psi_cfg), "theta": put(p.psi.theta)},
+                "phi": {"cfg": _enc_cfg(p.phi_cfg), "theta": put(p.phi.theta)},
+                "frame": put(np.array([*f.sigma_mean, *f.mu_mean, f.scale],
+                                      dtype=np.float64)),
+                "meta": {k: v for k, v in p.meta.items() if k != "loss_history"}}
+
+    header = {
         "format_version": FORMAT_VERSION,  # must stay the first field
         "build_version": bundle.build_version,
         "config_hash": bundle.config_hash,
@@ -144,40 +286,46 @@ def save_bundle(bundle: ModelBundle, path) -> None:
         "threshold": bundle.threshold,
         "config": bundle.config,
         "history_digest": bundle.history_digest,
-        "pairs": [_enc_pair(cid, bundle.pairs[cid]) for cid in bundle.pair_ids],
+        "pairs": [enc_pair(cid) for cid in bundle.pair_ids],
         "weightnet": None if bundle.weightnet is None else {
             "hidden": list(bundle.weightnet.hidden),
-            "mlp": _enc_mlp(bundle.weightnet.params),
+            "theta": put(bundle.weightnet.params.theta),
         },
     }
-    Path(path).write_text(json.dumps(doc, indent=1))
+    write_document(path, header, np.concatenate(blocks or [np.empty(0)]))
 
 
 def load_bundle(path) -> ModelBundle:
+    doc, data = read_document(path)
     try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as e:
-        raise DataError(f"cannot read bundle {path}: {e}") from e
-    version = doc.get("format_version")
-    if version != FORMAT_VERSION:
-        raise DataError(f"unsupported bundle format version {version!r}")
-    pairs = dict(_dec_pair(d) for d in doc["pairs"])
-    wn = None
-    if doc.get("weightnet"):
-        wn = WeightNet(_dec_mlp(doc["weightnet"]["mlp"]),
-                       tuple(doc["weightnet"]["hidden"]))
-    return ModelBundle(
-        reference=_dec_reference(doc["reference"]),
-        pair_ids=[d["id"] for d in doc["pairs"]],
-        pairs=pairs,
-        weightnet=wn,
-        threshold=doc["threshold"],
-        eval_seed=doc["eval_sample"]["seed"],
-        eval_n=doc["eval_sample"]["n"],
-        split_ids={k: list(v) for k, v in doc["split"].items()},
-        config=doc.get("config", {}),
-        config_hash=doc.get("config_hash", ""),
-        seed=doc.get("seed", 0),
-        build_version=doc.get("build_version", ""),
-        history_digest=doc.get("history_digest", {}),
-    )
+        version = doc.get("format_version")
+        if version not in (1, FORMAT_VERSION):
+            raise DataError(f"unsupported format version {version!r}")
+        payload = _Payload(data)
+        reference = _dec_reference(doc["reference"])
+        pairs = {d["id"]: _dec_pair_v1(d) if version == 1 else _dec_pair(d, payload)
+                 for d in doc["pairs"]}
+        wn = None
+        if doc.get("weightnet"):
+            wn = (_dec_weightnet_v1(doc["weightnet"]) if version == 1 else
+                  _dec_weightnet(doc["weightnet"], payload, reference.dim))
+        payload.finish()
+        return ModelBundle(
+            reference=reference,
+            pair_ids=[d["id"] for d in doc["pairs"]],
+            pairs=pairs,
+            weightnet=wn,
+            threshold=doc["threshold"],
+            eval_seed=doc["eval_sample"]["seed"],
+            eval_n=doc["eval_sample"]["n"],
+            split_ids={k: list(v) for k, v in doc["split"].items()},
+            config=doc.get("config", {}),
+            config_hash=doc.get("config_hash", ""),
+            seed=doc.get("seed", 0),
+            build_version=doc.get("build_version", ""),
+            history_digest=doc.get("history_digest", {}),
+        )
+    except LotnnError as e:
+        raise DataError(f"bundle {path}: {e}") from e
+    except (LookupError, TypeError, ValueError) as e:
+        raise DataError(f"bundle {path} is malformed: {type(e).__name__}: {e}") from e

@@ -7,6 +7,10 @@ Every emitted report (history/metrics CSVs, bundles, manifests) embeds
 the resolved config hash, the seeds, and the build version, so a run is
 reproducible from its artifacts alone. Reruns with the same config and
 seed are byte-identical.
+
+A bundle (--bundle) is not a JSON text: it is one line of JSON metadata
+followed by the binary float64 parameters; lotnn.bundle describes the
+layout.
 """
 
 from __future__ import annotations

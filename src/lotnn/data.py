@@ -150,24 +150,12 @@ class TransformMap:
             raise ShapeError("affine dim mismatch")
         return pts @ A.T + a
 
-    def norm_under(self, pts: Array) -> float:
-        """Empirical L2(mu) norm sqrt(mean ||g(x)||^2) over the points."""
-        img = self.apply_points(np.atleast_2d(as_f64(pts)))
-        return float(np.sqrt(np.mean(np.sum(img**2, axis=1))))
-
     def describe(self) -> str:
         if self.kind == "shift":
             return "shift[" + ",".join(f"{v:g}" for v in self.a) + "]"
         if self.kind == "scale":
             return f"scale[{self.c:g}]"
         return "affine"
-
-
-def apply_transform(g: TransformMap, X: PointCloud) -> PointCloud:
-    """Pointwise image of the cloud, order preserved, derived id."""
-    return PointCloud(id=f"{X.id}|{g.describe()}",
-                      points=g.apply_points(X.points),
-                      meta={**X.meta, "transform": g.describe()})
 
 
 # ---------------------------------------------------------------------------

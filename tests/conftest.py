@@ -1,10 +1,15 @@
 """Shared helpers: hand-wired potentials with known gradient maps."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from lotnn.icnn import IcnnConfig, IcnnParams
 from lotnn.otsolve import DualPair, Frame
+
+# test_bundle.handmade_bundle() as the version-1 save_bundle wrote it
+BUNDLE_V1 = Path(__file__).parent / "data" / "bundle_v1.json"
 
 
 def quad_potential(dim, quad=1.0, tilt=None, bias=0.0):

@@ -1,15 +1,44 @@
-import json
-
 import numpy as np
 import pytest
 
-from lotnn.bundle import ModelBundle, load_bundle, save_bundle
+import lotnn.bundle as bundle_mod
+from lotnn.bundle import (ModelBundle, load_bundle, read_document, save_bundle,
+                          write_document)
 from lotnn.classify import WeightNet
-from lotnn.data import PointCloud
 from lotnn.errors import DataError
+from lotnn.icnn import IcnnConfig, IcnnParams
 from lotnn.lot import ReferenceMeasure
-from lotnn.nncore import mlp_init
-from lotnn.otsolve import SolverConfig, train_map
+from lotnn.nncore import MlpParams
+from lotnn.otsolve import DualPair, Frame
+
+from conftest import BUNDLE_V1
+
+
+def handmade_bundle() -> ModelBundle:
+    """Three pairs (hidden (4,)) and a weight net drawn from one PCG64 stream.
+
+    BUNDLE_V1 holds this bundle as the version-1 save_bundle wrote it.
+    """
+    g = np.random.default_rng(20240801)
+    cfg = IcnnConfig(dim=2, hidden=(4,))
+
+    def net():
+        return IcnnParams([g.normal(size=(4, 2)), g.normal(size=(1, 2))],
+                          [np.abs(g.normal(size=(1, 4)))], [g.normal(size=4)])
+
+    pairs = {f"c{i}": DualPair(net(), cfg, net(), cfg,
+                               Frame(tuple(g.normal(size=2)), tuple(g.normal(size=2)),
+                                     float(g.uniform(0.5, 2.0))),
+                               {"iterations": 3, "loss_history": [1.5, 0.75, 0.5]})
+             for i in range(3)}
+    wn = WeightNet(MlpParams([g.normal(size=(5, 2)), g.normal(size=(2, 5))],
+                             [g.normal(size=5), g.normal(size=2)]), hidden=(5,))
+    return ModelBundle(reference=ReferenceMeasure(kind="fitted", dim=2, mean=(0.5, -1.0),
+                                                  var=(2.0, 0.25), seed=7),
+                       pair_ids=sorted(pairs), pairs=pairs, weightnet=wn, threshold=0.5,
+                       eval_seed=11, eval_n=30,
+                       split_ids={"train": ["c0", "c1"], "val": [], "test": ["c2"]},
+                       config_hash="0123abcd", seed=3, build_version="0.1.0")
 
 
 def pair_arrays(pair):
@@ -24,50 +53,75 @@ def bitwise_equal(xs, ys):
         x.shape == y.shape and x.tobytes() == y.tobytes() for x, y in zip(xs, ys))
 
 
+def assert_loads_as(got, want, rng):
+    assert got.reference == want.reference
+    assert got.pair_ids == want.pair_ids
+    assert got.split_ids == want.split_ids
+    X = rng.normal((20, 2))
+    for cid in want.pair_ids:
+        assert bitwise_equal(pair_arrays(got.pairs[cid]), pair_arrays(want.pairs[cid]))
+        assert "loss_history" in want.pairs[cid].meta
+        assert got.pairs[cid].meta == {k: v for k, v in want.pairs[cid].meta.items()
+                                       if k != "loss_history"}
+        assert (got.pairs[cid].map_forward(X).tobytes()
+                == want.pairs[cid].map_forward(X).tobytes())
+    assert got.weightnet.hidden == want.weightnet.hidden
+    assert bitwise_equal(got.weightnet.params.weights + got.weightnet.params.biases,
+                         want.weightnet.params.weights + want.weightnet.params.biases)
+
+
 @pytest.fixture
-def bundle(rng):
-    clouds = [PointCloud(f"c{i}", rng.normal((40, 2)) + np.array([2.0 * i, 0.0]))
-              for i in range(3)]
-    ref = ReferenceMeasure.fitted(clouds, seed=7)
-    pairs = {c.id: train_map(ref, c, SolverConfig(batch_size=16, iters=3,
-                                                  hidden=(4,), seed=i))
-             for i, c in enumerate(clouds)}
-    wn = WeightNet(mlp_init((2, 5, 2), rng.spawn(1)), hidden=(5,))
-    return ModelBundle(reference=ref, pair_ids=sorted(pairs), pairs=pairs,
-                       weightnet=wn, threshold=0.5, eval_seed=11, eval_n=30,
-                       split_ids={"train": ["c0", "c1"], "val": [], "test": ["c2"]})
+def bundle():
+    return handmade_bundle()
 
 
-def test_round_trip_is_bitwise(bundle, tmp_path):
-    path = tmp_path / "b.json"
+def test_round_trip_is_bitwise(bundle, tmp_path, rng):
+    path = tmp_path / "b.bundle"
+    save_bundle(bundle, path)
+    assert_loads_as(load_bundle(path), bundle, rng)
+
+
+def test_version_1_document_loads_bitwise(bundle, rng):
+    assert read_document(BUNDLE_V1)[0]["format_version"] == 1
+    assert_loads_as(load_bundle(BUNDLE_V1), bundle, rng)
+
+
+def test_header_is_one_padded_line_before_the_payload(bundle, tmp_path):
+    path = tmp_path / "b.bundle"
+    save_bundle(bundle, path)
+    raw = path.read_bytes()
+    end = raw.index(b"\n") + 1
+    assert raw.startswith(b'{"format_version":2,') and end % 8 == 0
+    header, payload = read_document(path)
+    assert payload.nbytes == len(raw) - end
+    assert payload.tobytes() == raw[end:]
+
+
+def test_loaded_thetas_are_aligned_writable_views(bundle, tmp_path):
+    path = tmp_path / "b.bundle"
     save_bundle(bundle, path)
     got = load_bundle(path)
-    assert got.reference == bundle.reference
-    assert got.pair_ids == bundle.pair_ids
-    assert got.split_ids == bundle.split_ids
-    for cid in bundle.pair_ids:
-        assert bitwise_equal(pair_arrays(got.pairs[cid]), pair_arrays(bundle.pairs[cid]))
-        assert "loss_history" in bundle.pairs[cid].meta
-        assert got.pairs[cid].meta == {k: v for k, v in bundle.pairs[cid].meta.items()
-                                       if k != "loss_history"}
-    assert got.weightnet.hidden == bundle.weightnet.hidden
-    assert bitwise_equal(got.weightnet.params.weights + got.weightnet.params.biases,
-                         bundle.weightnet.params.weights + bundle.weightnet.params.biases)
+    thetas = [t for p in got.pairs.values() for t in (p.psi.theta, p.phi.theta)]
+    thetas.append(got.weightnet.params.theta)
+    for t in thetas:
+        assert t.flags.aligned and t.flags.writeable and not t.flags.owndata
+    # every block is a view of one buffer
+    assert len({id(t.base) for t in thetas}) == 1
 
 
 def test_wrong_format_version_rejected(bundle, tmp_path):
-    path = tmp_path / "b.json"
+    path = tmp_path / "b.bundle"
     save_bundle(bundle, path)
-    doc = json.loads(path.read_text())
-    doc["format_version"] = 2
-    path.write_text(json.dumps(doc))
-    with pytest.raises(DataError):
+    header, payload = read_document(path)
+    header["format_version"] = 3
+    write_document(path, header, payload)
+    with pytest.raises(DataError, match="unsupported format version 3"):
         load_bundle(path)
 
 
 def test_classifier_needs_a_weight_net(bundle, tmp_path):
     bundle.weightnet = None
-    path = tmp_path / "b.json"
+    path = tmp_path / "b.bundle"
     save_bundle(bundle, path)
     with pytest.raises(DataError):
         load_bundle(path).classifier()
@@ -75,56 +129,82 @@ def test_classifier_needs_a_weight_net(bundle, tmp_path):
 
 def test_document_with_deepsets_key_loads(bundle, tmp_path):
     # bundles written before the unused "deepsets" list was dropped
-    path = tmp_path / "b.json"
+    path = tmp_path / "b.bundle"
     save_bundle(bundle, path)
-    doc = json.loads(path.read_text())
-    doc["deepsets"] = []
-    path.write_text(json.dumps(doc))
+    header, payload = read_document(path)
+    header["deepsets"] = []
+    write_document(path, header, payload)
     assert load_bundle(path).pair_ids == bundle.pair_ids
 
 
-def _with_head_bias(path, value):
+def test_failed_save_keeps_the_old_bundle(bundle, tmp_path, monkeypatch):
+    path = tmp_path / "b.bundle"
+    save_bundle(bundle, path)
+    old = path.read_bytes()
+
+    class FailAfterHeader:
+        def __init__(self, f):
+            self.f, self.writes = f, 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def write(self, data):
+            self.writes += 1
+            if self.writes == 2:
+                raise OSError("no space left on device")
+            return self.f.write(data)
+
+    monkeypatch.setattr(bundle_mod, "open",
+                        lambda *a, **k: FailAfterHeader(open(*a, **k)), raising=False)
+    bundle.threshold = 0.25
+    with pytest.raises(OSError, match="no space left"):
+        save_bundle(bundle, path)
+    assert path.read_bytes() == old
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["b.bundle"]
+
+
+def _v1_copy_with(tmp_path, edit):
+    """BUNDLE_V1 with edit applied to its JSON document, written to a copy."""
+    doc, payload = read_document(BUNDLE_V1)
+    edit(doc)
+    path = tmp_path / "v1.bundle"
+    write_document(path, doc, payload)
+    return path
+
+
+def _hex_block(a):
+    return {"shape": list(a.shape), "hex": np.asarray(a, "<f8").tobytes().hex()}
+
+
+def _with_head_bias(value):
     # the layout of documents written while the ICNN head had a bias
-    doc = json.loads(path.read_text())
-    for p in doc["pairs"]:
-        for net in ("psi", "phi"):
-            p[net]["b"].append({"shape": [1],
-                                "hex": np.array([value], "<f8").tobytes().hex()})
-    path.write_text(json.dumps(doc))
+    def edit(doc):
+        for p in doc["pairs"]:
+            for net in ("psi", "phi"):
+                p[net]["b"].append(_hex_block(np.array([value])))
+    return edit
 
 
 def test_document_with_zero_head_bias_loads(bundle, tmp_path, rng):
-    path = tmp_path / "b.json"
-    save_bundle(bundle, path)
-    _with_head_bias(path, 0.0)
-    got = load_bundle(path)
-    X = rng.normal((20, 2))
-    for cid in bundle.pair_ids:
-        assert bitwise_equal(pair_arrays(got.pairs[cid]), pair_arrays(bundle.pairs[cid]))
-        assert (got.pairs[cid].map_forward(X).tobytes()
-                == bundle.pairs[cid].map_forward(X).tobytes())
+    assert_loads_as(load_bundle(_v1_copy_with(tmp_path, _with_head_bias(0.0))),
+                    bundle, rng)
 
 
-def test_document_with_nonzero_head_bias_rejected(bundle, tmp_path):
-    path = tmp_path / "b.json"
-    save_bundle(bundle, path)
-    _with_head_bias(path, 0.25)
+def test_document_with_nonzero_head_bias_rejected(tmp_path):
     with pytest.raises(DataError, match="head bias"):
-        load_bundle(path)
-
-
-def _drop_first_row(block):
-    a = np.frombuffer(bytes.fromhex(block["hex"]), "<f8").reshape(block["shape"])[1:]
-    return {"shape": list(a.shape), "hex": a.tobytes().hex()}
+        load_bundle(_v1_copy_with(tmp_path, _with_head_bias(0.25)))
 
 
 @pytest.mark.parametrize("net,group", [("psi", "wx"), ("phi", "wz"), ("psi", "b")])
-def test_document_with_wrong_block_shape_rejected(bundle, tmp_path, net, group):
-    path = tmp_path / "b.json"
-    save_bundle(bundle, path)
-    doc = json.loads(path.read_text())
-    blocks = doc["pairs"][0][net][group]
-    blocks[0] = _drop_first_row(blocks[0])
-    path.write_text(json.dumps(doc))
+def test_document_with_wrong_block_shape_rejected(tmp_path, net, group):
+    def drop_first_row(doc):
+        block = doc["pairs"][0][net][group][0]
+        a = np.frombuffer(bytes.fromhex(block["hex"]), "<f8").reshape(block["shape"])
+        block.update(_hex_block(a[1:]))
+
     with pytest.raises(DataError, match=f"ICNN {group} shapes"):
-        load_bundle(path)
+        load_bundle(_v1_copy_with(tmp_path, drop_first_row))

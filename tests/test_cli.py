@@ -3,8 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from lotnn.bundle import read_document, write_document
 from lotnn.cli import main
 from lotnn.errors import NumericError
+
+from conftest import BUNDLE_V1
 
 TINY_CONFIG = {
     "subsample_n": 50,
@@ -31,6 +34,11 @@ def workdir(tmp_path_factory):
                         "--bundle", str(d / "bundle.json"),
                         "--history", str(d / "history.csv")]) == 0
     return d, base
+
+
+def _header(workdir):
+    d, _ = workdir
+    return read_document(d / "bundle.json")[0]
 
 
 def _csv_rows(path):
@@ -60,7 +68,7 @@ def test_eval_embeds_with_the_bundle_solver(workdir, capsys):
     assert main(base + args + ["--out", str(d / "with_config.csv")]) == 0
     capsys.readouterr()
     assert main(args + ["--out", str(d / "bare.csv")]) == 0
-    config_hash = json.loads((d / "bundle.json").read_text())["config_hash"]
+    config_hash = _header(workdir)["config_hash"]
     err = capsys.readouterr().err.splitlines()
     assert len([line for line in err if f"config_hash={config_hash}" in line]) == 1
     assert (_csv_rows(d / "bare.probs.csv")
@@ -94,17 +102,17 @@ def _eval_budgets(workdir, monkeypatch, bundle):
 
 def _set_iterations(workdir, name, counts):
     d, _ = workdir
-    doc = json.loads((d / "bundle.json").read_text())
-    for p, n in zip(doc["pairs"], counts):
+    header, payload = read_document(d / "bundle.json")
+    for p, n in zip(header["pairs"], counts):
         p["meta"]["iterations"] = n
-    (d / name).write_text(json.dumps(doc))
+    write_document(d / name, header, payload)
     return d / name
 
 
 def test_eval_embeds_at_the_recorded_budget(workdir, monkeypatch):
     # the kept pairs took 1 step each, while solver.iters is 2
     d, _ = workdir
-    test_ids = json.loads((d / "bundle.json").read_text())["split"]["test"]
+    test_ids = _header(workdir)["split"]["test"]
     code, budgets = _eval_budgets(workdir, monkeypatch, d / "bundle.json")
     assert code == 0 and budgets == [1] * len(test_ids)
 
@@ -131,22 +139,70 @@ def test_dist_writes_square_csv(workdir):
     rows = _csv_rows(out)
     ids = rows[0][1:]
     D = np.array([[float(v) for v in row[1:]] for row in rows[1:]])
-    bundle_ids = [p["id"] for p in json.loads((d / "bundle.json").read_text())["pairs"]]
+    bundle_ids = [p["id"] for p in _header(workdir)["pairs"]]
     assert ids == bundle_ids and D.shape == (len(ids), len(ids))
     assert np.array_equal(D, D.T) and np.all(np.diag(D) == 0)
 
 
+def _spans(header):
+    """Every [offset, length] block the header names, as the lists themselves."""
+    for p in header["pairs"]:
+        yield from (p["psi"]["theta"], p["phi"]["theta"], p["frame"])
+    if header["weightnet"]:
+        yield header["weightnet"]["theta"]
+
+
 def test_dist_rejects_a_bundle_with_a_cut_block(workdir, capsys):
+    # the first pair's psi one value short, the file otherwise consistent
     d, base = workdir
-    doc = json.loads((d / "bundle.json").read_text())
-    block = doc["pairs"][0]["psi"]["wx"][0]
-    wx0 = np.frombuffer(bytes.fromhex(block["hex"]), "<f8").reshape(block["shape"])
-    block.update(shape=[wx0.shape[0] - 1, wx0.shape[1]], hex=wx0[:-1].tobytes().hex())
-    path = d / "cut_wx0.json"
-    path.write_text(json.dumps(doc))
+    header, payload = read_document(d / "bundle.json")
+    psi = header["pairs"][0]["psi"]["theta"]
+    for span in _spans(header):
+        span[0] -= span[0] > psi[0]
+    psi[1] -= 1
+    path = d / "cut_psi.json"
+    write_document(path, header, np.delete(payload, psi[0] + psi[1]))
     assert main(base + ["dist", "--bundle", str(path),
                         "--out", str(d / "cut_dist.csv")]) == 3
-    assert "ICNN wx shapes" in capsys.readouterr().err
+    pid = header["pairs"][0]["id"]
+    assert f"pair {pid!r} psi holds {psi[1]} values; its layout has {psi[1] + 1}" \
+        in capsys.readouterr().err
+
+
+def _malformed(case, workdir, path):
+    d, _ = workdir
+    if case == "header_only":
+        path.write_text('{"format_version": 1}')
+        return
+    v1 = case.startswith("v1_")
+    header, payload = read_document(BUNDLE_V1 if v1 else d / "bundle.json")
+    block = header["pairs"][0]["psi"]["wx" if v1 else "theta"]
+    if case == "wrong_type":
+        header["pairs"][0]["psi"]["cfg"]["hidden"] = 4
+    elif case == "v1_bad_hex":
+        block[0]["hex"] = "zz" + block[0]["hex"][2:]
+    elif case == "v1_reshape":
+        block[0]["shape"] = [3, 3]
+    elif case == "short_payload":
+        payload = payload[:-1]
+    elif case == "long_payload":
+        payload = np.append(payload, 0.0)
+    elif case == "theta_length":
+        block[1] += 1
+    write_document(path, header, payload)
+
+
+@pytest.mark.parametrize("case", ["header_only", "wrong_type", "v1_bad_hex",
+                                  "v1_reshape", "short_payload", "long_payload",
+                                  "theta_length"])
+def test_dist_rejects_a_malformed_bundle(workdir, tmp_path, capsys, case):
+    d, base = workdir
+    path = tmp_path / f"{case}.json"
+    _malformed(case, workdir, path)
+    assert main(base + ["dist", "--bundle", str(path),
+                        "--out", str(tmp_path / "dist.csv")]) == 3
+    err = capsys.readouterr().err
+    assert f"bundle {path}" in err and "Traceback" not in err
 
 
 def test_train_rerun_is_byte_identical(workdir):
@@ -160,7 +216,7 @@ def test_train_rerun_is_byte_identical(workdir):
 def test_bundle_pairs_record_their_solver_steps(workdir):
     # one phase of one solver epoch of one step
     d, _ = workdir
-    pairs = json.loads((d / "bundle.json").read_text())["pairs"]
+    pairs = _header(workdir)["pairs"]
     assert pairs and all(p["meta"]["iterations"] == 1 for p in pairs)
 
 
@@ -174,7 +230,7 @@ def test_train_numeric_failure_exits_4(workdir, monkeypatch, capsys):
     monkeypatch.setattr(otsolve_mod, "solver_step", fail)
     assert main(base + ["train", "--data", str(d / "data"),
                         "--bundle", str(d / "failed.json")]) == 4
-    first = json.loads((d / "bundle.json").read_text())["split"]["train"][0]
+    first = _header(workdir)["split"]["train"][0]
     err = capsys.readouterr().err
     assert "numeric failure" in err and first in err and "step 0" in err
     assert not (d / "failed.json").exists()

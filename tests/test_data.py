@@ -7,38 +7,31 @@ from lotnn.data import (
     PointCloud,
     SyntheticSpec,
     TransformMap,
-    apply_transform,
     gen_synthetic,
     load_csv_dir,
     save_csv_dir,
     split,
 )
 from lotnn.otsolve import exact_w2_discrete
-from conftest import relerr
 
 
 class TestTransforms:
     def test_zero_shift_identity(self, rng):
-        X = PointCloud("x", rng.normal((10, 3)))
-        out = apply_transform(TransformMap.shift(np.zeros(3)), X)
-        assert np.array_equal(out.points, X.points)
+        X = rng.normal((10, 3))
+        assert np.array_equal(TransformMap.shift(np.zeros(3)).apply_points(X), X)
 
     def test_scale(self):
-        X = PointCloud("x", np.array([[1.0, 1.0]]))
-        out = apply_transform(TransformMap.scale(2.0), X)
-        assert np.array_equal(out.points, [[2.0, 2.0]])
+        out = TransformMap.scale(2.0).apply_points(np.array([[1.0, 1.0]]))
+        assert np.array_equal(out, [[2.0, 2.0]])
 
     def test_shear(self):
-        X = PointCloud("x", np.array([[1.0, 1.0]]))
         g = TransformMap.affine(np.array([[1.0, 1.0], [0.0, 1.0]]), np.zeros(2))
-        assert np.array_equal(apply_transform(g, X).points, [[2.0, 1.0]])
+        assert np.array_equal(g.apply_points(np.array([[1.0, 1.0]])), [[2.0, 1.0]])
 
     def test_preserves_size_and_dim(self, rng):
-        X = PointCloud("x", rng.normal((17, 4)))
+        X = rng.normal((17, 4))
         for g in (TransformMap.shift(rng.normal(4)), TransformMap.scale(0.3)):
-            out = apply_transform(g, X)
-            assert out.points.shape == X.points.shape
-            assert out.id != X.id
+            assert g.apply_points(X).shape == X.shape
 
     def test_invalid_scale_rejected(self):
         with pytest.raises(ValueError):
@@ -47,10 +40,6 @@ class TestTransforms:
     def test_singular_affine_rejected(self):
         with pytest.raises(ValueError):
             TransformMap.affine(np.zeros((2, 2)), np.zeros(2))
-
-    def test_norm_under(self):
-        g = TransformMap.shift((3.0, 4.0))
-        assert relerr(g.norm_under(np.zeros((5, 2))), 5.0) < 1e-12
 
 
 class TestSyntheticGenerator:
