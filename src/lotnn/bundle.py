@@ -32,6 +32,8 @@ Any malformed bundle raises DataError naming the file.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import os
 from dataclasses import dataclass, field
@@ -41,9 +43,9 @@ import numpy as np
 
 from .errors import DataError, LotnnError
 from .classify import ClassifierModel, WeightNet
-from .icnn import IcnnConfig, IcnnParams
+from .icnn import IcnnConfig, IcnnParams, icnn_shapes
 from .lot import ReferenceMeasure
-from .nncore import Array, MlpParams
+from .nncore import Array, MlpParams, mlp_shapes
 from .otsolve import DualPair, Frame
 
 FORMAT_VERSION = 2
@@ -100,29 +102,65 @@ def read_document(path) -> tuple[dict, Array]:
     return header, np.frombuffer(buf, dtype="<f8", offset=end)
 
 
-def _icnn_shapes(cfg: IcnnConfig) -> tuple:
-    """Block shapes of the wx, wz and b groups of an ICNN."""
-    widths = list(cfg.hidden) + [1]
-    return (tuple((w, cfg.dim) for w in widths),
-            tuple((w, v) for v, w in zip(widths, widths[1:])),
-            tuple((w,) for w in cfg.hidden))
+@functools.cache
+def _nested_fields(cls) -> dict:
+    """Each field of cls, mapped to the dataclass of its default or to None."""
+    nested = {}
+    for f in dataclasses.fields(cls):
+        default = (f.default if f.default_factory is dataclasses.MISSING
+                   else f.default_factory())
+        nested[f.name] = type(default) if dataclasses.is_dataclass(default) else None
+    return nested
 
 
-def _mlp_shapes(widths) -> tuple:
-    """Block shapes of the weights and biases groups of an MLP."""
-    return (tuple((w, v) for v, w in zip(widths, widths[1:])),
-            tuple((w,) for w in widths[1:]))
+def decode_config(cls, d, where: str = ""):
+    """The config dataclass cls built from d, its dataclasses.asdict form.
+
+    Missing keys keep cls's defaults, a field whose default is a
+    dataclass is decoded from its own dict, and lists become tuples.
+    Unknown keys, a non-dict d and values cls rejects raise DataError;
+    where names the nested field being decoded.
+    """
+    at = f" in {where!r}" if where else ""
+    if not isinstance(d, dict):
+        raise DataError(f"{cls.__name__}{at} must be a JSON object, "
+                        f"not {type(d).__name__}")
+    fields = _nested_fields(cls)
+    unknown = sorted(set(d) - set(fields))
+    if unknown:
+        keys = f"key {unknown[0]!r}" if len(unknown) == 1 else f"keys {unknown}"
+        raise DataError(f"unknown config {keys}{at}")
+    kwargs = {}
+    for key, value in d.items():
+        if fields[key] is not None:
+            value = decode_config(fields[key], value, f"{where}.{key}" if where else key)
+        elif isinstance(value, list):
+            value = tuple(value)
+        kwargs[key] = value
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as e:
+        raise DataError(f"bad {cls.__name__}{at}: {e}") from e
 
 
-def _enc_cfg(cfg: IcnnConfig) -> dict:
-    return {"dim": cfg.dim, "hidden": list(cfg.hidden), "activation": cfg.activation,
-            "sharpness": cfg.sharpness, "quad": cfg.quad}
+def drop_fixed(d, fixed: dict, unread=()):
+    """d without the settings older bundles store but that are gone now.
+
+    Each key of fixed must hold its one remaining value, else the maps
+    were built in a way this version cannot reproduce (DataError); keys
+    in unread are dropped whatever they hold. A non-dict d is returned.
+    """
+    if not isinstance(d, dict):
+        return d
+    for key, want in fixed.items():
+        if key in d and d[key] != want:
+            raise DataError(f"{key}={d[key]!r} is no longer supported; "
+                            f"only {key}={want!r} is")
+    return {k: v for k, v in d.items() if k not in fixed and k not in unread}
 
 
-def _dec_cfg(c: dict) -> IcnnConfig:
-    return IcnnConfig(dim=c["dim"], hidden=tuple(c["hidden"]),
-                      activation=c["activation"], sharpness=c["sharpness"],
-                      quad=c["quad"])
+def _icnn_cfg(d) -> IcnnConfig:
+    return decode_config(IcnnConfig, drop_fixed(d, {"sharpness": 1.0}))
 
 
 class _Payload:
@@ -158,8 +196,8 @@ class _Payload:
 
 
 def _dec_icnn(d: dict, payload: _Payload, what: str) -> tuple[IcnnParams, IcnnConfig]:
-    cfg = _dec_cfg(d["cfg"])
-    return payload.params(IcnnParams, _icnn_shapes(cfg), d["theta"], what), cfg
+    cfg = _icnn_cfg(d["cfg"])
+    return payload.params(IcnnParams, icnn_shapes(cfg), d["theta"], what), cfg
 
 
 def _dec_pair(d: dict, payload: _Payload) -> DualPair:
@@ -174,7 +212,7 @@ def _dec_pair(d: dict, payload: _Payload) -> DualPair:
 
 def _dec_weightnet(d: dict, payload: _Payload, dim: int) -> WeightNet:
     hidden = tuple(d["hidden"])
-    return WeightNet(payload.params(MlpParams, _mlp_shapes((dim, *hidden, dim)),
+    return WeightNet(payload.params(MlpParams, mlp_shapes((dim, *hidden, dim)),
                                     d["theta"], "weight net"), hidden)
 
 
@@ -187,21 +225,24 @@ def _dec_v1(d: dict) -> Array:
     return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(d["shape"])
 
 
+def _params_v1(cls, groups: list, shapes: tuple, what: str):
+    for name, blocks, want in zip(cls.GROUPS, groups, shapes):
+        got = [a.shape for a in blocks]
+        if got != list(want):
+            raise DataError(f"{what} {name} shapes {got} do not match its config "
+                            f"(expected {list(want)})")
+    return cls(*groups)
+
+
 def _dec_icnn_v1(d: dict) -> tuple[IcnnParams, IcnnConfig]:
-    cfg = _dec_cfg(d["cfg"])
+    cfg = _icnn_cfg(d["cfg"])
     b = [_dec_v1(a) for a in d["b"]]
     # older documents also store the head bias, which training never moves
     if len(b) == len(cfg.hidden) + 1:
         if np.any(b.pop() != 0.0):
             raise DataError("bundle stores a nonzero ICNN head bias")
-    blocks = {"wx": [_dec_v1(a) for a in d["wx"]],
-              "wz": [_dec_v1(a) for a in d["wz"]], "b": b}
-    for name, shapes in zip(IcnnParams.GROUPS, _icnn_shapes(cfg)):
-        got = [a.shape for a in blocks[name]]
-        if got != list(shapes):
-            raise DataError(f"ICNN {name} shapes {got} do not match dim {cfg.dim} "
-                            f"and hidden {cfg.hidden} (expected {list(shapes)})")
-    return IcnnParams(blocks["wx"], blocks["wz"], blocks["b"]), cfg
+    groups = [[_dec_v1(a) for a in d["wx"]], [_dec_v1(a) for a in d["wz"]], b]
+    return _params_v1(IcnnParams, groups, icnn_shapes(cfg), "ICNN"), cfg
 
 
 def _dec_pair_v1(d: dict) -> DualPair:
@@ -213,22 +254,11 @@ def _dec_pair_v1(d: dict) -> DualPair:
                     dict(d["meta"]))
 
 
-def _dec_weightnet_v1(d: dict) -> WeightNet:
-    mlp = d["mlp"]
-    return WeightNet(MlpParams([_dec_v1(a) for a in mlp["weights"]],
-                               [_dec_v1(a) for a in mlp["biases"]]),
-                     tuple(d["hidden"]))
-
-
-def _enc_reference(ref: ReferenceMeasure) -> dict:
-    return {"kind": ref.kind, "dim": ref.dim, "mean": list(ref.mean),
-            "var": list(ref.var), "halfwidth": ref.halfwidth, "seed": ref.seed}
-
-
-def _dec_reference(d: dict) -> ReferenceMeasure:
-    return ReferenceMeasure(kind=d["kind"], dim=d["dim"], mean=tuple(d["mean"]),
-                            var=tuple(d["var"]), halfwidth=d["halfwidth"],
-                            seed=d["seed"])
+def _dec_weightnet_v1(d: dict, dim: int) -> WeightNet:
+    mlp, hidden = d["mlp"], tuple(d["hidden"])
+    groups = [[_dec_v1(a) for a in mlp["weights"]], [_dec_v1(a) for a in mlp["biases"]]]
+    return WeightNet(_params_v1(MlpParams, groups, mlp_shapes((dim, *hidden, dim)),
+                                "weight net"), hidden)
 
 
 @dataclass
@@ -269,8 +299,8 @@ def save_bundle(bundle: ModelBundle, path) -> None:
         p = bundle.pairs[cid]
         f = p.frame
         return {"id": cid,
-                "psi": {"cfg": _enc_cfg(p.psi_cfg), "theta": put(p.psi.theta)},
-                "phi": {"cfg": _enc_cfg(p.phi_cfg), "theta": put(p.phi.theta)},
+                "psi": {"cfg": dataclasses.asdict(p.psi_cfg), "theta": put(p.psi.theta)},
+                "phi": {"cfg": dataclasses.asdict(p.phi_cfg), "theta": put(p.phi.theta)},
                 "frame": put(np.array([*f.sigma_mean, *f.mu_mean, f.scale],
                                       dtype=np.float64)),
                 "meta": {k: v for k, v in p.meta.items() if k != "loss_history"}}
@@ -280,7 +310,7 @@ def save_bundle(bundle: ModelBundle, path) -> None:
         "build_version": bundle.build_version,
         "config_hash": bundle.config_hash,
         "seed": bundle.seed,
-        "reference": _enc_reference(bundle.reference),
+        "reference": dataclasses.asdict(bundle.reference),
         "eval_sample": {"seed": bundle.eval_seed, "n": bundle.eval_n},
         "split": bundle.split_ids,
         "threshold": bundle.threshold,
@@ -302,12 +332,12 @@ def load_bundle(path) -> ModelBundle:
         if version not in (1, FORMAT_VERSION):
             raise DataError(f"unsupported format version {version!r}")
         payload = _Payload(data)
-        reference = _dec_reference(doc["reference"])
+        reference = decode_config(ReferenceMeasure, doc["reference"])
         pairs = {d["id"]: _dec_pair_v1(d) if version == 1 else _dec_pair(d, payload)
                  for d in doc["pairs"]}
         wn = None
         if doc.get("weightnet"):
-            wn = (_dec_weightnet_v1(doc["weightnet"]) if version == 1 else
+            wn = (_dec_weightnet_v1(doc["weightnet"], reference.dim) if version == 1 else
                   _dec_weightnet(doc["weightnet"], payload, reference.dim))
         payload.finish()
         return ModelBundle(

@@ -68,9 +68,6 @@ class ClassifierModel:
         if not (0.0 < self.threshold < 1.0):
             raise ValueError("threshold must be in (0, 1)")
 
-    def copy(self) -> "ClassifierModel":
-        return ClassifierModel(self.weightnet.copy(), self.threshold)
-
 
 @dataclass(frozen=True)
 class TrainSchedule:
@@ -79,7 +76,6 @@ class TrainSchedule:
     ot_epochs_per_phase: int = 10
     clf_epochs_per_phase: int = 10
     total_epochs: int = 1000
-    patience: int | None = None           # phases without val improvement
     steps_per_ot_epoch: int = 1           # shared-batch solver steps per epoch
 
     def __post_init__(self):
@@ -88,8 +84,6 @@ class TrainSchedule:
             raise ValueError("schedule values must be >= 1")
         if self.total_epochs < self.ot_epochs_per_phase + self.clf_epochs_per_phase:
             raise ValueError("total_epochs smaller than one phase pair")
-        if self.patience is not None and self.patience < 1:
-            raise ValueError("patience must be >= 1 when set")
 
 
 @dataclass(frozen=True)
@@ -237,7 +231,6 @@ def train_alternating(
 
     history: list[dict] = []
     best: _Snapshot | None = None
-    since_improve = 0
     epoch = 0
     phase = 0
 
@@ -281,12 +274,7 @@ def train_alternating(
         if best is None or acc > best.val_accuracy:
             best = _Snapshot({i: p.copy() for i, p in pairs.items()},
                              wn.copy(), acc, phase)
-            since_improve = 0
-        else:
-            since_improve += 1
         phase += 1
-        if sched.patience is not None and since_improve >= sched.patience:
-            break
 
     assert best is not None
     emb = EmbeddingSet.build(

@@ -45,7 +45,7 @@ from .data import (
 )
 from .deepsets import DeepSetsConfig, ds_bagging, ds_forward, ds_train
 from .lot import BoundParams, EmbeddingSet, ReferenceMeasure, pairwise_matrix, theorem_bound
-from .bundle import ModelBundle, load_bundle, save_bundle
+from .bundle import ModelBundle, decode_config, drop_fixed, load_bundle, save_bundle
 from .otsolve import SolverConfig, train_map
 
 
@@ -57,7 +57,6 @@ class RunConfig:
     reference: str = "fitted"          # fitted | standard | box
     box_halfwidth: float = 1.0
     subsample_n: int = 1000
-    resamples: int = 10
     synth: SyntheticSpec = field(default_factory=SyntheticSpec)
     synth_clouds_per_class: int = 30
     synth_points: int = 500
@@ -68,33 +67,8 @@ class RunConfig:
     deepsets_epochs: int = 300
     bagging: int = 10
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunConfig":
-        d = dict(d)
-        nested = {
-            "synth": SyntheticSpec,
-            "solver": SolverConfig,
-            "schedule": TrainSchedule,
-            "classifier": ClassifierConfig,
-            "deepsets": DeepSetsConfig,
-        }
-        kwargs: dict = {}
-        for key, value in d.items():
-            if key in nested:
-                sub = dict(value)
-                for f in dataclasses.fields(nested[key]):
-                    if f.name in sub and isinstance(sub[f.name], list):
-                        sub[f.name] = tuple(sub[f.name])
-                kwargs[key] = nested[key](**sub)
-            else:
-                kwargs[key] = value
-        return cls(**kwargs)
-
     def hash(self) -> str:
-        blob = json.dumps(self.to_dict(), sort_keys=True)
+        blob = json.dumps(dataclasses.asdict(self), sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
@@ -102,21 +76,10 @@ def load_config(path: str | None, seed: int | None) -> RunConfig:
     cfg = RunConfig()
     if path is not None:
         try:
-            overrides = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as e:
+            doc = json.loads(Path(path).read_text())
+        except (OSError, ValueError) as e:
             raise DataError(f"cannot read config {path}: {e}") from e
-        base = cfg.to_dict()
-        for k, v in overrides.items():
-            if k not in base:
-                raise DataError(f"unknown config key {k!r}")
-            if isinstance(base[k], dict):
-                unknown = set(v) - set(base[k])
-                if unknown:
-                    raise DataError(f"unknown config keys {sorted(unknown)} in {k!r}")
-                base[k].update(v)
-            else:
-                base[k] = v
-        cfg = RunConfig.from_dict(base)
+        cfg = decode_config(RunConfig, doc)
     if seed is None:
         return cfg
     return dataclasses.replace(cfg, seed=seed,
@@ -199,7 +162,7 @@ def cmd_train(cfg: RunConfig, data_dir: str, bundle_path: str,
         eval_n=emb.eval_n,
         split_ids={"train": sorted(train_ds.ids), "val": sorted(val_ds.ids),
                    "test": sorted(test_ds.ids)},
-        config=cfg.to_dict(),
+        config=dataclasses.asdict(cfg),
         config_hash=cfg.hash(),
         seed=cfg.seed,
         build_version=__version__,
@@ -219,9 +182,18 @@ def cmd_train(cfg: RunConfig, data_dir: str, bundle_path: str,
     return 0
 
 
+_METRIC_COLUMNS = ["tag", "tp", "fp", "fn", "tn", "precision", "recall",
+                   "accuracy", "precision_defined"]
+
+
 def _metrics_row(tag: str, m) -> list:
     return [tag, m.tp, m.fp, m.fn, m.tn, m.precision, m.recall, m.accuracy,
             int(m.precision_defined)]
+
+
+def _metrics_line(label: str, m) -> str:
+    return (f"{label} precision={m.precision:.4f} recall={m.recall:.4f} "
+            f"accuracy={m.accuracy:.4f}")
 
 
 def _embedding_solver(cfg: RunConfig, bundle: ModelBundle) -> SolverConfig:
@@ -236,8 +208,13 @@ def _embedding_solver(cfg: RunConfig, bundle: ModelBundle) -> SolverConfig:
     solver = cfg.solver
     if "solver" in bundle.config:
         try:
-            solver = RunConfig.from_dict({"solver": bundle.config["solver"]}).solver
-        except (TypeError, ValueError) as e:
+            # older bundles store settings that now have one value; the
+            # static quads were unread while adaptive_quad held
+            stored = drop_fixed(bundle.config["solver"],
+                                {"adaptive_quad": True, "sharpness": 1.0},
+                                unread=("quad_psi", "quad_phi"))
+            solver = decode_config(SolverConfig, stored, "solver")
+        except DataError as e:
             raise DataError(f"bundle has an unusable solver config: {e}") from e
         if dataclasses.replace(solver, seed=cfg.solver.seed) != cfg.solver:
             print(f"note: this run's solver config differs from the bundle's "
@@ -259,7 +236,8 @@ def cmd_eval(cfg: RunConfig, bundle_path: str, data_dir: str, resamples: int,
     if subset == "all":
         ids = sorted(ds.ids)
     else:
-        ids = [i for i in bundle.split_ids.get(subset, []) if i in set(ds.ids)]
+        have = set(ds.ids)
+        ids = [i for i in bundle.split_ids.get(subset, []) if i in have]
     if not ids:
         raise DataError(f"no clouds to evaluate in subset {subset!r}")
     labels = [ds.labels[i] for i in ids]
@@ -286,22 +264,18 @@ def cmd_eval(cfg: RunConfig, bundle_path: str, data_dir: str, resamples: int,
 
     m1 = evaluate(p1, labels, model.threshold)
     mk = evaluate(pk, labels, model.threshold)
-    cols = ["tag", "tp", "fp", "fn", "tn", "precision", "recall", "accuracy",
-            "precision_defined"]
     # "eval_sample" is the score on the bundle's fixed sample; k=... is the
     # mean over resamples, a distinct row even when resamples == 1
     metric_rows = [_metrics_row("eval_sample", m1),
                    _metrics_row(f"k={resamples}", mk)]
     if out_path:
-        _write_csv(Path(out_path), _report_header(cfg), cols, metric_rows)
+        _write_csv(Path(out_path), _report_header(cfg), _METRIC_COLUMNS, metric_rows)
         probs_path = Path(out_path).with_suffix(".probs.csv")
         _write_csv(probs_path, _report_header(cfg),
                    ["id", "label", "prob_eval_sample", f"prob_k{resamples}"], rows)
     print(f"evaluated {len(ids)} clouds (subset={subset})")
-    print(f"eval_sample precision={m1.precision:.4f} recall={m1.recall:.4f} "
-          f"accuracy={m1.accuracy:.4f}")
-    print(f"k={resamples} precision={mk.precision:.4f} recall={mk.recall:.4f} "
-          f"accuracy={mk.accuracy:.4f}")
+    print(_metrics_line("eval_sample", m1))
+    print(_metrics_line(f"k={resamples}", mk))
     return 0
 
 
@@ -345,16 +319,12 @@ def cmd_baseline(cfg: RunConfig, data_dir: str, out_path: str | None) -> int:
     bagged = [ds_bagging(members, c) for c in eval_ds.clouds]
     m_bag = evaluate(bagged, labels)
 
-    cols = ["tag", "tp", "fp", "fn", "tn", "precision", "recall", "accuracy",
-            "precision_defined"]
     rows = [_metrics_row("deepsets", m_single),
             _metrics_row(f"bagging_x{cfg.bagging}", m_bag)]
     if out_path:
-        _write_csv(Path(out_path), _report_header(cfg), cols, rows)
-    print(f"deepsets     precision={m_single.precision:.4f} "
-          f"recall={m_single.recall:.4f} accuracy={m_single.accuracy:.4f}")
-    print(f"bagging x{cfg.bagging} precision={m_bag.precision:.4f} "
-          f"recall={m_bag.recall:.4f} accuracy={m_bag.accuracy:.4f}")
+        _write_csv(Path(out_path), _report_header(cfg), _METRIC_COLUMNS, rows)
+    print(_metrics_line("deepsets    ", m_single))
+    print(_metrics_line(f"bagging x{cfg.bagging}", m_bag))
     return 0
 
 

@@ -36,8 +36,12 @@ class DeepSetsConfig:
     pooled_dim: int = 32
     rho_hidden: tuple[int, ...] = (32, 32)
     lr: float = 1e-3
-    batch_points: int | None = 256   # None trains on whole clouds
+    batch_points: int = 256
     init_scale: float = 1.0
+
+    def __post_init__(self):
+        if self.pooled_dim < 1 or self.batch_points < 1:
+            raise ValueError("pooled_dim and batch_points must be >= 1")
 
 
 @dataclass
@@ -95,7 +99,7 @@ def ds_train(
     """BCE training with one full-batch step per epoch over all clouds.
 
     Per epoch each cloud contributes a fresh point subsample of size
-    batch_points (whole cloud if smaller or None). Keeps and returns the
+    batch_points (whole cloud if smaller). Keeps and returns the
     best-validation-accuracy snapshot; deterministic for a fixed seed.
     """
     if epochs < 0:
@@ -128,7 +132,7 @@ def ds_train(
         counts = []
         for cid in ids:
             pts = cloud_pts[cid]
-            if cfg.batch_points is not None and pts.shape[0] > cfg.batch_points:
+            if pts.shape[0] > cfg.batch_points:
                 idx = batch_rng.integers(0, pts.shape[0], size=cfg.batch_points)
                 pts = pts[idx]
             batches.append(pts)

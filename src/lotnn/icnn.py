@@ -33,7 +33,7 @@ layer's softplus and h(x), which icnn_forward, icnn_backward and the
 upstream term of icnn_inputgrad_vjp read; curvature adds s'', which
 icnn_inputgrad_vjp reads. icnn_input_grad needs neither. For the smooth
 activation the cache builds s, s' and s'' of a layer from
-e = exp(-|k a|) (see IcnnCache).
+e = exp(-|a|) (see IcnnCache).
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ class IcnnConfig:
     dim: int
     hidden: tuple[int, ...] = (64, 64, 64)
     activation: str = "smooth_relu"  # or "relu"
-    sharpness: float = 1.0
     quad: float = 0.5
 
     def __post_init__(self):
@@ -69,8 +68,6 @@ class IcnnConfig:
             raise ValueError("hidden widths must all be >= 1")
         if self.activation not in ("smooth_relu", "relu"):
             raise ValueError(f"unknown activation {self.activation!r}")
-        if self.sharpness <= 0:
-            raise ValueError("sharpness must be > 0")
         if self.quad < 0:
             raise ValueError("quad must be >= 0")
 
@@ -87,19 +84,27 @@ class IcnnParams(FlatParams):
     GROUPS = ("wx", "wz", "b")
 
 
+def icnn_shapes(cfg: IcnnConfig) -> tuple:
+    """Block shapes of the wx, wz and b groups of an ICNN."""
+    widths = list(cfg.hidden) + [1]
+    return (tuple((w, cfg.dim) for w in widths),
+            tuple((w, v) for v, w in zip(widths, widths[1:])),
+            tuple((w,) for w in cfg.hidden))
+
+
 def init_icnn(cfg: IcnnConfig, rng: Rng, scale: float = 0.1) -> IcnnParams:
     """Small centered init, 1/sqrt(fan-in) scaled; wz entries nonnegative.
 
     With small weights the gradient map starts near x -> q x.
     """
-    widths = list(cfg.hidden) + [1]
+    wx_shapes, wz_shapes, b_shapes = icnn_shapes(cfg)
     wx, wz = [], []
-    for i, w in enumerate(widths):
-        wx.append(rng.normal((w, cfg.dim), scale=scale / np.sqrt(cfg.dim)))
+    for i, shape in enumerate(wx_shapes):
+        wx.append(rng.normal(shape, scale=scale / np.sqrt(cfg.dim)))
         if i > 0:
-            fan = widths[i - 1]
+            w, fan = wz_shapes[i - 1]
             wz.append(np.abs(rng.normal((w, fan), scale=scale / np.sqrt(fan))))
-    return IcnnParams(wx, wz, [np.zeros(w) for w in cfg.hidden])
+    return IcnnParams(wx, wz, [np.zeros(s) for s in b_shapes])
 
 
 def project_nonneg(params: IcnnParams) -> IcnnParams:
@@ -131,16 +136,16 @@ class IcnnCache:
     sd alone, so a map evaluation sets neither flag. A pass handed a
     cache without what it reads raises ValueError.
 
-    For the smooth activation s(a) = log(1 + exp(k a)) / k each layer
-    computes e = exp(-|k a|) and r = 1/(1 + e) once and builds from them
+    For the smooth activation s(a) = log(1 + exp(a)) each layer computes
+    e = exp(-|a|) and r = 1/(1 + e) once and builds from them
 
-        s   = (max(k a, 0) + log1p(e)) / k
-        s'  = exp(min(k a, 0)) * r
-        s'' = k e r^2
+        s   = max(a, 0) + log1p(e)
+        s'  = exp(min(a, 0)) * r
+        s'' = e r^2
 
     None of these overflows for any finite a, and s'' keeps full
-    relative precision where s' is close to 1 (k s' (1 - s') does not).
-    s' is e r for k a < 0 and exactly r otherwise, with no select.
+    relative precision where s' is close to 1 (s' (1 - s') does not).
+    s' is e r for a < 0 and exactly r otherwise, with no select.
 
     Valid only for the exact (params, cfg, input batch) it was built
     from; the training loop rebuilds it after every parameter update.
@@ -177,26 +182,22 @@ class IcnnCache:
             if keep_z:
                 self.z.append(np.maximum(a, 0.0, out=a))
             return
-        k = cfg.sharpness
-        t = np.multiply(a, k, out=a)
-        e = np.abs(t)
+        e = np.abs(a)
         np.negative(e, out=e)
         np.exp(e, out=e)
         r = e + 1.0
         np.divide(1.0, r, out=r)
-        sd = np.minimum(t, 0.0)
+        sd = np.minimum(a, 0.0)
         np.exp(sd, out=sd)
         sd *= r
         self.sd.append(sd)
         if self.sdd is not None:
-            sdd = np.multiply(e, k)
-            sdd *= r
+            sdd = e * r
             sdd *= r
             self.sdd.append(sdd)
         if keep_z:
-            z = np.maximum(t, 0.0, out=t)
+            z = np.maximum(a, 0.0, out=a)
             z += np.log1p(e, out=e)
-            z /= k
             self.z.append(z)
 
 

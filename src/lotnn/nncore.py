@@ -258,15 +258,19 @@ class MlpParams(FlatParams):
         return self.weights[-1].shape[0]
 
 
+def mlp_shapes(widths: Sequence[int]) -> tuple:
+    """Block shapes of the weights and biases groups of an MLP."""
+    return (tuple((w, v) for v, w in zip(widths, widths[1:])),
+            tuple((w,) for w in widths[1:]))
+
+
 def mlp_init(widths: Sequence[int], rng: Rng, scale: float = 1.0) -> MlpParams:
     """Initialize an MLP for the layer widths (in, h1, ..., out)."""
     if len(widths) < 2 or any(w < 1 for w in widths):
         raise ValueError(f"invalid widths {widths}")
-    ws, bs = [], []
-    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
-        ws.append(rng.normal((fan_out, fan_in), scale=scale / np.sqrt(fan_in)))
-        bs.append(np.zeros(fan_out))
-    return MlpParams(ws, bs)
+    w_shapes, b_shapes = mlp_shapes(widths)
+    return MlpParams([rng.normal(s, scale=scale / np.sqrt(s[1])) for s in w_shapes],
+                     [np.zeros(s) for s in b_shapes])
 
 
 def mlp_forward(p: MlpParams, x: Array) -> tuple[Array, list[Array]]:

@@ -145,19 +145,6 @@ class SolverConfig:
     lambda_cyc: float = 1.0
     hidden: tuple[int, ...] = (64, 64, 64)
     activation: str = "smooth_relu"
-    sharpness: float = 1.0
-    # each network's quadratic skip bounds its gradient-map Jacobian
-    # below. The forward map often contracts strongly (wide fitted
-    # reference onto a narrow cloud), so psi gets a small q; the inverse
-    # map then expands, so phi affords a large q, whose strong convexity
-    # is also what keeps the jointly-minimized objective from running
-    # away (the conjugate side is exactly where the quadratic term is
-    # added in the duality argument).
-    quad_psi: float = 0.05
-    quad_phi: float = 0.5
-    # pick the quads per cloud from the data's per-coordinate spread
-    # ratios instead of the static values above
-    adaptive_quad: bool = True
     init_scale: float = 0.1
     seed: int = 0
 
@@ -172,7 +159,16 @@ class SolverConfig:
 
     def icnn_config(self, dim: int, quad: float) -> IcnnConfig:
         return IcnnConfig(dim=dim, hidden=self.hidden, activation=self.activation,
-                          sharpness=self.sharpness, quad=quad)
+                          quad=quad)
+
+
+# (psi, phi) quadratic skips where the data gives no spread to adapt them
+# to. The forward map often contracts strongly (wide fitted reference onto
+# a narrow cloud), so psi gets a small q; the inverse map then expands, so
+# phi affords a large q, whose strong convexity is also what keeps the
+# jointly-minimized objective from running away (the conjugate side is
+# exactly where the quadratic term is added in the duality argument).
+STATIC_QUADS = (0.05, 0.5)
 
 
 def _batch_pair(sigma_batch: Array, mu_batch: Array, dim: int) -> tuple[Array, Array]:
@@ -275,7 +271,7 @@ def adaptive_quads(sigma: "ReferenceMeasure", points: Array) -> tuple[float, flo
     s_sigma = sigma.std_vector()
     s_mu = points.std(axis=0)
     if np.any(s_mu <= 0):  # degenerate spread (one-point clouds)
-        return 0.05, 0.5
+        return STATIC_QUADS
     fwd = float(np.min(s_mu / s_sigma))
     inv = float(np.min(s_sigma / s_mu))
     q_psi = float(np.clip(0.8 * fwd, 1e-3, 5.0))
@@ -285,8 +281,8 @@ def adaptive_quads(sigma: "ReferenceMeasure", points: Array) -> tuple[float, flo
 
 def init_dual_pair(dim: int, cfg: SolverConfig, rng: Rng,
                    frame: Frame | None = None,
-                   quads: tuple[float, float] | None = None) -> DualPair:
-    q_psi, q_phi = quads if quads is not None else (cfg.quad_psi, cfg.quad_phi)
+                   quads: tuple[float, float] = STATIC_QUADS) -> DualPair:
+    q_psi, q_phi = quads
     psi_cfg = cfg.icnn_config(dim, q_psi)
     phi_cfg = cfg.icnn_config(dim, q_phi)
     psi = project_nonneg(init_icnn(psi_cfg, rng.spawn(1), scale=cfg.init_scale))
@@ -298,10 +294,9 @@ def init_dual_pair(dim: int, cfg: SolverConfig, rng: Rng,
 
 def pair_for_cloud(sigma: "ReferenceMeasure", points: Array,
                    cfg: SolverConfig, rng: Rng) -> DualPair:
-    """Initialized pair with the cloud's frame and (optionally) adaptive quads."""
-    quads = adaptive_quads(sigma, points) if cfg.adaptive_quad else None
-    return init_dual_pair(sigma.dim, cfg, rng,
-                          frame=make_frame(sigma, points), quads=quads)
+    """Initialized pair with the cloud's frame and adaptive quads."""
+    return init_dual_pair(sigma.dim, cfg, rng, frame=make_frame(sigma, points),
+                          quads=adaptive_quads(sigma, points))
 
 
 def solver_step(

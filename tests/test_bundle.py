@@ -1,15 +1,19 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
 import lotnn.bundle as bundle_mod
-from lotnn.bundle import (ModelBundle, load_bundle, read_document, save_bundle,
-                          write_document)
-from lotnn.classify import WeightNet
+from lotnn.bundle import (ModelBundle, decode_config, load_bundle, read_document,
+                          save_bundle, write_document)
+from lotnn.classify import TrainSchedule, WeightNet
+from lotnn.cli import RunConfig
 from lotnn.errors import DataError
 from lotnn.icnn import IcnnConfig, IcnnParams
 from lotnn.lot import ReferenceMeasure
 from lotnn.nncore import MlpParams
-from lotnn.otsolve import DualPair, Frame
+from lotnn.otsolve import DualPair, Frame, SolverConfig
 
 from conftest import BUNDLE_V1
 
@@ -84,6 +88,17 @@ def test_round_trip_is_bitwise(bundle, tmp_path, rng):
 def test_version_1_document_loads_bitwise(bundle, rng):
     assert read_document(BUNDLE_V1)[0]["format_version"] == 1
     assert_loads_as(load_bundle(BUNDLE_V1), bundle, rng)
+
+
+def test_version_2_document_with_sharpness_loads_bitwise(bundle, tmp_path, rng):
+    # documents written while ICNNs had a sharpness k store k = 1
+    path = tmp_path / "b.bundle"
+    save_bundle(bundle, path)
+    header, payload = read_document(path)
+    for p in header["pairs"]:
+        p["psi"]["cfg"]["sharpness"] = p["phi"]["cfg"]["sharpness"] = 1.0
+    write_document(path, header, payload)
+    assert_loads_as(load_bundle(path), bundle, rng)
 
 
 def test_header_is_one_padded_line_before_the_payload(bundle, tmp_path):
@@ -208,3 +223,15 @@ def test_document_with_wrong_block_shape_rejected(tmp_path, net, group):
 
     with pytest.raises(DataError, match=f"ICNN {group} shapes"):
         load_bundle(_v1_copy_with(tmp_path, drop_first_row))
+
+
+@pytest.mark.parametrize("record", [
+    RunConfig(seed=4, reference="box",
+              solver=SolverConfig(hidden=(4, 2), iters=7, activation="relu"),
+              schedule=TrainSchedule(total_epochs=40)),
+    IcnnConfig(dim=3, hidden=(5, 2), activation="relu", quad=0.25),
+    ReferenceMeasure(kind="fitted", dim=2, mean=(0.5, -1.0), var=(2.0, 0.25), seed=7),
+], ids=lambda r: type(r).__name__)
+def test_config_codec_round_trips(record):
+    doc = json.loads(json.dumps(dataclasses.asdict(record)))
+    assert decode_config(type(record), doc) == record

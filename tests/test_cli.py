@@ -131,6 +131,48 @@ def test_eval_rejects_pairs_with_different_budgets(workdir, monkeypatch, capsys)
     assert "different step counts [1, 3]" in capsys.readouterr().err
 
 
+# the solver and network settings bundles written before they were
+# removed still store, each at the one value it now always has
+LEGACY_SOLVER = {"sharpness": 1.0, "quad_psi": 0.05, "quad_phi": 0.5,
+                 "adaptive_quad": True}
+
+
+def _legacy_bundle(workdir, name, solver=None, net=None):
+    """The tiny bundle with the removed settings stored as older versions did."""
+    d, _ = workdir
+    header, payload = read_document(d / "bundle.json")
+    header["config"]["solver"].update(LEGACY_SOLVER, **(solver or {}))
+    for p in header["pairs"]:
+        for cfg in (p["psi"]["cfg"], p["phi"]["cfg"]):
+            cfg.update({"sharpness": 1.0}, **(net or {}))
+    write_document(d / name, header, payload)
+    return d / name
+
+
+def test_eval_reads_a_bundle_with_the_removed_settings(workdir, capsys):
+    d, base = workdir
+    args = ["eval", "--data", str(d / "data"), "--subset", "all", "--resamples", "1"]
+    for bundle, out in ((d / "bundle.json", "now.csv"),
+                        (_legacy_bundle(workdir, "legacy.json"), "legacy.csv")):
+        assert main(base + args + ["--bundle", str(bundle), "--out", str(d / out)]) == 0
+    assert "config_hash" not in capsys.readouterr().err
+    assert _csv_rows(d / "legacy.probs.csv") == _csv_rows(d / "now.probs.csv")
+
+
+@pytest.mark.parametrize("command,solver,net,message", [
+    ("eval", {"adaptive_quad": False}, None, "adaptive_quad=False is no longer supported"),
+    ("dist", None, {"sharpness": 2.0}, "sharpness=2.0 is no longer supported"),
+], ids=["adaptive_quad", "sharpness"])
+def test_bundle_with_a_removed_setting_off_its_value_exits_3(
+        workdir, capsys, command, solver, net, message):
+    d, base = workdir
+    path = _legacy_bundle(workdir, f"legacy_{command}.json", solver, net)
+    args = {"eval": ["--data", str(d / "data")], "dist": ["--out", str(d / "x.csv")]}
+    assert main(base + [command, "--bundle", str(path)] + args[command]) == 3
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
 def test_dist_writes_square_csv(workdir):
     d, base = workdir
     out = d / "dist.csv"
@@ -267,3 +309,30 @@ def test_threads_config_key_is_a_data_error(tmp_path, capsys):
     cfg.write_text(json.dumps({"threads": 1}))
     assert main(["--config", str(cfg), "gen", "--out", str(tmp_path / "data")]) == 3
     assert "unknown config key 'threads'" in capsys.readouterr().err
+
+
+MALFORMED_CONFIGS = {
+    "solver_not_an_object": {"solver": 3},
+    "batch_size_1": {"solver": {"batch_size": 1}},
+    "batch_size_string": {"solver": {"batch_size": "x"}},
+    "list": [1, 2],
+    "total_epochs_0": {"schedule": {"total_epochs": 0}},
+    "batch_points_0": {"deepsets": {"batch_points": 0}},
+    "pooled_dim_0": {"deepsets": {"pooled_dim": 0}},
+    # settings that no longer exist
+    "resamples": {"resamples": 10},
+    "patience": {"schedule": {"patience": 3}},
+    "adaptive_quad": {"solver": {"adaptive_quad": True}},
+    "quad_psi": {"solver": {"quad_psi": 0.05}},
+    "quad_phi": {"solver": {"quad_phi": 0.5}},
+    "sharpness": {"solver": {"sharpness": 1.0}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CONFIGS))
+def test_malformed_config_is_a_data_error(tmp_path, capsys, case):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(MALFORMED_CONFIGS[case]))
+    assert main(["--config", str(cfg), "gen", "--out", str(tmp_path / "data")]) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and "Traceback" not in err

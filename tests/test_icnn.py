@@ -26,7 +26,6 @@ def random_icnn(rng, dim=None, smooth=True):
     hidden = tuple(int(rng.integers(2, 6)) for _ in range(L))
     cfg = IcnnConfig(dim=dim, hidden=hidden,
                      activation="smooth_relu" if smooth else "relu",
-                     sharpness=float(rng.uniform((), 0.5, 2.0)),
                      quad=float(rng.uniform((), 0.0, 1.5)))
     params = project_nonneg(init_icnn(cfg, rng.spawn(rng.integers(0, 10_000)),
                                       scale=0.8))
@@ -61,29 +60,28 @@ class TestForward:
 
 
 class TestActivationCache:
-    # both signs of every scale: exp(-|k a|) is 1, near 1, moderate, near
+    # both signs of every scale: exp(-|a|) is 1, near 1, moderate, near
     # the double underflow, and 0
     GRID = np.array([0.0, -0.0, 1e-8, -1e-8, 1.0, -1.0, 36.0, -36.0,
                      700.0, -700.0, 1e5, -1e5])
 
-    @pytest.mark.parametrize("k", [0.5, 1.0, 2.0])
-    def test_fused_kernel_matches_reference_expressions(self, k):
+    def test_fused_kernel_matches_reference_expressions(self):
         # one hidden unit with a_0 = x, so the cache holds s, s', s'' at GRID
-        cfg = IcnnConfig(dim=1, hidden=(1,), sharpness=k, quad=0.0)
+        cfg = IcnnConfig(dim=1, hidden=(1,), quad=0.0)
         params = IcnnParams([np.ones((1, 1)), np.zeros((1, 1))],  # wx, wz, b
                             [np.ones((1, 1))], [np.zeros(1)])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             c = icnn_cache(params, cfg, self.GRID[:, None])
             z, sd, sdd = c.z[0][:, 0], c.sd[0][:, 0], c.sdd[0][:, 0]
-        t = k * self.GRID
+        t = self.GRID
 
         def close(got, want, rtol):
             return np.all(np.abs(got - want) <= rtol * np.abs(want) + 1e-300)
 
-        assert close(z, np.logaddexp(0.0, t) / k, 1e-15)
+        assert close(z, np.logaddexp(0.0, t), 1e-15)
         assert close(sd, expit(t), 1e-15)
-        assert close(sdd, k * expit(t) * expit(-t), 1e-14)
+        assert close(sdd, expit(t) * expit(-t), 1e-14)
         assert np.all(np.isfinite(z) & np.isfinite(sd) & np.isfinite(sdd))
         assert np.all((sd >= 0.0) & (sd <= 1.0) & (sdd >= 0.0))
         # s' has no select, yet equals the two-branch expression bitwise

@@ -90,12 +90,11 @@ class TestMapForward:
     def test_equals_the_plain_expressions_bitwise(self, rng, activation):
         # the forward and reverse expressions of the gradient map without
         # buffer reuse, skipped layers or the select-free s'
-        cfg = SolverConfig(hidden=(5, 4, 3), activation=activation,
-                           sharpness=1.5, init_scale=1.0)
+        cfg = SolverConfig(hidden=(5, 4, 3), activation=activation, init_scale=1.0)
         frame = Frame(sigma_mean=(0.5, -1.0, 2.0), mu_mean=(3.0, 0.0, -0.25),
                       scale=1.7)
         pair = init_dual_pair(3, cfg, rng, frame=frame, quads=(0.3, 0.7))
-        p, k, L = pair.psi, cfg.sharpness, len(cfg.hidden)
+        p, L = pair.psi, len(cfg.hidden)
         X = rng.normal((50, 3), scale=3.0)
         x = (X - np.asarray(frame.sigma_mean)) / frame.scale
         sd = []
@@ -106,11 +105,10 @@ class TestMapForward:
                 z = np.maximum(a, 0.0)
                 sd.append((a > 0.0).astype(np.float64))
             else:
-                t = k * a
-                e = np.exp(-np.abs(t))
+                e = np.exp(-np.abs(a))
                 r = 1.0 / (1.0 + e)
-                z = (np.maximum(t, 0.0) + np.log1p(e)) / k
-                sd.append(np.where(t >= 0.0, r, e * r))
+                z = np.maximum(a, 0.0) + np.log1p(e)
+                sd.append(np.where(a >= 0.0, r, e * r))
         g = pair.psi_cfg.quad * x + p.wx[L]
         delta = sd[L - 1] * p.wz[L - 1]
         g = g + delta @ p.wx[L - 1]
@@ -124,14 +122,11 @@ class TestMapForward:
 class TestSolverLossGradients:
     def test_matches_finite_differences(self, rng):
         for trial in range(6):
-            cfg = SolverConfig(batch_size=8, iters=1,
-                               hidden=tuple(int(rng.integers(2, 5))
-                                            for _ in range(int(rng.integers(1, 3)))),
-                               quad_psi=float(rng.uniform((), 0.1, 1.0)),
-                               quad_phi=float(rng.uniform((), 0.1, 1.0)),
-                               lambda_cyc=float(rng.uniform((), 0.0, 2.0)),
-                               seed=trial)
-            pair = init_dual_pair(2, cfg, Rng(100 + trial))
+            hidden = tuple(int(rng.integers(2, 5)) for _ in range(int(rng.integers(1, 3))))
+            quads = tuple(float(rng.uniform((), 0.1, 1.0)) for _ in range(2))
+            cfg = SolverConfig(batch_size=8, iters=1, hidden=hidden,
+                               lambda_cyc=float(rng.uniform((), 0.0, 2.0)), seed=trial)
+            pair = init_dual_pair(2, cfg, Rng(100 + trial), quads=quads)
             X = rng.normal((4, 2))
             Y = rng.normal((4, 2))
             loss, g_psi, g_phi = solver_loss_and_grads(pair, X, Y, cfg.lambda_cyc)
