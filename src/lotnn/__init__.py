@@ -51,7 +51,6 @@ from .data import (
     LabeledDataset,
     PointCloud,
     SyntheticSpec,
-    TransformMap,
     gen_synthetic,
     load_csv_dir,
     save_csv_dir,
@@ -88,7 +87,7 @@ __all__ = [
     "exact_ot_discrete", "exact_w2_discrete", "gaussian_w2",
     "ReferenceMeasure", "EmbeddingSet", "BoundParams",
     "lot_distance_empirical", "pairwise_matrix", "theorem_bound",
-    "PointCloud", "LabeledDataset", "TransformMap", "SyntheticSpec",
+    "PointCloud", "LabeledDataset", "SyntheticSpec",
     "gen_synthetic", "load_csv_dir", "save_csv_dir", "split",
     "WeightNet", "ClassifierModel", "TrainSchedule", "ClassifierConfig",
     "Metrics", "score", "train_alternating", "predict_resampled", "evaluate",

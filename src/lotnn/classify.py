@@ -34,6 +34,7 @@ from .nncore import (
     adam_step,
     as_f64,
     bce,
+    check_widths,
     mlp_apply,
     mlp_backward,
     mlp_forward,
@@ -65,8 +66,12 @@ class ClassifierModel:
     threshold: float = 0.5
 
     def __post_init__(self):
-        if not (0.0 < self.threshold < 1.0):
-            raise ValueError("threshold must be in (0, 1)")
+        _check_threshold(self.threshold)
+
+
+def _check_threshold(threshold: float) -> None:
+    if not (0.0 < threshold < 1.0):
+        raise ValueError("threshold must be in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -93,6 +98,13 @@ class ClassifierConfig:
     eval_n: int = 1000
     threshold: float = 0.5
     init_scale: float = 1.0
+
+    def __post_init__(self):
+        check_widths((1, *self.hidden, 1))
+        OptimState(lr=self.lr)
+        if self.eval_n < 1:
+            raise ValueError("eval_n must be >= 1")
+        _check_threshold(self.threshold)
 
 
 @dataclass

@@ -67,6 +67,15 @@ class RunConfig:
     deepsets_epochs: int = 300
     bagging: int = 10
 
+    def __post_init__(self):
+        if self.reference != "fitted":
+            # a fitted reference is built from the data; the others only
+            # need the rules ReferenceMeasure applies to them
+            ReferenceMeasure(kind=self.reference, dim=1, halfwidth=self.box_halfwidth)
+        if min(self.subsample_n, self.bagging) < 1 or self.deepsets_epochs < 0:
+            raise ValueError("subsample_n and bagging must be >= 1 "
+                             "and deepsets_epochs >= 0")
+
     def hash(self) -> str:
         blob = json.dumps(dataclasses.asdict(self), sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
@@ -115,9 +124,7 @@ def _reference_for(cfg: RunConfig, ds: LabeledDataset, seed: int) -> ReferenceMe
         return ReferenceMeasure.fitted(ds.clouds, seed=seed)
     if cfg.reference == "standard":
         return ReferenceMeasure.standard(ds.dim, seed=seed)
-    if cfg.reference == "box":
-        return ReferenceMeasure.box(ds.dim, cfg.box_halfwidth, seed=seed)
-    raise DataError(f"unknown reference kind {cfg.reference!r}")
+    return ReferenceMeasure.box(ds.dim, cfg.box_halfwidth, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +143,9 @@ def cmd_gen(cfg: RunConfig, out_dir: str) -> int:
         "spec": dataclasses.asdict(cfg.synth),
         "n_clouds_per_class": cfg.synth_clouds_per_class,
         "n_points": cfg.synth_points,
+        # each cloud is scale * base + shift for its class's base cloud
+        "clouds": {c.id: {"scale": c.meta["scale"], "shift": c.meta["shift"]}
+                   for c in ds.clouds},
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=1) + "\n")
     print(f"wrote {len(ds.clouds)} clouds to {out}")
@@ -183,12 +193,12 @@ def cmd_train(cfg: RunConfig, data_dir: str, bundle_path: str,
 
 
 _METRIC_COLUMNS = ["tag", "tp", "fp", "fn", "tn", "precision", "recall",
-                   "accuracy", "precision_defined"]
+                   "accuracy", "precision_defined", "recall_defined"]
 
 
 def _metrics_row(tag: str, m) -> list:
     return [tag, m.tp, m.fp, m.fn, m.tn, m.precision, m.recall, m.accuracy,
-            int(m.precision_defined)]
+            int(m.precision_defined), int(m.recall_defined)]
 
 
 def _metrics_line(label: str, m) -> str:
@@ -230,6 +240,8 @@ def _embedding_solver(cfg: RunConfig, bundle: ModelBundle) -> SolverConfig:
 
 def cmd_eval(cfg: RunConfig, bundle_path: str, data_dir: str, resamples: int,
              subset: str, out_path: str | None) -> int:
+    if resamples < 1:
+        raise DataError(f"--resamples must be >= 1, not {resamples}")
     bundle = load_bundle(bundle_path)
     embed_solver = _embedding_solver(cfg, bundle)
     ds = load_csv_dir(data_dir, cfg.subsample_n, seed=cfg.seed)
@@ -297,7 +309,11 @@ def cmd_dist(cfg: RunConfig, bundle_path: str, out_path: str | None) -> int:
 
 
 def cmd_bound(beta: float, eps: float, R: float, delta: float, n: int) -> int:
-    value = theorem_bound(BoundParams(beta=beta, eps=eps, R=R, n=n, delta=delta))
+    try:
+        params = BoundParams(beta=beta, eps=eps, R=R, n=n, delta=delta)
+    except ValueError as e:
+        raise DataError(f"bad bound parameters: {e}") from e
+    value = theorem_bound(params)
     print(f"deviation bound: {value:.6f} "
           f"(beta={beta} eps={eps} R={R} delta={delta} n={n})")
     return 0

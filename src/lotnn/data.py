@@ -1,9 +1,9 @@
 """Point-cloud data model, synthetic generators, CSV ingestion, splits.
 
 A cloud is an ordered array of d-dimensional points treated everywhere
-as an unordered empirical measure. Synthetic datasets realize the
-transform families the embedding theory covers: shifts x + a, scalings
-c x, and diagonal-plus-shear affine maps for perturbation studies.
+as an unordered empirical measure. Synthetic datasets draw each cloud
+from its class's base cloud by one map x -> c x + a, the shift and
+scaling family on which the embedding is provably isometric.
 
 CSV layout (the only ingestion format): one `cloud_<id>.csv` per cloud,
 comma-separated decimal floats, optional single header line `#dim=<d>`,
@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, ShapeError
+from .errors import DataError
 from .nncore import Array, Rng, as_f64, check_finite
 
 
@@ -102,75 +102,18 @@ class LabeledDataset:
 
 
 # ---------------------------------------------------------------------------
-# Transform maps
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TransformMap:
-    """Shift / scaling / affine map applied pointwise to clouds.
-
-    Use the constructors; "affine" covers diagonal-plus-shear matrices
-    for perturbation experiments.
-    """
-
-    kind: str
-    a: tuple[float, ...] = ()      # shift vector
-    c: float = 1.0                 # scaling factor
-    A: tuple[tuple[float, ...], ...] = ()  # affine matrix rows
-
-    @classmethod
-    def shift(cls, a) -> "TransformMap":
-        return cls(kind="shift", a=tuple(float(v) for v in np.atleast_1d(a)))
-
-    @classmethod
-    def scale(cls, c: float) -> "TransformMap":
-        if c <= 0:
-            raise ValueError("scaling factor must be > 0")
-        return cls(kind="scale", c=float(c))
-
-    @classmethod
-    def affine(cls, A, b) -> "TransformMap":
-        A = as_f64(A)
-        if np.linalg.det(A) == 0:
-            raise ValueError("affine matrix must be nonsingular")
-        return cls(kind="affine", A=tuple(tuple(row) for row in A),
-                   a=tuple(float(v) for v in np.atleast_1d(b)))
-
-    def apply_points(self, pts: Array) -> Array:
-        if self.kind == "shift":
-            a = np.asarray(self.a)
-            if a.shape[0] != pts.shape[1]:
-                raise ShapeError("shift dim mismatch")
-            return pts + a
-        if self.kind == "scale":
-            return self.c * pts
-        A = np.asarray(self.A)
-        a = np.asarray(self.a)
-        if A.shape[1] != pts.shape[1] or a.shape[0] != A.shape[0]:
-            raise ShapeError("affine dim mismatch")
-        return pts @ A.T + a
-
-    def describe(self) -> str:
-        if self.kind == "shift":
-            return "shift[" + ",".join(f"{v:g}" for v in self.a) + "]"
-        if self.kind == "scale":
-            return f"scale[{self.c:g}]"
-        return "affine"
-
-
-# ---------------------------------------------------------------------------
 # Synthetic generator
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    """Two-class generator: each class is one base cloud pushed through
-    random bounded transforms.
+    """Two-class generator: each cloud is its class's base cloud under
+    x -> c x + a.
 
     base: "gaussian", "mixture" (two lobes) or "ring". Class centers sit
     at +-separation/2 along the first axis. shift_bound is the radius R
-    limiting ||a||; scale_jitter draws c in [1-j, 1+j]. Setting both to
-    zero reproduces the base clouds verbatim.
+    limiting ||a||; scale_jitter draws c in [1-j, 1+j], and c = 1 when
+    it is 0. Setting both to zero reproduces the base clouds verbatim.
     """
 
     dim: int = 2
@@ -207,7 +150,8 @@ def _base_points(spec: SyntheticSpec, center: Array, n: int, rng: Rng) -> Array:
     return center + spec.base_scale * (2.0 * ring + 0.2 * z)
 
 
-def _random_transform(spec: SyntheticSpec, rng: Rng) -> TransformMap:
+def _random_transform(spec: SyntheticSpec, rng: Rng) -> tuple[float, Array]:
+    """(c, a) of one cloud's map x -> c x + a, with ||a|| <= shift_bound."""
     if spec.shift_bound > 0:
         direction = rng.normal((spec.dim,))
         direction /= max(np.linalg.norm(direction), 1e-12)
@@ -215,19 +159,18 @@ def _random_transform(spec: SyntheticSpec, rng: Rng) -> TransformMap:
         a = radius * direction
     else:
         a = np.zeros(spec.dim)
+    c = 1.0
     if spec.scale_jitter > 0:
-        c = 1.0 + rng.uniform((), -spec.scale_jitter, spec.scale_jitter)
-        A = c * np.eye(spec.dim)
-        return TransformMap.affine(A, a)
-    return TransformMap.shift(a)
+        c += float(rng.uniform((), -spec.scale_jitter, spec.scale_jitter))
+    return c, a
 
 
 def gen_synthetic(spec: SyntheticSpec, n_clouds_per_class: int, n_points: int,
                   seed: int) -> LabeledDataset:
     """Deterministic two-class dataset of transformed base clouds.
 
-    Cloud metadata records the drawn shift (and scale) so tests can
-    check the ||a|| <= R constraint and exact displacement arithmetic.
+    Each cloud's meta records its "scale" c and "shift" a, so that its
+    points are exactly c * base + a for its class's base cloud.
     """
     if n_clouds_per_class < 1 or n_points < 1:
         raise DataError("counts must be >= 1")
@@ -240,14 +183,10 @@ def gen_synthetic(spec: SyntheticSpec, n_clouds_per_class: int, n_points: int,
         base = _base_points(spec, center, n_points, rng.spawn(100 + label))
         trng = rng.spawn(200 + label)
         for k in range(n_clouds_per_class):
-            g = _random_transform(spec, trng)
+            c, a = _random_transform(spec, trng)
             cid = f"c{label}_{k:03d}"
-            pts = g.apply_points(base)
-            meta = {"label": label, "transform": g.describe(),
-                    "shift": list(g.a), "scale": g.c if g.kind != "affine" else None}
-            if g.kind == "affine":
-                meta["scale"] = float(np.asarray(g.A)[0, 0])
-            clouds.append(PointCloud(cid, pts, meta))
+            meta = {"label": label, "scale": c, "shift": a.tolist()}
+            clouds.append(PointCloud(cid, c * base + a, meta))
             labels[cid] = label
     return LabeledDataset(clouds, labels)
 

@@ -23,6 +23,7 @@ from .nncore import (
     adam_step,
     as_f64,
     bce,
+    check_widths,
     mlp_backward,
     mlp_forward,
     mlp_init,
@@ -40,8 +41,10 @@ class DeepSetsConfig:
     init_scale: float = 1.0
 
     def __post_init__(self):
-        if self.pooled_dim < 1 or self.batch_points < 1:
-            raise ValueError("pooled_dim and batch_points must be >= 1")
+        check_widths((1, *self.phi_hidden, self.pooled_dim, *self.rho_hidden, 1))
+        if self.batch_points < 1:
+            raise ValueError("batch_points must be >= 1")
+        OptimState(lr=self.lr)
 
 
 @dataclass

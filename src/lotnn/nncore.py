@@ -113,6 +113,10 @@ class OptimState:
     m: Array | None = None
     v: Array | None = None
 
+    def __post_init__(self):
+        if self.lr <= 0:
+            raise ValueError("step size must be > 0")
+
 
 def adam_step(params: Array, grads: Array,
               state: OptimState) -> tuple[Array, OptimState]:
@@ -121,8 +125,6 @@ def adam_step(params: Array, grads: Array,
     Returns a fresh vector and a fresh state; inputs are not mutated.
     Raises on non-finite gradients or shape mismatch.
     """
-    if state.lr <= 0:
-        raise ValueError("step size must be > 0")
     if grads.shape != params.shape:
         raise ShapeError(f"grad shape {grads.shape} != param shape {params.shape}")
     if not np.all(np.isfinite(grads)):
@@ -264,10 +266,15 @@ def mlp_shapes(widths: Sequence[int]) -> tuple:
             tuple((w,) for w in widths[1:]))
 
 
+def check_widths(widths: Sequence[int]) -> None:
+    """Raise ValueError unless widths (in, h1, ..., out) are all >= 1."""
+    if len(widths) < 2 or any(w < 1 for w in widths):
+        raise ValueError(f"invalid widths {tuple(widths)}")
+
+
 def mlp_init(widths: Sequence[int], rng: Rng, scale: float = 1.0) -> MlpParams:
     """Initialize an MLP for the layer widths (in, h1, ..., out)."""
-    if len(widths) < 2 or any(w < 1 for w in widths):
-        raise ValueError(f"invalid widths {widths}")
+    check_widths(widths)
     w_shapes, b_shapes = mlp_shapes(widths)
     return MlpParams([rng.normal(s, scale=scale / np.sqrt(s[1])) for s in w_shapes],
                      [np.zeros(s) for s in b_shapes])

@@ -156,6 +156,9 @@ class SolverConfig:
             raise ValueError("iteration budget must be >= 0")
         if self.lambda_cyc < 0:
             raise ValueError("lambda_cyc must be >= 0")
+        # the network and step-size rules of the objects built from these
+        IcnnConfig(dim=1, hidden=self.hidden, activation=self.activation)
+        OptimState(lr=self.lr)
 
     def icnn_config(self, dim: int, quad: float) -> IcnnConfig:
         return IcnnConfig(dim=dim, hidden=self.hidden, activation=self.activation,

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from lotnn.bundle import read_document, write_document
-from lotnn.cli import main
+from lotnn.cli import load_config, main
+from lotnn.data import gen_synthetic
 from lotnn.errors import NumericError
 
 from conftest import BUNDLE_V1
@@ -173,6 +174,40 @@ def test_bundle_with_a_removed_setting_off_its_value_exits_3(
     assert message in err and "Traceback" not in err
 
 
+def test_eval_marks_recall_undefined_without_positives(workdir, tmp_path):
+    # only the class-0 clouds: no positive label, so recall has no denominator
+    d, base = workdir
+    data = tmp_path / "negatives"
+    data.mkdir()
+    labels = (d / "data" / "labels.csv").read_text().splitlines()
+    kept = [labels[0]] + [row for row in labels[1:] if row.endswith(",0")]
+    (data / "labels.csv").write_text("\n".join(kept) + "\n")
+    for row in kept[1:]:
+        cid = row.split(",")[0]
+        (data / f"cloud_{cid}.csv").write_bytes((d / "data" / f"cloud_{cid}.csv").read_bytes())
+    out = tmp_path / "metrics.csv"
+    assert main(base + ["eval", "--bundle", str(d / "bundle.json"), "--data", str(data),
+                        "--subset", "all", "--resamples", "1", "--out", str(out)]) == 0
+    header, *rows = _csv_rows(out)
+    assert header[-2:] == ["precision_defined", "recall_defined"]
+    assert rows and all(row[header.index("recall")] == "0.0" and row[-1] == "0"
+                        for row in rows)
+
+
+def test_gen_manifest_records_each_cloud_scale_and_shift(tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"synth": {"dim": 3, "scale_jitter": 0.3},
+                               "synth_clouds_per_class": 3, "synth_points": 5}))
+    assert main(["--config", str(cfg), "gen", "--out", str(tmp_path / "data")]) == 0
+    run = load_config(str(cfg), None)
+    ds = gen_synthetic(run.synth, run.synth_clouds_per_class, run.synth_points,
+                       seed=run.seed)
+    manifest = json.loads((tmp_path / "data" / "manifest.json").read_text())
+    assert manifest["clouds"] == {c.id: {"scale": c.meta["scale"], "shift": c.meta["shift"]}
+                                  for c in ds.clouds}
+    assert len({entry["scale"] for entry in manifest["clouds"].values()}) == len(ds.clouds)
+
+
 def test_dist_writes_square_csv(workdir):
     d, base = workdir
     out = d / "dist.csv"
@@ -319,6 +354,20 @@ MALFORMED_CONFIGS = {
     "total_epochs_0": {"schedule": {"total_epochs": 0}},
     "batch_points_0": {"deepsets": {"batch_points": 0}},
     "pooled_dim_0": {"deepsets": {"pooled_dim": 0}},
+    "solver_hidden_int": {"solver": {"hidden": 4}},
+    "solver_activation": {"solver": {"activation": "tanh"}},
+    "solver_lr_0": {"solver": {"lr": 0}},
+    "classifier_hidden_0": {"classifier": {"hidden": [0]}},
+    "classifier_lr_negative": {"classifier": {"lr": -1}},
+    "classifier_eval_n_0": {"classifier": {"eval_n": 0}},
+    "classifier_threshold": {"classifier": {"threshold": 1.5}},
+    "box_halfwidth_negative": {"reference": "box", "box_halfwidth": -1},
+    "reference_kind": {"reference": "boxy"},
+    "subsample_n_negative": {"subsample_n": -1},
+    "deepsets_lr_0": {"deepsets": {"lr": 0}},
+    "deepsets_hidden_0": {"deepsets": {"phi_hidden": [0]}},
+    "bagging_0": {"bagging": 0},
+    "deepsets_epochs_negative": {"deepsets_epochs": -1},
     # settings that no longer exist
     "resamples": {"resamples": 10},
     "patience": {"schedule": {"patience": 3}},
@@ -336,3 +385,15 @@ def test_malformed_config_is_a_data_error(tmp_path, capsys, case):
     assert main(["--config", str(cfg), "gen", "--out", str(tmp_path / "data")]) == 3
     err = capsys.readouterr().err
     assert "data error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [
+    ["eval", "--bundle", "bundle.json", "--data", "data", "--resamples", "0"],
+    ["bound", "--beta", "1", "--eps", "0", "--R", "1", "--delta", "0.05", "--n", "1000"],
+], ids=["resamples_0", "eps_0"])
+def test_invalid_flag_value_is_a_data_error(workdir, capsys, command):
+    d, _ = workdir
+    assert main([str(d / a) if a in ("bundle.json", "data") else a
+                 for a in command]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error") and len(err.splitlines()) == 1

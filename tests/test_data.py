@@ -1,45 +1,39 @@
 import numpy as np
 import pytest
 
+from lotnn import data
 from lotnn.errors import DataError
 from lotnn.data import (
     LabeledDataset,
     PointCloud,
     SyntheticSpec,
-    TransformMap,
     gen_synthetic,
     load_csv_dir,
     save_csv_dir,
     split,
 )
+from lotnn.nncore import Rng
 from lotnn.otsolve import exact_w2_discrete
 
 
-class TestTransforms:
-    def test_zero_shift_identity(self, rng):
-        X = rng.normal((10, 3))
-        assert np.array_equal(TransformMap.shift(np.zeros(3)).apply_points(X), X)
-
-    def test_scale(self):
-        out = TransformMap.scale(2.0).apply_points(np.array([[1.0, 1.0]]))
-        assert np.array_equal(out, [[2.0, 2.0]])
-
-    def test_shear(self):
-        g = TransformMap.affine(np.array([[1.0, 1.0], [0.0, 1.0]]), np.zeros(2))
-        assert np.array_equal(g.apply_points(np.array([[1.0, 1.0]])), [[2.0, 1.0]])
-
-    def test_preserves_size_and_dim(self, rng):
-        X = rng.normal((17, 4))
-        for g in (TransformMap.shift(rng.normal(4)), TransformMap.scale(0.3)):
-            assert g.apply_points(X).shape == X.shape
-
-    def test_invalid_scale_rejected(self):
-        with pytest.raises(ValueError):
-            TransformMap.scale(0.0)
-
-    def test_singular_affine_rejected(self):
-        with pytest.raises(ValueError):
-            TransformMap.affine(np.zeros((2, 2)), np.zeros(2))
+@pytest.mark.parametrize("dim", [1, 2, 10])
+@pytest.mark.parametrize("base", ["gaussian", "mixture", "ring"])
+@pytest.mark.parametrize("scale_jitter", [0.0, 0.3])
+@pytest.mark.parametrize("shift_bound", [0.0, 1.0])
+def test_every_cloud_is_scale_times_base_plus_shift(dim, base, scale_jitter, shift_bound):
+    spec = SyntheticSpec(dim=dim, base=base, scale_jitter=scale_jitter,
+                         shift_bound=shift_bound)
+    ds = gen_synthetic(spec, n_clouds_per_class=3, n_points=20, seed=11)
+    rng = Rng(11)
+    for label in (0, 1):
+        center = np.zeros(dim)
+        center[0] = (label - 0.5) * spec.separation
+        pts = data._base_points(spec, center, 20, rng.spawn(100 + label))
+        for c in (ds.cloud(cid) for cid in ds.class_ids(label)):
+            want = c.meta["scale"] * pts + np.asarray(c.meta["shift"])
+            assert c.points.tobytes() == want.tobytes()
+            assert c.meta["scale"] == 1.0 or scale_jitter > 0
+            assert (np.linalg.norm(c.meta["shift"]) == 0.0) == (shift_bound == 0.0)
 
 
 class TestSyntheticGenerator:
