@@ -36,6 +36,7 @@ import dataclasses
 import functools
 import json
 import os
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -113,13 +114,41 @@ def _nested_fields(cls) -> dict:
     return nested
 
 
+@functools.cache
+def _int_fields(cls) -> dict[str, bool]:
+    """The fields of cls typed int (False) or tuple[int, ...] (True)."""
+    out = {}
+    for name, hint in typing.get_type_hints(cls).items():
+        if hint is int:
+            out[name] = False
+        elif typing.get_origin(hint) is tuple and typing.get_args(hint)[:1] == (int,):
+            out[name] = True
+    return out
+
+
+def _check_ints(cls, key: str, value, at: str) -> None:
+    """Raise DataError for a non-integer where cls's field is an int.
+
+    JSON numbers with a fraction, such as 1.5 or 2.0, load as floats.
+    A bool is an int to Python but not an integer setting.
+    """
+    many = _int_fields(cls).get(key)
+    if many is None or (many and not isinstance(value, tuple)):
+        return  # not an int field, or not a list: cls's own rules apply
+    for v in value if many else (value,):
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise DataError(f"bad {cls.__name__}{at}: {key} must hold "
+                            f"{'integers' if many else 'an integer'}, not {v!r}")
+
+
 def decode_config(cls, d, where: str = ""):
     """The config dataclass cls built from d, its dataclasses.asdict form.
 
     Missing keys keep cls's defaults, a field whose default is a
     dataclass is decoded from its own dict, and lists become tuples.
-    Unknown keys, a non-dict d and values cls rejects raise DataError;
-    where names the nested field being decoded.
+    Unknown keys, a non-dict d, a non-integer for a field typed int or
+    tuple[int, ...] and values cls rejects raise DataError; where names
+    the nested field being decoded.
     """
     at = f" in {where!r}" if where else ""
     if not isinstance(d, dict):
@@ -134,8 +163,10 @@ def decode_config(cls, d, where: str = ""):
     for key, value in d.items():
         if fields[key] is not None:
             value = decode_config(fields[key], value, f"{where}.{key}" if where else key)
-        elif isinstance(value, list):
-            value = tuple(value)
+        else:
+            if isinstance(value, list):
+                value = tuple(value)
+            _check_ints(cls, key, value, at)
         kwargs[key] = value
     try:
         return cls(**kwargs)

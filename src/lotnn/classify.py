@@ -25,7 +25,7 @@ from scipy.special import expit
 
 from .errors import DataError, NumericError, ShapeError
 from .data import LabeledDataset
-from .lot import EmbeddingSet, ReferenceMeasure
+from .lot import EmbeddingSet, ReferenceMeasure, maps_on
 from .nncore import (
     Array,
     MlpParams,
@@ -161,8 +161,11 @@ def pooled_logit(model: ClassifierModel, pair: DualPair, sample: Array) -> float
     S = np.atleast_2d(as_f64(sample))
     if S.size == 0:
         raise ShapeError("empty sample")
-    W = model.weightnet.apply(S)
-    G = pair.map_forward(S)
+    return _pooled(model.weightnet.apply(S), pair.map_forward(S))
+
+
+def _pooled(W: Array, G: Array) -> float:
+    """Mean over the sample of <W(x_k), G(x_k)>, summed in sorted order."""
     return float(sorted_mean(np.sum(W * G, axis=1)))
 
 
@@ -247,8 +250,10 @@ def train_alternating(
     phase = 0
 
     def val_accuracy() -> float:
-        model = ClassifierModel(wn, threshold=clf_cfg.threshold)
-        preds = [score(model, pairs[i], X_eval) for i in val_ids]
+        # score() on each val cloud, with the weight net evaluated once
+        W = wn.apply(X_eval)
+        preds = [float(expit(_pooled(W, G)))
+                 for G in maps_on([pairs[i] for i in val_ids], X_eval)]
         ys = [val.labels[i] for i in val_ids]
         return evaluate(preds, ys, clf_cfg.threshold).accuracy
 
@@ -260,7 +265,7 @@ def train_alternating(
         epoch += ot_epochs
 
         # --- classifier phase: maps frozen, W updated by the BCE gradient
-        G_tr = np.stack([pairs[i].map_forward(X_eval) for i in train_ids])
+        G_tr = maps_on([pairs[i] for i in train_ids], X_eval)
         clf_loss = float("nan")
         clf_epochs = min(sched.clf_epochs_per_phase, sched.total_epochs - epoch)
         for _ in range(clf_epochs):

@@ -8,6 +8,10 @@ the resolved config hash, the seeds, and the build version, so a run is
 reproducible from its artifacts alone. Reruns with the same config and
 seed are byte-identical.
 
+`dist` and `train` evaluate transport maps on all usable CPUs, one
+thread each (see lotnn.lot.maps_on); their outputs do not depend on the
+CPU count. BLAS threads are set separately, through OPENBLAS_NUM_THREADS.
+
 A bundle (--bundle) is not a JSON text: it is one line of JSON metadata
 followed by the binary float64 parameters; lotnn.bundle describes the
 layout.
@@ -75,6 +79,8 @@ class RunConfig:
         if min(self.subsample_n, self.bagging) < 1 or self.deepsets_epochs < 0:
             raise ValueError("subsample_n and bagging must be >= 1 "
                              "and deepsets_epochs >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
     def hash(self) -> str:
         blob = json.dumps(dataclasses.asdict(self), sort_keys=True)
@@ -91,8 +97,11 @@ def load_config(path: str | None, seed: int | None) -> RunConfig:
         cfg = decode_config(RunConfig, doc)
     if seed is None:
         return cfg
-    return dataclasses.replace(cfg, seed=seed,
-                               solver=dataclasses.replace(cfg.solver, seed=seed))
+    try:
+        return dataclasses.replace(cfg, seed=seed,
+                                   solver=dataclasses.replace(cfg.solver, seed=seed))
+    except ValueError as e:
+        raise DataError(f"bad --seed: {e}") from e
 
 
 def _report_header(cfg: RunConfig) -> list[str]:

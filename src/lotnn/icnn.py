@@ -230,7 +230,20 @@ def _input_grad(params: IcnnParams, cfg: IcnnConfig, c: IcnnCache) -> Array:
     for i in range(L - 2, -1, -1):
         delta = c.sd[i] * (delta @ params.wz[i])
         g = g + delta @ params.wx[i]
+    check_finite("icnn_input_grad output", g)
     return g
+
+
+def _grad_map(params: IcnnParams, cfg: IcnnConfig, x: Array) -> Array:
+    """grad_x h on a batch, from a cache of s' alone.
+
+    The body of icnn_input_grad without a cache and of
+    DualPair.map_forward. It calls no public function of the package, so
+    lot.maps_on's worker threads run it: benchmarks/tracing.py wraps
+    the public ones and records spans for one thread only.
+    """
+    return _input_grad(params, cfg, IcnnCache(params, cfg, _check_input(cfg, x),
+                                              value=False, curvature=False))
 
 
 def icnn_input_grad(params: IcnnParams, cfg: IcnnConfig, x: Array,
@@ -240,9 +253,8 @@ def icnn_input_grad(params: IcnnParams, cfg: IcnnConfig, x: Array,
     With relu activation this is a subgradient at kinks.
     """
     single = np.asarray(x).ndim == 1
-    c = cache if cache is not None else icnn_cache(params, cfg, x, False, False)
-    g = _input_grad(params, cfg, c)
-    check_finite("icnn_input_grad output", g)
+    g = (_grad_map(params, cfg, x) if cache is None
+         else _input_grad(params, cfg, cache))
     return g[0] if single else g
 
 

@@ -6,12 +6,23 @@ clouds is then the root-mean-square displacement between their gradient
 maps evaluated on a common sigma-sample. On shift/scaling families this
 reproduces the exact Wasserstein-2 distance up to training and sampling
 error, and the deviation-bound calculator quantifies that error budget.
+
+maps_on evaluates many clouds' maps on one sample with one thread per
+usable CPU, so `lotnn dist` (pairwise_matrix) and `lotnn train` (the
+classifier phases of train_alternating) use all the CPUs the process
+may run on. Results do not depend on the CPU count: each map is
+computed whole by one thread, bit for bit as map_forward computes it.
+BLAS threads are a separate setting, made through OPENBLAS_NUM_THREADS
+(or the variable of whichever BLAS numpy loads) before numpy starts.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
@@ -144,6 +155,60 @@ def lot_distance_empirical(pair_i: DualPair, pair_j: DualPair, sample: Array) ->
     return float(np.sqrt(np.mean(np.sum((Gi - Gj) ** 2, axis=1))))
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def maps_on(pairs: Sequence[DualPair], sample: Array) -> Array:
+    """Every pair's gradient map on one sample, as an (N, n, d) array.
+
+    Row k is bitwise pairs[k].map_forward(sample) whatever the CPU
+    count: the pairs are shared out over one thread per usable CPU, the
+    calling thread included, and each map is evaluated whole by one
+    thread. Splitting one map's rows over threads would change how BLAS
+    rounds the products of the smaller blocks. With one CPU no thread
+    starts. The threads run DualPair._map, which calls none of the
+    functions benchmarks/tracing.py wraps, so a traced run bills their
+    work to the caller. If maps fail, the first failing pair's error is
+    raised.
+    """
+    S = np.atleast_2d(as_f64(sample))
+    if S.size == 0:
+        raise ShapeError("empty sample")
+    if any(p.dim != S.shape[1] for p in pairs):
+        raise ShapeError("dimension mismatch between pairs and sample")
+    out = np.empty((len(pairs), *S.shape))
+    errors: dict[int, Exception] = {}
+    todo = iter(range(len(pairs)))
+    lock = threading.Lock()
+
+    def work() -> None:
+        while True:
+            with lock:
+                k = next(todo, None)
+            if k is None:
+                return
+            try:
+                pairs[k]._map(S, out=out[k])
+            except Exception as e:  # raised in the calling thread below
+                errors[k] = e
+
+    threads = [threading.Thread(target=work)
+               for _ in range(min(_usable_cpus(), len(pairs)) - 1)]
+    for t in threads:
+        t.start()
+    try:
+        work()
+    finally:
+        for t in threads:
+            t.join()
+    if errors:
+        raise errors[min(errors)]
+    return out
+
+
 def pairwise_matrix(emb: EmbeddingSet) -> Array:
     """Symmetric zero-diagonal matrix of distances on the shared sample.
 
@@ -153,7 +218,7 @@ def pairwise_matrix(emb: EmbeddingSet) -> Array:
     """
     if not emb.ids:
         raise ShapeError("empty embedding set")
-    maps = np.stack([emb.pairs[i].map_forward(emb.eval_sample) for i in emb.ids])
+    maps = maps_on([emb.pairs[i] for i in emb.ids], emb.eval_sample)
     return squareform(pdist(maps.reshape(len(emb.ids), -1))) / math.sqrt(emb.eval_n)
 
 

@@ -289,9 +289,10 @@ def mlp_forward(p: MlpParams, x: Array) -> tuple[Array, list[Array]]:
     h = x
     last = len(p.weights) - 1
     for k, (W, b) in enumerate(zip(p.weights, p.biases)):
-        h = h @ W.T + b
+        h = h @ W.T
+        h += b
         if k < last:
-            h = np.tanh(h)
+            np.tanh(h, out=h)
         cache.append(h)
     return h, cache
 
@@ -314,8 +315,11 @@ def mlp_backward(p: MlpParams, cache: list[Array],
     last = len(p.weights) - 1
     for k in range(last, -1, -1):
         # cache[k] is the input to layer k; cache[k+1] its (activated) output
-        if k < last:
-            delta = delta * (1.0 - cache[k + 1] ** 2)  # tanh'
+        if k < last:  # delta * tanh' = delta * (1 - out^2), in place
+            t = np.square(cache[k + 1])
+            np.subtract(1.0, t, out=t)
+            t *= delta
+            delta = t
         g.weights[k][...] = delta.T @ cache[k]
         g.biases[k][...] = delta.sum(axis=0)
         delta = delta @ p.weights[k]

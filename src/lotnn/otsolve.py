@@ -41,6 +41,7 @@ from .errors import NumericError, ShapeError
 from .icnn import (
     IcnnConfig,
     IcnnParams,
+    _grad_map,
     icnn_backward,
     icnn_cache,
     icnn_forward,
@@ -116,11 +117,19 @@ class DualPair:
 
     def map_forward(self, x: Array) -> Array:
         """Transport-map values grad psi(x)."""
-        single = np.asarray(x).ndim == 1
-        g = (self.frame.scale
-             * icnn_input_grad(self.psi, self.psi_cfg, self._sigma_side(x))
-             + np.asarray(self.frame.mu_mean))
-        return g[0] if single else g
+        g = self._map(x)
+        return g[0] if np.asarray(x).ndim == 1 else g
+
+    def _map(self, x: Array, out: Array | None = None) -> Array:
+        """grad psi(x) of a batch, written into out when one is given.
+
+        The body of map_forward, which lot.maps_on's worker threads run;
+        like icnn._grad_map it calls no public function of the package.
+        """
+        g = _grad_map(self.psi, self.psi_cfg, self._sigma_side(x))
+        out = np.multiply(self.frame.scale, g, out=g if out is None else out)
+        out += np.asarray(self.frame.mu_mean)
+        return out
 
     def copy(self) -> "DualPair":
         return DualPair(self.psi.copy(), self.psi_cfg,
@@ -156,6 +165,8 @@ class SolverConfig:
             raise ValueError("iteration budget must be >= 0")
         if self.lambda_cyc < 0:
             raise ValueError("lambda_cyc must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         # the network and step-size rules of the objects built from these
         IcnnConfig(dim=1, hidden=self.hidden, activation=self.activation)
         OptimState(lr=self.lr)

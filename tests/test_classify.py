@@ -237,6 +237,56 @@ class TestTrainAlternating:
         want = sum(phase_steps[:best + 1])
         assert {p.meta["iterations"] for p in emb.pairs.values()} == {want}
 
+    def test_public_layers_run_on_the_calling_thread(self, rng, monkeypatch):
+        # lot.maps_on shares maps out over threads; the functions a traced
+        # benchmark run wraps must still run only where they are called
+        import functools
+        import importlib
+        import pkgutil
+        import threading
+        import time
+
+        import lotnn
+        from lotnn import classify, lot, otsolve
+
+        calls: dict[str, set] = {}
+
+        def record(name, fn, pause=0.0):
+            @functools.wraps(fn)
+            def wrapped(*args, **kwargs):
+                calls.setdefault(name, set()).add(threading.get_ident())
+                time.sleep(pause)  # lets every worker thread take some maps
+                return fn(*args, **kwargs)
+            return wrapped
+
+        mods = [importlib.import_module(f"lotnn.{m.name}")
+                for m in pkgutil.iter_modules(lotnn.__path__)]
+        for mod_name, name in (("icnn", "icnn_cache"), ("icnn", "icnn_input_grad"),
+                               ("nncore", "mlp_forward"), ("classify", "score")):
+            orig = getattr(importlib.import_module(f"lotnn.{mod_name}"), name)
+            for m in mods:
+                for attr, val in list(vars(m).items()):
+                    if val is orig:
+                        monkeypatch.setattr(m, attr, record(name, orig))
+        monkeypatch.setattr(otsolve.DualPair, "map_forward",
+                            record("map_forward", otsolve.DualPair.map_forward))
+        monkeypatch.setattr(otsolve.DualPair, "_map",
+                            record("_map", otsolve.DualPair._map, pause=0.002))
+        monkeypatch.setattr(lot, "_usable_cpus", lambda: 3)
+
+        train, val = two_class_sets(rng)
+        sched = TrainSchedule(ot_epochs_per_phase=1, clf_epochs_per_phase=1,
+                              total_epochs=4)
+        emb, model, _ = train_alternating(train, val, sched, QUICK_SOLVER,
+                                          QUICK_CLF, seed=3)
+        lot.pairwise_matrix(emb)
+        classify.score(model, emb.pairs[emb.ids[0]], emb.eval_sample)
+        me = threading.get_ident()
+        assert len(calls.pop("_map")) > 1
+        assert set(calls) == {"icnn_cache", "icnn_input_grad", "mlp_forward",
+                              "map_forward", "score"}
+        assert all(idents == {me} for idents in calls.values())
+
     def test_single_class_training_rejected(self, rng):
         train, val = two_class_sets(rng)
         pos_only = train.subset(train.class_ids(1))

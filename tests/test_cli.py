@@ -368,6 +368,16 @@ MALFORMED_CONFIGS = {
     "deepsets_hidden_0": {"deepsets": {"phi_hidden": [0]}},
     "bagging_0": {"bagging": 0},
     "deepsets_epochs_negative": {"deepsets_epochs": -1},
+    "seed_negative": {"seed": -1},
+    "solver_seed_negative": {"solver": {"seed": -1}},
+    # a float or a bool where an integer is meant
+    "synth_dim_float": {"synth": {"dim": 1.5}},
+    "synth_points_float": {"synth_points": 1.5},
+    "batch_size_float": {"solver": {"batch_size": 2.5}},
+    "solver_hidden_float": {"solver": {"hidden": [2.5]}},
+    "batch_size_and_hidden_float": {"solver": {"batch_size": 2.5, "hidden": [2.5]}},
+    "eval_n_whole_float": {"classifier": {"eval_n": 1000.0}},
+    "bagging_bool": {"bagging": True},
     # settings that no longer exist
     "resamples": {"resamples": 10},
     "patience": {"schedule": {"patience": 3}},
@@ -384,7 +394,14 @@ def test_malformed_config_is_a_data_error(tmp_path, capsys, case):
     cfg.write_text(json.dumps(MALFORMED_CONFIGS[case]))
     assert main(["--config", str(cfg), "gen", "--out", str(tmp_path / "data")]) == 3
     err = capsys.readouterr().err
-    assert "data error" in err and "Traceback" not in err
+    assert err.startswith("data error") and len(err.splitlines()) == 1
+
+
+def test_negative_seed_flag_is_a_data_error(tmp_path, capsys):
+    assert main(["--seed", "-1", "gen", "--out", str(tmp_path / "data")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error") and len(err.splitlines()) == 1
+    assert not (tmp_path / "data").exists()
 
 
 @pytest.mark.parametrize("command", [

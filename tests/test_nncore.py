@@ -169,6 +169,39 @@ class TestMlp:
                     X[b].copy(), 1e-6)
                 assert relerr(xg[b], fd) < 1e-6
 
+    def test_forward_and_backward_equal_the_plain_expressions_bitwise(self, rng):
+        # the reference: each layer as one plain expression
+        def plain_forward(p, x):
+            cache = [x]
+            for k, (W, b) in enumerate(zip(p.weights, p.biases)):
+                h = cache[-1] @ W.T + b
+                cache.append(np.tanh(h) if k < len(p.weights) - 1 else h)
+            return cache
+
+        def plain_backward(p, cache, delta):
+            grads = []
+            for k in range(len(p.weights) - 1, -1, -1):
+                if k < len(p.weights) - 1:
+                    delta = delta * (1.0 - cache[k + 1] ** 2)
+                grads.append((delta.T @ cache[k], delta.sum(axis=0)))
+                delta = delta @ p.weights[k]
+            return grads[::-1], delta
+
+        for widths, n in (((2, 64, 64, 32), 1000), ((10, 7, 10), 33), ((3, 1), 5)):
+            p = mlp_init(widths, rng, scale=1.5)
+            x, u = rng.normal((n, widths[0])), rng.normal((n, widths[-1]))
+            out, cache = mlp_forward(p, x)
+            want = plain_forward(p, x)
+            assert [c.tobytes() for c in cache] == [c.tobytes() for c in want]
+            assert out.tobytes() == want[-1].tobytes()
+            grads, xg = mlp_backward(p, cache, u)
+            want_g, want_xg = plain_backward(p, want, u)
+            g = p.with_theta(grads)
+            for k, (gw, gb) in enumerate(want_g):
+                assert g.weights[k].tobytes() == gw.tobytes()
+                assert g.biases[k].tobytes() == gb.tobytes()
+            assert xg.tobytes() == want_xg.tobytes()
+
 
 class TestMlpLayout:
     def test_blocks_are_views_into_theta(self, rng):
