@@ -276,8 +276,7 @@ def train_alternating(
                 raise NumericError(f"non-finite classifier loss (phase {phase})")
             upstream = np.einsum("i,ind->nd", resid, G_tr) / X_eval.shape[0]
             grads, _ = mlp_backward(wn.params, cache, upstream)
-            theta, wn_state = adam_step(wn.params.theta, grads, wn_state)
-            wn.params = wn.params.with_theta(theta)
+            wn.params.theta -= adam_step(grads, wn_state)
             epoch += 1
 
         acc = val_accuracy()

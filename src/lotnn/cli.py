@@ -6,7 +6,9 @@ Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric failure.
 Every emitted report (history/metrics CSVs, bundles, manifests) embeds
 the resolved config hash, the seeds, and the build version, so a run is
 reproducible from its artifacts alone. Reruns with the same config and
-seed are byte-identical.
+seed are byte-identical only at the same BLAS thread count: OpenBLAS
+splits a matrix product's rows over its threads, which changes the
+rounding, and defaults to one thread per core.
 
 `dist` and `train` evaluate transport maps on all usable CPUs, one
 thread each (see lotnn.lot.maps_on); their outputs do not depend on the

@@ -92,6 +92,25 @@ def ds_bagging(models, points) -> float:
     return float(np.mean([ds_forward(m, points) for m in models]))
 
 
+def ds_loss_and_grads(model: DeepSetsModel, batches: list[Array],
+                      y: Array) -> tuple[float, Array, Array]:
+    """Mean BCE of the clouds' logits and its gradients in phi and rho.
+
+    batches holds one point batch per cloud, each pooled by its plain
+    mean (training needs no sorted sums); y holds their labels.
+    """
+    counts = np.array([b.shape[0] for b in batches])
+    feats, phi_cache = mlp_forward(model.phi, np.vstack(batches))
+    pooled = np.array([seg.mean(axis=0)
+                       for seg in np.split(feats, np.cumsum(counts)[:-1])])
+    logits, rho_cache = mlp_forward(model.rho, pooled)
+    loss, resid = bce(logits[:, 0], y)
+    g_rho, d_pooled = mlp_backward(model.rho, rho_cache, resid[:, None])
+    g_phi, _ = mlp_backward(model.phi, phi_cache,
+                            np.repeat(d_pooled / counts[:, None], counts, axis=0))
+    return loss, g_phi, g_rho
+
+
 def ds_train(
     train: LabeledDataset,
     val: LabeledDataset,
@@ -102,8 +121,9 @@ def ds_train(
     """BCE training with one full-batch step per epoch over all clouds.
 
     Per epoch each cloud contributes a fresh point subsample of size
-    batch_points (whole cloud if smaller). Keeps and returns the
-    best-validation-accuracy snapshot; deterministic for a fixed seed.
+    batch_points (whole cloud if smaller), and Adam updates both networks
+    in place. Keeps and returns the best-validation-accuracy snapshot;
+    deterministic for a fixed seed.
     """
     if epochs < 0:
         raise ValueError("epochs must be >= 0")
@@ -131,41 +151,18 @@ def ds_train(
     best_model = model.copy()
     best_acc = -1.0
     for epoch in range(epochs):
-        batches = []
-        counts = []
-        for cid in ids:
-            pts = cloud_pts[cid]
-            if pts.shape[0] > cfg.batch_points:
-                idx = batch_rng.integers(0, pts.shape[0], size=cfg.batch_points)
-                pts = pts[idx]
-            batches.append(pts)
-            counts.append(pts.shape[0])
-        stacked = np.vstack(batches)
-        feats, phi_cache = mlp_forward(model.phi, stacked)
-        # segment means per cloud (plain means; training needs no sorted sums)
-        pooled = np.empty((len(ids), model.cfg.pooled_dim))
-        offsets = np.cumsum([0] + counts)
-        for i in range(len(ids)):
-            pooled[i] = feats[offsets[i]:offsets[i + 1]].mean(axis=0)
-        logits_mat, rho_cache = mlp_forward(model.rho, pooled)
-        logits = logits_mat[:, 0]
-        loss, resid = bce(logits, y)
+        batches = [pts if pts.shape[0] <= cfg.batch_points else
+                   pts[batch_rng.integers(0, pts.shape[0], size=cfg.batch_points)]
+                   for pts in (cloud_pts[cid] for cid in ids)]
+        loss, g_phi, g_rho = ds_loss_and_grads(model, batches, y)
         if not np.isfinite(loss):
             raise NumericError(f"non-finite DeepSets loss at epoch {epoch}")
-        rho_grads, d_pooled = mlp_backward(model.rho, rho_cache, resid[:, None])
-        upstream = np.empty_like(feats)
-        for i in range(len(ids)):
-            upstream[offsets[i]:offsets[i + 1]] = d_pooled[i] / counts[i]
-        phi_grads, _ = mlp_backward(model.phi, phi_cache, upstream)
-
-        new_rho, state_rho = adam_step(model.rho.theta, rho_grads, state_rho)
-        new_phi, state_phi = adam_step(model.phi.theta, phi_grads, state_phi)
-        model.rho = model.rho.with_theta(new_rho)
-        model.phi = model.phi.with_theta(new_phi)
+        model.rho.theta -= adam_step(g_rho, state_rho)
+        model.phi.theta -= adam_step(g_phi, state_phi)
 
         acc = val_accuracy()
         history.append({"epoch": epoch, "loss": loss, "val_accuracy": acc})
         if acc > best_acc:
             best_acc = acc
             best_model = model.copy()
-    return (best_model if epochs > 0 else model), history
+    return best_model, history

@@ -108,15 +108,14 @@ def init_icnn(cfg: IcnnConfig, rng: Rng, scale: float = 0.1) -> IcnnParams:
 
 
 def project_nonneg(params: IcnnParams) -> IcnnParams:
-    """Clamp the pass-through weights at zero, in a copy; others untouched.
+    """Clamp the pass-through weights at zero in place; returns params.
 
-    Idempotent; this is what keeps the potential convex after each
-    optimizer step.
+    Other parameters are untouched. Idempotent; this is what keeps the
+    potential convex after each optimizer step.
     """
-    theta = params.theta.copy()
-    wz = theta[params.span("wz")]
+    wz = params.theta[params.span("wz")]
     np.maximum(wz, 0.0, out=wz)
-    return params.with_theta(theta)
+    return params
 
 
 class IcnnCache:

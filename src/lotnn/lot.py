@@ -13,7 +13,10 @@ classifier phases of train_alternating) use all the CPUs the process
 may run on. Results do not depend on the CPU count: each map is
 computed whole by one thread, bit for bit as map_forward computes it.
 BLAS threads are a separate setting, made through OPENBLAS_NUM_THREADS
-(or the variable of whichever BLAS numpy loads) before numpy starts.
+(or the variable of whichever BLAS numpy loads) before numpy starts, and
+results are bitwise reproducible only at the same BLAS thread count:
+OpenBLAS splits a matrix product's rows over its threads, which changes
+the rounding.
 """
 
 from __future__ import annotations
@@ -148,8 +151,6 @@ def lot_distance_empirical(pair_i: DualPair, pair_j: DualPair, sample: Array) ->
     S = np.atleast_2d(as_f64(sample))
     if S.size == 0:
         raise ShapeError("empty sample")
-    if pair_i.dim != pair_j.dim or S.shape[1] != pair_i.dim:
-        raise ShapeError("dimension mismatch between pairs and sample")
     Gi = pair_i.map_forward(S)
     Gj = pair_j.map_forward(S)
     return float(np.sqrt(np.mean(np.sum((Gi - Gj) ** 2, axis=1))))
@@ -177,8 +178,6 @@ def maps_on(pairs: Sequence[DualPair], sample: Array) -> Array:
     S = np.atleast_2d(as_f64(sample))
     if S.size == 0:
         raise ShapeError("empty sample")
-    if any(p.dim != S.shape[1] for p in pairs):
-        raise ShapeError("dimension mismatch between pairs and sample")
     out = np.empty((len(pairs), *S.shape))
     errors: dict[int, Exception] = {}
     todo = iter(range(len(pairs)))

@@ -2,9 +2,9 @@
 
 Everything downstream (ICNN potentials, weight networks, the DeepSets
 baseline) is built from the pieces here: a seeded RNG wrapper, one
-vector per network's parameters, an Adam update of such a vector,
-order-independent pooling, a binary cross-entropy loss, small tanh
-MLPs with hand-written backward passes, and the central-difference
+vector per network's parameters, an Adam update of such a vector in
+place, order-independent pooling, a binary cross-entropy loss, small
+tanh MLPs with hand-written backward passes, and the central-difference
 oracle used to cross-check every analytic gradient.
 All arrays are float64; 32-bit cannot hold the gradient-check tolerances.
 """
@@ -12,7 +12,6 @@ All arrays are float64; 32-bit cannot hold the gradient-check tolerances.
 from __future__ import annotations
 
 import ctypes
-import dataclasses
 import math
 import os
 import platform
@@ -102,7 +101,7 @@ class OptimState:
 
     The paper behind this artifact names no optimizer; the de-facto
     standard defaults (1e-3, 0.9/0.999, 1e-8) are used and echoed into
-    run reports. m and v are None until the first step.
+    run reports. adam_step creates m and v, then updates them in place.
     """
 
     lr: float = 1e-3
@@ -118,36 +117,38 @@ class OptimState:
             raise ValueError("step size must be > 0")
 
 
-def adam_step(params: Array, grads: Array,
-              state: OptimState) -> tuple[Array, OptimState]:
-    """One bias-corrected Adam update of a parameter vector; functional.
+def adam_step(grads: Array, state: OptimState) -> Array:
+    """One bias-corrected Adam step; advances state in place.
 
-    Returns a fresh vector and a fresh state; inputs are not mutated.
-    Raises on non-finite gradients or shape mismatch.
+    Updates state.m, state.v and state.step in place and returns the
+    step, which the caller subtracts from its parameter vector in place.
+    Raises on non-finite gradients or a shape other than the state's,
+    before anything changes.
     """
-    if grads.shape != params.shape:
-        raise ShapeError(f"grad shape {grads.shape} != param shape {params.shape}")
+    if state.m is not None and grads.shape != state.m.shape:
+        raise ShapeError(f"grad shape {grads.shape} != state shape {state.m.shape}")
     if not np.all(np.isfinite(grads)):
         raise NumericError("non-finite gradient")
-    t = state.step + 1
+    if state.m is None:
+        state.m, state.v = np.zeros_like(grads), np.zeros_like(grads)
+    state.step += 1
     # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2 and
-    # p - lr m_hat / (sqrt(v_hat) + eps) with the operations of those
+    # lr m_hat / (sqrt(v_hat) + eps) with the operations of those
     # expressions in their order, so the result is bitwise theirs
     tmp = np.multiply(1.0 - state.beta1, grads)
-    m = np.zeros_like(params) if state.m is None else state.beta1 * state.m
-    m += tmp
+    state.m *= state.beta1
+    state.m += tmp
     np.multiply(grads, grads, out=tmp)
     tmp *= 1.0 - state.beta2
-    v = np.zeros_like(params) if state.v is None else state.beta2 * state.v
-    v += tmp
-    np.divide(v, 1.0 - state.beta2**t, out=tmp)
+    state.v *= state.beta2
+    state.v += tmp
+    np.divide(state.v, 1.0 - state.beta2**state.step, out=tmp)
     np.sqrt(tmp, out=tmp)
     tmp += state.eps
-    new_p = np.divide(m, 1.0 - state.beta1**t)
-    new_p *= state.lr
-    new_p /= tmp
-    np.subtract(params, new_p, out=new_p)
-    return new_p, dataclasses.replace(state, step=t, m=m, v=v)
+    step = np.divide(state.m, 1.0 - state.beta1**state.step)
+    step *= state.lr
+    step /= tmp
+    return step
 
 
 # ---------------------------------------------------------------------------

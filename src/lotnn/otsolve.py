@@ -102,12 +102,16 @@ class DualPair:
         return self.psi_cfg.dim
 
     def _sigma_side(self, x: Array) -> Array:
-        return (np.atleast_2d(as_f64(x)) - np.asarray(self.frame.sigma_mean)) \
-            / self.frame.scale
+        return self._standardize(x, self.frame.sigma_mean)
 
     def _mu_side(self, y: Array) -> Array:
-        return (np.atleast_2d(as_f64(y)) - np.asarray(self.frame.mu_mean)) \
-            / self.frame.scale
+        return self._standardize(y, self.frame.mu_mean)
+
+    def _standardize(self, x: Array, mean: tuple[float, ...]) -> Array:
+        x2 = np.atleast_2d(as_f64(x))
+        if x2.shape[1] != len(mean):  # broadcasting would hide it
+            raise ShapeError(f"batch width {x2.shape[1]} != pair dim {len(mean)}")
+        return (x2 - np.asarray(mean)) / self.frame.scale
 
     def potential_phi(self, y: Array) -> Array:
         s = self.frame.scale
@@ -185,19 +189,17 @@ class SolverConfig:
 STATIC_QUADS = (0.05, 0.5)
 
 
-def _batch_pair(sigma_batch: Array, mu_batch: Array, dim: int) -> tuple[Array, Array]:
+def _batch_pair(sigma_batch: Array, mu_batch: Array) -> tuple[Array, Array]:
     X = np.atleast_2d(as_f64(sigma_batch))
     Y = np.atleast_2d(as_f64(mu_batch))
     if X.size == 0 or Y.size == 0:
         raise ShapeError("empty batch")
-    if X.shape[1] != dim or Y.shape[1] != dim:
-        raise ShapeError(f"batch dims {X.shape[1]}/{Y.shape[1]} != pair dim {dim}")
     return X, Y
 
 
 def dual_objective_V(pair: DualPair, sigma_batch: Array, mu_batch: Array) -> float:
     """Empirical dual objective -E_mu[phi] - E_sigma[<x, grad psi> - phi(grad psi)]."""
-    X, Y = _batch_pair(sigma_batch, mu_batch, pair.dim)
+    X, Y = _batch_pair(sigma_batch, mu_batch)
     G = pair.map_forward(X)
     phi_y = pair.potential_phi(Y)
     phi_g = pair.potential_phi(G)
@@ -213,7 +215,7 @@ def estimate_w2_dual(pair: DualPair, sigma_batch: Array, mu_batch: Array) -> flo
     constant, clamped at zero: finite batches and imperfect potentials
     can push the argument slightly negative.
     """
-    X, Y = _batch_pair(sigma_batch, mu_batch, pair.dim)
+    X, Y = _batch_pair(sigma_batch, mu_batch)
     V = dual_objective_V(pair, X, Y)
     C = 0.5 * float(np.mean(np.sum(X * X, axis=1))) + \
         0.5 * float(np.mean(np.sum(Y * Y, axis=1)))
@@ -313,25 +315,24 @@ def pair_for_cloud(sigma: "ReferenceMeasure", points: Array,
                           quads=adaptive_quads(sigma, points))
 
 
-def solver_step(
-    pair: DualPair, X: Array, Y: Array, lambda_cyc: float, state: OptimState
-) -> tuple[DualPair, OptimState, float]:
-    """One joint Adam update on both potentials, followed by projection.
+def solver_step(pair: DualPair, X: Array, Y: Array, lambda_cyc: float,
+                state: OptimState) -> float:
+    """One joint Adam update of both potentials in place, then projection.
 
     X and Y are original-coordinates batches; standardization happens
     here using the pair's frame. Adam sees psi's and phi's parameter
-    vectors as one, psi first.
+    vectors as one, psi first; a non-finite gradient raises before
+    either network changes. Returns the loss.
     """
     Xs = pair._sigma_side(X)
     Ys = pair._mu_side(Y)
     loss, g_psi, g_phi = solver_loss_and_grads(pair, Xs, Ys, lambda_cyc)
-    theta, state = adam_step(np.concatenate([pair.psi.theta, pair.phi.theta]),
-                             np.concatenate([g_psi, g_phi]), state)
-    n_psi = pair.psi.theta.size
-    psi = project_nonneg(pair.psi.with_theta(theta[:n_psi]))
-    phi = project_nonneg(pair.phi.with_theta(theta[n_psi:]))
-    return (DualPair(psi, pair.psi_cfg, phi, pair.phi_cfg, pair.frame, pair.meta),
-            state, loss)
+    step = adam_step(np.concatenate([g_psi, g_phi]), state)
+    pair.psi.theta -= step[:g_psi.size]
+    pair.phi.theta -= step[g_psi.size:]
+    project_nonneg(pair.psi)
+    project_nonneg(pair.phi)
+    return loss
 
 
 def fit_pairs(sigma: "ReferenceMeasure", clouds: dict[str, Array],
@@ -341,7 +342,8 @@ def fit_pairs(sigma: "ReferenceMeasure", clouds: dict[str, Array],
 
     Each step draws one reference batch shared by all clouds, visited in
     dict order; a missing Adam state is created from cfg, and each step
-    adds one to the pair's meta["iterations"]. Returns the losses, step-major.
+    updates the pair's networks and Adam state in place and adds one to
+    the pair's meta["iterations"]. Returns the losses, step-major.
     """
     losses: list[float] = []
     for _ in range(steps):
@@ -353,8 +355,7 @@ def fit_pairs(sigma: "ReferenceMeasure", clouds: dict[str, Array],
                 states[cid] = OptimState(lr=cfg.lr, beta1=cfg.beta1,
                                          beta2=cfg.beta2, eps=cfg.eps)
             try:
-                pairs[cid], states[cid], loss = solver_step(
-                    pairs[cid], X, points[idx], cfg.lambda_cyc, states[cid])
+                loss = solver_step(pairs[cid], X, points[idx], cfg.lambda_cyc, states[cid])
             except NumericError as e:
                 raise NumericError(f"{e} (cloud {cid}, step {step})") from e
             if not np.isfinite(loss):

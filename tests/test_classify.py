@@ -196,7 +196,7 @@ class TestTrainAlternating:
         import lotnn.otsolve as otsolve_mod
 
         monkeypatch.setattr(otsolve_mod, "solver_step",
-                            lambda pair, X, Y, lam, state: (pair, state, 0.0))
+                            lambda pair, X, Y, lam, state: 0.0)
         train, val = two_class_sets(rng)
         sched = TrainSchedule(ot_epochs_per_phase=2, clf_epochs_per_phase=4,
                               total_epochs=12)
@@ -236,6 +236,33 @@ class TestTrainAlternating:
         assert best == accuracies.index(max(accuracies))
         want = sum(phase_steps[:best + 1])
         assert {p.meta["iterations"] for p in emb.pairs.values()} == {want}
+
+    def test_best_snapshot_survives_later_phases(self, rng, monkeypatch):
+        # pairs and the weight net are updated in place; the phase-0
+        # snapshot must equal a run that stops after phase 0
+        import lotnn.classify as classify_mod
+
+        train, val = two_class_sets(rng)
+        short = TrainSchedule(ot_epochs_per_phase=3, clf_epochs_per_phase=2,
+                              total_epochs=5)
+        emb1, model1, _ = train_alternating(train, val, short, QUICK_SOLVER,
+                                            QUICK_CLF, seed=7)
+        scripted = iter((1.0, 0.5, 0.5))
+        monkeypatch.setattr(
+            classify_mod, "evaluate",
+            lambda preds, labels, threshold: Metrics(0, 0, 0, 0, 0.0, 0.0,
+                                                     next(scripted)))
+        long = TrainSchedule(ot_epochs_per_phase=3, clf_epochs_per_phase=2,
+                             total_epochs=15)
+        emb3, model3, history = train_alternating(train, val, long, QUICK_SOLVER,
+                                                  QUICK_CLF, seed=7)
+        assert len(history) == 3 and emb3.meta["best_phase"] == 0
+        for cid in emb1.ids:
+            for net in ("psi", "phi"):
+                assert (getattr(emb3.pairs[cid], net).theta.tobytes()
+                        == getattr(emb1.pairs[cid], net).theta.tobytes())
+        assert (model3.weightnet.params.theta.tobytes()
+                == model1.weightnet.params.theta.tobytes())
 
     def test_public_layers_run_on_the_calling_thread(self, rng, monkeypatch):
         # lot.maps_on shares maps out over threads; the functions a traced

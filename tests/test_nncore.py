@@ -21,41 +21,61 @@ from lotnn.nncore import (
 from conftest import blocks, relerr
 
 
+def _adam(params, grads, state):
+    """Apply one Adam step to params in place, as the callers do."""
+    params -= adam_step(grads, state)
+    return params
+
+
 class TestAdam:
     def test_zero_gradient_leaves_params(self):
         params = np.array([1.0, -2.0])
         state = OptimState(lr=0.1)
-        new_p, new_s = adam_step(params, np.zeros(2), state)
-        assert np.array_equal(new_p, params)
-        assert new_s.step == 1
+        step = adam_step(np.zeros(2), state)
+        assert np.array_equal(params - step, params)
+        assert state.step == 1
 
     def test_first_step_hand_value(self):
         # scalar param 0, grad 1: bias-corrected update is -lr within eps
-        new_p, _ = adam_step(np.array([0.0]), np.array([1.0]), OptimState(lr=0.1))
-        assert abs(new_p[0] + 0.1) < 1e-8
+        step = adam_step(np.array([1.0]), OptimState(lr=0.1))
+        assert abs(step[0] - 0.1) < 1e-8
 
     def test_repeated_grads_move_opposite_sign(self):
         params = np.array([0.0])
         state = OptimState(lr=0.01)
         prev = 0.0
         for _ in range(20):
-            params, state = adam_step(params, np.array([2.5]), state)
+            _adam(params, np.array([2.5]), state)
             assert params[0] < prev
             prev = params[0]
 
-    def test_nonfinite_gradient_raises(self):
+    def test_nonfinite_gradient_raises(self, rng):
+        state = OptimState()
+        adam_step(rng.normal(3), state)
+        m0, v0 = state.m.copy(), state.v.copy()
+        for bad in (np.nan, np.inf):
+            with pytest.raises(NumericError):
+                adam_step(np.array([0.5, bad, 1.0]), state)
+        # raised before anything changed
+        assert state.step == 1
+        assert state.m.tobytes() == m0.tobytes() and state.v.tobytes() == v0.tobytes()
+        fresh = OptimState()
         with pytest.raises(NumericError):
-            adam_step(np.zeros(1), np.array([np.nan]), OptimState())
+            adam_step(np.array([np.nan]), fresh)
+        assert fresh.step == 0 and fresh.m is None and fresh.v is None
 
     def test_shape_mismatch_raises(self):
+        state = OptimState()
+        adam_step(np.ones(2), state)
+        m0 = state.m.copy()
         with pytest.raises(ShapeError):
-            adam_step(np.zeros(2), np.zeros(3), OptimState())
+            adam_step(np.zeros(3), state)
+        assert state.step == 1 and state.m.tobytes() == m0.tobytes()
 
     def test_step_counter_increases(self):
-        params = np.zeros(1)
         state = OptimState()
         for t in range(1, 5):
-            params, state = adam_step(params, np.ones(1), state)
+            adam_step(np.ones(1), state)
             assert state.step == t
 
     def test_whole_vector_equals_blockwise_updates(self, rng):
@@ -66,18 +86,15 @@ class TestAdam:
         whole, s_whole = np.concatenate(parts), OptimState(lr=0.05)
         states = [OptimState(lr=0.05) for _ in parts]
         for _ in range(3):
-            whole, s_whole = adam_step(whole, np.concatenate(grads), s_whole)
+            _adam(whole, np.concatenate(grads), s_whole)
             for k in range(3):
-                parts[k], states[k] = adam_step(parts[k], grads[k], states[k])
+                _adam(parts[k], grads[k], states[k])
         assert whole.tobytes() == np.concatenate(parts).tobytes()
         assert s_whole.v.tobytes() == np.concatenate([s.v for s in states]).tobytes()
 
     def test_equals_the_plain_expressions_bitwise(self, rng):
         # the update written with one temporary per operation, same order
-        def plain(p, g, s):
-            t = s.step + 1
-            m = np.zeros_like(p) if s.m is None else s.m
-            v = np.zeros_like(p) if s.v is None else s.v
+        def plain(p, g, m, v, t, s):
             m = s.beta1 * m + (1.0 - s.beta1) * g
             v = s.beta2 * v + (1.0 - s.beta2) * (g * g)
             m_hat = m / (1.0 - s.beta1**t)
@@ -85,20 +102,26 @@ class TestAdam:
             return p - s.lr * m_hat / (np.sqrt(v_hat) + s.eps), m, v
 
         params, state = rng.normal(50), OptimState(lr=0.01)
-        for _ in range(6):
+        m, v = np.zeros(50), np.zeros(50)
+        for t in range(1, 7):
             grads = rng.normal(50) * 10.0 ** rng.integers(-12, 3, size=50)
             grads[:3] = 0.0
-            want, m, v = plain(params, grads, state)
-            params, state = adam_step(params, grads, state)
+            want, m, v = plain(params, grads, m, v, t, state)
+            _adam(params, grads, state)
             assert params.tobytes() == want.tobytes()
             assert state.m.tobytes() == m.tobytes() and state.v.tobytes() == v.tobytes()
 
     def test_inputs_not_mutated(self, rng):
-        params, grads = rng.normal(4), rng.normal(4)
-        _, state = adam_step(params.copy(), grads, OptimState())
-        p0, m0 = params.copy(), state.m.copy()
-        adam_step(params, grads, state)
-        assert np.array_equal(params, p0) and np.array_equal(state.m, m0)
+        # the gradient is read only; the state's m and v keep their buffers
+        grads = rng.normal(4)
+        g0 = grads.copy()
+        state = OptimState()
+        adam_step(grads, state)
+        m, v = state.m, state.v
+        step = adam_step(grads, state)
+        assert grads.tobytes() == g0.tobytes()
+        assert state.m is m and state.v is v
+        assert not np.shares_memory(step, m) and not np.shares_memory(step, v)
 
 
 class TestFiniteDiff:

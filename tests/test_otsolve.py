@@ -8,6 +8,7 @@ from lotnn.errors import NumericError, ShapeError
 from lotnn.lot import ReferenceMeasure
 from lotnn.nncore import Rng, finite_diff_grad
 from lotnn.otsolve import (
+    DualPair,
     Frame,
     GaussianSpec,
     SolverConfig,
@@ -117,6 +118,15 @@ class TestMapForward:
             g = g + delta @ p.wx[i]
         want = frame.scale * g + np.asarray(frame.mu_mean)
         assert pair.map_forward(X).tobytes() == want.tobytes()
+
+    def test_wrong_width_batch_rejected(self):
+        # (n, 1) - mean would broadcast to (n, 2) and yield a map value
+        pair = shift_pair(2, [1.0, 2.0])
+        for call, x in ((pair.map_forward, np.ones((3, 1))),
+                        (pair.map_forward, np.ones(1)),
+                        (pair.potential_phi, np.ones((2, 1)))):
+            with pytest.raises(ShapeError, match=r"batch width 1 != pair dim 2"):
+                call(x)
 
 
 class TestSolverLossGradients:
@@ -240,8 +250,7 @@ class TestFitPairs:
         sigma, cfg, clouds, pairs = self._setup(3)
         seen = []
         monkeypatch.setattr(otsolve_mod, "solver_step",
-                            lambda pair, X, Y, lam, state:
-                            seen.append((X, Y)) or (pair, state, 0.0))
+                            lambda pair, X, Y, lam, state: seen.append((X, Y)) or 0.0)
         fit_pairs(sigma, clouds, pairs, {}, cfg, Rng(0), 2)
         assert len(seen) == 6
         for step in (0, 1):
@@ -260,7 +269,7 @@ class TestFitPairs:
 
         def fake_step(pair, X, Y, lam, state):
             calls.append(1)
-            return pair, state, float("nan") if len(calls) == 4 else 0.0
+            return float("nan") if len(calls) == 4 else 0.0
 
         monkeypatch.setattr(otsolve_mod, "solver_step", fake_step)
         with pytest.raises(NumericError, match=r"non-finite loss \(cloud c1, step 1\)"):
@@ -278,6 +287,99 @@ class TestFitPairs:
         monkeypatch.setattr(otsolve_mod, "solver_step", fail)
         with pytest.raises(NumericError, match=r"^injected \(cloud c0, step 0\)$"):
             fit_pairs(sigma, clouds, pairs, {}, cfg, Rng(0), 1)
+
+
+    @pytest.mark.parametrize("dim", [2, 10])
+    def test_equals_the_functional_step_bitwise(self, dim):
+        # the step as it reads without in-place updates: concatenate both
+        # networks, textbook Adam, split, clamp wz in copies
+        sigma = ReferenceMeasure.standard(dim, seed=41)
+        cfg = SolverConfig(batch_size=16, hidden=(6, 5), seed=3, lr=0.01)
+        clouds = {f"c{i}": 1.5 * sigma.sample(40, seed=42 + i) + i for i in range(2)}
+
+        def fresh_pairs():
+            return {cid: pair_for_cloud(sigma, pts, cfg, Rng(50 + i))
+                    for i, (cid, pts) in enumerate(clouds.items())}
+
+        init = fresh_pairs()
+        ref = {cid: (p.psi.theta.copy(), p.phi.theta.copy(), 0.0, 0.0)
+               for cid, p in init.items()}
+        b1, b2 = cfg.beta1, cfg.beta2
+        rng, want = Rng(60), []
+        for t in range(1, 6):
+            X = sigma.sample(cfg.batch_size, seed=int(rng.integers(0, 2**62)))
+            for cid, pts in clouds.items():
+                Y = pts[rng.integers(0, pts.shape[0], size=cfg.batch_size)]
+                psi_th, phi_th, m, v = ref[cid]
+                p = init[cid]
+                pair = DualPair(p.psi.with_theta(psi_th), p.psi_cfg,
+                                p.phi.with_theta(phi_th), p.phi_cfg, p.frame)
+                Xs = (X - np.asarray(p.frame.sigma_mean)) / p.frame.scale
+                Ys = (Y - np.asarray(p.frame.mu_mean)) / p.frame.scale
+                loss, g_psi, g_phi = solver_loss_and_grads(pair, Xs, Ys, cfg.lambda_cyc)
+                g = np.concatenate([g_psi, g_phi])
+                m = b1 * m + (1.0 - b1) * g
+                v = b2 * v + (1.0 - b2) * (g * g)
+                m_hat = m / (1.0 - b1**t)
+                v_hat = v / (1.0 - b2**t)
+                theta = np.concatenate([psi_th, phi_th]) \
+                    - cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+                psi_th, phi_th = theta[:psi_th.size].copy(), theta[psi_th.size:].copy()
+                for th, layout in ((psi_th, p.psi), (phi_th, p.phi)):
+                    wz = layout.span("wz")
+                    th[wz] = np.maximum(th[wz], 0.0)
+                ref[cid] = (psi_th, phi_th, m, v)
+                want.append(loss)
+
+        pairs, states = fresh_pairs(), {}
+        assert fit_pairs(sigma, clouds, pairs, states, cfg, Rng(60), 5) == want
+        for cid, (psi_th, phi_th, m, v) in ref.items():
+            assert pairs[cid].psi.theta.tobytes() == psi_th.tobytes()
+            assert pairs[cid].phi.theta.tobytes() == phi_th.tobytes()
+            assert states[cid].m.tobytes() == m.tobytes()
+            assert states[cid].v.tobytes() == v.tobytes()
+
+    def test_keeps_each_pair_and_its_buffers(self):
+        sigma, cfg, clouds, pairs = self._setup()
+        before = dict(pairs)
+        nets = {cid: (p.psi, p.phi, p.psi.theta, p.phi.theta) for cid, p in pairs.items()}
+        bytes0 = {cid: p.psi.theta.tobytes() for cid, p in pairs.items()}
+        states = {}
+        fit_pairs(sigma, clouds, pairs, states, cfg, Rng(60), 2)
+        adam = {cid: (s, s.m, s.v) for cid, s in states.items()}
+        fit_pairs(sigma, clouds, pairs, states, cfg, Rng(61), 3)
+        for cid, pair in pairs.items():
+            psi, phi, psi_th, phi_th = nets[cid]
+            assert pair is before[cid] and pair.psi is psi and pair.phi is phi
+            assert np.shares_memory(pair.psi.theta, psi_th)
+            assert np.shares_memory(pair.phi.theta, phi_th)
+            assert pair.psi.theta.tobytes() != bytes0[cid]  # the steps did happen
+            s, m, v = adam[cid]
+            assert states[cid] is s and s.m is m and s.v is v and s.step == 5
+
+    def test_nonfinite_gradient_changes_nothing(self, monkeypatch):
+        import lotnn.otsolve as otsolve_mod
+
+        sigma, cfg, clouds, pairs = self._setup()
+        states = {}
+        fit_pairs(sigma, clouds, pairs, states, cfg, Rng(60), 2)
+        real = otsolve_mod.solver_loss_and_grads
+
+        def poisoned(*args):
+            loss, g_psi, g_phi = real(*args)
+            g_phi[-1] = np.nan
+            return loss, g_psi, g_phi
+
+        def snapshot(cid):
+            s = states[cid]
+            return (pairs[cid].psi.theta.tobytes(), pairs[cid].phi.theta.tobytes(),
+                    s.m.tobytes(), s.v.tobytes(), s.step, pairs[cid].meta["iterations"])
+
+        before = {cid: snapshot(cid) for cid in clouds}
+        monkeypatch.setattr(otsolve_mod, "solver_loss_and_grads", poisoned)
+        with pytest.raises(NumericError, match=r"non-finite gradient \(cloud c0, step 2\)"):
+            fit_pairs(sigma, clouds, pairs, states, cfg, Rng(61), 1)
+        assert {cid: snapshot(cid) for cid in clouds} == before
 
 
 def brute_force_cost(X, Y):
