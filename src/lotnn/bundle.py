@@ -27,7 +27,9 @@ and nothing is copied. Parameters round-trip bitwise.
 
 Version-1 documents, one indented JSON text with every array stored as
 its shape and the hex of its little-endian float64 bytes, still load.
-Any malformed bundle raises DataError naming the file.
+Any malformed bundle raises DataError naming the file, and so does a
+NaN or infinity among its parameters and frames. Settings that older
+versions stored and that now have one value load at that value only.
 """
 
 from __future__ import annotations
@@ -174,24 +176,37 @@ def decode_config(cls, d, where: str = ""):
         raise DataError(f"bad {cls.__name__}{at}: {e}") from e
 
 
-def drop_fixed(d, fixed: dict, unread=()):
-    """d without the settings older bundles store but that are gone now.
+# The settings older bundles store that are gone now, by the record that
+# stores them, each with the one value every run now uses; None marks the
+# static quads, which went unread while adaptive_quad held.
+RETIRED = {
+    "icnn": {"activation": "smooth_relu", "sharpness": 1.0},
+    "reference": {"halfwidth": 1.0},
+    "solver": {"activation": "smooth_relu", "adaptive_quad": True,
+               "beta1": 0.9, "beta2": 0.999, "eps": 1e-8, "init_scale": 0.1,
+               "quad_psi": None, "quad_phi": None, "sharpness": 1.0},
+}
 
-    Each key of fixed must hold its one remaining value, else the maps
-    were built in a way this version cannot reproduce (DataError); keys
-    in unread are dropped whatever they hold. A non-dict d is returned.
+
+def drop_fixed(d, record: str):
+    """d without the settings RETIRED[record] lists.
+
+    Each must hold its one remaining value, else the maps were built in
+    a way this version cannot reproduce (DataError); those listed with
+    None are dropped whatever they hold. A non-dict d is returned.
     """
     if not isinstance(d, dict):
         return d
-    for key, want in fixed.items():
-        if key in d and d[key] != want:
+    retired = RETIRED[record]
+    for key, want in retired.items():
+        if key in d and want is not None and d[key] != want:
             raise DataError(f"{key}={d[key]!r} is no longer supported; "
                             f"only {key}={want!r} is")
-    return {k: v for k, v in d.items() if k not in fixed and k not in unread}
+    return {k: v for k, v in d.items() if k not in retired}
 
 
 def _icnn_cfg(d) -> IcnnConfig:
-    return decode_config(IcnnConfig, drop_fixed(d, {"sharpness": 1.0}))
+    return decode_config(IcnnConfig, drop_fixed(d, "icnn"))
 
 
 class _Payload:
@@ -202,6 +217,9 @@ class _Payload:
     """
 
     def __init__(self, data: Array):
+        if (bad := data[~np.isfinite(data)]).size:
+            raise DataError(f"the payload holds {bad[0]}; parameters and frames "
+                            "must be finite")
         self.data, self.used, self._layouts = data, 0, {}
 
     def take(self, span, n: int, what: str) -> Array:
@@ -253,7 +271,10 @@ def _dec_weightnet(d: dict, payload: _Payload, dim: int) -> WeightNet:
 
 def _dec_v1(d: dict) -> Array:
     raw = bytes.fromhex(d["hex"])
-    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(d["shape"])
+    a = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(d["shape"])
+    if not np.isfinite(a).all():
+        raise DataError(f"a stored {list(a.shape)} array holds non-finite values")
+    return a
 
 
 def _params_v1(cls, groups: list, shapes: tuple, what: str):
@@ -363,7 +384,8 @@ def load_bundle(path) -> ModelBundle:
         if version not in (1, FORMAT_VERSION):
             raise DataError(f"unsupported format version {version!r}")
         payload = _Payload(data)
-        reference = decode_config(ReferenceMeasure, doc["reference"])
+        reference = decode_config(ReferenceMeasure,
+                                  drop_fixed(doc["reference"], "reference"))
         pairs = {d["id"]: _dec_pair_v1(d) if version == 1 else _dec_pair(d, payload)
                  for d in doc["pairs"]}
         wn = None

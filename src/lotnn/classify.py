@@ -97,7 +97,6 @@ class ClassifierConfig:
     lr: float = 1e-3
     eval_n: int = 1000
     threshold: float = 0.5
-    init_scale: float = 1.0
 
     def __post_init__(self):
         check_widths((1, *self.hidden, 1))
@@ -235,10 +234,7 @@ def train_alternating(
              for j, (cid, points) in enumerate(clouds.items())}
     opt_states: dict[str, OptimState] = {}
 
-    wn = WeightNet(
-        mlp_init((dim, *clf_cfg.hidden, dim), rng.spawn(2), scale=clf_cfg.init_scale),
-        clf_cfg.hidden,
-    )
+    wn = WeightNet(mlp_init((dim, *clf_cfg.hidden, dim), rng.spawn(2)), clf_cfg.hidden)
     wn_state = OptimState(lr=clf_cfg.lr)
     eval_seed = int(rng.spawn(3).integers(0, 2**62))
     X_eval = reference.sample(clf_cfg.eval_n, seed=eval_seed)

@@ -17,6 +17,9 @@ CPU count. BLAS threads are set separately, through OPENBLAS_NUM_THREADS.
 A bundle (--bundle) is not a JSON text: it is one line of JSON metadata
 followed by the binary float64 parameters; lotnn.bundle describes the
 layout.
+
+`train` fits every map against the Gaussian fitted to the training
+clouds (lotnn.lot.ReferenceMeasure.fitted).
 """
 
 from __future__ import annotations
@@ -41,14 +44,7 @@ from .classify import (
     score,
     train_alternating,
 )
-from .data import (
-    LabeledDataset,
-    SyntheticSpec,
-    gen_synthetic,
-    load_csv_dir,
-    save_csv_dir,
-    split,
-)
+from .data import SyntheticSpec, gen_synthetic, hash_id, load_csv_dir, save_csv_dir, split
 from .deepsets import DeepSetsConfig, ds_bagging, ds_forward, ds_train
 from .lot import BoundParams, EmbeddingSet, ReferenceMeasure, pairwise_matrix, theorem_bound
 from .bundle import ModelBundle, decode_config, drop_fixed, load_bundle, save_bundle
@@ -60,8 +56,6 @@ class RunConfig:
     """Every tunable in one serializable record."""
 
     seed: int = 0
-    reference: str = "fitted"          # fitted | standard | box
-    box_halfwidth: float = 1.0
     subsample_n: int = 1000
     synth: SyntheticSpec = field(default_factory=SyntheticSpec)
     synth_clouds_per_class: int = 30
@@ -74,10 +68,6 @@ class RunConfig:
     bagging: int = 10
 
     def __post_init__(self):
-        if self.reference != "fitted":
-            # a fitted reference is built from the data; the others only
-            # need the rules ReferenceMeasure applies to them
-            ReferenceMeasure(kind=self.reference, dim=1, halfwidth=self.box_halfwidth)
         if min(self.subsample_n, self.bagging) < 1 or self.deepsets_epochs < 0:
             raise ValueError("subsample_n and bagging must be >= 1 "
                              "and deepsets_epochs >= 0")
@@ -130,14 +120,6 @@ def _note_single_class(subset: str, labels) -> None:
               "accuracy on it is that class's recall alone", file=sys.stderr)
 
 
-def _reference_for(cfg: RunConfig, ds: LabeledDataset, seed: int) -> ReferenceMeasure:
-    if cfg.reference == "fitted":
-        return ReferenceMeasure.fitted(ds.clouds, seed=seed)
-    if cfg.reference == "standard":
-        return ReferenceMeasure.standard(ds.dim, seed=seed)
-    return ReferenceMeasure.box(ds.dim, cfg.box_halfwidth, seed=seed)
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -168,7 +150,7 @@ def cmd_train(cfg: RunConfig, data_dir: str, bundle_path: str,
     ds = load_csv_dir(data_dir, cfg.subsample_n, seed=cfg.seed)
     train_ds, val_ds, test_ds = split(ds, seed=cfg.seed)
     _note_single_class("val", val_ds.labels.values())
-    reference = _reference_for(cfg, train_ds, seed=cfg.seed)
+    reference = ReferenceMeasure.fitted(train_ds.clouds, seed=cfg.seed)
     emb, model, history = train_alternating(
         train_ds, val_ds, cfg.schedule, cfg.solver, cfg.classifier,
         seed=cfg.seed, reference=reference)
@@ -229,11 +211,7 @@ def _embedding_solver(cfg: RunConfig, bundle: ModelBundle) -> SolverConfig:
     solver = cfg.solver
     if "solver" in bundle.config:
         try:
-            # older bundles store settings that now have one value; the
-            # static quads were unread while adaptive_quad held
-            stored = drop_fixed(bundle.config["solver"],
-                                {"adaptive_quad": True, "sharpness": 1.0},
-                                unread=("quad_psi", "quad_phi"))
+            stored = drop_fixed(bundle.config["solver"], "solver")
             solver = decode_config(SolverConfig, stored, "solver")
         except DataError as e:
             raise DataError(f"bundle has an unusable solver config: {e}") from e
@@ -273,16 +251,17 @@ def cmd_eval(cfg: RunConfig, bundle_path: str, data_dir: str, resamples: int,
     rows = []
     p1, pk = [], []
     for j, cid in enumerate(ids):
+        # seeds from the id, so a cloud scores the same in every subset
+        embed_seed, resample_seed = (int(s) for s in np.random.SeedSequence(
+            [cfg.seed, hash_id(cid)]).generate_state(2))
         # reuse the trained pair when the bundle has one, else embed fresh
         pair = bundle.pairs.get(cid)
         if pair is None:
-            solver_cfg = dataclasses.replace(
-                embed_solver, seed=int(np.random.SeedSequence(
-                    [cfg.seed, 77, j]).generate_state(1)[0]))
+            solver_cfg = dataclasses.replace(embed_solver, seed=embed_seed)
             pair = train_map(bundle.reference, ds.cloud(cid), solver_cfg)
         p1.append(score(model, pair, eval_sample))
         pk.append(predict_resampled(model, pair, bundle.reference, bundle.eval_n,
-                                    resamples, seed=cfg.seed + j))
+                                    resamples, seed=resample_seed))
         rows.append([cid, labels[j], p1[-1], pk[-1]])
 
     m1 = evaluate(p1, labels, model.threshold)

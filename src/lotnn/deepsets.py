@@ -38,7 +38,6 @@ class DeepSetsConfig:
     rho_hidden: tuple[int, ...] = (32, 32)
     lr: float = 1e-3
     batch_points: int = 256
-    init_scale: float = 1.0
 
     def __post_init__(self):
         check_widths((1, *self.phi_hidden, self.pooled_dim, *self.rho_hidden, 1))
@@ -62,10 +61,8 @@ class DeepSetsModel:
 
 
 def init_deepsets(dim: int, cfg: DeepSetsConfig, rng: Rng) -> DeepSetsModel:
-    phi = mlp_init((dim, *cfg.phi_hidden, cfg.pooled_dim), rng.spawn(1),
-                   scale=cfg.init_scale)
-    rho = mlp_init((cfg.pooled_dim, *cfg.rho_hidden, 1), rng.spawn(2),
-                   scale=cfg.init_scale)
+    phi = mlp_init((dim, *cfg.phi_hidden, cfg.pooled_dim), rng.spawn(1))
+    rho = mlp_init((cfg.pooled_dim, *cfg.rho_hidden, 1), rng.spawn(2))
     return DeepSetsModel(phi, rho, cfg)
 
 

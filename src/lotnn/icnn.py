@@ -31,9 +31,8 @@ callers on the hot path build the cache once via icnn_cache(). Its two
 flags say what it builds beyond s' of every layer: value adds the last
 layer's softplus and h(x), which icnn_forward, icnn_backward and the
 upstream term of icnn_inputgrad_vjp read; curvature adds s'', which
-icnn_inputgrad_vjp reads. icnn_input_grad needs neither. For the smooth
-activation the cache builds s, s' and s'' of a layer from
-e = exp(-|a|) (see IcnnCache).
+icnn_inputgrad_vjp reads. icnn_input_grad needs neither. The cache
+builds s, s' and s'' of a layer from e = exp(-|a|) (see IcnnCache).
 """
 
 from __future__ import annotations
@@ -58,7 +57,6 @@ class IcnnConfig:
 
     dim: int
     hidden: tuple[int, ...] = (64, 64, 64)
-    activation: str = "smooth_relu"  # or "relu"
     quad: float = 0.5
 
     def __post_init__(self):
@@ -66,8 +64,6 @@ class IcnnConfig:
             raise ValueError("dim must be >= 1")
         if len(self.hidden) < 1 or any(h < 1 for h in self.hidden):
             raise ValueError("hidden widths must all be >= 1")
-        if self.activation not in ("smooth_relu", "relu"):
-            raise ValueError(f"unknown activation {self.activation!r}")
         if self.quad < 0:
             raise ValueError("quad must be >= 0")
 
@@ -135,7 +131,8 @@ class IcnnCache:
     sd alone, so a map evaluation sets neither flag. A pass handed a
     cache without what it reads raises ValueError.
 
-    For the smooth activation s(a) = log(1 + exp(a)) each layer computes
+    The activation is the softplus s(a) = log(1 + exp(a)); convexity
+    comes from the nonnegative wz, not from s. Each layer computes
     e = exp(-|a|) and r = 1/(1 + e) once and builds from them
 
         s   = max(a, 0) + log1p(e)
@@ -163,24 +160,17 @@ class IcnnCache:
         a = x2 @ params.wx[0].T
         a += params.b[0]
         for i in range(1, L):
-            self._activate(cfg, a, True)
+            self._activate(a, True)
             a = x2 @ params.wx[i].T
             a += self.z[-1] @ params.wz[i - 1].T
             a += params.b[i]
-        self._activate(cfg, a, value)
+        self._activate(a, value)
         if value:
             a = x2 @ params.wx[L].T + self.z[-1] @ params.wz[L - 1].T  # scalar head
             self.out = a[:, 0] + 0.5 * cfg.quad * np.sum(x2 * x2, axis=1)
 
-    def _activate(self, cfg: IcnnConfig, a: Array, keep_z: bool) -> None:
+    def _activate(self, a: Array, keep_z: bool) -> None:
         """Append s'(a), s(a) if keep_z and s''(a) if curvature; overwrites a."""
-        if cfg.activation == "relu":
-            self.sd.append((a > 0.0).astype(np.float64))
-            if self.sdd is not None:
-                self.sdd.append(np.zeros_like(a))
-            if keep_z:
-                self.z.append(np.maximum(a, 0.0, out=a))
-            return
         e = np.abs(a)
         np.negative(e, out=e)
         np.exp(e, out=e)
@@ -247,10 +237,7 @@ def _grad_map(params: IcnnParams, cfg: IcnnConfig, x: Array) -> Array:
 
 def icnn_input_grad(params: IcnnParams, cfg: IcnnConfig, x: Array,
                     cache: IcnnCache | None = None) -> Array:
-    """Gradient map grad_x h(x); the transport-map approximation.
-
-    With relu activation this is a subgradient at kinks.
-    """
+    """Gradient map grad_x h(x); the transport-map approximation."""
     single = np.asarray(x).ndim == 1
     g = (_grad_map(params, cfg, x) if cache is None
          else _input_grad(params, cfg, cache))
@@ -317,8 +304,7 @@ def icnn_inputgrad_vjp(
     params' layout.
 
     The x-gradient output is the Hessian-vector product
-    grad^2 h(x_b) v_b per sample. Exact for smooth activations; with
-    relu the curvature terms vanish (s'' = 0 a.e.).
+    grad^2 h(x_b) v_b per sample.
 
     With upstream u (a scalar or (n,)) the pass differentiates
     S + sum_b u_b h(x_b) instead, adding icnn_backward's result in the

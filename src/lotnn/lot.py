@@ -39,22 +39,21 @@ from .otsolve import DualPair
 class ReferenceMeasure:
     """Sampleable reference distribution sigma.
 
-    kind is one of "standard" (unit Gaussian), "fitted" (Gaussian with
-    data-matched mean and per-coordinate variance) or "box" (uniform on
-    a centered box). Sampling is reproducible: the draw is fully
-    determined by the seed passed to sample(), defaulting to the
-    measure's own base seed.
+    kind is "fitted" (Gaussian with data-matched mean and per-coordinate
+    variance), the reference every run trains against, or "standard"
+    (unit Gaussian), which older bundles may store. Sampling is
+    reproducible: the draw is fully determined by the seed passed to
+    sample(), defaulting to the measure's own base seed.
     """
 
     kind: str
     dim: int
     mean: tuple[float, ...] = ()
     var: tuple[float, ...] = ()
-    halfwidth: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("standard", "fitted", "box"):
+        if self.kind not in ("standard", "fitted"):
             raise ValueError(f"unknown reference kind {self.kind!r}")
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
@@ -63,16 +62,10 @@ class ReferenceMeasure:
                 raise ShapeError("fitted reference needs mean/var of length dim")
             if any(v <= 0 for v in self.var):
                 raise ValueError("variances must be > 0")
-        if self.kind == "box" and self.halfwidth <= 0:
-            raise ValueError("halfwidth must be > 0")
 
     @classmethod
     def standard(cls, dim: int, seed: int = 0) -> "ReferenceMeasure":
         return cls(kind="standard", dim=dim, seed=seed)
-
-    @classmethod
-    def box(cls, dim: int, halfwidth: float = 1.0, seed: int = 0) -> "ReferenceMeasure":
-        return cls(kind="box", dim=dim, halfwidth=halfwidth, seed=seed)
 
     @classmethod
     def fitted(cls, clouds, seed: int = 0) -> "ReferenceMeasure":
@@ -90,8 +83,6 @@ class ReferenceMeasure:
         if n < 1:
             raise ValueError("sample size must be >= 1")
         gen = np.random.Generator(np.random.PCG64(self.seed if seed is None else seed))
-        if self.kind == "box":
-            return gen.uniform(-self.halfwidth, self.halfwidth, (n, self.dim))
         z = gen.standard_normal((n, self.dim))
         if self.kind == "standard":
             return z
@@ -105,15 +96,11 @@ class ReferenceMeasure:
         """RMS per-coordinate spread; the solver's standardization scale."""
         if self.kind == "fitted":
             return float(np.sqrt(np.mean(self.var)))
-        if self.kind == "box":
-            return self.halfwidth / np.sqrt(3.0)
         return 1.0
 
     def std_vector(self) -> Array:
         if self.kind == "fitted":
             return np.sqrt(np.asarray(self.var, dtype=np.float64))
-        if self.kind == "box":
-            return np.full(self.dim, self.halfwidth / np.sqrt(3.0))
         return np.ones(self.dim)
 
 

@@ -95,19 +95,20 @@ class Rng:
 # Adam
 # ---------------------------------------------------------------------------
 
+# Kingma and Ba's (2014) standard values; the paper names no optimizer
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class OptimState:
-    """Adam accumulators over one parameter vector, plus hyperparameters.
+    """Adam accumulators over one parameter vector, and its step size.
 
-    The paper behind this artifact names no optimizer; the de-facto
-    standard defaults (1e-3, 0.9/0.999, 1e-8) are used and echoed into
-    run reports. adam_step creates m and v, then updates them in place.
+    adam_step creates m and v, then updates them in place.
     """
 
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: Array | None = None
     v: Array | None = None
@@ -135,17 +136,17 @@ def adam_step(grads: Array, state: OptimState) -> Array:
     # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2 and
     # lr m_hat / (sqrt(v_hat) + eps) with the operations of those
     # expressions in their order, so the result is bitwise theirs
-    tmp = np.multiply(1.0 - state.beta1, grads)
-    state.m *= state.beta1
+    tmp = np.multiply(1.0 - ADAM_BETA1, grads)
+    state.m *= ADAM_BETA1
     state.m += tmp
     np.multiply(grads, grads, out=tmp)
-    tmp *= 1.0 - state.beta2
-    state.v *= state.beta2
+    tmp *= 1.0 - ADAM_BETA2
+    state.v *= ADAM_BETA2
     state.v += tmp
-    np.divide(state.v, 1.0 - state.beta2**state.step, out=tmp)
+    np.divide(state.v, 1.0 - ADAM_BETA2**state.step, out=tmp)
     np.sqrt(tmp, out=tmp)
-    tmp += state.eps
-    step = np.divide(state.m, 1.0 - state.beta1**state.step)
+    tmp += ADAM_EPS
+    step = np.divide(state.m, 1.0 - ADAM_BETA1**state.step)
     step *= state.lr
     step /= tmp
     return step

@@ -145,20 +145,15 @@ class DualPair:
 class SolverConfig:
     """Hyperparameters of the non-minimax dual solver.
 
-    The underlying publication states none of these; the defaults here
-    are echoed into every run report.
+    The underlying publication states none of these, and every run
+    report echoes them; Adam's decay rates and the init scale are fixed.
     """
 
     batch_size: int = 256
     iters: int = 5000
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     lambda_cyc: float = 1.0
     hidden: tuple[int, ...] = (64, 64, 64)
-    activation: str = "smooth_relu"
-    init_scale: float = 0.1
     seed: int = 0
 
     def __post_init__(self):
@@ -172,12 +167,8 @@ class SolverConfig:
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         # the network and step-size rules of the objects built from these
-        IcnnConfig(dim=1, hidden=self.hidden, activation=self.activation)
+        IcnnConfig(dim=1, hidden=self.hidden)
         OptimState(lr=self.lr)
-
-    def icnn_config(self, dim: int, quad: float) -> IcnnConfig:
-        return IcnnConfig(dim=dim, hidden=self.hidden, activation=self.activation,
-                          quad=quad)
 
 
 # (psi, phi) quadratic skips where the data gives no spread to adapt them
@@ -299,10 +290,10 @@ def init_dual_pair(dim: int, cfg: SolverConfig, rng: Rng,
                    frame: Frame | None = None,
                    quads: tuple[float, float] = STATIC_QUADS) -> DualPair:
     q_psi, q_phi = quads
-    psi_cfg = cfg.icnn_config(dim, q_psi)
-    phi_cfg = cfg.icnn_config(dim, q_phi)
-    psi = project_nonneg(init_icnn(psi_cfg, rng.spawn(1), scale=cfg.init_scale))
-    phi = project_nonneg(init_icnn(phi_cfg, rng.spawn(2), scale=cfg.init_scale))
+    psi_cfg = IcnnConfig(dim=dim, hidden=cfg.hidden, quad=q_psi)
+    phi_cfg = IcnnConfig(dim=dim, hidden=cfg.hidden, quad=q_phi)
+    psi = project_nonneg(init_icnn(psi_cfg, rng.spawn(1)))
+    phi = project_nonneg(init_icnn(phi_cfg, rng.spawn(2)))
     return DualPair(psi, psi_cfg, phi, phi_cfg,
                     frame if frame is not None else Frame.identity(dim),
                     meta={"iterations": 0, "seed": rng.seed})
@@ -352,8 +343,7 @@ def fit_pairs(sigma: "ReferenceMeasure", clouds: dict[str, Array],
             idx = batch_rng.integers(0, points.shape[0], size=cfg.batch_size)
             step = pairs[cid].meta.get("iterations", 0)
             if cid not in states:
-                states[cid] = OptimState(lr=cfg.lr, beta1=cfg.beta1,
-                                         beta2=cfg.beta2, eps=cfg.eps)
+                states[cid] = OptimState(lr=cfg.lr)
             try:
                 loss = solver_step(pairs[cid], X, points[idx], cfg.lambda_cyc, states[cid])
             except NumericError as e:

@@ -12,41 +12,36 @@ from lotnn.otsolve import DualPair, Frame
 BUNDLE_V1 = Path(__file__).parent / "data" / "bundle_v1.json"
 
 
-def quad_potential(dim, quad=1.0, tilt=None, bias=0.0):
-    """Potential quad*||x||^2/2 + <tilt, x> + bias.
+def quad_potential(dim, quad=1.0, tilt=None):
+    """Potential quad*||x||^2/2 + <tilt, x>.
 
-    The head has no bias of its own, so a positive bias is the relu of
-    one hidden unit with a_0 = bias passed through wz = 1; with bias 0
-    the hidden layer is dormant. Either way the gradient map is exactly
-    x -> quad*x + tilt.
+    The one hidden unit is dormant (wz = 0), so the gradient map is
+    exactly x -> quad*x + tilt.
     """
-    if bias < 0:
-        raise ValueError("a relu unit holds only a bias >= 0")
-    cfg = IcnnConfig(dim=dim, hidden=(1,), activation="relu", quad=quad)
+    cfg = IcnnConfig(dim=dim, hidden=(1,), quad=quad)
     wx = [np.zeros((1, dim)), np.zeros((1, dim))]
     if tilt is not None:
         wx[1] = np.asarray(tilt, dtype=np.float64).reshape(1, dim)
-    params = IcnnParams(wx, [np.full((1, 1), float(bias > 0))],
-                        [np.array([float(bias)])])
+    params = IcnnParams(wx, [np.zeros((1, 1))], [np.zeros(1)])
     return params, cfg
 
 
-def quad_pair(dim, q_psi=1.0, psi_tilt=None, psi_bias=0.0,
-              q_phi=1.0, phi_tilt=None, phi_bias=0.0):
+def quad_pair(dim, q_psi=1.0, psi_tilt=None, q_phi=1.0, phi_tilt=None):
     """DualPair of two hand-wired quadratic potentials (identity frame)."""
-    psi, psi_cfg = quad_potential(dim, q_psi, psi_tilt, psi_bias)
-    phi, phi_cfg = quad_potential(dim, q_phi, phi_tilt, phi_bias)
+    psi, psi_cfg = quad_potential(dim, q_psi, psi_tilt)
+    phi, phi_cfg = quad_potential(dim, q_phi, phi_tilt)
     return DualPair(psi, psi_cfg, phi, phi_cfg, Frame.identity(dim))
 
 
 def shift_pair(dim, a):
-    """Exact potentials of the shift map x -> x + a.
+    """Exact gradient maps of the shift x -> x + a and its inverse.
 
-    psi = ||x||^2/2 + <a, x>, phi = psi* = ||y||^2/2 - <a, y> + ||a||^2/2.
+    psi = ||x||^2/2 + <a, x> and phi = ||y||^2/2 - <a, y>, which is the
+    conjugate psi* up to its constant ||a||^2/2: no test reads phi's
+    constant, and the dual objective cancels it.
     """
     a = np.asarray(a, dtype=np.float64)
-    return quad_pair(dim, q_psi=1.0, psi_tilt=a,
-                     q_phi=1.0, phi_tilt=-a, phi_bias=0.5 * float(a @ a))
+    return quad_pair(dim, q_psi=1.0, psi_tilt=a, q_phi=1.0, phi_tilt=-a)
 
 
 def blocks(params, theta=None, prefix=""):

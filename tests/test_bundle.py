@@ -101,6 +101,63 @@ def test_version_2_document_with_sharpness_loads_bitwise(bundle, tmp_path, rng):
     assert_loads_as(load_bundle(path), bundle, rng)
 
 
+def _v2_copy_with(bundle, tmp_path, edit):
+    """bundle saved, then edit applied to its header, written again."""
+    path = tmp_path / "b.bundle"
+    save_bundle(bundle, path)
+    header, payload = read_document(path)
+    edit(header, payload)
+    write_document(path, header, payload)
+    return path
+
+
+def _store_retired(header, payload):
+    # the settings documents written before they were retired store
+    header["reference"]["halfwidth"] = 1.0
+    for p in header["pairs"]:
+        p["psi"]["cfg"]["activation"] = p["phi"]["cfg"]["activation"] = "smooth_relu"
+
+
+def test_version_2_document_with_retired_settings_loads_bitwise(bundle, tmp_path, rng):
+    assert_loads_as(load_bundle(_v2_copy_with(bundle, tmp_path, _store_retired)),
+                    bundle, rng)
+
+
+@pytest.mark.parametrize("record,key,value,message", [
+    ("psi", "activation", "relu", "activation='relu' is no longer supported"),
+    ("reference", "halfwidth", 2.0, "halfwidth=2.0 is no longer supported"),
+    ("reference", "kind", "box", "unknown reference kind 'box'"),
+], ids=["activation", "halfwidth", "box"])
+def test_document_with_a_retired_setting_off_its_value_rejected(
+        bundle, tmp_path, record, key, value, message):
+    def edit(header, payload):
+        _store_retired(header, payload)
+        cfg = (header["reference"] if record == "reference"
+               else header["pairs"][1][record]["cfg"])
+        cfg[key] = value
+
+    path = _v2_copy_with(bundle, tmp_path, edit)
+    with pytest.raises(DataError, match=message) as e:
+        load_bundle(path)
+    assert f"bundle {path}" in str(e.value)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_document_with_a_non_finite_value_rejected(bundle, tmp_path, value):
+    def edit(header, payload):
+        payload[header["pairs"][2]["frame"][0]] = value
+
+    path = _v2_copy_with(bundle, tmp_path, edit)
+    with pytest.raises(DataError, match=f"bundle {path}: the payload holds {value}"):
+        load_bundle(path)
+
+    def edit_v1(doc):
+        doc["weightnet"]["mlp"]["weights"][1] = _hex_block(np.full((2, 5), value))
+
+    with pytest.raises(DataError, match="holds non-finite values"):
+        load_bundle(_v1_copy_with(tmp_path, edit_v1))
+
+
 def test_header_is_one_padded_line_before_the_payload(bundle, tmp_path):
     path = tmp_path / "b.bundle"
     save_bundle(bundle, path)
@@ -226,10 +283,10 @@ def test_document_with_wrong_block_shape_rejected(tmp_path, net, group):
 
 
 @pytest.mark.parametrize("record", [
-    RunConfig(seed=4, reference="box",
-              solver=SolverConfig(hidden=(4, 2), iters=7, activation="relu"),
+    RunConfig(seed=4, subsample_n=200,
+              solver=SolverConfig(hidden=(4, 2), iters=7, lr=0.01),
               schedule=TrainSchedule(total_epochs=40)),
-    IcnnConfig(dim=3, hidden=(5, 2), activation="relu", quad=0.25),
+    IcnnConfig(dim=3, hidden=(5, 2), quad=0.25),
     ReferenceMeasure(kind="fitted", dim=2, mean=(0.5, -1.0), var=(2.0, 0.25), seed=7),
 ], ids=lambda r: type(r).__name__)
 def test_config_codec_round_trips(record):

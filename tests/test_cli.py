@@ -132,20 +132,23 @@ def test_eval_rejects_pairs_with_different_budgets(workdir, monkeypatch, capsys)
     assert "different step counts [1, 3]" in capsys.readouterr().err
 
 
-# the solver and network settings bundles written before they were
-# removed still store, each at the one value it now always has
+# the solver, network and reference settings bundles written before they
+# were removed still store, each at the one value it now always has
 LEGACY_SOLVER = {"sharpness": 1.0, "quad_psi": 0.05, "quad_phi": 0.5,
-                 "adaptive_quad": True}
+                 "adaptive_quad": True, "activation": "smooth_relu",
+                 "init_scale": 0.1, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8}
+LEGACY_NET = {"sharpness": 1.0, "activation": "smooth_relu"}
 
 
-def _legacy_bundle(workdir, name, solver=None, net=None):
+def _legacy_bundle(workdir, name, solver=None, net=None, reference=None):
     """The tiny bundle with the removed settings stored as older versions did."""
     d, _ = workdir
     header, payload = read_document(d / "bundle.json")
     header["config"]["solver"].update(LEGACY_SOLVER, **(solver or {}))
     for p in header["pairs"]:
         for cfg in (p["psi"]["cfg"], p["phi"]["cfg"]):
-            cfg.update({"sharpness": 1.0}, **(net or {}))
+            cfg.update(LEGACY_NET, **(net or {}))
+    header["reference"].update({"halfwidth": 1.0}, **(reference or {}))
     write_document(d / name, header, payload)
     return d / name
 
@@ -160,18 +163,73 @@ def test_eval_reads_a_bundle_with_the_removed_settings(workdir, capsys):
     assert _csv_rows(d / "legacy.probs.csv") == _csv_rows(d / "now.probs.csv")
 
 
-@pytest.mark.parametrize("command,solver,net,message", [
-    ("eval", {"adaptive_quad": False}, None, "adaptive_quad=False is no longer supported"),
-    ("dist", None, {"sharpness": 2.0}, "sharpness=2.0 is no longer supported"),
-], ids=["adaptive_quad", "sharpness"])
+@pytest.mark.parametrize("command,solver,net,reference,message", [
+    ("eval", {"adaptive_quad": False}, None, None,
+     "adaptive_quad=False is no longer supported"),
+    ("dist", None, {"sharpness": 2.0}, None, "sharpness=2.0 is no longer supported"),
+    ("eval", {"beta1": 0.5}, None, None, "beta1=0.5 is no longer supported"),
+    ("eval", {"init_scale": 1.0}, None, None, "init_scale=1.0 is no longer supported"),
+    ("dist", None, {"activation": "relu"}, None,
+     "activation='relu' is no longer supported"),
+    ("dist", None, None, {"kind": "box"}, "unknown reference kind 'box'"),
+    ("eval", None, None, {"halfwidth": 0.5}, "halfwidth=0.5 is no longer supported"),
+], ids=["adaptive_quad", "sharpness", "beta1", "init_scale", "activation", "box",
+        "halfwidth"])
 def test_bundle_with_a_removed_setting_off_its_value_exits_3(
-        workdir, capsys, command, solver, net, message):
+        workdir, capsys, command, solver, net, reference, message):
     d, base = workdir
-    path = _legacy_bundle(workdir, f"legacy_{command}.json", solver, net)
+    path = _legacy_bundle(workdir, f"legacy_{command}.json", solver, net, reference)
     args = {"eval": ["--data", str(d / "data")], "dist": ["--out", str(d / "x.csv")]}
     assert main(base + [command, "--bundle", str(path)] + args[command]) == 3
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+def test_eval_scores_each_cloud_the_same_in_any_subset(workdir):
+    # a held-out cloud's seeds come from its id, not its place in the list
+    d, base = workdir
+    rows = {}
+    for subset in ("test", "all"):
+        out = d / f"subset_{subset}.csv"
+        assert main(base + ["eval", "--bundle", str(d / "bundle.json"),
+                            "--data", str(d / "data"), "--subset", subset,
+                            "--resamples", "2", "--out", str(out)]) == 0
+        rows[subset] = {row[0]: row
+                        for row in _csv_rows(out.with_suffix(".probs.csv"))[1:]}
+    test_ids = _header(workdir)["split"]["test"]
+    assert test_ids and set(test_ids) == set(rows["test"]) < set(rows["all"])
+    for cid in test_ids:
+        assert rows["test"][cid] == rows["all"][cid]
+
+
+def _with_payload_value(workdir, name, offset, value):
+    d, _ = workdir
+    header, payload = read_document(d / "bundle.json")
+    payload[offset(header)] = value
+    write_document(d / name, header, payload)
+    return d / name
+
+
+def test_dist_rejects_an_infinite_frame_scale(workdir, capsys):
+    d, base = workdir
+    # the scale is the last of a frame's 2 dim + 1 values
+    path = _with_payload_value(workdir, "inf_scale.json",
+                               lambda h: sum(h["pairs"][0]["frame"]) - 1, np.inf)
+    assert main(base + ["dist", "--bundle", str(path),
+                        "--out", str(d / "inf_dist.csv")]) == 3
+    err = capsys.readouterr().err
+    assert f"bundle {path}: the payload holds inf;" in err and "Traceback" not in err
+    assert not (d / "inf_dist.csv").exists()
+
+
+def test_eval_rejects_a_nan_weight_net(workdir, capsys):
+    d, base = workdir
+    path = _with_payload_value(workdir, "nan_weightnet.json",
+                               lambda h: h["weightnet"]["theta"][0], np.nan)
+    assert main(base + ["eval", "--bundle", str(path), "--data", str(d / "data"),
+                        "--resamples", "1"]) == 3
+    err = capsys.readouterr().err
+    assert f"bundle {path}: the payload holds nan;" in err and "Traceback" not in err
 
 
 def test_eval_marks_recall_undefined_without_positives(workdir, tmp_path):
@@ -385,6 +443,16 @@ MALFORMED_CONFIGS = {
     "quad_psi": {"solver": {"quad_psi": 0.05}},
     "quad_phi": {"solver": {"quad_phi": 0.5}},
     "sharpness": {"solver": {"sharpness": 1.0}},
+    # ... also at the one value every run now uses
+    "reference": {"reference": "fitted"},
+    "box_halfwidth": {"box_halfwidth": 1.0},
+    "activation": {"solver": {"activation": "smooth_relu"}},
+    "solver_init_scale": {"solver": {"init_scale": 0.1}},
+    "beta1": {"solver": {"beta1": 0.9}},
+    "beta2": {"solver": {"beta2": 0.999}},
+    "eps": {"solver": {"eps": 1e-8}},
+    "classifier_init_scale": {"classifier": {"init_scale": 1.0}},
+    "deepsets_init_scale": {"deepsets": {"init_scale": 1.0}},
 }
 
 

@@ -41,11 +41,6 @@ class TestReferenceMeasure:
         with pytest.raises(DataError):
             ReferenceMeasure.fitted(clouds)
 
-    def test_box_bounds(self):
-        ref = ReferenceMeasure.box(2, halfwidth=0.5, seed=3)
-        s = ref.sample(1000)
-        assert np.all(np.abs(s) <= 0.5)
-
     def test_invalid_kind_rejected(self):
         with pytest.raises(ValueError):
             ReferenceMeasure(kind="cauchy", dim=2)

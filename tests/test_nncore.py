@@ -93,13 +93,16 @@ class TestAdam:
         assert s_whole.v.tobytes() == np.concatenate([s.v for s in states]).tobytes()
 
     def test_equals_the_plain_expressions_bitwise(self, rng):
-        # the update written with one temporary per operation, same order
+        # the update written with one temporary per operation, same order,
+        # at the standard constants of Kingma and Ba
+        b1, b2, eps = 0.9, 0.999, 1e-8
+
         def plain(p, g, m, v, t, s):
-            m = s.beta1 * m + (1.0 - s.beta1) * g
-            v = s.beta2 * v + (1.0 - s.beta2) * (g * g)
-            m_hat = m / (1.0 - s.beta1**t)
-            v_hat = v / (1.0 - s.beta2**t)
-            return p - s.lr * m_hat / (np.sqrt(v_hat) + s.eps), m, v
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * (g * g)
+            m_hat = m / (1.0 - b1**t)
+            v_hat = v / (1.0 - b2**t)
+            return p - s.lr * m_hat / (np.sqrt(v_hat) + eps), m, v
 
         params, state = rng.normal(50), OptimState(lr=0.01)
         m, v = np.zeros(50), np.zeros(50)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from lotnn.errors import NumericError, ShapeError
+from lotnn.icnn import init_icnn, project_nonneg
 from lotnn.lot import ReferenceMeasure
 from lotnn.nncore import Rng, finite_diff_grad
 from lotnn.otsolve import (
@@ -35,7 +36,10 @@ class TestDualObjective:
         assert relerr(dual_objective_V(pair, X, Y), want) < 1e-12
 
     def test_constant_phi_cancels(self, rng):
-        pair = quad_pair(2, q_psi=1.0, q_phi=0.0, phi_bias=4.2)
+        pair = quad_pair(2, q_psi=1.0, q_phi=0.0)
+        # phi's hidden unit sees only its bias, so it adds softplus(4.2)
+        pair.phi.b[0][...] = 4.2
+        pair.phi.wz[0][...] = 1.0
         X = rng.normal((25, 2))
         Y = rng.normal((25, 2))
         want = -float(np.mean(np.sum(X * X, axis=1)))
@@ -87,29 +91,27 @@ class TestW2Estimate:
 
 
 class TestMapForward:
-    @pytest.mark.parametrize("activation", ["smooth_relu", "relu"])
-    def test_equals_the_plain_expressions_bitwise(self, rng, activation):
+    def test_equals_the_plain_expressions_bitwise(self, rng):
         # the forward and reverse expressions of the gradient map without
         # buffer reuse, skipped layers or the select-free s'
-        cfg = SolverConfig(hidden=(5, 4, 3), activation=activation, init_scale=1.0)
+        cfg = SolverConfig(hidden=(5, 4, 3))
         frame = Frame(sigma_mean=(0.5, -1.0, 2.0), mu_mean=(3.0, 0.0, -0.25),
                       scale=1.7)
         pair = init_dual_pair(3, cfg, rng, frame=frame, quads=(0.3, 0.7))
         p, L = pair.psi, len(cfg.hidden)
+        # weights drawn at 10x the default scale, so pre-activations reach
+        # both tails of s'
+        p.theta[...] = project_nonneg(init_icnn(pair.psi_cfg, rng, scale=1.0)).theta
         X = rng.normal((50, 3), scale=3.0)
         x = (X - np.asarray(frame.sigma_mean)) / frame.scale
         sd = []
         for i in range(L):
             a = x @ p.wx[0].T + p.b[0] if i == 0 else \
                 x @ p.wx[i].T + z @ p.wz[i - 1].T + p.b[i]
-            if activation == "relu":
-                z = np.maximum(a, 0.0)
-                sd.append((a > 0.0).astype(np.float64))
-            else:
-                e = np.exp(-np.abs(a))
-                r = 1.0 / (1.0 + e)
-                z = np.maximum(a, 0.0) + np.log1p(e)
-                sd.append(np.where(a >= 0.0, r, e * r))
+            e = np.exp(-np.abs(a))
+            r = 1.0 / (1.0 + e)
+            z = np.maximum(a, 0.0) + np.log1p(e)
+            sd.append(np.where(a >= 0.0, r, e * r))
         g = pair.psi_cfg.quad * x + p.wx[L]
         delta = sd[L - 1] * p.wz[L - 1]
         g = g + delta @ p.wx[L - 1]
@@ -304,7 +306,7 @@ class TestFitPairs:
         init = fresh_pairs()
         ref = {cid: (p.psi.theta.copy(), p.phi.theta.copy(), 0.0, 0.0)
                for cid, p in init.items()}
-        b1, b2 = cfg.beta1, cfg.beta2
+        b1, b2, eps = 0.9, 0.999, 1e-8
         rng, want = Rng(60), []
         for t in range(1, 6):
             X = sigma.sample(cfg.batch_size, seed=int(rng.integers(0, 2**62)))
@@ -323,7 +325,7 @@ class TestFitPairs:
                 m_hat = m / (1.0 - b1**t)
                 v_hat = v / (1.0 - b2**t)
                 theta = np.concatenate([psi_th, phi_th]) \
-                    - cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+                    - cfg.lr * m_hat / (np.sqrt(v_hat) + eps)
                 psi_th, phi_th = theta[:psi_th.size].copy(), theta[psi_th.size:].copy()
                 for th, layout in ((psi_th, p.psi), (phi_th, p.phi)):
                     wz = layout.span("wz")
