@@ -27,9 +27,11 @@ and nothing is copied. Parameters round-trip bitwise.
 
 Version-1 documents, one indented JSON text with every array stored as
 its shape and the hex of its little-endian float64 bytes, still load.
-Any malformed bundle raises DataError naming the file, and so does a
-NaN or infinity among its parameters and frames. Settings that older
-versions stored and that now have one value load at that value only.
+Any malformed bundle raises DataError naming the file, and so do a NaN
+or infinity among its parameters and frames, a threshold outside
+(0, 1), an eval sample size below 1 and a negative eval seed. Settings
+that older versions stored and that now have one value load at that
+value only.
 """
 
 from __future__ import annotations
@@ -377,6 +379,17 @@ def save_bundle(bundle: ModelBundle, path) -> None:
     write_document(path, header, np.concatenate(blocks or [np.empty(0)]))
 
 
+def _check_eval_settings(threshold, n, seed) -> None:
+    """Raise DataError unless the classifier and eval sample settings hold."""
+    if isinstance(threshold, bool) or not isinstance(threshold, (int, float)) \
+            or not 0.0 < threshold < 1.0:
+        raise DataError(f"threshold must be a number in (0, 1), not {threshold!r}")
+    for key, value, low in (("n", n, 1), ("seed", seed, 0)):
+        if isinstance(value, bool) or not isinstance(value, int) or value < low:
+            raise DataError(f"eval_sample.{key} must be an integer >= {low}, "
+                            f"not {value!r}")
+
+
 def load_bundle(path) -> ModelBundle:
     doc, data = read_document(path)
     try:
@@ -393,14 +406,16 @@ def load_bundle(path) -> ModelBundle:
             wn = (_dec_weightnet_v1(doc["weightnet"], reference.dim) if version == 1 else
                   _dec_weightnet(doc["weightnet"], payload, reference.dim))
         payload.finish()
+        threshold, sample = doc["threshold"], doc["eval_sample"]
+        _check_eval_settings(threshold, sample["n"], sample["seed"])
         return ModelBundle(
             reference=reference,
             pair_ids=[d["id"] for d in doc["pairs"]],
             pairs=pairs,
             weightnet=wn,
-            threshold=doc["threshold"],
-            eval_seed=doc["eval_sample"]["seed"],
-            eval_n=doc["eval_sample"]["n"],
+            threshold=threshold,
+            eval_seed=sample["seed"],
+            eval_n=sample["n"],
             split_ids={k: list(v) for k, v in doc["split"].items()},
             config=doc.get("config", {}),
             config_hash=doc.get("config_hash", ""),

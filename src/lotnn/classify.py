@@ -27,6 +27,7 @@ from .errors import DataError, NumericError, ShapeError
 from .data import LabeledDataset
 from .lot import EmbeddingSet, ReferenceMeasure, maps_on
 from .nncore import (
+    _mlp_forward,
     Array,
     MlpParams,
     OptimState,
@@ -39,6 +40,7 @@ from .nncore import (
     mlp_backward,
     mlp_forward,
     mlp_init,
+    on_cpus,
     sorted_mean,
 )
 from .otsolve import DualPair, SolverConfig, fit_pairs, pair_for_cloud
@@ -176,15 +178,35 @@ def score(model: ClassifierModel, pair: DualPair, sample: Array) -> float:
     return float(expit(pooled_logit(model, pair, sample)))
 
 
+def scores(model: ClassifierModel, pairs, sample: Array) -> list[float]:
+    """score() of each pair on one sample, bitwise.
+
+    The weight net is evaluated once, and the maps on every CPU
+    (lot.maps_on).
+    """
+    S = np.atleast_2d(as_f64(sample))
+    W = model.weightnet.apply(S)
+    return [float(expit(_pooled(W, G))) for G in maps_on(pairs, S)]
+
+
+def _score(model: ClassifierModel, pair: DualPair, S: Array) -> float:
+    """score() from the bodies of the functions it calls, for on_cpus workers."""
+    W, _ = _mlp_forward(model.weightnet.params, S)
+    return float(expit(_pooled(W, pair._map(S))))
+
+
 def predict_resampled(model: ClassifierModel, pair: DualPair,
                       reference: ReferenceMeasure, n: int, k: int, seed: int) -> float:
-    """Average the score over k fresh reference samples of size n."""
+    """Average the score over k fresh reference samples of size n.
+
+    The samples are drawn here and scored on every CPU (nncore.on_cpus),
+    each whole by one thread, so the mean is bitwise the serial one.
+    """
     if k < 1:
         raise ValueError("resample count must be >= 1")
     rng = Rng(seed)
-    vals = [score(model, pair, reference.sample(n, seed=rng.spawn(j).seed))
-            for j in range(k)]
-    return float(np.mean(vals))
+    samples = [reference.sample(n, seed=rng.spawn(j).seed) for j in range(k)]
+    return float(np.mean(on_cpus(lambda j: _score(model, pair, samples[j]), k)))
 
 
 @dataclass
@@ -246,10 +268,8 @@ def train_alternating(
     phase = 0
 
     def val_accuracy() -> float:
-        # score() on each val cloud, with the weight net evaluated once
-        W = wn.apply(X_eval)
-        preds = [float(expit(_pooled(W, G)))
-                 for G in maps_on([pairs[i] for i in val_ids], X_eval)]
+        preds = scores(ClassifierModel(wn, clf_cfg.threshold),
+                       [pairs[i] for i in val_ids], X_eval)
         ys = [val.labels[i] for i in val_ids]
         return evaluate(preds, ys, clf_cfg.threshold).accuracy
 

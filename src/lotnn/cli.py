@@ -10,9 +10,11 @@ seed are byte-identical only at the same BLAS thread count: OpenBLAS
 splits a matrix product's rows over its threads, which changes the
 rounding, and defaults to one thread per core.
 
-`dist` and `train` evaluate transport maps on all usable CPUs, one
-thread each (see lotnn.lot.maps_on); their outputs do not depend on the
-CPU count. BLAS threads are set separately, through OPENBLAS_NUM_THREADS.
+`dist`, `train`, `eval` and `baseline` run on all usable CPUs, one
+thread each (see lotnn.nncore.on_cpus): `dist` and `train` evaluate
+transport maps there, `eval` scores clouds and `baseline` runs DeepSets'
+validation and bagging. Their outputs do not depend on the CPU count.
+BLAS threads are set separately, through OPENBLAS_NUM_THREADS.
 
 A bundle (--bundle) is not a JSON text: it is one line of JSON metadata
 followed by the binary float64 parameters; lotnn.bundle describes the
@@ -41,7 +43,7 @@ from .classify import (
     TrainSchedule,
     evaluate,
     predict_resampled,
-    score,
+    scores,
     train_alternating,
 )
 from .data import SyntheticSpec, gen_synthetic, hash_id, load_csv_dir, save_csv_dir, split
@@ -248,9 +250,8 @@ def cmd_eval(cfg: RunConfig, bundle_path: str, data_dir: str, resamples: int,
     model = bundle.classifier()
     eval_sample = bundle.reference.sample(bundle.eval_n, seed=bundle.eval_seed)
 
-    rows = []
-    p1, pk = [], []
-    for j, cid in enumerate(ids):
+    pairs, pk = [], []
+    for cid in ids:
         # seeds from the id, so a cloud scores the same in every subset
         embed_seed, resample_seed = (int(s) for s in np.random.SeedSequence(
             [cfg.seed, hash_id(cid)]).generate_state(2))
@@ -259,10 +260,12 @@ def cmd_eval(cfg: RunConfig, bundle_path: str, data_dir: str, resamples: int,
         if pair is None:
             solver_cfg = dataclasses.replace(embed_solver, seed=embed_seed)
             pair = train_map(bundle.reference, ds.cloud(cid), solver_cfg)
-        p1.append(score(model, pair, eval_sample))
+        pairs.append(pair)
         pk.append(predict_resampled(model, pair, bundle.reference, bundle.eval_n,
                                     resamples, seed=resample_seed))
-        rows.append([cid, labels[j], p1[-1], pk[-1]])
+    # the weight net on the fixed sample once, not once per cloud
+    p1 = scores(model, pairs, eval_sample)
+    rows = list(zip(ids, labels, p1, pk))
 
     m1 = evaluate(p1, labels, model.threshold)
     mk = evaluate(pk, labels, model.threshold)

@@ -4,6 +4,10 @@ f(X) = rho( mean_k phi(x_k) ) with phi and rho plain MLPs. Pooling sums
 each pooled coordinate in sorted order, so the output is bitwise
 invariant under point reordering. Bagging averages the probabilities of
 independently seeded models.
+
+ds_train's per-epoch validation (over the val clouds) and ds_bagging
+(over its members) run on every CPU through nncore.on_cpus, one whole
+forward pass per thread, so both are bitwise the serial results.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from scipy.special import expit
 from .errors import DataError, NumericError, ShapeError
 from .data import LabeledDataset
 from .nncore import (
+    _mlp_forward,
     Array,
     MlpParams,
     OptimState,
@@ -27,6 +32,7 @@ from .nncore import (
     mlp_backward,
     mlp_forward,
     mlp_init,
+    on_cpus,
     sorted_mean,
 )
 
@@ -66,27 +72,26 @@ def init_deepsets(dim: int, cfg: DeepSetsConfig, rng: Rng) -> DeepSetsModel:
     return DeepSetsModel(phi, rho, cfg)
 
 
-def ds_logit(model: DeepSetsModel, points: Array) -> float:
-    pts = np.atleast_2d(as_f64(points))
+def _prob(model: DeepSetsModel, points) -> float:
+    """The body of ds_forward, which on_cpus workers call instead."""
+    pts = np.atleast_2d(as_f64(points.points if hasattr(points, "points") else points))
     if pts.size == 0:
         raise ShapeError("empty cloud")
-    feats, _ = mlp_forward(model.phi, pts)
-    pooled = sorted_mean(feats)
-    out, _ = mlp_forward(model.rho, pooled[None, :])
-    return float(out[0, 0])
+    feats, _ = _mlp_forward(model.phi, pts)
+    out, _ = _mlp_forward(model.rho, sorted_mean(feats)[None, :])
+    return float(expit(out[0, 0]))
 
 
 def ds_forward(model: DeepSetsModel, points) -> float:
     """Class probability of one cloud; bitwise permutation invariant."""
-    pts = points.points if hasattr(points, "points") else points
-    return float(expit(ds_logit(model, pts)))
+    return _prob(model, points)
 
 
 def ds_bagging(models, points) -> float:
     """Arithmetic mean of member probabilities."""
     if not models:
         raise ValueError("need at least one model")
-    return float(np.mean([ds_forward(m, points) for m in models]))
+    return float(np.mean(on_cpus(lambda m: _prob(models[m], points), len(models))))
 
 
 def ds_loss_and_grads(model: DeepSetsModel, batches: list[Array],
@@ -140,7 +145,7 @@ def ds_train(
     cloud_pts = {c.id: c.points for c in train.clouds}
 
     def val_accuracy() -> float:
-        preds = np.array([ds_forward(model, c.points) for c in val.clouds])
+        preds = np.array(on_cpus(lambda k: _prob(model, val.clouds[k]), len(val.clouds)))
         ys = np.array([val.labels[c.id] for c in val.clouds])
         return float(np.mean((preds > 0.5) == (ys == 1)))
 

@@ -228,7 +228,7 @@ def _grad_map(params: IcnnParams, cfg: IcnnConfig, x: Array) -> Array:
 
     The body of icnn_input_grad without a cache and of
     DualPair.map_forward. It calls no public function of the package, so
-    lot.maps_on's worker threads run it: benchmarks/tracing.py wraps
+    nncore.on_cpus's worker threads run it: benchmarks/tracing.py wraps
     the public ones and records spans for one thread only.
     """
     return _input_grad(params, cfg, IcnnCache(params, cfg, _check_input(cfg, x),

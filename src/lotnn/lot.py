@@ -10,20 +10,19 @@ error, and the deviation-bound calculator quantifies that error budget.
 maps_on evaluates many clouds' maps on one sample with one thread per
 usable CPU, so `lotnn dist` (pairwise_matrix) and `lotnn train` (the
 classifier phases of train_alternating) use all the CPUs the process
-may run on. Results do not depend on the CPU count: each map is
-computed whole by one thread, bit for bit as map_forward computes it.
-BLAS threads are a separate setting, made through OPENBLAS_NUM_THREADS
-(or the variable of whichever BLAS numpy loads) before numpy starts, and
-results are bitwise reproducible only at the same BLAS thread count:
-OpenBLAS splits a matrix product's rows over its threads, which changes
-the rounding.
+may run on. The pool is nncore.on_cpus, which classify.predict_resampled
+and the DeepSets baseline share. Results do not depend on the CPU
+count: each map is computed whole by one thread, bit for bit as
+map_forward computes it. BLAS threads are a separate setting, made
+through OPENBLAS_NUM_THREADS (or the variable of whichever BLAS numpy
+loads) before numpy starts, and results are bitwise reproducible only at
+the same BLAS thread count: OpenBLAS splits a matrix product's rows over
+its threads, which changes the rounding.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -31,7 +30,7 @@ import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
 from .errors import DataError, ShapeError
-from .nncore import Array, as_f64
+from .nncore import Array, as_f64, on_cpus
 from .otsolve import DualPair
 
 
@@ -143,55 +142,19 @@ def lot_distance_empirical(pair_i: DualPair, pair_j: DualPair, sample: Array) ->
     return float(np.sqrt(np.mean(np.sum((Gi - Gj) ** 2, axis=1))))
 
 
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def maps_on(pairs: Sequence[DualPair], sample: Array) -> Array:
     """Every pair's gradient map on one sample, as an (N, n, d) array.
 
     Row k is bitwise pairs[k].map_forward(sample) whatever the CPU
-    count: the pairs are shared out over one thread per usable CPU, the
-    calling thread included, and each map is evaluated whole by one
-    thread. Splitting one map's rows over threads would change how BLAS
-    rounds the products of the smaller blocks. With one CPU no thread
-    starts. The threads run DualPair._map, which calls none of the
-    functions benchmarks/tracing.py wraps, so a traced run bills their
-    work to the caller. If maps fail, the first failing pair's error is
-    raised.
+    count: nncore.on_cpus shares the pairs out over the usable CPUs, and
+    each thread runs DualPair._map, which calls no traced function. If
+    maps fail, the first failing pair's error is raised.
     """
     S = np.atleast_2d(as_f64(sample))
     if S.size == 0:
         raise ShapeError("empty sample")
     out = np.empty((len(pairs), *S.shape))
-    errors: dict[int, Exception] = {}
-    todo = iter(range(len(pairs)))
-    lock = threading.Lock()
-
-    def work() -> None:
-        while True:
-            with lock:
-                k = next(todo, None)
-            if k is None:
-                return
-            try:
-                pairs[k]._map(S, out=out[k])
-            except Exception as e:  # raised in the calling thread below
-                errors[k] = e
-
-    threads = [threading.Thread(target=work)
-               for _ in range(min(_usable_cpus(), len(pairs)) - 1)]
-    for t in threads:
-        t.start()
-    try:
-        work()
-    finally:
-        for t in threads:
-            t.join()
-    if errors:
-        raise errors[min(errors)]
+    on_cpus(lambda k: pairs[k]._map(S, out=out[k]), len(pairs))
     return out
 
 

@@ -4,8 +4,9 @@ Everything downstream (ICNN potentials, weight networks, the DeepSets
 baseline) is built from the pieces here: a seeded RNG wrapper, one
 vector per network's parameters, an Adam update of such a vector in
 place, order-independent pooling, a binary cross-entropy loss, small
-tanh MLPs with hand-written backward passes, and the central-difference
-oracle used to cross-check every analytic gradient.
+tanh MLPs with hand-written backward passes, the central-difference
+oracle used to cross-check every analytic gradient, and on_cpus, the one
+thread pool of the package.
 All arrays are float64; 32-bit cannot hold the gradient-check tolerances.
 """
 
@@ -15,8 +16,9 @@ import ctypes
 import math
 import os
 import platform
+import threading
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 from scipy.special import expit
@@ -24,6 +26,7 @@ from scipy.special import expit
 from .errors import NumericError, ShapeError
 
 Array = np.ndarray
+T = TypeVar("T")
 
 
 def as_f64(x) -> Array:
@@ -50,6 +53,55 @@ def set_heap_thresholds() -> bool:
     # M_MMAP_THRESHOLD (-3) to 16 MiB, M_TRIM_THRESHOLD (-1) to 64 MiB;
     # setting either stops glibc from moving both
     return bool(mallopt(-3, 16 << 20) and mallopt(-1, 64 << 20))
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def on_cpus(fn: Callable[[int], T], n: int) -> list[T]:
+    """[fn(0), ..., fn(n - 1)], shared out over one thread per usable CPU.
+
+    The calling thread is one of them; with one CPU, or one item, no
+    thread starts. Each fn(k) runs whole on one thread, so the results
+    are bitwise the serial ones whatever the CPU count: splitting one
+    item's rows over threads would change how BLAS rounds the products
+    of the smaller blocks. numpy releases the GIL inside its kernels,
+    which is where the threads overlap. fn must call none of the
+    functions benchmarks/tracing.py wraps, as its tracer records one
+    thread only: a traced run bills the workers' time to the caller.
+    If calls fail, the lowest index's error is raised once every thread
+    has finished.
+    """
+    results: list = [None] * n
+    errors: dict[int, Exception] = {}
+    todo = iter(range(n))
+    lock = threading.Lock()
+
+    def work() -> None:
+        while True:
+            with lock:
+                k = next(todo, None)
+            if k is None:
+                return
+            try:
+                results[k] = fn(k)
+            except Exception as e:  # raised in the calling thread below
+                errors[k] = e
+
+    threads = [threading.Thread(target=work) for _ in range(min(_usable_cpus(), n) - 1)]
+    for t in threads:
+        t.start()
+    try:
+        work()
+    finally:
+        for t in threads:
+            t.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def check_finite(name: str, *arrays: Array) -> None:
@@ -284,6 +336,11 @@ def mlp_init(widths: Sequence[int], rng: Rng, scale: float = 1.0) -> MlpParams:
 
 def mlp_forward(p: MlpParams, x: Array) -> tuple[Array, list[Array]]:
     """Batched forward pass; returns (output (n,out), per-layer inputs cache)."""
+    return _mlp_forward(p, x)
+
+
+def _mlp_forward(p: MlpParams, x: Array) -> tuple[Array, list[Array]]:
+    """The body of mlp_forward, which on_cpus workers call instead."""
     x = np.atleast_2d(as_f64(x))
     if x.shape[1] != p.in_dim:
         raise ShapeError(f"MLP expects dim {p.in_dim}, got {x.shape[1]}")

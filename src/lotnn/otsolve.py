@@ -127,7 +127,7 @@ class DualPair:
     def _map(self, x: Array, out: Array | None = None) -> Array:
         """grad psi(x) of a batch, written into out when one is given.
 
-        The body of map_forward, which lot.maps_on's worker threads run;
+        The body of map_forward, which nncore.on_cpus's worker threads run;
         like icnn._grad_map it calls no public function of the package.
         """
         g = _grad_map(self.psi, self.psi_cfg, self._sigma_side(x))

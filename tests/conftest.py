@@ -1,5 +1,7 @@
 """Shared helpers: hand-wired potentials with known gradient maps."""
 
+import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +12,23 @@ from lotnn.otsolve import DualPair, Frame
 
 # test_bundle.handmade_bundle() as the version-1 save_bundle wrote it
 BUNDLE_V1 = Path(__file__).parent / "data" / "bundle_v1.json"
+
+
+def load_tracing():
+    """benchmarks/tracing.py, the benchmark's tracer, loaded by path.
+
+    It imports only the standard library at load time; its dataclasses
+    look their module up in sys.modules while it loads.
+    """
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("lotnn_bench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
 
 
 def quad_potential(dim, quad=1.0, tilt=None):

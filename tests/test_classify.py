@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from lotnn import nncore
 from lotnn.errors import DataError, ShapeError
 from lotnn.classify import (
     ClassifierConfig,
@@ -18,8 +19,8 @@ from lotnn.classify import (
 from lotnn.data import LabeledDataset, PointCloud, SyntheticSpec, gen_synthetic
 from lotnn.lot import ReferenceMeasure
 from lotnn.nncore import MlpParams, Rng, finite_diff_grad, mlp_init
-from lotnn.otsolve import SolverConfig, train_map
-from conftest import blocks, quad_pair, relerr
+from lotnn.otsolve import Frame, SolverConfig, init_dual_pair, train_map
+from conftest import blocks, load_tracing, quad_pair, relerr
 
 
 def zero_weightnet(dim, bias=None):
@@ -165,6 +166,18 @@ class TestPredictResampled:
         # zero variance across resamples (averaging k copies may shift an ulp)
         assert max(vals) - min(vals) <= 1e-15
 
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_pooled_mean_equals_the_serial_scores_bitwise(self, rng, monkeypatch, cpus):
+        monkeypatch.setattr(nncore, "_usable_cpus", lambda: cpus)
+        ref = ReferenceMeasure.standard(3, seed=8)
+        model = ClassifierModel(random_weightnet(3, rng.spawn(1), hidden=(64, 64)))
+        frame = Frame(sigma_mean=(0.1, -0.2, 0.3), mu_mean=(1.0, 0.5, -1.0), scale=1.3)
+        pair = init_dual_pair(3, SolverConfig(), Rng(2), frame=frame)
+        draws = Rng(11)
+        want = float(np.mean([score(model, pair, ref.sample(500, seed=draws.spawn(j).seed))
+                              for j in range(7)]))
+        assert predict_resampled(model, pair, ref, 500, 7, seed=11) == want
+
     def test_invalid_k_rejected(self):
         ref = ReferenceMeasure.standard(2, seed=8)
         with pytest.raises(ValueError):
@@ -265,53 +278,58 @@ class TestTrainAlternating:
                 == model1.weightnet.params.theta.tobytes())
 
     def test_public_layers_run_on_the_calling_thread(self, rng, monkeypatch):
-        # lot.maps_on shares maps out over threads; the functions a traced
-        # benchmark run wraps must still run only where they are called
+        # nncore.on_cpus shares work out over threads; every function a
+        # traced benchmark run wraps must still run only where it is called
         import functools
-        import importlib
-        import pkgutil
         import threading
         import time
 
-        import lotnn
-        from lotnn import classify, lot, otsolve
+        from lotnn import classify, deepsets, lot, otsolve
 
+        tracing = load_tracing()
         calls: dict[str, set] = {}
 
         def record(name, fn, pause=0.0):
             @functools.wraps(fn)
             def wrapped(*args, **kwargs):
                 calls.setdefault(name, set()).add(threading.get_ident())
-                time.sleep(pause)  # lets every worker thread take some maps
+                time.sleep(pause)  # lets every worker thread take some items
                 return fn(*args, **kwargs)
             return wrapped
 
-        mods = [importlib.import_module(f"lotnn.{m.name}")
-                for m in pkgutil.iter_modules(lotnn.__path__)]
-        for mod_name, name in (("icnn", "icnn_cache"), ("icnn", "icnn_input_grad"),
-                               ("nncore", "mlp_forward"), ("classify", "score")):
-            orig = getattr(importlib.import_module(f"lotnn.{mod_name}"), name)
-            for m in mods:
-                for attr, val in list(vars(m).items()):
-                    if val is orig:
-                        monkeypatch.setattr(m, attr, record(name, orig))
-        monkeypatch.setattr(otsolve.DualPair, "map_forward",
-                            record("map_forward", otsolve.DualPair.map_forward))
+        # the pooled bodies, which workers run, are recorded but not traced
         monkeypatch.setattr(otsolve.DualPair, "_map",
                             record("_map", otsolve.DualPair._map, pause=0.002))
-        monkeypatch.setattr(lot, "_usable_cpus", lambda: 3)
+        for mod in (classify, deepsets):
+            monkeypatch.setattr(mod, "_mlp_forward",
+                                record("_mlp_forward", nncore._mlp_forward, pause=0.002))
+        monkeypatch.setattr(nncore, "_usable_cpus", lambda: 3)
+        tracer = tracing.Tracer()
+        tracer.wrap = record
 
         train, val = two_class_sets(rng)
         sched = TrainSchedule(ot_epochs_per_phase=1, clf_epochs_per_phase=1,
                               total_epochs=4)
-        emb, model, _ = train_alternating(train, val, sched, QUICK_SOLVER,
-                                          QUICK_CLF, seed=3)
-        lot.pairwise_matrix(emb)
-        classify.score(model, emb.pairs[emb.ids[0]], emb.eval_sample)
+        ds_cfg = deepsets.DeepSetsConfig(phi_hidden=(5,), pooled_dim=4, rho_hidden=(3,),
+                                         batch_points=10)
+        with tracing.installed(tracer):
+            emb, model, _ = classify.train_alternating(train, val, sched, QUICK_SOLVER,
+                                                       QUICK_CLF, seed=3)
+            lot.pairwise_matrix(emb)
+            pair = emb.pairs[emb.ids[0]]
+            classify.score(model, pair, emb.eval_sample)
+            classify.predict_resampled(model, pair, emb.reference, 64, 6, seed=1)
+            members = [deepsets.ds_train(train, val, 2, ds_cfg, seed=s)[0]
+                       for s in (1, 2, 3)]
+            deepsets.ds_forward(members[0], val.clouds[0])
+            deepsets.ds_bagging(members, val.clouds[0])
         me = threading.get_ident()
-        assert len(calls.pop("_map")) > 1
-        assert set(calls) == {"icnn_cache", "icnn_input_grad", "mlp_forward",
-                              "map_forward", "score"}
+        assert len(calls.pop("_map")) > 1 and len(calls.pop("_mlp_forward")) > 1
+        assert {"classify.train_alternating", "lot.pairwise_matrix", "classify.score",
+                "classify.predict_resampled", "deepsets.ds_train", "deepsets.ds_forward",
+                "deepsets.ds_bagging", "lot.ReferenceMeasure.sample",
+                "otsolve.DualPair.map_forward", "nncore.mlp_forward",
+                "icnn.icnn_input_grad"} <= set(calls) <= set(tracing.LAYER_NAMES)
         assert all(idents == {me} for idents in calls.values())
 
     def test_single_class_training_rejected(self, rng):

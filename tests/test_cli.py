@@ -202,6 +202,58 @@ def test_eval_scores_each_cloud_the_same_in_any_subset(workdir):
         assert rows["test"][cid] == rows["all"][cid]
 
 
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_eval_outputs_equal_the_per_cloud_scores_bytewise(workdir, monkeypatch, cpus):
+    # eval scores every cloud on the fixed sample with the weight net
+    # evaluated once; the files must hold the bytes that score() per
+    # cloud, at one CPU, writes
+    import lotnn.cli as cli_mod
+    from lotnn import nncore
+    from lotnn.classify import score
+
+    d, base = workdir
+    args = ["eval", "--bundle", str(d / "bundle.json"), "--data", str(d / "data"),
+            "--subset", "all", "--resamples", "2", "--out"]
+    monkeypatch.setattr(nncore, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(cli_mod, "scores", lambda model, pairs, S:
+                        [score(model, pair, S) for pair in pairs])
+    assert main(base + args + [str(d / "per_cloud.csv")]) == 0
+    monkeypatch.undo()
+    monkeypatch.setattr(nncore, "_usable_cpus", lambda: cpus)
+    assert main(base + args + [str(d / "pooled.csv")]) == 0
+    for suffix in (".csv", ".probs.csv"):
+        assert ((d / f"pooled{suffix}").read_bytes()
+                == (d / f"per_cloud{suffix}").read_bytes())
+
+
+@pytest.mark.parametrize("value", [1.5, 0.0, 1.0, float("nan"), float("inf"), "0.5", True])
+def test_bundle_with_a_bad_threshold_exits_3(workdir, capsys, value):
+    _bad_eval_setting(workdir, capsys, "threshold", value, "threshold must be")
+
+
+@pytest.mark.parametrize("value", [0, -3, 2.5, "10", True])
+def test_bundle_with_a_bad_eval_sample_size_exits_3(workdir, capsys, value):
+    _bad_eval_setting(workdir, capsys, "n", value, "eval_sample.n must be")
+
+
+@pytest.mark.parametrize("value", [-1, 1.5, None])
+def test_bundle_with_a_bad_eval_seed_exits_3(workdir, capsys, value):
+    _bad_eval_setting(workdir, capsys, "seed", value, "eval_sample.seed must be")
+
+
+def _bad_eval_setting(workdir, capsys, key, value, message):
+    d, base = workdir
+    header, payload = read_document(d / "bundle.json")
+    (header if key == "threshold" else header["eval_sample"])[key] = value
+    path = d / f"bad_{key}.json"
+    write_document(path, header, payload)
+    for command in (["eval", "--data", str(d / "data")], ["dist"]):
+        assert main(base + [command[0], "--bundle", str(path), *command[1:]]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"data error: bundle {path}: ")
+        assert message in err[0]
+
+
 def _with_payload_value(workdir, name, offset, value):
     d, _ = workdir
     header, payload = read_document(d / "bundle.json")

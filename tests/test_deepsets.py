@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lotnn import deepsets, nncore
 from lotnn.data import LabeledDataset, PointCloud
 from lotnn.deepsets import (
     DeepSetsConfig,
@@ -112,3 +113,29 @@ def test_ds_train_rejects_empty_val_and_one_class_train(rng):
         ds_train(train, val.subset([]), 1, SMALL, seed=0)
     with pytest.raises(DataError, match="both classes"):
         ds_train(train.subset(train.class_ids(1)), val, 1, SMALL, seed=0)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_pooled_validation_and_bagging_equal_the_serial_runs_bitwise(
+        rng, monkeypatch, cpus):
+    clouds = [PointCloud(f"c{k}", rng.normal((n, 3)) + 1.5 * (k % 2))
+              for k, n in enumerate((30, 7, 12, 3, 25, 9, 40, 14, 20, 5, 33))]
+    ds = LabeledDataset(clouds, {c.id: k % 2 for k, c in enumerate(clouds)})
+    train, val = ds.subset(ds.ids[:6]), ds.subset(ds.ids[6:])
+    cfg = DeepSetsConfig(phi_hidden=(16,), pooled_dim=8, rho_hidden=(8,),
+                         batch_points=10, lr=1e-2)
+
+    def runs():
+        members, histories = zip(*[ds_train(train, val, 6, cfg, seed=s)
+                                   for s in (1, 2, 3)])
+        return members, histories, [ds_bagging(members, c) for c in ds.clouds]
+
+    monkeypatch.setattr(deepsets, "on_cpus", lambda fn, n: [fn(k) for k in range(n)])
+    want = runs()
+    monkeypatch.setattr(deepsets, "on_cpus", nncore.on_cpus)
+    monkeypatch.setattr(nncore, "_usable_cpus", lambda: cpus)
+    got = runs()
+    for m, w in zip(got[0], want[0]):
+        assert m.phi.theta.tobytes() == w.phi.theta.tobytes()
+        assert m.rho.theta.tobytes() == w.rho.theta.tobytes()
+    assert got[1] == want[1] and got[2] == want[2]

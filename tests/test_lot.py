@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lotnn import lot
+from lotnn import nncore
 from lotnn.errors import DataError, NumericError, ShapeError
 from lotnn.data import PointCloud
 from lotnn.lot import (
@@ -164,22 +164,16 @@ class TestMapsOn:
     @pytest.mark.parametrize("count", [1, 2, 7])
     def test_equals_a_serial_stack_bitwise(self, rng, monkeypatch, cpus, count):
         # 1000 rows split three ways would change the 64 -> d products' bits
-        monkeypatch.setattr(lot, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(nncore, "_usable_cpus", lambda: cpus)
         for dim in (2, 10):
             pairs = icnn_pairs(rng, count, dim)
             S = rng.normal((1000, dim))
             want = np.stack([p.map_forward(S) for p in pairs])
             assert maps_on(pairs, S).tobytes() == want.tobytes()
 
-    def test_one_cpu_starts_no_thread(self, rng, monkeypatch):
-        monkeypatch.setattr(lot, "_usable_cpus", lambda: 1)
-        monkeypatch.setattr(lot.threading, "Thread", None)
-        pairs = icnn_pairs(rng, 3)
-        assert maps_on(pairs, rng.normal((10, 2))).shape == (3, 10, 2)
-
     @pytest.mark.parametrize("cpus", [1, 3])
     def test_nan_parameters_raise_the_serial_error(self, rng, monkeypatch, cpus):
-        monkeypatch.setattr(lot, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(nncore, "_usable_cpus", lambda: cpus)
         pairs = icnn_pairs(rng, 4)
         pairs[2].psi.theta[0] = np.nan
         S = rng.normal((100, 2))
@@ -188,50 +182,6 @@ class TestMapsOn:
         with pytest.raises(NumericError) as pooled:
             maps_on(pairs, S)
         assert str(pooled.value) == str(serial.value)
-
-    def test_every_pair_is_taken_exactly_once_under_stress(self, monkeypatch):
-        # more threads than cores and a tiny switch interval, so a pair
-        # taken twice or never would show
-        import sys
-
-        taken = []
-
-        class Counting:
-            dim = 1
-
-            def __init__(self, k):
-                self.k = k
-
-            def _map(self, S, out):
-                taken.append(self.k)
-                out[...] = self.k
-
-        monkeypatch.setattr(lot, "_usable_cpus", lambda: 8)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(20):
-                taken.clear()
-                out = maps_on([Counting(k) for k in range(50)], np.zeros((3, 1)))
-                assert sorted(taken) == list(range(50))
-                assert np.array_equal(out[:, 0, 0], np.arange(50.0))
-        finally:
-            sys.setswitchinterval(interval)
-
-    def test_first_failing_pair_wins(self, monkeypatch):
-        class Failing:
-            dim = 2
-
-            def __init__(self, k):
-                self.k = k
-
-            def _map(self, S, out):
-                if self.k in (3, 5):
-                    raise NumericError(f"pair {self.k}")
-
-        monkeypatch.setattr(lot, "_usable_cpus", lambda: 3)
-        with pytest.raises(NumericError, match="pair 3"):
-            maps_on([Failing(k) for k in range(8)], np.zeros((4, 2)))
 
     def test_dimension_mismatch_rejected(self, rng):
         with pytest.raises(ShapeError):

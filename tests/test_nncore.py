@@ -1,9 +1,12 @@
 import platform
 import resource
+import sys
+import time
 
 import numpy as np
 import pytest
 
+from lotnn import nncore
 from lotnn.errors import NumericError, ShapeError
 from lotnn.nncore import (
     OptimState,
@@ -15,6 +18,7 @@ from lotnn.nncore import (
     mlp_backward,
     mlp_forward,
     mlp_init,
+    on_cpus,
     set_heap_thresholds,
     sorted_mean,
 )
@@ -307,3 +311,54 @@ class TestHeapThresholds:
         assert set_heap_thresholds()
         monkeypatch.setenv("MALLOC_TRIM_THRESHOLD_", "131072")
         assert not set_heap_thresholds()
+
+
+class TestOnCpus:
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_results_come_in_index_order(self, monkeypatch, cpus):
+        monkeypatch.setattr(nncore, "_usable_cpus", lambda: cpus)
+        assert on_cpus(lambda k: k * k, 7) == [k * k for k in range(7)]
+        assert on_cpus(lambda k: k, 0) == []
+
+    def test_one_cpu_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(nncore, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(nncore.threading, "Thread", None)
+        assert on_cpus(lambda k: -k, 3) == [0, -1, -2]
+
+    def test_every_item_is_taken_exactly_once_under_stress(self, monkeypatch):
+        # more threads than cores and a tiny switch interval, so an item
+        # taken twice or never would show
+        taken = []
+
+        def item(k):
+            taken.append(k)
+            return k
+
+        monkeypatch.setattr(nncore, "_usable_cpus", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                taken.clear()
+                assert on_cpus(item, 50) == list(range(50))
+                assert sorted(taken) == list(range(50))
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_lowest_failing_index_wins(self, monkeypatch, cpus):
+        # item 3 fails last in time, yet its error is the one raised, and
+        # the items after a failure still run
+        done = []
+
+        def item(k):
+            if k == 3:
+                time.sleep(0.01)
+            if k in (3, 5):
+                raise NumericError(f"item {k}")
+            done.append(k)
+
+        monkeypatch.setattr(nncore, "_usable_cpus", lambda: cpus)
+        with pytest.raises(NumericError, match="item 3"):
+            on_cpus(item, 8)
+        assert sorted(done) == [0, 1, 2, 4, 6, 7]
