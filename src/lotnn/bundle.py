@@ -39,6 +39,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import math
 import os
 import typing
 from dataclasses import dataclass, field
@@ -212,17 +213,13 @@ def _icnn_cfg(d) -> IcnnConfig:
 
 
 class _Payload:
-    """Hands out the payload blocks the header names, as views.
-
-    Each layout is built once, zero-filled, and rebound with with_theta
-    to the view of every network that has it.
-    """
+    """Hands out the payload blocks the header names, as views."""
 
     def __init__(self, data: Array):
         if (bad := data[~np.isfinite(data)]).size:
             raise DataError(f"the payload holds {bad[0]}; parameters and frames "
                             "must be finite")
-        self.data, self.used, self._layouts = data, 0, {}
+        self.data, self.used = data, 0
 
     def take(self, span, n: int, what: str) -> Array:
         off, length = span
@@ -235,10 +232,8 @@ class _Payload:
         return self.data[off:off + n]
 
     def params(self, cls, shapes: tuple, span, what: str):
-        if (cls, shapes) not in self._layouts:
-            self._layouts[cls, shapes] = cls(*([np.zeros(s) for s in g] for g in shapes))
-        layout = self._layouts[cls, shapes]
-        return layout.with_theta(self.take(span, layout.theta.size, what))
+        n = sum(math.prod(shape) for group in shapes for shape in group)
+        return cls.over(self.take(span, n, what), shapes)
 
     def finish(self) -> None:
         if self.used != self.data.size:

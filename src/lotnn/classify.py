@@ -6,8 +6,13 @@ A cloud with trained potential pair is scored by
 
 with W a learned weight network, rho a sigmoid, and x_k a shared
 reference-measure sample. The pooled sum is computed over sorted
-addends, which makes the score bitwise invariant to any reordering of
-the sample, not just invariant up to rounding.
+addends, so reordering the sample cannot change how the sum rounds. The
+score is bitwise invariant to any reordering only where every row's
+summand is, though: a row of the map or of W can differ in its last bit
+with the row's place in the batch, because BLAS rounds each row of an
+(n, h) @ (h, d) product by its position (icnn._input_grad's
+`delta @ wx[i]`, and W's last layer). On samples of a few to a hundred
+points the pooled logit moves by about 1e-17 under some permutations.
 
 Training alternates solver phases (`otsolve.fit_pairs` advancing every
 map on shared reference batches) with classifier phases (W updated by
@@ -173,7 +178,10 @@ def _pooled(W: Array, G: Array) -> float:
 def score(model: ClassifierModel, pair: DualPair, sample: Array) -> float:
     """Class probability for one cloud's trained pair on a sample.
 
-    Exactly (bitwise) invariant to permutations of the sample.
+    Invariant to permutations of the sample up to the last bit of the
+    map's and W's rows (see the module docstring); bitwise where those
+    rows do not depend on their place in the batch, as with one hidden
+    unit.
     """
     return float(expit(pooled_logit(model, pair, sample)))
 

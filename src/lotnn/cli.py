@@ -10,11 +10,15 @@ seed are byte-identical only at the same BLAS thread count: OpenBLAS
 splits a matrix product's rows over its threads, which changes the
 rounding, and defaults to one thread per core.
 
-`dist`, `train`, `eval` and `baseline` run on all usable CPUs, one
-thread each (see lotnn.nncore.on_cpus): `dist` and `train` evaluate
-transport maps there, `eval` scores clouds and `baseline` runs DeepSets'
-validation and bagging. Their outputs do not depend on the CPU count.
-BLAS threads are set separately, through OPENBLAS_NUM_THREADS.
+With one BLAS thread (OPENBLAS_NUM_THREADS=1), `dist`, `train`, `eval`
+and `baseline` run on all usable CPUs. Threads (lotnn.nncore.on_cpus)
+evaluate transport maps in `dist` and `train`, score clouds in `eval`
+and run DeepSets' validation and bagging in `baseline`; `train` also
+fits the maps in worker processes, one per further CPU
+(lotnn.nncore.worker_processes), started on first use and ended with
+the command. When BLAS runs more threads, as OpenBLAS does by default,
+they take the CPUs and all of this runs in the calling thread. The
+outputs do not depend on the CPU count.
 
 A bundle (--bundle) is not a JSON text: it is one line of JSON metadata
 followed by the binary float64 parameters; lotnn.bundle describes the

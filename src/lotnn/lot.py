@@ -11,13 +11,16 @@ maps_on evaluates many clouds' maps on one sample with one thread per
 usable CPU, so `lotnn dist` (pairwise_matrix) and `lotnn train` (the
 classifier phases of train_alternating) use all the CPUs the process
 may run on. The pool is nncore.on_cpus, which classify.predict_resampled
-and the DeepSets baseline share. Results do not depend on the CPU
+and the DeepSets baseline share; the maps themselves are fitted in
+worker processes (otsolve.fit_pairs). Results do not depend on the CPU
 count: each map is computed whole by one thread, bit for bit as
 map_forward computes it. BLAS threads are a separate setting, made
 through OPENBLAS_NUM_THREADS (or the variable of whichever BLAS numpy
-loads) before numpy starts, and results are bitwise reproducible only at
-the same BLAS thread count: OpenBLAS splits a matrix product's rows over
-its threads, which changes the rounding.
+loads) before numpy starts. With more than one, the pools start no
+thread or process, since BLAS then takes the CPUs itself, and results
+are bitwise reproducible only at the same BLAS thread count: OpenBLAS
+splits a matrix product's rows over its threads, which changes the
+rounding.
 """
 
 from __future__ import annotations

@@ -5,20 +5,31 @@ baseline) is built from the pieces here: a seeded RNG wrapper, one
 vector per network's parameters, an Adam update of such a vector in
 place, order-independent pooling, a binary cross-entropy loss, small
 tanh MLPs with hand-written backward passes, the central-difference
-oracle used to cross-check every analytic gradient, and on_cpus, the one
-thread pool of the package.
+oracle used to cross-check every analytic gradient, and the two ways
+the package shares work out over CPUs: on_cpus, a thread pool for map
+evaluations (1000-row kernels release the GIL long enough to overlap),
+and worker_processes, persistent worker processes for solver steps
+(256-row steps hold the GIL for most of their time). One rule,
+_helpers, sizes both: one worker per usable CPU, the caller included,
+and none for one item or when BLAS runs threads of its own.
 All arrays are float64; 32-bit cannot hold the gradient-check tolerances.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
+import functools
 import math
+import multiprocessing
 import os
 import platform
+import signal
 import threading
 from dataclasses import dataclass
-from typing import Callable, Sequence, TypeVar
+from multiprocessing.connection import Connection
+from pathlib import Path
+from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 from scipy.special import expit
@@ -61,11 +72,55 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+@functools.cache
+def _openblas(name: str):
+    """openblas_<name> of the OpenBLAS that numpy loaded, or None."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*.so*")):
+        lib = ctypes.CDLL(str(path))
+        for sym in (f"scipy_openblas_{name}64_", f"openblas_{name}64_", f"openblas_{name}"):
+            fn = getattr(lib, sym, None)
+            if fn is not None:
+                return fn
+    return None
+
+
+def _blas_threads() -> int | None:
+    """Threads numpy's BLAS splits a product over; None if it cannot tell."""
+    fn = _openblas("get_num_threads")
+    if fn is None:
+        return None
+    fn.argtypes, fn.restype = [], ctypes.c_int
+    return int(fn())
+
+
+def _set_blas_threads(n: int) -> None:
+    """Set the threads of numpy's BLAS, where _blas_threads can read them."""
+    fn = _openblas("set_num_threads")
+    if fn is not None:
+        fn.argtypes, fn.restype = [ctypes.c_int], None
+        fn(n)
+
+
+def _helpers(n: int) -> int:
+    """Workers to start beside the caller for n items of work.
+
+    One per usable CPU, the caller's included, and none for one item or
+    when BLAS splits products over threads of its own: with two BLAS
+    threads on two CPUs, 40 map evaluations on two threads took 1.3-1.5x
+    as long as on one.
+    """
+    if n < 2 or (_blas_threads() or 1) > 1:
+        return 0
+    return min(_usable_cpus(), n) - 1
+
+
 def on_cpus(fn: Callable[[int], T], n: int) -> list[T]:
     """[fn(0), ..., fn(n - 1)], shared out over one thread per usable CPU.
 
-    The calling thread is one of them; with one CPU, or one item, no
-    thread starts. Each fn(k) runs whole on one thread, so the results
+    The calling thread is one of them; _helpers says how many more
+    start, none with one CPU, one item or a multi-threaded BLAS. Each
+    fn(k) runs whole on one thread, so the results
     are bitwise the serial ones whatever the CPU count: splitting one
     item's rows over threads would change how BLAS rounds the products
     of the smaller blocks. numpy releases the GIL inside its kernels,
@@ -91,7 +146,7 @@ def on_cpus(fn: Callable[[int], T], n: int) -> list[T]:
             except Exception as e:  # raised in the calling thread below
                 errors[k] = e
 
-    threads = [threading.Thread(target=work) for _ in range(min(_usable_cpus(), n) - 1)]
+    threads = [threading.Thread(target=work) for _ in range(_helpers(n))]
     for t in threads:
         t.start()
     try:
@@ -102,6 +157,160 @@ def on_cpus(fn: Callable[[int], T], n: int) -> list[T]:
     if errors:
         raise errors[min(errors)]
     return results
+
+
+class _Worker:
+    """One worker process and the parent's end of the pipe to it."""
+
+    def __init__(self):
+        ctx = multiprocessing.get_context("spawn")
+        self.conn, child = ctx.Pipe()
+        self.proc = ctx.Process(target=_serve, args=(child,), name="lotnn-worker",
+                                daemon=True)
+        self.proc.start()
+        child.close()  # so the worker alone holds that end, and sees EOF on ours
+        self.ready = False
+        self.owed = 0  # replies the caller left unread (leave_reply)
+
+    def poll(self) -> bool:
+        """True once the worker has started up with one BLAS thread and
+        every reply left unread has come and been dropped."""
+        if not self.ready and self.conn.poll():
+            self.ready = self.conn.recv() in (1, None)
+        while self.ready and self.owed and self.conn.poll():
+            for _ in range(self.conn.recv()[0]):
+                self.conn.recv_bytes()
+            self.owed -= 1
+        return self.ready and not self.owed
+
+    def close(self, wait: float = 5.0) -> None:
+        self.conn.close()  # an idle worker leaves at EOF
+        self.proc.join(wait)
+        if self.proc.is_alive():
+            self.proc.terminate()
+            self.proc.join(5.0)
+
+
+def _serve(conn: Connection) -> None:
+    """A worker process: run each (task, args) sent as task(conn, *args).
+
+    It leaves when the parent closes its end of the pipe or exits, also
+    when the parent is killed: the parent's end is held by no one else.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles Ctrl-C
+    _set_blas_threads(1)
+    try:
+        conn.send(_blas_threads())
+        while True:
+            task, args = conn.recv()
+            task(conn, *args)
+    except (EOFError, BrokenPipeError):
+        pass
+
+
+class _Workers:
+    """The worker processes of this process, started on first use and reused.
+
+    Once one has died, or been ended mid-task, none is started again and
+    the callers run serially: a worker that cannot start up (say, the
+    main script re-run by spawn fails) would otherwise be started anew
+    on every call.
+    """
+
+    def __init__(self):
+        self.pid = os.getpid()
+        self.lock = threading.Lock()
+        self.workers: list[_Worker] = []
+        self.broken = False
+
+    def ready(self, k: int) -> list[Connection]:
+        if self.pid != os.getpid():  # a forked child: the workers are its parent's
+            self.pid, self.workers, self.broken = os.getpid(), [], False
+        if self.broken:
+            return []
+        self.trim(_usable_cpus() - 1)
+        while len(self.workers) < k:
+            self.workers.append(_Worker())
+        conns = []
+        for w in self.workers[:k]:
+            try:
+                if w.poll():
+                    conns.append(w.conn)
+            except (EOFError, OSError):  # it died starting up
+                self.drop([w.conn])
+        return conns
+
+    def trim(self, keep: int) -> None:
+        """End the workers beyond the first `keep`."""
+        while len(self.workers) > max(keep, 0):
+            self.workers.pop().close()
+
+    def drop(self, conns: list[Connection]) -> None:
+        self.broken = self.broken or bool(conns)
+        for w in [w for w in self.workers if w.conn in conns]:
+            self.workers.remove(w)
+            w.close(wait=0.0)
+
+
+_WORKERS = _Workers()
+
+
+@contextlib.contextmanager
+def worker_processes(n: int) -> Iterator[list[Connection]]:
+    """Pipes to the worker processes that may take part of n items' work.
+
+    Workers follow on_cpus's rule (_helpers), so with one CPU, one item
+    or a multi-threaded BLAS the list is empty. They are spawned, never
+    forked, on the first call that wants them, and run one BLAS thread.
+    Only workers that have finished starting up (0.75-1 s, mostly
+    imports) are handed out, so the calls until then get fewer or none;
+    so does a second thread while another holds them. The body sends
+    each worker a task (see _serve) and reads its reply, or hands the
+    reply to leave_reply. A reply is a pickled tuple whose first item
+    counts the send_arrays messages that follow it. If the body raises,
+    its workers are ended, since their pipes may hold half a message.
+    Workers run untraced: benchmarks/tracing.py sees only the caller's
+    share.
+    """
+    if not _WORKERS.lock.acquire(blocking=False):
+        yield []
+        return
+    try:
+        conns = _WORKERS.ready(_helpers(n))
+        try:
+            yield conns
+        except (EOFError, BrokenPipeError, ConnectionResetError) as e:
+            _WORKERS.drop(conns)
+            raise RuntimeError("a worker process ended before its task did") from e
+        except BaseException:
+            _WORKERS.drop(conns)
+            raise
+    finally:
+        _WORKERS.lock.release()
+
+
+def leave_reply(conn: Connection) -> None:
+    """Leave the reply to the task running on conn's worker unread.
+
+    The pool drops it when it comes, and hands the worker out again
+    only then.
+    """
+    for w in _WORKERS.workers:
+        if w.conn is conn:
+            w.owed += 1
+
+
+def send_arrays(conn: Connection, *arrays: Array) -> None:
+    """Send each C-contiguous array's bytes as one message."""
+    for a in arrays:
+        conn.send_bytes(a)
+
+
+def recv_arrays(conn: Connection, *arrays: Array) -> None:
+    """Receive one message into each C-contiguous array, in place."""
+    for a in arrays:
+        if conn.recv_bytes_into(memoryview(a).cast("B")) != a.nbytes:
+            raise ShapeError(f"message does not fill an array of {a.nbytes} bytes")
 
 
 def check_finite(name: str, *arrays: Array) -> None:
@@ -282,11 +491,20 @@ class FlatParams:
         if off != theta.size:
             raise ShapeError(f"parameter vector has {theta.size} entries, layout {off}")
 
+    @classmethod
+    def over(cls, theta: Array, shapes: tuple):
+        """The network with block shapes `shapes` (one tuple per group) viewing theta."""
+        new = object.__new__(cls)
+        new._bind(theta, shapes)
+        return new
+
     def with_theta(self, theta: Array):
         """The same layout over another vector, sharing its memory."""
-        new = object.__new__(type(self))
-        new._bind(theta, self._shapes)
-        return new
+        return self.over(theta, self._shapes)
+
+    def __reduce__(self):
+        # pickle and copy.deepcopy copy theta alone, then bind the views to it
+        return self.over, (self.theta, self._shapes)
 
     def span(self, group: str) -> slice:
         """The slice of theta that holds one group of blocks."""

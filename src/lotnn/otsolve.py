@@ -30,8 +30,10 @@ closed-form Gaussian (diagonal covariance) distance.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from multiprocessing.connection import Connection
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -47,10 +49,22 @@ from .icnn import (
     icnn_forward,
     icnn_input_grad,
     icnn_inputgrad_vjp,
+    icnn_shapes,
     init_icnn,
     project_nonneg,
 )
-from .nncore import Array, OptimState, Rng, adam_step, as_f64, check_finite
+from .nncore import (
+    Array,
+    OptimState,
+    Rng,
+    adam_step,
+    as_f64,
+    check_finite,
+    leave_reply,
+    recv_arrays,
+    send_arrays,
+    worker_processes,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .lot import ReferenceMeasure
@@ -326,6 +340,10 @@ def solver_step(pair: DualPair, X: Array, Y: Array, lambda_cyc: float,
     return loss
 
 
+# bytes of batches fit_pairs draws ahead when worker processes share its clouds
+BATCH_BYTES = 16 << 20
+
+
 def fit_pairs(sigma: "ReferenceMeasure", clouds: dict[str, Array],
               pairs: dict[str, DualPair], states: dict[str, OptimState],
               cfg: SolverConfig, batch_rng: Rng, steps: int) -> list[float]:
@@ -335,24 +353,164 @@ def fit_pairs(sigma: "ReferenceMeasure", clouds: dict[str, Array],
     dict order; a missing Adam state is created from cfg, and each step
     updates the pair's networks and Adam state in place and adds one to
     the pair's meta["iterations"]. Returns the losses, step-major.
+
+    The clouds are shared out, in contiguous chunks, over the caller and
+    the worker processes of nncore.worker_processes, one per usable CPU
+    when BLAS runs one thread. The caller draws every batch first, in
+    the serial order (up to BATCH_BYTES of them at a time; one step at a
+    time without workers), and each chunk then runs those steps for its
+    clouds. A worker gets its pairs' parameters, Adam state and
+    iterations as raw buffers and sends them back into the same arrays,
+    so every output is bitwise the serial one at any CPU count. The
+    caller keeps the largest chunk; when it is done and a worker's reply
+    is late, it runs that worker's chunk as well until the reply comes
+    (the reply then overwrites the partial run), or to the end, leaving
+    the reply to the pool. So a worker on a busy CPU costs at most about
+    the serial time. Of the failures, the one the serial loop would meet
+    first (lowest step, then cloud order) is raised; clouds of other
+    chunks may have gone further than the serial loop would have taken
+    them.
     """
-    losses: list[float] = []
-    for _ in range(steps):
-        X = sigma.sample(cfg.batch_size, seed=int(batch_rng.integers(0, 2**62)))
-        for cid, points in clouds.items():
-            idx = batch_rng.integers(0, points.shape[0], size=cfg.batch_size)
-            step = pairs[cid].meta.get("iterations", 0)
-            if cid not in states:
-                states[cid] = OptimState(lr=cfg.lr)
+    if steps < 1:
+        return []
+    for cid in clouds:
+        states.setdefault(cid, OptimState(lr=cfg.lr))
+    work = [(cid, pairs[cid], states[cid], as_f64(points)) for cid, points in clouds.items()]
+    losses = np.empty((len(work), steps))
+    failures: list[tuple[int, int, Exception]] = []
+    with worker_processes(len(work)) as conns:
+        block = 1 if not conns else \
+            max(1, BATCH_BYTES // (8 * cfg.batch_size * (sigma.dim + len(work))))
+        for start in range(0, steps, block):
+            X, idx = _draw(sigma, work, cfg.batch_size, batch_rng, min(block, steps - start))
+            out = losses[:, start:start + X.shape[0]]
+            # the caller's chunk first, and the largest
+            cut = [-(-k * len(work) // (len(conns) + 1)) for k in range(len(conns) + 2)]
+            for conn, lo, hi in zip(conns, cut[1:], cut[2:]):
+                _send_chunk(conn, work[lo:hi], X, idx[lo:hi], cfg.lambda_cyc)
+            t = time.perf_counter()
+            if failure := _run_chunk(work[:cut[1]], X, idx, cfg.lambda_cyc, out):
+                failures.append(failure)
+            grace = 2 * (time.perf_counter() - t) / (cut[1] * X.shape[0])
+            for conn, lo, hi in zip(list(conns), cut[1:], cut[2:]):
+                # a worker that is late (a busy CPU) does not hold the caller up:
+                # the caller runs that chunk too, until the reply comes, which
+                # then overwrites the whole chunk's state
+                failure = None
+                if not conn.poll(grace):
+                    failure = _run_chunk(work[lo:hi], X, idx[lo:hi], cfg.lambda_cyc,
+                                         out[lo:hi], stop=conn.poll)
+                if conn.poll():
+                    failure = _recv_chunk(conn, work[lo:hi], out[lo:hi])
+                else:
+                    leave_reply(conn)
+                    conns.remove(conn)
+                if failure:
+                    failures.append((failure[0], lo + failure[1], failure[2]))
+            if failures:
+                break
+    if failures:
+        raise min(failures, key=lambda f: f[:2])[2]
+    return losses.T.ravel().tolist()
+
+
+def _draw(sigma: "ReferenceMeasure", work: list, batch_size: int, batch_rng: Rng,
+          steps: int) -> tuple[Array, Array]:
+    """Batches of `steps` steps in the serial order: each step's reference
+    batch X[s], then each cloud's rows idx[j, s]."""
+    X = np.empty((steps, batch_size, sigma.dim))
+    idx = np.empty((len(work), steps, batch_size), dtype=np.int64)
+    for s in range(steps):
+        X[s] = sigma.sample(batch_size, seed=int(batch_rng.integers(0, 2**62)))
+        for j, (*_, points) in enumerate(work):
+            idx[j, s] = batch_rng.integers(0, points.shape[0], size=batch_size)
+    return X, idx
+
+
+def _run_chunk(work: list, X: Array, idx: Array, lambda_cyc: float, losses: Array,
+               stop: Callable[[], bool] = lambda: False) -> tuple[int, int, Exception] | None:
+    """fit_pairs's steps on X for one chunk of (cid, pair, state, points).
+
+    Writes losses[j, s] for cloud j of the chunk. Stops at the first
+    failure and returns it as (step, cloud, error), both counted from 0
+    in this chunk and block of steps; stops too, returning None, once
+    stop() is true before a solver step.
+    """
+    for s in range(X.shape[0]):
+        for j, (cid, pair, state, points) in enumerate(work):
+            if stop():
+                return None
+            step = pair.meta.get("iterations", 0)
             try:
-                loss = solver_step(pairs[cid], X, points[idx], cfg.lambda_cyc, states[cid])
+                loss = solver_step(pair, X[s], points[idx[j, s]], lambda_cyc, state)
             except NumericError as e:
-                raise NumericError(f"{e} (cloud {cid}, step {step})") from e
+                err = NumericError(f"{e} (cloud {cid}, step {step})")
+                err.__cause__ = e
+                return s, j, err
             if not np.isfinite(loss):
-                raise NumericError(f"non-finite loss (cloud {cid}, step {step})")
-            pairs[cid].meta["iterations"] = step + 1
-            losses.append(loss)
-    return losses
+                return s, j, NumericError(f"non-finite loss (cloud {cid}, step {step})")
+            pair.meta["iterations"] = step + 1
+            losses[j, s] = loss
+    return None
+
+
+def _adam_arrays(state: OptimState) -> tuple[Array, ...]:
+    return () if state.m is None else (state.m, state.v)
+
+
+def _send_chunk(conn: Connection, work: list, X: Array, idx: Array,
+                lambda_cyc: float) -> None:
+    """Hand one chunk of fit_pairs to a worker process (_fit_remote)."""
+    specs = [(cid, p.psi_cfg, p.psi.theta.size, p.phi_cfg, p.phi.theta.size, p.frame,
+              points.shape, s.lr, s.step, s.m is not None, p.meta.get("iterations", 0))
+             for cid, p, s, points in work]
+    conn.send((_fit_remote, (specs, lambda_cyc, X.shape)))
+    send_arrays(conn, X, np.ascontiguousarray(idx))
+    for _, p, s, points in work:
+        send_arrays(conn, np.ascontiguousarray(points), p.psi.theta, p.phi.theta,
+                    *_adam_arrays(s))
+
+
+def _fit_remote(conn: Connection, specs: list, lambda_cyc: float, x_shape: tuple) -> None:
+    """A worker process's side of _send_chunk and _recv_chunk."""
+    X = np.empty(x_shape)
+    idx = np.empty((len(specs), *x_shape[:2]), dtype=np.int64)
+    recv_arrays(conn, X, idx)
+    work = []
+    for cid, psi_cfg, n_psi, phi_cfg, n_phi, frame, shape, lr, step, has_m, iters in specs:
+        pair = DualPair(IcnnParams.over(np.empty(n_psi), icnn_shapes(psi_cfg)), psi_cfg,
+                        IcnnParams.over(np.empty(n_phi), icnn_shapes(phi_cfg)), phi_cfg,
+                        frame, meta={"iterations": iters})
+        state = OptimState(lr=lr, step=step)
+        if has_m:
+            state.m, state.v = np.empty(n_psi + n_phi), np.empty(n_psi + n_phi)
+        work.append((cid, pair, state, np.empty(shape)))
+        recv_arrays(conn, work[-1][3], pair.psi.theta, pair.phi.theta, *_adam_arrays(state))
+    losses = np.empty((len(work), x_shape[0]))
+    failure = _run_chunk(work, X, idx, lambda_cyc, losses)
+    arrays = [losses]
+    for _, p, s, _ in work:
+        arrays += [p.psi.theta, p.phi.theta, *_adam_arrays(s)]
+    conn.send((len(arrays), [(s.step, s.m is not None, p.meta["iterations"])
+                             for _, p, s, _ in work], failure))
+    send_arrays(conn, *arrays)
+
+
+def _recv_chunk(conn: Connection, work: list,
+                losses: Array) -> tuple[int, int, Exception] | None:
+    """A worker's reply to _send_chunk, written into the chunk's own arrays."""
+    _, done, failure = conn.recv()
+    got = np.empty(losses.shape)
+    recv_arrays(conn, got)
+    losses[...] = got
+    for (_, p, s, _), (step, has_m, iterations) in zip(work, done):
+        if has_m and s.m is None:
+            n = p.psi.theta.size + p.phi.theta.size
+            s.m, s.v = np.empty(n), np.empty(n)
+        recv_arrays(conn, p.psi.theta, p.phi.theta, *((s.m, s.v) if has_m else ()))
+        s.step = step
+        p.meta["iterations"] = iterations
+    return failure
 
 
 def train_map(sigma: "ReferenceMeasure", mu, cfg: SolverConfig) -> DualPair:

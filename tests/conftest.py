@@ -2,11 +2,13 @@
 
 import importlib.util
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from lotnn import nncore
 from lotnn.icnn import IcnnConfig, IcnnParams
 from lotnn.otsolve import DualPair, Frame
 
@@ -85,3 +87,45 @@ def relerr(got, want):
 def rng():
     from lotnn.nncore import Rng
     return Rng(20240801)
+
+
+# the CPU count tests raise or lower with monkeypatch
+USABLE_CPUS = nncore._usable_cpus()
+
+
+@pytest.fixture(autouse=True)
+def _no_extra_workers():
+    """A test that raised nncore._usable_cpus leaves no extra worker processes."""
+    yield
+    nncore._WORKERS.trim(USABLE_CPUS - 1)
+
+
+@pytest.fixture
+def one_cpu(monkeypatch):
+    """Everything runs in this process, where monkeypatched functions apply."""
+    monkeypatch.setattr(nncore, "_usable_cpus", lambda: 1)
+
+
+def start_workers(monkeypatch, cpus: int) -> None:
+    """Raise nncore._usable_cpus to cpus and wait until its workers are up.
+
+    Needs one_blas_thread, as workers start only with one BLAS thread.
+    """
+    monkeypatch.setattr(nncore, "_usable_cpus", lambda: cpus)
+    deadline = time.monotonic() + 60
+    while True:
+        with nncore.worker_processes(cpus) as conns:
+            if len(conns) == cpus - 1:
+                return
+        assert time.monotonic() < deadline, "worker processes did not start"
+        time.sleep(0.01)
+
+
+@pytest.fixture
+def one_blas_thread():
+    """numpy's BLAS on one thread, so that the pools may start workers."""
+    before = nncore._blas_threads()
+    nncore._set_blas_threads(1)
+    yield
+    if before is not None:
+        nncore._set_blas_threads(before)

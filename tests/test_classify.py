@@ -167,6 +167,7 @@ class TestPredictResampled:
         assert max(vals) - min(vals) <= 1e-15
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.usefixtures("one_blas_thread")
     def test_pooled_mean_equals_the_serial_scores_bitwise(self, rng, monkeypatch, cpus):
         monkeypatch.setattr(nncore, "_usable_cpus", lambda: cpus)
         ref = ReferenceMeasure.standard(3, seed=8)
@@ -203,6 +204,7 @@ class TestTrainAlternating:
             train, val, sched, QUICK_SOLVER, QUICK_CLF, seed=4)
         assert emb.meta["best_val_accuracy"] >= 0.95
 
+    @pytest.mark.usefixtures("one_cpu")
     def test_classifier_phase_never_touches_pairs(self, rng, monkeypatch):
         # with the solver stubbed out, any pair change must come from the
         # classifier phase; there must be none
@@ -277,6 +279,7 @@ class TestTrainAlternating:
         assert (model3.weightnet.params.theta.tobytes()
                 == model1.weightnet.params.theta.tobytes())
 
+    @pytest.mark.usefixtures("one_blas_thread")
     def test_public_layers_run_on_the_calling_thread(self, rng, monkeypatch):
         # nncore.on_cpus shares work out over threads; every function a
         # traced benchmark run wraps must still run only where it is called

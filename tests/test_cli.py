@@ -203,6 +203,7 @@ def test_eval_scores_each_cloud_the_same_in_any_subset(workdir):
 
 
 @pytest.mark.parametrize("cpus", [1, 3])
+@pytest.mark.usefixtures("one_blas_thread")
 def test_eval_outputs_equal_the_per_cloud_scores_bytewise(workdir, monkeypatch, cpus):
     # eval scores every cloud on the fixed sample with the weight net
     # evaluated once; the files must hold the bytes that score() per
@@ -407,6 +408,7 @@ def test_bundle_pairs_record_their_solver_steps(workdir):
     assert pairs and all(p["meta"]["iterations"] == 1 for p in pairs)
 
 
+@pytest.mark.usefixtures("one_cpu")
 def test_train_numeric_failure_exits_4(workdir, monkeypatch, capsys):
     import lotnn.otsolve as otsolve_mod
 

@@ -116,6 +116,7 @@ def test_ds_train_rejects_empty_val_and_one_class_train(rng):
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.usefixtures("one_blas_thread")
 def test_pooled_validation_and_bagging_equal_the_serial_runs_bitwise(
         rng, monkeypatch, cpus):
     clouds = [PointCloud(f"c{k}", rng.normal((n, 3)) + 1.5 * (k % 2))

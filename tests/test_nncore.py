@@ -1,5 +1,8 @@
+import os
 import platform
 import resource
+import signal
+import subprocess
 import sys
 import time
 
@@ -22,7 +25,7 @@ from lotnn.nncore import (
     set_heap_thresholds,
     sorted_mean,
 )
-from conftest import blocks, relerr
+from conftest import USABLE_CPUS, blocks, relerr, start_workers
 
 
 def _adam(params, grads, state):
@@ -250,6 +253,27 @@ class TestMlpLayout:
         dup.biases[1][...] = 3.0
         assert np.all(p.biases[1] == 0.0)
 
+    @pytest.mark.parametrize("dup", ["pickle", "deepcopy"])
+    @pytest.mark.parametrize("kind", ["icnn", "mlp"])
+    def test_copies_keep_their_views_on_their_own_theta(self, rng, kind, dup):
+        # an Adam step writes theta; the forward pass reads the blocks
+        import copy
+        import pickle
+
+        from lotnn.icnn import IcnnConfig, init_icnn
+
+        p = (init_icnn(IcnnConfig(dim=3, hidden=(4, 5)), rng) if kind == "icnn"
+             else mlp_init((3, 5, 2), rng))
+        before = p.theta.copy()
+        q = (pickle.loads(pickle.dumps(p)) if dup == "pickle" else copy.deepcopy(p))
+        assert type(q) is type(p) and q.theta.tobytes() == before.tobytes()
+        q.theta[:] = 0.0
+        for group in p.GROUPS:
+            for a, b in zip(getattr(p, group), getattr(q, group)):
+                assert a.shape == b.shape and np.all(b == 0.0)
+                assert np.shares_memory(b, q.theta) and not np.shares_memory(a, b)
+        assert p.theta.tobytes() == before.tobytes()
+
     def test_init_values_fixed_for_a_seed(self):
         # sha256 of the values this init drew before the network was laid
         # out in one vector, in the order weights, biases
@@ -315,6 +339,7 @@ class TestHeapThresholds:
 
 class TestOnCpus:
     @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.usefixtures("one_blas_thread")
     def test_results_come_in_index_order(self, monkeypatch, cpus):
         monkeypatch.setattr(nncore, "_usable_cpus", lambda: cpus)
         assert on_cpus(lambda k: k * k, 7) == [k * k for k in range(7)]
@@ -325,6 +350,23 @@ class TestOnCpus:
         monkeypatch.setattr(nncore.threading, "Thread", None)
         assert on_cpus(lambda k: -k, 3) == [0, -1, -2]
 
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_multithreaded_blas_starts_no_thread(self, monkeypatch, cpus):
+        # BLAS threads of its own would compete with the pool's for the CPUs
+        monkeypatch.setattr(nncore, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(nncore, "_blas_threads", lambda: 2)
+        monkeypatch.setattr(nncore.threading, "Thread", None)
+        assert on_cpus(lambda k: -k, 3) == [0, -1, -2]
+        assert nncore._helpers(3) == 0
+
+    def test_helpers_count_the_caller(self, monkeypatch):
+        monkeypatch.setattr(nncore, "_blas_threads", lambda: 1)
+        monkeypatch.setattr(nncore, "_usable_cpus", lambda: 3)
+        assert [nncore._helpers(n) for n in (0, 1, 2, 3, 9)] == [0, 0, 1, 2, 2]
+        monkeypatch.setattr(nncore, "_blas_threads", lambda: None)  # unreadable
+        assert nncore._helpers(9) == 2
+
+    @pytest.mark.usefixtures("one_blas_thread")
     def test_every_item_is_taken_exactly_once_under_stress(self, monkeypatch):
         # more threads than cores and a tiny switch interval, so an item
         # taken twice or never would show
@@ -346,6 +388,7 @@ class TestOnCpus:
             sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize("cpus", [1, 3])
+    @pytest.mark.usefixtures("one_blas_thread")
     def test_lowest_failing_index_wins(self, monkeypatch, cpus):
         # item 3 fails last in time, yet its error is the one raised, and
         # the items after a failure still run
@@ -362,3 +405,99 @@ class TestOnCpus:
         with pytest.raises(NumericError, match="item 3"):
             on_cpus(item, 8)
         assert sorted(done) == [0, 1, 2, 4, 6, 7]
+
+
+# starts one worker, prints its pid, then exits or waits to be killed
+_WORKER_PARENT = """
+import sys, time
+from lotnn import nncore
+nncore._usable_cpus = lambda: 2
+nncore._set_blas_threads(1)
+deadline = time.monotonic() + 60
+while time.monotonic() < deadline:
+    with nncore.worker_processes(2) as conns:
+        if conns:
+            break
+    time.sleep(0.01)
+print(nncore._WORKERS.workers[0].proc.pid, flush=True)
+if sys.argv[1] == "exit":
+    sys.exit(0)
+time.sleep(120)
+"""
+
+
+def _gone(pid: int) -> bool:
+    """No such process, or a zombie nobody has reaped yet."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+class TestWorkerProcesses:
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+    @pytest.mark.parametrize("end", ["exit", "SIGTERM", "SIGKILL"])
+    def test_worker_leaves_with_its_parent(self, end):
+        # after SIGKILL nothing runs in the parent: the worker must see
+        # EOF on its pipe
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        parent = subprocess.Popen([sys.executable, "-c", _WORKER_PARENT, end],
+                                  stdout=subprocess.PIPE, env=env, text=True)
+        try:
+            pid = int(parent.stdout.readline())
+            if end != "exit":
+                parent.send_signal(getattr(signal, end))
+            parent.wait(timeout=60)
+            deadline = time.monotonic() + 10
+            while not _gone(pid):
+                assert time.monotonic() < deadline, f"worker {pid} outlived its parent"
+                time.sleep(0.05)
+        finally:
+            parent.kill()
+            parent.wait()
+            parent.stdout.close()
+
+    @pytest.mark.usefixtures("one_blas_thread")
+    def test_raised_cpu_count_leaves_no_extra_workers(self, monkeypatch):
+        start_workers(monkeypatch, 3)
+        started = list(nncore._WORKERS.workers)
+        assert len(started) == 2
+        monkeypatch.undo()
+        with nncore.worker_processes(2):
+            pass
+        keep = USABLE_CPUS - 1
+        assert nncore._WORKERS.workers == started[:keep]
+        assert not any(w.proc.is_alive() for w in started[keep:])
+
+    @pytest.mark.usefixtures("one_blas_thread")
+    def test_a_reply_left_unread_is_dropped(self, monkeypatch):
+        from multiprocessing.connection import Connection
+
+        start_workers(monkeypatch, 2)
+        worker = nncore._WORKERS.workers[0]
+        with nncore.worker_processes(2) as conns:
+            # the worker runs Connection.send(conn, (0,)): a reply of a
+            # header and no arrays
+            conns[0].send((Connection.send, ((0,),)))
+            nncore.leave_reply(conns[0])
+        start_workers(monkeypatch, 2)  # handed out again once it is dropped
+        assert nncore._WORKERS.workers[0] is worker and worker.owed == 0
+        assert not worker.conn.poll()
+
+    def test_arrays_travel_in_place(self):
+        import multiprocessing
+
+        a, b = multiprocessing.Pipe()
+        try:
+            sent = [np.arange(6.0).reshape(2, 3), np.arange(4, dtype=np.int64)]
+            got = [np.empty((2, 3)), np.empty(4, dtype=np.int64)]
+            nncore.send_arrays(a, *sent)
+            nncore.recv_arrays(b, *got)
+            assert all(np.array_equal(x, y) for x, y in zip(sent, got))
+            nncore.send_arrays(a, np.ones(3))
+            with pytest.raises(ShapeError):
+                nncore.recv_arrays(b, np.empty(4))
+        finally:
+            a.close()
+            b.close()

@@ -4,6 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from lotnn import nncore
+from lotnn import otsolve as otsolve_mod
 from lotnn.errors import NumericError, ShapeError
 from lotnn.icnn import init_icnn, project_nonneg
 from lotnn.lot import ReferenceMeasure
@@ -24,7 +26,7 @@ from lotnn.otsolve import (
     solver_loss_and_grads,
     train_map,
 )
-from conftest import blocks, quad_pair, relerr, shift_pair
+from conftest import blocks, quad_pair, relerr, shift_pair, start_workers
 
 
 class TestDualObjective:
@@ -246,6 +248,7 @@ class TestFitPairs:
         assert got.meta["iterations"] == 4
         assert got.phi.theta.tobytes() == pairs["c0"].phi.theta.tobytes()
 
+    @pytest.mark.usefixtures("one_cpu")
     def test_clouds_share_each_steps_reference_batch(self, monkeypatch):
         import lotnn.otsolve as otsolve_mod
 
@@ -263,6 +266,7 @@ class TestFitPairs:
                 assert all(any(np.array_equal(y, p) for p in points) for y in Y)
         assert not np.array_equal(seen[0][0], seen[3][0])
 
+    @pytest.mark.usefixtures("one_cpu")
     def test_nonfinite_loss_names_cloud_and_step(self, monkeypatch):
         import lotnn.otsolve as otsolve_mod
 
@@ -279,6 +283,7 @@ class TestFitPairs:
         assert pairs["c0"].meta["iterations"] == 2
         assert pairs["c1"].meta["iterations"] == 1
 
+    @pytest.mark.usefixtures("one_cpu")
     def test_step_error_names_cloud_and_step(self, monkeypatch):
         import lotnn.otsolve as otsolve_mod
 
@@ -359,6 +364,7 @@ class TestFitPairs:
             s, m, v = adam[cid]
             assert states[cid] is s and s.m is m and s.v is v and s.step == 5
 
+    @pytest.mark.usefixtures("one_cpu")
     def test_nonfinite_gradient_changes_nothing(self, monkeypatch):
         import lotnn.otsolve as otsolve_mod
 
@@ -382,6 +388,86 @@ class TestFitPairs:
         with pytest.raises(NumericError, match=r"non-finite gradient \(cloud c0, step 2\)"):
             fit_pairs(sigma, clouds, pairs, states, cfg, Rng(61), 1)
         assert {cid: snapshot(cid) for cid in clouds} == before
+
+
+@pytest.mark.usefixtures("one_blas_thread")
+class TestFitPairsOnWorkers:
+    @staticmethod
+    def _run(monkeypatch, n_clouds=5):
+        """Two fit_pairs calls; the outputs, and the solver steps run in this process."""
+        here = []
+        step = otsolve_mod.solver_step
+        monkeypatch.setattr(otsolve_mod, "solver_step",
+                            lambda *args: here.append(1) or step(*args))
+        sigma, cfg, clouds, pairs = TestFitPairs._setup(n_clouds)
+        states, rng = {}, Rng(60)
+        losses = [fit_pairs(sigma, clouds, pairs, states, cfg, rng, k) for k in (2, 3)]
+        monkeypatch.setattr(otsolve_mod, "solver_step", step)
+        nets = {cid: (p.meta, p.psi.theta.tobytes(), p.phi.theta.tobytes(),
+                      states[cid].m.tobytes(), states[cid].v.tobytes(), states[cid].step)
+                for cid, p in pairs.items()}
+        return (losses, nets), len(here)
+
+    @pytest.mark.parametrize("batch_bytes", [otsolve_mod.BATCH_BYTES, 1])
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_equals_the_serial_fit_bitwise(self, monkeypatch, cpus, batch_bytes):
+        # BATCH_BYTES 1 draws and sends the batches one step at a time
+        monkeypatch.setattr(nncore, "_usable_cpus", lambda: 1)
+        want, _ = self._run(monkeypatch)
+        start_workers(monkeypatch, cpus)
+        monkeypatch.setattr(otsolve_mod, "BATCH_BYTES", batch_bytes)
+        got, here = self._run(monkeypatch)
+        assert got == want
+        # the caller keeps the first and largest of `cpus` chunks of the 5
+        # clouds, and runs a late worker's chunk too; the rest ran elsewhere
+        assert 5 * -(-5 // cpus) <= here < 25 or cpus == 1
+
+    def test_late_worker_chunk_runs_in_the_caller_too(self, monkeypatch):
+        # the worker's two clouds have far larger networks than the
+        # caller's three, so the caller is done first and runs them too
+        def run():
+            sigma, cfg, clouds, pairs = TestFitPairs._setup(5)
+            big = SolverConfig(batch_size=16, hidden=(64, 64, 64), seed=3)
+            for i in (3, 4):
+                pairs[f"c{i}"] = pair_for_cloud(sigma, clouds[f"c{i}"], big, Rng(50 + i))
+            states = {}
+            losses = fit_pairs(sigma, clouds, pairs, states, cfg, Rng(60), 4)
+            return losses, [(p.psi.theta.tobytes(), p.phi.theta.tobytes(), p.meta,
+                             states[c].m.tobytes(), states[c].step) for c, p in pairs.items()]
+
+        here = []
+        step = otsolve_mod.solver_step
+        monkeypatch.setattr(nncore, "_usable_cpus", lambda: 1)
+        want = run()
+        start_workers(monkeypatch, 2)
+        monkeypatch.setattr(otsolve_mod, "solver_step",
+                            lambda *args: here.append(1) or step(*args))
+        assert run() == want
+        assert len(here) > 4 * 3
+
+    def test_worker_side_failure_raises_the_serial_error(self, monkeypatch):
+        def failure(bad):
+            sigma, cfg, clouds, pairs = TestFitPairs._setup(4)
+            for cid in bad:
+                pairs[cid].psi.theta[0] = np.nan
+            with pytest.raises(NumericError) as e:
+                fit_pairs(sigma, clouds, pairs, {}, cfg, Rng(60), 3)
+            return str(e.value)
+
+        monkeypatch.setattr(nncore, "_usable_cpus", lambda: 1)
+        want = [failure(bad) for bad in (["c3"], ["c1", "c3"])]
+        assert "(cloud c3, step 0)" in want[0] and "(cloud c1, step 0)" in want[1]
+        start_workers(monkeypatch, 2)  # c2 and c3 go to the worker
+        assert [failure(bad) for bad in (["c3"], ["c1", "c3"])] == want
+        assert not nncore._WORKERS.broken
+
+    @pytest.mark.parametrize("cpus, n_clouds, blas", [(1, 3, 1), (3, 1, 1), (3, 3, 2)])
+    def test_starts_no_worker(self, monkeypatch, cpus, n_clouds, blas):
+        monkeypatch.setattr(nncore, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(nncore, "_blas_threads", lambda: blas)
+        monkeypatch.setattr(nncore, "_Worker", None)  # starting one would raise
+        _, here = self._run(monkeypatch, n_clouds)
+        assert here == 5 * n_clouds
 
 
 def brute_force_cost(X, Y):
