@@ -6,8 +6,10 @@ invariant under point reordering. Bagging averages the probabilities of
 independently seeded models.
 
 ds_train's per-epoch validation (over the val clouds) and ds_bagging
-(over its members) run on every CPU through nncore.on_cpus, one whole
-forward pass per thread, so both are bitwise the serial results.
+(over its members) run on every CPU through nncore's thread pool, one
+whole forward pass per thread, so both are bitwise the serial results.
+Each epoch's validation scores a copy of the model and overlaps the
+next epoch's training step, which itself runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .nncore import (
     mlp_init,
     on_cpus,
     sorted_mean,
+    start_on_cpus,
 )
 
 
@@ -126,6 +129,11 @@ def ds_train(
     batch_points (whole cloud if smaller), and Adam updates both networks
     in place. Keeps and returns the best-validation-accuracy snapshot;
     deterministic for a fixed seed.
+
+    Each epoch's validation scores a copy of the model on helper threads
+    while the next epoch's step runs on the calling thread; that copy is
+    the snapshot kept if it is the best so far. A validation in flight is
+    finished before any error propagates.
     """
     if epochs < 0:
         raise ValueError("epochs must be >= 0")
@@ -143,16 +151,9 @@ def ds_train(
     ids = sorted(train.ids)
     y = np.array([train.labels[i] for i in ids], dtype=np.float64)
     cloud_pts = {c.id: c.points for c in train.clouds}
+    val_pos = np.array([val.labels[c.id] == 1 for c in val.clouds])
 
-    def val_accuracy() -> float:
-        preds = np.array(on_cpus(lambda k: _prob(model, val.clouds[k]), len(val.clouds)))
-        ys = np.array([val.labels[c.id] for c in val.clouds])
-        return float(np.mean((preds > 0.5) == (ys == 1)))
-
-    history: list[dict] = []
-    best_model = model.copy()
-    best_acc = -1.0
-    for epoch in range(epochs):
+    def step(epoch: int) -> float:
         batches = [pts if pts.shape[0] <= cfg.batch_points else
                    pts[batch_rng.integers(0, pts.shape[0], size=cfg.batch_points)]
                    for pts in (cloud_pts[cid] for cid in ids)]
@@ -161,10 +162,39 @@ def ds_train(
             raise NumericError(f"non-finite DeepSets loss at epoch {epoch}")
         model.rho.theta -= adam_step(g_rho, state_rho)
         model.phi.theta -= adam_step(g_phi, state_phi)
+        return loss
 
-        acc = val_accuracy()
-        history.append({"epoch": epoch, "loss": loss, "val_accuracy": acc})
-        if acc > best_acc:
-            best_acc = acc
-            best_model = model.copy()
+    def validate(epoch: int, loss: float):
+        """Start scoring a copy of the model; finish() gives its history row."""
+        snap = model.copy()
+        finish = start_on_cpus(lambda k: _prob(snap, val.clouds[k]), len(val.clouds))
+
+        def row():
+            acc = float(np.mean((np.array(finish()) > 0.5) == val_pos))
+            return snap, {"epoch": epoch, "loss": loss, "val_accuracy": acc}
+        return row
+
+    history: list[dict] = []
+    best_model = model.copy()
+    best_acc = -1.0
+    in_flight = []  # the row() of the last epoch's validation, at most one
+
+    def record() -> None:
+        nonlocal best_model, best_acc
+        snap, entry = in_flight.pop()()
+        history.append(entry)
+        if entry["val_accuracy"] > best_acc:
+            best_model, best_acc = snap, entry["val_accuracy"]
+
+    try:
+        for epoch in range(epochs):
+            loss = step(epoch)
+            if in_flight:
+                record()
+            in_flight.append(validate(epoch, loss))
+        if in_flight:
+            record()
+    finally:
+        for row in in_flight:  # an error propagates: join that validation's threads
+            row()
     return best_model, history

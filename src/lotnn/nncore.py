@@ -8,6 +8,7 @@ tanh MLPs with hand-written backward passes, the central-difference
 oracle used to cross-check every analytic gradient, and the two ways
 the package shares work out over CPUs: on_cpus, a thread pool for map
 evaluations (1000-row kernels release the GIL long enough to overlap),
+with start_on_cpus to let the caller work while the helper threads run,
 and worker_processes, persistent worker processes for solver steps
 (256-row steps hold the GIL for most of their time). One rule,
 _helpers, sizes both: one worker per usable CPU, the caller included,
@@ -130,6 +131,19 @@ def on_cpus(fn: Callable[[int], T], n: int) -> list[T]:
     If calls fail, the lowest index's error is raised once every thread
     has finished.
     """
+    return start_on_cpus(fn, n)()
+
+
+def start_on_cpus(fn: Callable[[int], T], n: int) -> Callable[[], list[T]]:
+    """Start on_cpus(fn, n) on its helper threads and return its finish().
+
+    The caller may do other work before it calls finish(), which runs
+    the items no helper has taken on the calling thread, joins the
+    helpers and returns on_cpus's result or raises its error. Where no
+    helper starts, every item runs in finish(). The caller must call
+    finish(), also when its own work in between raises, so that no
+    helper outlives it.
+    """
     results: list = [None] * n
     errors: dict[int, Exception] = {}
     todo = iter(range(n))
@@ -143,20 +157,24 @@ def on_cpus(fn: Callable[[int], T], n: int) -> list[T]:
                 return
             try:
                 results[k] = fn(k)
-            except Exception as e:  # raised in the calling thread below
+            except Exception as e:  # raised in the calling thread by finish()
                 errors[k] = e
 
     threads = [threading.Thread(target=work) for _ in range(_helpers(n))]
     for t in threads:
         t.start()
-    try:
-        work()
-    finally:
-        for t in threads:
-            t.join()
-    if errors:
-        raise errors[min(errors)]
-    return results
+
+    def finish() -> list[T]:
+        try:
+            work()
+        finally:
+            for t in threads:
+                t.join()
+        if errors:
+            raise errors[min(errors)]
+        return results
+
+    return finish
 
 
 class _Worker:
@@ -421,9 +439,15 @@ def sorted_mean(values: Array) -> Array:
     """Mean over axis 0, each column summed in sorted order.
 
     Summing sorted addends makes the result bitwise independent of the
-    row order, not just equal up to rounding.
+    row order, not just equal up to rounding. Each column is sorted as
+    a contiguous row of a transposed copy, which is faster than sorting
+    down strided columns, and summed from a C-ordered array as
+    np.sort(values, axis=0).sum(axis=0) sums it, so the result is
+    bitwise that one's.
     """
-    return np.sort(values, axis=0).sum(axis=0) / values.shape[0]
+    cols = np.array(values.T, order="C")  # a copy, also of a 1-D input, whose .T is itself
+    cols.sort(axis=-1)
+    return np.ascontiguousarray(cols.T).sum(axis=0) / values.shape[0]
 
 
 def bce(logits: Array, y: Array) -> tuple[float, Array]:

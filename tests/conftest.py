@@ -2,6 +2,7 @@
 
 import importlib.util
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -98,6 +99,19 @@ def _no_extra_workers():
     """A test that raised nncore._usable_cpus leaves no extra worker processes."""
     yield
     nncore._WORKERS.trim(USABLE_CPUS - 1)
+
+
+@pytest.fixture(autouse=True)
+def _no_leftover_threads():
+    """A test fails if a thread it started is still alive a second after it."""
+    before = set(threading.enumerate())
+    yield
+    deadline = time.monotonic() + 1.0
+    started = [t for t in threading.enumerate() if t not in before]
+    for t in started:
+        t.join(max(deadline - time.monotonic(), 0.0))
+    left = [t.name for t in started if t.is_alive()]
+    assert not left, f"threads still running after the test: {left}"
 
 
 @pytest.fixture

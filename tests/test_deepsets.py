@@ -1,3 +1,6 @@
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -12,7 +15,7 @@ from lotnn.deepsets import (
     ds_train,
     init_deepsets,
 )
-from lotnn.errors import DataError
+from lotnn.errors import DataError, NumericError
 from lotnn.nncore import Rng, bce, finite_diff_grad, mlp_backward, mlp_forward
 from conftest import blocks, relerr
 
@@ -119,24 +122,56 @@ def test_ds_train_rejects_empty_val_and_one_class_train(rng):
 @pytest.mark.usefixtures("one_blas_thread")
 def test_pooled_validation_and_bagging_equal_the_serial_runs_bitwise(
         rng, monkeypatch, cpus):
+    # validation overlaps the next epoch's step; one val cloud starts no
+    # helper, and one epoch has no next step to overlap
     clouds = [PointCloud(f"c{k}", rng.normal((n, 3)) + 1.5 * (k % 2))
               for k, n in enumerate((30, 7, 12, 3, 25, 9, 40, 14, 20, 5, 33))]
     ds = LabeledDataset(clouds, {c.id: k % 2 for k, c in enumerate(clouds)})
-    train, val = ds.subset(ds.ids[:6]), ds.subset(ds.ids[6:])
+    train = ds.subset(ds.ids[:6])
     cfg = DeepSetsConfig(phi_hidden=(16,), pooled_dim=8, rho_hidden=(8,),
                          batch_points=10, lr=1e-2)
 
-    def runs():
-        members, histories = zip(*[ds_train(train, val, 6, cfg, seed=s)
+    def runs(val, epochs):
+        members, histories = zip(*[ds_train(train, val, epochs, cfg, seed=s)
                                    for s in (1, 2, 3)])
         return members, histories, [ds_bagging(members, c) for c in ds.clouds]
 
-    monkeypatch.setattr(deepsets, "on_cpus", lambda fn, n: [fn(k) for k in range(n)])
-    want = runs()
-    monkeypatch.setattr(deepsets, "on_cpus", nncore.on_cpus)
+    for val_ids, epochs in ((ds.ids[6:], 6), (ds.ids[6:7], 6), (ds.ids[6:], 1)):
+        val = ds.subset(val_ids)
+        monkeypatch.setattr(nncore, "_usable_cpus", lambda: 1)
+        want = runs(val, epochs)
+        monkeypatch.setattr(nncore, "_usable_cpus", lambda: cpus)
+        got = runs(val, epochs)
+        for m, w in zip(got[0], want[0]):
+            assert m.phi.theta.tobytes() == w.phi.theta.tobytes()
+            assert m.rho.theta.tobytes() == w.rho.theta.tobytes()
+        assert got[1] == want[1] and got[2] == want[2]
+        assert [len(h) for h in got[1]] == [epochs] * 3
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+@pytest.mark.usefixtures("one_blas_thread")
+def test_failing_step_finishes_the_validation_in_flight(rng, monkeypatch, cpus):
+    # epoch 1's loss is NaN while epoch 0's validation is still running:
+    # ds_train raises once every val cloud is scored, and leaves no thread
+    train, val = ds_sets(rng, sizes=(30, 7, 12, 3, 25, 9, 14, 20, 5))
+    real_prob, real_loss = deepsets._prob, deepsets.ds_loss_and_grads
+    scored, steps = [], []
+
+    def slow_prob(model, points):
+        time.sleep(0.02)
+        scored.append(points)
+        return real_prob(model, points)
+
+    def nan_at_epoch_1(model, batches, y):
+        loss, g_phi, g_rho = real_loss(model, batches, y)
+        steps.append(loss)
+        return (np.nan if len(steps) == 2 else loss), g_phi, g_rho
+
+    monkeypatch.setattr(deepsets, "_prob", slow_prob)
+    monkeypatch.setattr(deepsets, "ds_loss_and_grads", nan_at_epoch_1)
     monkeypatch.setattr(nncore, "_usable_cpus", lambda: cpus)
-    got = runs()
-    for m, w in zip(got[0], want[0]):
-        assert m.phi.theta.tobytes() == w.phi.theta.tobytes()
-        assert m.rho.theta.tobytes() == w.rho.theta.tobytes()
-    assert got[1] == want[1] and got[2] == want[2]
+    threads = threading.active_count()
+    with pytest.raises(NumericError, match="epoch 1"):
+        ds_train(train, val, 3, SMALL, seed=4)
+    assert len(scored) == len(val.clouds) and threading.active_count() == threads

@@ -24,6 +24,7 @@ from lotnn.nncore import (
     on_cpus,
     set_heap_thresholds,
     sorted_mean,
+    start_on_cpus,
 )
 from conftest import USABLE_CPUS, blocks, relerr, start_workers
 
@@ -300,6 +301,21 @@ class TestSortedMean:
         for k in range(5):
             assert np.array_equal(sorted_mean(F[rng.spawn(k).permutation(300)]), want)
 
+    @pytest.mark.parametrize("shape", [(500,), (500, 1), (500, 32), (1,), (1, 32)])
+    def test_equals_the_column_sort_bitwise_and_leaves_the_input(self, rng, shape):
+        # signed zeros and 12 decades of magnitude; an F-ordered copy gives
+        # the C-ordered input's bytes, where a sum down F-ordered columns
+        # would add them pairwise
+        v = rng.normal(shape) * 10.0 ** rng.uniform(shape, -6.0, 6.0)
+        v.ravel()[::7] = 0.0
+        v.ravel()[3::7] = -0.0
+        want = np.sort(v, axis=0).sum(axis=0) / v.shape[0]
+        for x in (v, np.asfortranarray(v)):
+            before = x.copy()
+            got = sorted_mean(x)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert x.tobytes() == before.tobytes()
+
 
 class TestBce:
     def test_hand_value(self):
@@ -344,11 +360,27 @@ class TestOnCpus:
         monkeypatch.setattr(nncore, "_usable_cpus", lambda: cpus)
         assert on_cpus(lambda k: k * k, 7) == [k * k for k in range(7)]
         assert on_cpus(lambda k: k, 0) == []
+        # the caller's own work between start and finish leaves the
+        # helpers every item, or none where no helper started
+        finish = start_on_cpus(lambda k: k * k, 7)
+        time.sleep(0.02)
+        assert finish() == [k * k for k in range(7)]
 
     def test_one_cpu_starts_no_thread(self, monkeypatch):
         monkeypatch.setattr(nncore, "_usable_cpus", lambda: 1)
         monkeypatch.setattr(nncore.threading, "Thread", None)
         assert on_cpus(lambda k: -k, 3) == [0, -1, -2]
+
+    @pytest.mark.parametrize("cpus, items, blas", [(1, 3, 1), (3, 1, 1), (3, 3, 2)])
+    def test_start_starts_no_thread_at_one_cpu_one_item_or_threaded_blas(
+            self, monkeypatch, cpus, items, blas):
+        monkeypatch.setattr(nncore, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(nncore, "_blas_threads", lambda: blas)
+        monkeypatch.setattr(nncore.threading, "Thread", None)
+        ran = []
+        finish = start_on_cpus(lambda k: ran.append(k) or -k, items)
+        assert ran == []  # everything waits for finish() on the calling thread
+        assert finish() == [-k for k in range(items)]
 
     @pytest.mark.parametrize("cpus", [1, 3])
     def test_multithreaded_blas_starts_no_thread(self, monkeypatch, cpus):
@@ -391,7 +423,9 @@ class TestOnCpus:
     @pytest.mark.usefixtures("one_blas_thread")
     def test_lowest_failing_index_wins(self, monkeypatch, cpus):
         # item 3 fails last in time, yet its error is the one raised, and
-        # the items after a failure still run
+        # the items after a failure still run; also when the caller is busy
+        # between start and finish, so that at 3 CPUs the helpers meet both
+        # failures
         done = []
 
         def item(k):
@@ -404,6 +438,12 @@ class TestOnCpus:
         monkeypatch.setattr(nncore, "_usable_cpus", lambda: cpus)
         with pytest.raises(NumericError, match="item 3"):
             on_cpus(item, 8)
+        assert sorted(done) == [0, 1, 2, 4, 6, 7]
+        done.clear()
+        finish = start_on_cpus(item, 8)
+        time.sleep(0.05)
+        with pytest.raises(NumericError, match="item 3"):
+            finish()
         assert sorted(done) == [0, 1, 2, 4, 6, 7]
 
 
