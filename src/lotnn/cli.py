@@ -13,8 +13,8 @@ rounding, and defaults to one thread per core.
 With one BLAS thread (OPENBLAS_NUM_THREADS=1), `dist`, `train`, `eval`
 and `baseline` run on all usable CPUs. Threads (lotnn.nncore.on_cpus)
 evaluate transport maps in `dist` and `train`, score clouds in `eval`
-and run DeepSets' validation, scoring and bagging in `baseline`;
-`train` also fits the maps in worker processes, one per further CPU
+and run DeepSets' validation and bagging in `baseline`; `train` also
+fits the maps in worker processes, one per further CPU
 (lotnn.nncore.worker_processes), started on first use and ended with
 the command. When BLAS runs more threads, as OpenBLAS does by default,
 they take the CPUs and all of this runs in the calling thread. The
@@ -51,10 +51,9 @@ from .classify import (
     train_alternating,
 )
 from .data import SyntheticSpec, gen_synthetic, hash_id, load_csv_dir, save_csv_dir, split
-from .deepsets import DeepSetsConfig, _prob, ds_bagging, ds_train
+from .deepsets import DeepSetsConfig, ds_bagging, ds_forward, ds_train
 from .lot import BoundParams, EmbeddingSet, ReferenceMeasure, pairwise_matrix, theorem_bound
 from .bundle import ModelBundle, decode_config, drop_fixed, load_bundle, save_bundle
-from .nncore import on_cpus
 from .otsolve import SolverConfig, train_map
 
 
@@ -325,7 +324,7 @@ def cmd_baseline(cfg: RunConfig, data_dir: str, out_path: str | None) -> int:
     model, _ = ds_train(train_ds, val_ds, cfg.deepsets_epochs, cfg.deepsets,
                         seed=cfg.seed)
     labels = [eval_ds.labels[c.id] for c in eval_ds.clouds]
-    single = on_cpus(lambda k: _prob(model, eval_ds.clouds[k]), len(eval_ds.clouds))
+    single = [ds_forward(model, c) for c in eval_ds.clouds]
     m_single = evaluate(single, labels)
 
     members = [ds_train(train_ds, val_ds, cfg.deepsets_epochs, cfg.deepsets,

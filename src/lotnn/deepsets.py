@@ -164,37 +164,26 @@ def ds_train(
         model.phi.theta -= adam_step(g_phi, state_phi)
         return loss
 
-    def validate(epoch: int, loss: float):
-        """Start scoring a copy of the model; finish() gives its history row."""
-        snap = model.copy()
-        finish = start_on_cpus(lambda k: _prob(snap, val.clouds[k]), len(val.clouds))
-
-        def row():
-            acc = float(np.mean((np.array(finish()) > 0.5) == val_pos))
-            return snap, {"epoch": epoch, "loss": loss, "val_accuracy": acc}
-        return row
-
     history: list[dict] = []
     best_model = model.copy()
     best_acc = -1.0
-    in_flight = []  # the row() of the last epoch's validation, at most one
-
-    def record() -> None:
-        nonlocal best_model, best_acc
-        snap, entry = in_flight.pop()()
-        history.append(entry)
-        if entry["val_accuracy"] > best_acc:
-            best_model, best_acc = snap, entry["val_accuracy"]
-
+    pending = None  # (epoch, loss, snapshot, finish) of the validation in flight
     try:
-        for epoch in range(epochs):
-            loss = step(epoch)
-            if in_flight:
-                record()
-            in_flight.append(validate(epoch, loss))
-        if in_flight:
-            record()
+        for epoch in range(epochs + 1):
+            # this epoch's step runs while the last epoch's validation does
+            loss = step(epoch) if epoch < epochs else None
+            if pending is not None:
+                done, done_loss, snap, finish = pending
+                pending = None
+                acc = float(np.mean((np.array(finish()) > 0.5) == val_pos))
+                history.append({"epoch": done, "loss": done_loss, "val_accuracy": acc})
+                if acc > best_acc:
+                    best_model, best_acc = snap, acc
+            if epoch < epochs:
+                snap = model.copy()
+                pending = (epoch, loss, snap, start_on_cpus(
+                    lambda k, m=snap: _prob(m, val.clouds[k]), len(val.clouds)))
     finally:
-        for row in in_flight:  # an error propagates: join that validation's threads
-            row()
+        if pending is not None:  # an error propagates: join its validation's threads
+            pending[-1]()
     return best_model, history

@@ -442,8 +442,9 @@ def sorted_mean(values: Array) -> Array:
     row order, not just equal up to rounding. Each column is sorted as
     a contiguous row of a transposed copy, which is faster than sorting
     down strided columns, and summed from a C-ordered array as
-    np.sort(values, axis=0).sum(axis=0) sums it, so the result is
-    bitwise that one's.
+    np.sort(values, axis=0).sum(axis=0) sums a C-ordered input, so the
+    result is bitwise that one's; an F-ordered input gets the bytes of
+    its C-ordered copy.
     """
     cols = np.array(values.T, order="C")  # a copy, also of a 1-D input, whose .T is itself
     cols.sort(axis=-1)

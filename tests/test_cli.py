@@ -432,20 +432,6 @@ def test_baseline_and_bound(workdir):
                  "--delta", "0.05", "--n", "1000"]) == 0
 
 
-@pytest.mark.parametrize("cpus", [2, 3])
-@pytest.mark.usefixtures("one_blas_thread")
-def test_baseline_csv_is_the_same_bytes_on_every_cpu_count(workdir, monkeypatch, cpus):
-    from lotnn import nncore
-
-    d, base = workdir
-    args = base + ["baseline", "--data", str(d / "data"), "--out"]
-    monkeypatch.setattr(nncore, "_usable_cpus", lambda: 1)
-    assert main(args + [str(d / "baseline_1.csv")]) == 0
-    monkeypatch.setattr(nncore, "_usable_cpus", lambda: cpus)
-    assert main(args + [str(d / f"baseline_{cpus}.csv")]) == 0
-    assert (d / f"baseline_{cpus}.csv").read_bytes() == (d / "baseline_1.csv").read_bytes()
-
-
 @pytest.mark.parametrize("command", ["train", "eval", "baseline"])
 def test_non_integer_dim_header_exits_3(workdir, tmp_path, capsys, command):
     d, base = workdir
