@@ -16,9 +16,11 @@ evaluate transport maps in `dist` and `train`, score clouds in `eval`
 and run DeepSets' validation and bagging in `baseline`; `train` also
 fits the maps in worker processes, one per further CPU
 (lotnn.nncore.worker_processes), started on first use and ended with
-the command. When BLAS runs more threads, as OpenBLAS does by default,
-they take the CPUs and all of this runs in the calling thread. The
-outputs do not depend on the CPU count.
+the command. `eval` fits each held-out cloud's map on two processes:
+one worker computes the second half of every solver step's batch
+(lotnn.otsolve.fit_pairs). When BLAS runs more threads, as OpenBLAS
+does by default, they take the CPUs and all of this runs in the
+calling thread. The outputs do not depend on the CPU count.
 
 A bundle (--bundle) is not a JSON text: it is one line of JSON metadata
 followed by the binary float64 parameters; lotnn.bundle describes the

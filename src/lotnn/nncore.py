@@ -214,6 +214,8 @@ def _serve(conn: Connection) -> None:
 
     It leaves when the parent closes its end of the pipe or exits, also
     when the parent is killed: the parent's end is held by no one else.
+    A parent that closes its end with a message of ours unread (the
+    start-up report, a reply left to leave_reply) resets the connection.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles Ctrl-C
     _set_blas_threads(1)
@@ -222,7 +224,7 @@ def _serve(conn: Connection) -> None:
         while True:
             task, args = conn.recv()
             task(conn, *args)
-    except (EOFError, BrokenPipeError):
+    except (EOFError, BrokenPipeError, ConnectionResetError):
         pass
 
 

@@ -230,9 +230,14 @@ def estimate_w2_dual(pair: DualPair, sigma_batch: Array, mu_batch: Array) -> flo
     return float(np.sqrt(max(0.0, val)))
 
 
+# a loss and its psi and phi gradients
+LossGrads = tuple[float, Array, Array]
+
+
 def solver_loss_and_grads(
-    pair: DualPair, Xs: Array, Ys: Array, lambda_cyc: float
-) -> tuple[float, Array, Array]:
+    pair: DualPair, Xs: Array, Ys: Array, lambda_cyc: float,
+    elsewhere: Callable | None = None,
+) -> LossGrads:
     """Loss and exact gradients of the cycle-regularized dual objective.
 
     Xs/Ys are batches already in the pair's standardized coordinates.
@@ -244,8 +249,40 @@ def solver_loss_and_grads(
     The potentials' heads have no bias because the loss could not move
     one: it sees psi only through grad psi, and a constant in phi cancels
     between +E_Y[phi] and -E_X[phi(grad psi)].
+
+    Loss and gradients are the sum of two fixed halves of the batch:
+    half 1 holds rows [0, h) of Xs and [0, k) of Ys, half 2 the rest,
+    with h = ceil(n/2) and k = ceil(m/2) for n rows of Xs and m of Ys.
+    Each half weights its rows by the whole batch's 1/n, 1/m and
+    2 lambda/n (_half_loss_and_grads), and half 2 is added to half 1.
+    The halves are the same wherever they run, so the result is bitwise
+    the same at every CPU count. elsewhere, when given, is called with
+    half 2's arguments to _half_loss_and_grads before half 1 runs here,
+    and returns None or a finish() that returns half 2's result, the
+    error it raised, or None; on None half 2 runs here as well.
     """
-    n = Xs.shape[0]
+    n, m = Xs.shape[0], Ys.shape[0]
+    h, k = -(-n // 2), -(-m // 2)
+    second = (pair, Xs[h:], Ys[k:], lambda_cyc, n, m)
+    finish = elsewhere(*second) if elsewhere else None
+    try:
+        loss, g_psi, g_phi = _half_loss_and_grads(pair, Xs[:h], Ys[:k], lambda_cyc, n, m)
+    finally:
+        # also when half 1 raised, so no reply stays unread
+        got = finish() if finish else None
+    if isinstance(got, Exception):
+        raise got
+    loss2, g_psi2, g_phi2 = got or _half_loss_and_grads(*second)
+    g_psi += g_psi2
+    g_phi += g_phi2
+    return loss + loss2, g_psi, g_phi
+
+
+def _half_loss_and_grads(pair: DualPair, Xs: Array, Ys: Array, lambda_cyc: float,
+                         n: int, m: int) -> LossGrads:
+    """One half's share of solver_loss_and_grads, of a batch of n rows of
+    Xs and m of Ys. It calls only the ICNN passes, which need nothing but
+    the pair's networks, so a worker process runs it too."""
     # each cache builds only what its passes read: psi at X feeds the
     # input grad and the VJP, phi at Y the value and backward pass, and
     # phi at G all of them
@@ -256,23 +293,23 @@ def solver_loss_and_grads(
     H = icnn_input_grad(pair.phi, pair.phi_cfg, G, cache=c_phi_g)   # grad phi(G)
     corr = np.sum(Xs * G, axis=1)
     cyc = np.sum((H - Xs) ** 2, axis=1)
-    loss = float(np.mean(c_phi_y.out) + np.mean(corr - c_phi_g.out)
-                 + lambda_cyc * np.mean(cyc))
+    loss = float(np.sum(c_phi_y.out) / m + np.sum(corr - c_phi_g.out) / n
+                 + lambda_cyc * (np.sum(cyc) / n))
 
     # phi parameter grads: the direct term at Ys, then in one sweep at G
     # the direct term -(1/n) sum phi(G) and the cycle term
     # sum <w, grad phi(G)>, w = (2 lambda/n)(H - X)
     g_phi_y, _ = icnn_backward(pair.phi, pair.phi_cfg, Ys,
-                               np.full(Ys.shape[0], 1.0 / Ys.shape[0]),
-                               cache=c_phi_y)
+                               np.full(Ys.shape[0], 1.0 / m), cache=c_phi_y)
     w = (2.0 * lambda_cyc / n) * (H - Xs)
-    g_phi_g, u_grad = icnn_inputgrad_vjp(pair.phi, pair.phi_cfg, G, w,
-                                         cache=c_phi_g, upstream=np.full(n, -1.0 / n))
+    g_phi_g, u_grad = icnn_inputgrad_vjp(pair.phi, pair.phi_cfg, G, w, cache=c_phi_g,
+                                         upstream=np.full(Xs.shape[0], -1.0 / n))
 
     # psi parameter grads, all through G: v collects every dLoss/dG term
     v = Xs / n + u_grad
     g_psi, _ = icnn_inputgrad_vjp(pair.psi, pair.psi_cfg, Xs, v, cache=c_psi_x)
-    return loss, g_psi, g_phi_y + g_phi_g
+    g_phi_y += g_phi_g
+    return loss, g_psi, g_phi_y
 
 
 def make_frame(sigma: "ReferenceMeasure", points: Array) -> Frame:
@@ -321,17 +358,18 @@ def pair_for_cloud(sigma: "ReferenceMeasure", points: Array,
 
 
 def solver_step(pair: DualPair, X: Array, Y: Array, lambda_cyc: float,
-                state: OptimState) -> float:
+                state: OptimState, elsewhere: Callable | None = None) -> float:
     """One joint Adam update of both potentials in place, then projection.
 
     X and Y are original-coordinates batches; standardization happens
     here using the pair's frame. Adam sees psi's and phi's parameter
     vectors as one, psi first; a non-finite gradient raises before
-    either network changes. Returns the loss.
+    either network changes. elsewhere may run the batch's second half;
+    see solver_loss_and_grads. Returns the loss.
     """
     Xs = pair._sigma_side(X)
     Ys = pair._mu_side(Y)
-    loss, g_psi, g_phi = solver_loss_and_grads(pair, Xs, Ys, lambda_cyc)
+    loss, g_psi, g_phi = solver_loss_and_grads(pair, Xs, Ys, lambda_cyc, elsewhere)
     step = adam_step(np.concatenate([g_psi, g_phi]), state)
     pair.psi.theta -= step[:g_psi.size]
     pair.phi.theta -= step[g_psi.size:]
@@ -370,6 +408,14 @@ def fit_pairs(sigma: "ReferenceMeasure", clouds: dict[str, Array],
     first (lowest step, then cloud order) is raised; clouds of other
     chunks may have gone further than the serial loop would have taken
     them.
+
+    One cloud (train_map) counts as two items: every step's loss and
+    gradients are the sum of two fixed halves of its batch, at every CPU
+    count (solver_loss_and_grads). With a worker, each step sends it the
+    pair's parameters and half 2's rows (_WorkerHalf), computes half 1
+    meanwhile and adds the worker's half 2, the bits it would have
+    computed itself. A late reply is left to the pool as above: the
+    caller computes that half too, and the rest of the call alone.
     """
     if steps < 1:
         return []
@@ -378,7 +424,10 @@ def fit_pairs(sigma: "ReferenceMeasure", clouds: dict[str, Array],
     work = [(cid, pairs[cid], states[cid], as_f64(points)) for cid, points in clouds.items()]
     losses = np.empty((len(work), steps))
     failures: list[tuple[int, int, Exception]] = []
-    with worker_processes(len(work)) as conns:
+    with worker_processes(2 if len(work) == 1 else len(work)) as pool:
+        # the half's worker stays in the pool, which ends it if this raises
+        half = _WorkerHalf(pool[0]) if len(work) == 1 and pool else None
+        conns = [] if half else pool
         block = 1 if not conns else \
             max(1, BATCH_BYTES // (8 * cfg.batch_size * (sigma.dim + len(work))))
         for start in range(0, steps, block):
@@ -389,7 +438,7 @@ def fit_pairs(sigma: "ReferenceMeasure", clouds: dict[str, Array],
             for conn, lo, hi in zip(conns, cut[1:], cut[2:]):
                 _send_chunk(conn, work[lo:hi], X, idx[lo:hi], cfg.lambda_cyc)
             t = time.perf_counter()
-            if failure := _run_chunk(work[:cut[1]], X, idx, cfg.lambda_cyc, out):
+            if failure := _run_chunk(work[:cut[1]], X, idx, cfg.lambda_cyc, out, half=half):
                 failures.append(failure)
             grace = 2 * (time.perf_counter() - t) / (cut[1] * X.shape[0])
             for conn, lo, hi in zip(list(conns), cut[1:], cut[2:]):
@@ -428,21 +477,24 @@ def _draw(sigma: "ReferenceMeasure", work: list, batch_size: int, batch_rng: Rng
 
 
 def _run_chunk(work: list, X: Array, idx: Array, lambda_cyc: float, losses: Array,
-               stop: Callable[[], bool] = lambda: False) -> tuple[int, int, Exception] | None:
+               stop: Callable[[], bool] = lambda: False,
+               half: "_WorkerHalf | None" = None) -> tuple[int, int, Exception] | None:
     """fit_pairs's steps on X for one chunk of (cid, pair, state, points).
 
     Writes losses[j, s] for cloud j of the chunk. Stops at the first
     failure and returns it as (step, cloud, error), both counted from 0
     in this chunk and block of steps; stops too, returning None, once
-    stop() is true before a solver step.
+    stop() is true before a solver step. With half, each step's second
+    half of the batch runs there (solver_step's elsewhere).
     """
     for s in range(X.shape[0]):
         for j, (cid, pair, state, points) in enumerate(work):
             if stop():
                 return None
             step = pair.meta.get("iterations", 0)
+            args = (pair, X[s], points[idx[j, s]], lambda_cyc, state)
             try:
-                loss = solver_step(pair, X[s], points[idx[j, s]], lambda_cyc, state)
+                loss = solver_step(*args, elsewhere=half) if half else solver_step(*args)
             except NumericError as e:
                 err = NumericError(f"{e} (cloud {cid}, step {step})")
                 err.__cause__ = e
@@ -513,12 +565,74 @@ def _recv_chunk(conn: Connection, work: list,
     return failure
 
 
+class _WorkerHalf:
+    """Each solver step's second half of the batch, on one worker process.
+
+    Called with _half_loss_and_grads's arguments, it sends the worker
+    the pair's networks and the half's rows, as raw buffers, and returns
+    finish(). finish() receives the worker's loss and gradients into
+    fresh arrays, or returns the NumericError the worker raised. It
+    waits for the reply twice as long as the caller took from the call
+    to finish(); a reply that has not come by then is left to the pool,
+    and finish() and every later call return None, so that the caller
+    runs those halves itself.
+    """
+
+    def __init__(self, conn: Connection):
+        self.conn: Connection | None = conn
+
+    def __call__(self, pair: DualPair, Xs: Array, Ys: Array, lambda_cyc: float,
+                 n: int, m: int) -> Callable[[], LossGrads | Exception | None] | None:
+        conn = self.conn
+        if conn is None:
+            return None
+        sizes = (pair.psi.theta.size, pair.phi.theta.size)
+        conn.send((_half_remote, (pair.psi_cfg, pair.phi_cfg, sizes, Xs.shape[0],
+                                  Ys.shape[0], lambda_cyc, n, m)))
+        send_arrays(conn, pair.psi.theta, pair.phi.theta, Xs, Ys)
+        sent = time.perf_counter()
+
+        def finish() -> LossGrads | Exception | None:
+            if not conn.poll(2 * (time.perf_counter() - sent)):
+                leave_reply(conn)
+                self.conn = None
+                return None
+            _, loss, failure = conn.recv()
+            if failure is not None:
+                return failure
+            g_psi, g_phi = np.empty(sizes[0]), np.empty(sizes[1])
+            recv_arrays(conn, g_psi, g_phi)
+            return loss, g_psi, g_phi
+
+        return finish
+
+
+def _half_remote(conn: Connection, psi_cfg: IcnnConfig, phi_cfg: IcnnConfig,
+                 sizes: tuple[int, int], n_x: int, n_y: int, lambda_cyc: float,
+                 n: int, m: int) -> None:
+    """A worker process's side of _WorkerHalf."""
+    psi = IcnnParams.over(np.empty(sizes[0]), icnn_shapes(psi_cfg))
+    phi = IcnnParams.over(np.empty(sizes[1]), icnn_shapes(phi_cfg))
+    Xs, Ys = np.empty((n_x, psi_cfg.dim)), np.empty((n_y, phi_cfg.dim))
+    recv_arrays(conn, psi.theta, phi.theta, Xs, Ys)
+    pair = DualPair(psi, psi_cfg, phi, phi_cfg, Frame.identity(psi_cfg.dim))
+    try:
+        loss, g_psi, g_phi = _half_loss_and_grads(pair, Xs, Ys, lambda_cyc, n, m)
+    except NumericError as e:
+        conn.send((0, None, e))
+        return
+    conn.send((2, loss, None))
+    send_arrays(conn, g_psi, g_phi)
+
+
 def train_map(sigma: "ReferenceMeasure", mu, cfg: SolverConfig) -> DualPair:
     """Train a DualPair pushing the reference measure onto one cloud.
 
-    Deterministic given cfg.seed (single-threaded). A zero budget
-    returns the initialized pair untouched. Loss history is stored in
-    the pair metadata.
+    Deterministic given cfg.seed, and bitwise the same at every CPU
+    count: with one BLAS thread and a second usable CPU, each step's
+    second half of the batch runs on a worker process (fit_pairs). A
+    zero budget returns the initialized pair untouched. Loss history is
+    stored in the pair metadata.
     """
     points = mu.points if hasattr(mu, "points") else np.atleast_2d(as_f64(mu))
     if points.size == 0:

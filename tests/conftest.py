@@ -1,5 +1,6 @@
 """Shared helpers: hand-wired potentials with known gradient maps."""
 
+import importlib
 import importlib.util
 import sys
 import threading
@@ -133,6 +134,18 @@ def start_workers(monkeypatch, cpus: int) -> None:
                 return
         assert time.monotonic() < deadline, "worker processes did not start"
         time.sleep(0.01)
+
+
+def slow_task(delay, module, name, conn, *args):
+    """module.name(conn, *args) after `delay` seconds.
+
+    functools.partial(slow_task, delay, module, name) is a worker
+    process task; workers are spawned with this process's sys.path, so
+    they import this module to run it. The task goes by name, as a
+    function that a test has replaced in its module no longer pickles.
+    """
+    time.sleep(delay)
+    getattr(importlib.import_module(module), name)(conn, *args)
 
 
 @pytest.fixture

@@ -8,7 +8,7 @@ from lotnn.cli import load_config, main
 from lotnn.data import gen_synthetic
 from lotnn.errors import NumericError
 
-from conftest import BUNDLE_V1
+from conftest import BUNDLE_V1, start_workers
 
 TINY_CONFIG = {
     "subsample_n": 50,
@@ -225,6 +225,35 @@ def test_eval_outputs_equal_the_per_cloud_scores_bytewise(workdir, monkeypatch, 
     for suffix in (".csv", ".probs.csv"):
         assert ((d / f"pooled{suffix}").read_bytes()
                 == (d / f"per_cloud{suffix}").read_bytes())
+
+
+@pytest.mark.usefixtures("one_blas_thread")
+def test_eval_embeds_each_cloud_on_two_processes_with_the_same_bytes(workdir, monkeypatch):
+    # the bundle holds no pair of the test clouds, so eval fits each one's
+    # map with train_map, which at 2 CPUs runs half of every batch on a worker
+    import time
+
+    import lotnn.otsolve as otsolve_mod
+    from lotnn import nncore
+
+    d, base = workdir
+    test_ids = _header(workdir)["split"]["test"]
+    assert test_ids and not set(test_ids) & {p["id"] for p in _header(workdir)["pairs"]}
+    args = ["eval", "--bundle", str(d / "bundle.json"), "--data", str(d / "data"),
+            "--subset", "test", "--resamples", "2", "--out"]
+    monkeypatch.setattr(nncore, "_usable_cpus", lambda: 1)
+    assert main(base + args + [str(d / "one_cpu.csv")]) == 0
+    start_workers(monkeypatch, 2)
+    # the caller's half of each batch takes 10 ms longer, so the worker's
+    # reply always comes in time; each one is read with recv_arrays
+    half, recv, read = otsolve_mod._half_loss_and_grads, otsolve_mod.recv_arrays, []
+    monkeypatch.setattr(otsolve_mod, "_half_loss_and_grads",
+                        lambda *a: time.sleep(0.01) or half(*a))
+    monkeypatch.setattr(otsolve_mod, "recv_arrays", lambda *a: read.append(1) or recv(*a))
+    assert main(base + args + [str(d / "two_cpus.csv")]) == 0
+    assert len(read) == len(test_ids)  # one solver step each
+    assert ((d / "two_cpus.probs.csv").read_bytes()
+            == (d / "one_cpu.probs.csv").read_bytes())
 
 
 @pytest.mark.parametrize("value", [1.5, 0.0, 1.0, float("nan"), float("inf"), "0.5", True])

@@ -1,4 +1,7 @@
+import dataclasses
+import functools
 import itertools
+import time
 import tracemalloc
 
 import numpy as np
@@ -7,7 +10,7 @@ import pytest
 from lotnn import nncore
 from lotnn import otsolve as otsolve_mod
 from lotnn.errors import NumericError, ShapeError
-from lotnn.icnn import init_icnn, project_nonneg
+from lotnn.icnn import icnn_forward, icnn_input_grad, init_icnn, project_nonneg
 from lotnn.lot import ReferenceMeasure
 from lotnn.nncore import Rng, finite_diff_grad
 from lotnn.otsolve import (
@@ -26,7 +29,7 @@ from lotnn.otsolve import (
     solver_loss_and_grads,
     train_map,
 )
-from conftest import blocks, quad_pair, relerr, shift_pair, start_workers
+from conftest import blocks, quad_pair, relerr, shift_pair, slow_task, start_workers
 
 
 class TestDualObjective:
@@ -133,6 +136,39 @@ class TestMapForward:
                 call(x)
 
 
+def check_against_finite_differences(pair, X, Y, lambda_cyc, case):
+    """solver_loss_and_grads's gradients of both networks against central
+    differences of its loss, block by block."""
+    loss, g_psi, g_phi = solver_loss_and_grads(pair, X, Y, lambda_cyc)
+    # h = 1e-4: the loss is O(1) while some bias gradients are
+    # ~1e-6, so smaller steps drown the difference in roundoff
+    h = 1e-4
+    # atol: one ulp of the loss (at most eps * max(1, |loss|)) over 2h,
+    # the roundoff floor of a central difference, with a margin of 200
+    atol = 100 * np.finfo(np.float64).eps * max(1.0, abs(loss)) / h
+
+    def loss_of(_):
+        return solver_loss_and_grads(pair, X, Y, lambda_cyc)[0]
+
+    for name, params, grad in (("psi", pair.psi, g_psi), ("phi", pair.phi, g_phi)):
+        # finite_diff_grad perturbs params.theta in place, one entry
+        # at a time, and restores each entry; the pair sees it
+        fd = finite_diff_grad(loss_of, params.theta, h)
+        for (key, g), (_, f) in zip(blocks(params, grad, f"{name}."),
+                                    blocks(params, fd)):
+            err = float(np.max(np.abs(g - f)))
+            bound = 1e-4 * max(float(np.max(np.abs(g))),
+                               float(np.max(np.abs(f)))) + atol
+            assert err <= bound, \
+                f"{case}, {key}: max|g - fd| = {err:.3g} > bound {bound:.3g}"
+            # the check has the power to see a 1% error in the block
+            bad = 1.01 * g
+            err = float(np.max(np.abs(bad - f)))
+            bound = 1e-4 * max(float(np.max(np.abs(bad))),
+                               float(np.max(np.abs(f)))) + atol
+            assert err > bound, f"{case}, {key}: a 1% error passes"
+
+
 class TestSolverLossGradients:
     def test_matches_finite_differences(self, rng):
         for trial in range(6):
@@ -143,35 +179,35 @@ class TestSolverLossGradients:
             pair = init_dual_pair(2, cfg, Rng(100 + trial), quads=quads)
             X = rng.normal((4, 2))
             Y = rng.normal((4, 2))
-            loss, g_psi, g_phi = solver_loss_and_grads(pair, X, Y, cfg.lambda_cyc)
-            case = f"trial {trial}, hidden {cfg.hidden}"
-            # h = 1e-4: the loss is O(1) while some bias gradients are
-            # ~1e-6, so smaller steps drown the difference in roundoff
-            h = 1e-4
-            # atol: one ulp of the loss (at most eps * max(1, |loss|)) over 2h,
-            # the roundoff floor of a central difference, with a margin of 200
-            atol = 100 * np.finfo(np.float64).eps * max(1.0, abs(loss)) / h
+            check_against_finite_differences(pair, X, Y, cfg.lambda_cyc,
+                                             f"trial {trial}, hidden {cfg.hidden}")
 
-            def loss_of(_):
-                return solver_loss_and_grads(pair, X, Y, cfg.lambda_cyc)[0]
+    def test_two_uneven_halves_match_finite_differences(self, rng):
+        # X's halves hold 3 and 2 rows, Y's 4 and 3
+        cfg = SolverConfig(hidden=(4, 3), lambda_cyc=0.7)
+        pair = init_dual_pair(2, cfg, Rng(7), quads=(0.4, 0.6))
+        X, Y = rng.normal((5, 2)), rng.normal((7, 2))
+        check_against_finite_differences(pair, X, Y, cfg.lambda_cyc, "5 + 7 rows")
 
-            for name, params, grad in (("psi", pair.psi, g_psi), ("phi", pair.phi, g_phi)):
-                # finite_diff_grad perturbs params.theta in place, one entry
-                # at a time, and restores each entry; the pair sees it
-                fd = finite_diff_grad(loss_of, params.theta, h)
-                for (key, g), (_, f) in zip(blocks(params, grad, f"{name}."),
-                                            blocks(params, fd)):
-                    err = float(np.max(np.abs(g - f)))
-                    bound = 1e-4 * max(float(np.max(np.abs(g))),
-                                       float(np.max(np.abs(f)))) + atol
-                    assert err <= bound, \
-                        f"{case}, {key}: max|g - fd| = {err:.3g} > bound {bound:.3g}"
-                    # the check has the power to see a 1% error in the block
-                    bad = 1.01 * g
-                    err = float(np.max(np.abs(bad - f)))
-                    bound = 1e-4 * max(float(np.max(np.abs(bad))),
-                                       float(np.max(np.abs(f)))) + atol
-                    assert err > bound, f"{case}, {key}: a 1% error passes"
+    def test_is_half_1_plus_half_2(self, rng):
+        # the halves as _half_loss_and_grads weights them, half 1 first
+        cfg = SolverConfig(hidden=(4, 3), lambda_cyc=0.7)
+        pair = init_dual_pair(3, cfg, Rng(8), quads=(0.4, 0.6))
+        X, Y = rng.normal((9, 3)), rng.normal((6, 3))
+        one = otsolve_mod._half_loss_and_grads(pair, X[:5], Y[:3], 0.7, 9, 6)
+        two = otsolve_mod._half_loss_and_grads(pair, X[5:], Y[3:], 0.7, 9, 6)
+        loss, g_psi, g_phi = solver_loss_and_grads(pair, X, Y, 0.7)
+        assert loss == one[0] + two[0]
+        assert g_psi.tobytes() == (one[1] + two[1]).tobytes()
+        assert g_phi.tobytes() == (one[2] + two[2]).tobytes()
+        # and within rounding of the loss as one mean over each batch (the
+        # pair's frame is the identity)
+        G = pair.map_forward(X)
+        H = icnn_input_grad(pair.phi, pair.phi_cfg, G)
+        whole = (np.mean(icnn_forward(pair.phi, pair.phi_cfg, Y))
+                 + np.mean(np.sum(X * G, axis=1) - icnn_forward(pair.phi, pair.phi_cfg, G))
+                 + 0.7 * np.mean(np.sum((H - X) ** 2, axis=1)))
+        assert relerr(loss, whole) < 1e-14
 
 
 class TestTrainMap:
@@ -393,13 +429,20 @@ class TestFitPairs:
 @pytest.mark.usefixtures("one_blas_thread")
 class TestFitPairsOnWorkers:
     @staticmethod
-    def _run(monkeypatch, n_clouds=5):
-        """Two fit_pairs calls; the outputs, and the solver steps run in this process."""
+    def _run(monkeypatch, n_clouds=5, pause=0.0, **solver):
+        """Two fit_pairs calls; the outputs, and the solver steps run in this
+        process, each `pause` seconds longer than it takes."""
         here = []
         step = otsolve_mod.solver_step
-        monkeypatch.setattr(otsolve_mod, "solver_step",
-                            lambda *args: here.append(1) or step(*args))
+
+        def counted(*args, **kwargs):
+            here.append(1)
+            time.sleep(pause)
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(otsolve_mod, "solver_step", counted)
         sigma, cfg, clouds, pairs = TestFitPairs._setup(n_clouds)
+        cfg = dataclasses.replace(cfg, **solver)
         states, rng = {}, Rng(60)
         losses = [fit_pairs(sigma, clouds, pairs, states, cfg, rng, k) for k in (2, 3)]
         monkeypatch.setattr(otsolve_mod, "solver_step", step)
@@ -416,11 +459,13 @@ class TestFitPairsOnWorkers:
         want, _ = self._run(monkeypatch)
         start_workers(monkeypatch, cpus)
         monkeypatch.setattr(otsolve_mod, "BATCH_BYTES", batch_bytes)
-        got, here = self._run(monkeypatch)
+        # the caller's steps take 30 ms more, so each worker's reply comes
+        # within the grace period and no chunk of theirs runs here
+        got, here = self._run(monkeypatch, pause=0.03)
         assert got == want
-        # the caller keeps the first and largest of `cpus` chunks of the 5
-        # clouds, and runs a late worker's chunk too; the rest ran elsewhere
-        assert 5 * -(-5 // cpus) <= here < 25 or cpus == 1
+        # the caller ran its own chunk, the first and largest of `cpus`
+        # chunks of the 5 clouds, for all 5 steps, and nothing else
+        assert here == 5 * -(-5 // cpus)
 
     def test_late_worker_chunk_runs_in_the_caller_too(self, monkeypatch):
         # the worker's two clouds have far larger networks than the
@@ -461,13 +506,145 @@ class TestFitPairsOnWorkers:
         assert [failure(bad) for bad in (["c3"], ["c1", "c3"])] == want
         assert not nncore._WORKERS.broken
 
-    @pytest.mark.parametrize("cpus, n_clouds, blas", [(1, 3, 1), (3, 1, 1), (3, 3, 2)])
+    @pytest.mark.parametrize("cpus, n_clouds, blas", [(1, 3, 1), (1, 1, 1), (3, 3, 2),
+                                                      (3, 1, 2)])
     def test_starts_no_worker(self, monkeypatch, cpus, n_clouds, blas):
         monkeypatch.setattr(nncore, "_usable_cpus", lambda: cpus)
         monkeypatch.setattr(nncore, "_blas_threads", lambda: blas)
         monkeypatch.setattr(nncore, "_Worker", None)  # starting one would raise
         _, here = self._run(monkeypatch, n_clouds)
         assert here == 5 * n_clouds
+
+
+@pytest.mark.usefixtures("one_blas_thread")
+class TestOneCloudOnTwoProcesses:
+    """A one-cloud fit runs each step's second half of the batch on a worker."""
+
+    @staticmethod
+    def _replies(monkeypatch, pause=0.0):
+        """Worker replies the caller reads and leaves, as two growing lists.
+
+        The caller's half of each batch takes `pause` seconds longer, so a
+        worker on a free CPU always answers within the grace period.
+        """
+        read, left = [], []
+        half, recv, leave = (otsolve_mod._half_loss_and_grads, otsolve_mod.recv_arrays,
+                             otsolve_mod.leave_reply)
+
+        def slow_half(*args):
+            time.sleep(pause)
+            return half(*args)
+
+        monkeypatch.setattr(otsolve_mod, "_half_loss_and_grads", slow_half)
+        monkeypatch.setattr(otsolve_mod, "recv_arrays",
+                            lambda *a: read.append(1) or recv(*a))
+        monkeypatch.setattr(otsolve_mod, "leave_reply",
+                            lambda conn: left.append(1) or leave(conn))
+        return read, left
+
+    @pytest.mark.parametrize("batch_size", [16, 2, 7])
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_equals_the_serial_fit_bitwise(self, monkeypatch, cpus, batch_size):
+        # losses, both networks, Adam's m, v and step, meta["iterations"]
+        monkeypatch.setattr(nncore, "_usable_cpus", lambda: 1)
+        want, _ = TestFitPairsOnWorkers._run(monkeypatch, 1, batch_size=batch_size)
+        start_workers(monkeypatch, cpus)
+        read, left = self._replies(monkeypatch, pause=0.01)
+        got, here = TestFitPairsOnWorkers._run(monkeypatch, 1, batch_size=batch_size)
+        assert got == want
+        # every step ran here, and its second half on the one worker
+        assert here == len(read) == 5 and not left
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_train_map_equals_the_serial_fit_bitwise(self, monkeypatch, cpus):
+        sigma = ReferenceMeasure.standard(3, seed=31)
+        cloud = 1.5 * sigma.sample(300, seed=32) + 1.0
+        cfg = SolverConfig(batch_size=33, iters=6, hidden=(6, 5), seed=11)
+
+        def fit():
+            p = train_map(sigma, cloud, cfg)
+            return (p.meta, p.psi.theta.tobytes(), p.phi.theta.tobytes())
+
+        monkeypatch.setattr(nncore, "_usable_cpus", lambda: 1)
+        want = fit()
+        start_workers(monkeypatch, cpus)
+        read, _ = self._replies(monkeypatch, pause=0.01)
+        assert fit() == want and len(read) == cfg.iters
+        assert want[0]["iterations"] == cfg.iters
+
+    def test_late_worker_gives_the_same_bits(self, monkeypatch):
+        monkeypatch.setattr(nncore, "_usable_cpus", lambda: 1)
+        want, _ = TestFitPairsOnWorkers._run(monkeypatch, 1)
+        start_workers(monkeypatch, 2)
+        read, left = self._replies(monkeypatch)
+        # the worker starts its half 1 s late: the caller computes it
+        # too, leaves the reply to the pool and goes on alone
+        monkeypatch.setattr(otsolve_mod, "_half_remote", functools.partial(
+            slow_task, 1.0, "lotnn.otsolve", "_half_remote"))
+        assert TestFitPairsOnWorkers._run(monkeypatch, 1)[0] == want
+        assert len(left) == 1 and not read
+        # while the reply is unread the worker is not handed out, and
+        # once it has come it is again, with nothing left in its pipe
+        with nncore.worker_processes(2) as conns:
+            assert conns == []
+        monkeypatch.undo()
+        start_workers(monkeypatch, 2)
+        read, left = self._replies(monkeypatch, pause=0.01)
+        assert TestFitPairsOnWorkers._run(monkeypatch, 1)[0] == want
+        assert len(read) == 5 and not left and not nncore._WORKERS.broken
+
+    def test_an_error_mid_step_ends_the_worker(self, monkeypatch):
+        # its pipe may hold a reply no one will read, so the pool ends it
+        monkeypatch.setattr(nncore._WORKERS, "broken", False)  # restored after the test
+        start_workers(monkeypatch, 2)
+        half, calls = otsolve_mod._half_loss_and_grads, []
+
+        def fail_later(*args):
+            calls.append(1)
+            if len(calls) == 2:
+                raise ValueError("injected")
+            return half(*args)
+
+        monkeypatch.setattr(otsolve_mod, "_half_loss_and_grads", fail_later)
+        with pytest.raises(ValueError, match="injected"):
+            TestFitPairsOnWorkers._run(monkeypatch, 1)
+        assert nncore._WORKERS.broken and not nncore._WORKERS.workers
+
+    def test_worker_side_failure_raises_the_serial_error(self, monkeypatch):
+        # a NaN in the last row of step 1's reference batch: only the
+        # second half of that batch raises, in icnn_input_grad
+        sample = ReferenceMeasure.sample
+        drawn = []
+
+        def poisoned(self, n, seed=None):
+            X = sample(self, n, seed=seed)
+            drawn.append(1)
+            if len(drawn) == 2:
+                X[-1, 0] = np.nan
+            return X
+
+        def failure():
+            sigma, cfg, clouds, pairs = TestFitPairs._setup(1)
+            drawn.clear()
+            states = {}
+            with pytest.raises(NumericError) as e:
+                fit_pairs(sigma, clouds, pairs, states, cfg, Rng(60), 3)
+            s = states["c0"]
+            return str(e.value), (pairs["c0"].meta["iterations"], s.step,
+                                  pairs["c0"].psi.theta.tobytes(), s.m.tobytes())
+
+        monkeypatch.setattr(ReferenceMeasure, "sample", poisoned)
+        monkeypatch.setattr(nncore, "_usable_cpus", lambda: 1)
+        want = failure()
+        assert want[0] == "non-finite values in icnn_input_grad output (cloud c0, step 1)"
+        assert want[1][:2] == (1, 1)
+        start_workers(monkeypatch, 2)
+        read, left = self._replies(monkeypatch, pause=0.01)
+        assert failure() == want
+        # step 0's half 2 came back as gradients, step 1's as the error
+        assert len(read) == 1 and not left and not nncore._WORKERS.broken
+        with nncore.worker_processes(2) as conns:
+            assert len(conns) == 1  # its pipe holds nothing unread
 
 
 def brute_force_cost(X, Y):
