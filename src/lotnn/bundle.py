@@ -25,13 +25,10 @@ load_bundle reads the file once into one buffer and binds every
 network's parameters to a view of it: they are aligned and writable,
 and nothing is copied. Parameters round-trip bitwise.
 
-Version-1 documents, one indented JSON text with every array stored as
-its shape and the hex of its little-endian float64 bytes, still load.
-Any malformed bundle raises DataError naming the file, and so do a NaN
-or infinity among its parameters and frames, a threshold outside
-(0, 1), an eval sample size below 1 and a negative eval seed. Settings
-that older versions stored and that now have one value load at that
-value only.
+Any malformed bundle raises DataError naming the file, and so do
+another format version, a NaN or infinity among its parameters and
+frames, a threshold outside (0, 1), an eval sample size below 1 and a
+negative eval seed.
 """
 
 from __future__ import annotations
@@ -82,8 +79,7 @@ def write_document(path, header: dict, payload: Array) -> None:
 def read_document(path) -> tuple[dict, Array]:
     """The header and the float64 payload of a bundle file.
 
-    The payload is a view of the one buffer the file was read into. A
-    version-1 document is all header and has an empty payload.
+    The payload is a view of the one buffer the file was read into.
     """
     try:
         with open(path, "rb") as f:
@@ -94,12 +90,8 @@ def read_document(path) -> tuple[dict, Array]:
     end = buf.find(b"\n") + 1 or len(buf)
     try:
         header = json.loads(buf[:end])
-    except ValueError:
-        # a version-1 document spreads its JSON over many lines
-        try:
-            header, end = json.loads(buf), len(buf)
-        except ValueError as e:
-            raise DataError(f"cannot read bundle {path}: {e}") from e
+    except ValueError as e:
+        raise DataError(f"cannot read bundle {path}: {e}") from e
     if not isinstance(header, dict):
         raise DataError(f"bundle {path}: the header is not a JSON object")
     if end < len(buf) and (end % 8 or (len(buf) - end) % 8):
@@ -179,39 +171,6 @@ def decode_config(cls, d, where: str = ""):
         raise DataError(f"bad {cls.__name__}{at}: {e}") from e
 
 
-# The settings older bundles store that are gone now, by the record that
-# stores them, each with the one value every run now uses; None marks the
-# static quads, which went unread while adaptive_quad held.
-RETIRED = {
-    "icnn": {"activation": "smooth_relu", "sharpness": 1.0},
-    "reference": {"halfwidth": 1.0},
-    "solver": {"activation": "smooth_relu", "adaptive_quad": True,
-               "beta1": 0.9, "beta2": 0.999, "eps": 1e-8, "init_scale": 0.1,
-               "quad_psi": None, "quad_phi": None, "sharpness": 1.0},
-}
-
-
-def drop_fixed(d, record: str):
-    """d without the settings RETIRED[record] lists.
-
-    Each must hold its one remaining value, else the maps were built in
-    a way this version cannot reproduce (DataError); those listed with
-    None are dropped whatever they hold. A non-dict d is returned.
-    """
-    if not isinstance(d, dict):
-        return d
-    retired = RETIRED[record]
-    for key, want in retired.items():
-        if key in d and want is not None and d[key] != want:
-            raise DataError(f"{key}={d[key]!r} is no longer supported; "
-                            f"only {key}={want!r} is")
-    return {k: v for k, v in d.items() if k not in retired}
-
-
-def _icnn_cfg(d) -> IcnnConfig:
-    return decode_config(IcnnConfig, drop_fixed(d, "icnn"))
-
-
 class _Payload:
     """Hands out the payload blocks the header names, as views."""
 
@@ -242,7 +201,7 @@ class _Payload:
 
 
 def _dec_icnn(d: dict, payload: _Payload, what: str) -> tuple[IcnnParams, IcnnConfig]:
-    cfg = _icnn_cfg(d["cfg"])
+    cfg = decode_config(IcnnConfig, d["cfg"])
     return payload.params(IcnnParams, icnn_shapes(cfg), d["theta"], what), cfg
 
 
@@ -260,54 +219,6 @@ def _dec_weightnet(d: dict, payload: _Payload, dim: int) -> WeightNet:
     hidden = tuple(d["hidden"])
     return WeightNet(payload.params(MlpParams, mlp_shapes((dim, *hidden, dim)),
                                     d["theta"], "weight net"), hidden)
-
-
-# ---------------------------------------------------------------------------
-# Version 1: every array as its shape and hex bytes inside one JSON text
-# ---------------------------------------------------------------------------
-
-def _dec_v1(d: dict) -> Array:
-    raw = bytes.fromhex(d["hex"])
-    a = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(d["shape"])
-    if not np.isfinite(a).all():
-        raise DataError(f"a stored {list(a.shape)} array holds non-finite values")
-    return a
-
-
-def _params_v1(cls, groups: list, shapes: tuple, what: str):
-    for name, blocks, want in zip(cls.GROUPS, groups, shapes):
-        got = [a.shape for a in blocks]
-        if got != list(want):
-            raise DataError(f"{what} {name} shapes {got} do not match its config "
-                            f"(expected {list(want)})")
-    return cls(*groups)
-
-
-def _dec_icnn_v1(d: dict) -> tuple[IcnnParams, IcnnConfig]:
-    cfg = _icnn_cfg(d["cfg"])
-    b = [_dec_v1(a) for a in d["b"]]
-    # older documents also store the head bias, which training never moves
-    if len(b) == len(cfg.hidden) + 1:
-        if np.any(b.pop() != 0.0):
-            raise DataError("bundle stores a nonzero ICNN head bias")
-    groups = [[_dec_v1(a) for a in d["wx"]], [_dec_v1(a) for a in d["wz"]], b]
-    return _params_v1(IcnnParams, groups, icnn_shapes(cfg), "ICNN"), cfg
-
-
-def _dec_pair_v1(d: dict) -> DualPair:
-    f = d["frame"]
-    frame = Frame(sigma_mean=tuple(_dec_v1(f["sigma_mean"])),
-                  mu_mean=tuple(_dec_v1(f["mu_mean"])),
-                  scale=float(_dec_v1(f["scale"])[0]))
-    return DualPair(*_dec_icnn_v1(d["psi"]), *_dec_icnn_v1(d["phi"]), frame,
-                    dict(d["meta"]))
-
-
-def _dec_weightnet_v1(d: dict, dim: int) -> WeightNet:
-    mlp, hidden = d["mlp"], tuple(d["hidden"])
-    groups = [[_dec_v1(a) for a in mlp["weights"]], [_dec_v1(a) for a in mlp["biases"]]]
-    return WeightNet(_params_v1(MlpParams, groups, mlp_shapes((dim, *hidden, dim)),
-                                "weight net"), hidden)
 
 
 @dataclass
@@ -389,17 +300,14 @@ def load_bundle(path) -> ModelBundle:
     doc, data = read_document(path)
     try:
         version = doc.get("format_version")
-        if version not in (1, FORMAT_VERSION):
+        if version != FORMAT_VERSION:
             raise DataError(f"unsupported format version {version!r}")
         payload = _Payload(data)
-        reference = decode_config(ReferenceMeasure,
-                                  drop_fixed(doc["reference"], "reference"))
-        pairs = {d["id"]: _dec_pair_v1(d) if version == 1 else _dec_pair(d, payload)
-                 for d in doc["pairs"]}
+        reference = decode_config(ReferenceMeasure, doc["reference"])
+        pairs = {d["id"]: _dec_pair(d, payload) for d in doc["pairs"]}
         wn = None
         if doc.get("weightnet"):
-            wn = (_dec_weightnet_v1(doc["weightnet"], reference.dim) if version == 1 else
-                  _dec_weightnet(doc["weightnet"], payload, reference.dim))
+            wn = _dec_weightnet(doc["weightnet"], payload, reference.dim)
         payload.finish()
         threshold, sample = doc["threshold"], doc["eval_sample"]
         _check_eval_settings(threshold, sample["n"], sample["seed"])

@@ -55,7 +55,7 @@ from .classify import (
 from .data import SyntheticSpec, gen_synthetic, hash_id, load_csv_dir, save_csv_dir, split
 from .deepsets import DeepSetsConfig, ds_bagging, ds_forward, ds_train
 from .lot import BoundParams, EmbeddingSet, ReferenceMeasure, pairwise_matrix, theorem_bound
-from .bundle import ModelBundle, decode_config, drop_fixed, load_bundle, save_bundle
+from .bundle import ModelBundle, decode_config, load_bundle, save_bundle
 from .otsolve import SolverConfig, train_map
 
 
@@ -213,14 +213,13 @@ def _embedding_solver(cfg: RunConfig, bundle: ModelBundle) -> SolverConfig:
     Clouds without a trained pair are embedded with it, whatever this
     run's --config says; bundles that store no solver config fall back
     to the run's own. Seeds are not compared, as each cloud gets its own.
-    The steps are those every kept pair records; bundles written before
-    pairs recorded them hold 0 and keep solver.iters.
+    The steps are those every kept pair records; untrained pairs hold 0
+    and keep solver.iters.
     """
     solver = cfg.solver
     if "solver" in bundle.config:
         try:
-            stored = drop_fixed(bundle.config["solver"], "solver")
-            solver = decode_config(SolverConfig, stored, "solver")
+            solver = decode_config(SolverConfig, bundle.config["solver"], "solver")
         except DataError as e:
             raise DataError(f"bundle has an unusable solver config: {e}") from e
         if dataclasses.replace(solver, seed=cfg.solver.seed) != cfg.solver:

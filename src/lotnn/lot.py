@@ -41,33 +41,28 @@ from .otsolve import DualPair
 class ReferenceMeasure:
     """Sampleable reference distribution sigma.
 
-    kind is "fitted" (Gaussian with data-matched mean and per-coordinate
-    variance), the reference every run trains against, or "standard"
-    (unit Gaussian), which older bundles may store. Sampling is
-    reproducible: the draw is fully determined by the seed passed to
-    sample(), defaulting to the measure's own base seed.
+    A Gaussian with the given mean and per-coordinate variance; fitted()
+    matches them to the data, and every run trains against it. kind is
+    always "fitted", which bundles store. Sampling is reproducible: the
+    draw is fully determined by the seed passed to sample(), defaulting
+    to the measure's own base seed.
     """
 
     kind: str
     dim: int
-    mean: tuple[float, ...] = ()
-    var: tuple[float, ...] = ()
+    mean: tuple[float, ...]
+    var: tuple[float, ...]
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("standard", "fitted"):
+        if self.kind != "fitted":
             raise ValueError(f"unknown reference kind {self.kind!r}")
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
-        if self.kind == "fitted":
-            if len(self.mean) != self.dim or len(self.var) != self.dim:
-                raise ShapeError("fitted reference needs mean/var of length dim")
-            if any(v <= 0 for v in self.var):
-                raise ValueError("variances must be > 0")
-
-    @classmethod
-    def standard(cls, dim: int, seed: int = 0) -> "ReferenceMeasure":
-        return cls(kind="standard", dim=dim, seed=seed)
+        if len(self.mean) != self.dim or len(self.var) != self.dim:
+            raise ShapeError("fitted reference needs mean/var of length dim")
+        if any(v <= 0 for v in self.var):
+            raise ValueError("variances must be > 0")
 
     @classmethod
     def fitted(cls, clouds, seed: int = 0) -> "ReferenceMeasure":
@@ -86,24 +81,17 @@ class ReferenceMeasure:
             raise ValueError("sample size must be >= 1")
         gen = np.random.Generator(np.random.PCG64(self.seed if seed is None else seed))
         z = gen.standard_normal((n, self.dim))
-        if self.kind == "standard":
-            return z
         return np.asarray(self.mean) + np.sqrt(np.asarray(self.var)) * z
 
     def mean_vector(self) -> Array:
-        return (np.asarray(self.mean, dtype=np.float64) if self.kind == "fitted"
-                else np.zeros(self.dim))
+        return np.asarray(self.mean, dtype=np.float64)
 
     def scale_scalar(self) -> float:
         """RMS per-coordinate spread; the solver's standardization scale."""
-        if self.kind == "fitted":
-            return float(np.sqrt(np.mean(self.var)))
-        return 1.0
+        return float(np.sqrt(np.mean(self.var)))
 
     def std_vector(self) -> Array:
-        if self.kind == "fitted":
-            return np.sqrt(np.asarray(self.var, dtype=np.float64))
-        return np.ones(self.dim)
+        return np.sqrt(np.asarray(self.var, dtype=np.float64))
 
 
 @dataclass

@@ -12,10 +12,8 @@ import pytest
 
 from lotnn import nncore
 from lotnn.icnn import IcnnConfig, IcnnParams
+from lotnn.lot import ReferenceMeasure
 from lotnn.otsolve import DualPair, Frame
-
-# test_bundle.handmade_bundle() as the version-1 save_bundle wrote it
-BUNDLE_V1 = Path(__file__).parent / "data" / "bundle_v1.json"
 
 
 def load_tracing():
@@ -33,6 +31,12 @@ def load_tracing():
     finally:
         del sys.modules[spec.name]
     return module
+
+
+def unit_reference(dim, seed=0):
+    """The reference with mean 0 and variance 1 in every coordinate."""
+    return ReferenceMeasure(kind="fitted", dim=dim, mean=(0.0,) * dim,
+                            var=(1.0,) * dim, seed=seed)
 
 
 def quad_potential(dim, quad=1.0, tilt=None):
@@ -146,6 +150,27 @@ def slow_task(delay, module, name, conn, *args):
     """
     time.sleep(delay)
     getattr(importlib.import_module(module), name)(conn, *args)
+
+
+def late_inner_task(delay, module, inner, name, conn, *args):
+    """module.name(conn, *args) with each call of module.inner `delay` seconds late.
+
+    Unlike slow_task, the task reads what the caller sends it first, so
+    the caller is not held up sending a message larger than the pipe's
+    buffer; only the work, and so the reply, comes late.
+    """
+    mod = importlib.import_module(module)
+    run = getattr(mod, inner)
+
+    def late(*a, **k):
+        time.sleep(delay)
+        return run(*a, **k)
+
+    setattr(mod, inner, late)
+    try:
+        getattr(mod, name)(conn, *args)
+    finally:
+        setattr(mod, inner, run)
 
 
 @pytest.fixture

@@ -15,14 +15,9 @@ from lotnn.lot import ReferenceMeasure
 from lotnn.nncore import MlpParams
 from lotnn.otsolve import DualPair, Frame, SolverConfig
 
-from conftest import BUNDLE_V1
-
 
 def handmade_bundle() -> ModelBundle:
-    """Three pairs (hidden (4,)) and a weight net drawn from one PCG64 stream.
-
-    BUNDLE_V1 holds this bundle as the version-1 save_bundle wrote it.
-    """
+    """Three pairs (hidden (4,)) and a weight net drawn from one PCG64 stream."""
     g = np.random.default_rng(20240801)
     cfg = IcnnConfig(dim=2, hidden=(4,))
 
@@ -85,22 +80,6 @@ def test_round_trip_is_bitwise(bundle, tmp_path, rng):
     assert_loads_as(load_bundle(path), bundle, rng)
 
 
-def test_version_1_document_loads_bitwise(bundle, rng):
-    assert read_document(BUNDLE_V1)[0]["format_version"] == 1
-    assert_loads_as(load_bundle(BUNDLE_V1), bundle, rng)
-
-
-def test_version_2_document_with_sharpness_loads_bitwise(bundle, tmp_path, rng):
-    # documents written while ICNNs had a sharpness k store k = 1
-    path = tmp_path / "b.bundle"
-    save_bundle(bundle, path)
-    header, payload = read_document(path)
-    for p in header["pairs"]:
-        p["psi"]["cfg"]["sharpness"] = p["phi"]["cfg"]["sharpness"] = 1.0
-    write_document(path, header, payload)
-    assert_loads_as(load_bundle(path), bundle, rng)
-
-
 def _v2_copy_with(bundle, tmp_path, edit):
     """bundle saved, then edit applied to its header, written again."""
     path = tmp_path / "b.bundle"
@@ -111,27 +90,14 @@ def _v2_copy_with(bundle, tmp_path, edit):
     return path
 
 
-def _store_retired(header, payload):
-    # the settings documents written before they were retired store
-    header["reference"]["halfwidth"] = 1.0
-    for p in header["pairs"]:
-        p["psi"]["cfg"]["activation"] = p["phi"]["cfg"]["activation"] = "smooth_relu"
-
-
-def test_version_2_document_with_retired_settings_loads_bitwise(bundle, tmp_path, rng):
-    assert_loads_as(load_bundle(_v2_copy_with(bundle, tmp_path, _store_retired)),
-                    bundle, rng)
-
-
 @pytest.mark.parametrize("record,key,value,message", [
-    ("psi", "activation", "relu", "activation='relu' is no longer supported"),
-    ("reference", "halfwidth", 2.0, "halfwidth=2.0 is no longer supported"),
+    ("psi", "activation", "relu", "unknown config key 'activation'"),
+    ("reference", "halfwidth", 2.0, "unknown config key 'halfwidth'"),
     ("reference", "kind", "box", "unknown reference kind 'box'"),
 ], ids=["activation", "halfwidth", "box"])
 def test_document_with_a_retired_setting_off_its_value_rejected(
         bundle, tmp_path, record, key, value, message):
     def edit(header, payload):
-        _store_retired(header, payload)
         cfg = (header["reference"] if record == "reference"
                else header["pairs"][1][record]["cfg"])
         cfg[key] = value
@@ -150,12 +116,6 @@ def test_document_with_a_non_finite_value_rejected(bundle, tmp_path, value):
     path = _v2_copy_with(bundle, tmp_path, edit)
     with pytest.raises(DataError, match=f"bundle {path}: the payload holds {value}"):
         load_bundle(path)
-
-    def edit_v1(doc):
-        doc["weightnet"]["mlp"]["weights"][1] = _hex_block(np.full((2, 5), value))
-
-    with pytest.raises(DataError, match="holds non-finite values"):
-        load_bundle(_v1_copy_with(tmp_path, edit_v1))
 
 
 def test_header_is_one_padded_line_before_the_payload(bundle, tmp_path):
@@ -237,49 +197,6 @@ def test_failed_save_keeps_the_old_bundle(bundle, tmp_path, monkeypatch):
         save_bundle(bundle, path)
     assert path.read_bytes() == old
     assert sorted(p.name for p in tmp_path.iterdir()) == ["b.bundle"]
-
-
-def _v1_copy_with(tmp_path, edit):
-    """BUNDLE_V1 with edit applied to its JSON document, written to a copy."""
-    doc, payload = read_document(BUNDLE_V1)
-    edit(doc)
-    path = tmp_path / "v1.bundle"
-    write_document(path, doc, payload)
-    return path
-
-
-def _hex_block(a):
-    return {"shape": list(a.shape), "hex": np.asarray(a, "<f8").tobytes().hex()}
-
-
-def _with_head_bias(value):
-    # the layout of documents written while the ICNN head had a bias
-    def edit(doc):
-        for p in doc["pairs"]:
-            for net in ("psi", "phi"):
-                p[net]["b"].append(_hex_block(np.array([value])))
-    return edit
-
-
-def test_document_with_zero_head_bias_loads(bundle, tmp_path, rng):
-    assert_loads_as(load_bundle(_v1_copy_with(tmp_path, _with_head_bias(0.0))),
-                    bundle, rng)
-
-
-def test_document_with_nonzero_head_bias_rejected(tmp_path):
-    with pytest.raises(DataError, match="head bias"):
-        load_bundle(_v1_copy_with(tmp_path, _with_head_bias(0.25)))
-
-
-@pytest.mark.parametrize("net,group", [("psi", "wx"), ("phi", "wz"), ("psi", "b")])
-def test_document_with_wrong_block_shape_rejected(tmp_path, net, group):
-    def drop_first_row(doc):
-        block = doc["pairs"][0][net][group][0]
-        a = np.frombuffer(bytes.fromhex(block["hex"]), "<f8").reshape(block["shape"])
-        block.update(_hex_block(a[1:]))
-
-    with pytest.raises(DataError, match=f"ICNN {group} shapes"):
-        load_bundle(_v1_copy_with(tmp_path, drop_first_row))
 
 
 @pytest.mark.parametrize("record", [

@@ -17,10 +17,9 @@ from lotnn.classify import (
     train_alternating,
 )
 from lotnn.data import LabeledDataset, PointCloud, SyntheticSpec, gen_synthetic
-from lotnn.lot import ReferenceMeasure
 from lotnn.nncore import MlpParams, Rng, finite_diff_grad, mlp_init
 from lotnn.otsolve import Frame, SolverConfig, init_dual_pair, train_map
-from conftest import blocks, load_tracing, quad_pair, relerr
+from conftest import blocks, load_tracing, quad_pair, relerr, unit_reference
 
 
 def zero_weightnet(dim, bias=None):
@@ -138,7 +137,7 @@ class TestBceGradientThroughPooling:
 
 class TestEmbedTestCloud:
     def test_self_transport_near_identity(self):
-        ref = ReferenceMeasure.standard(2, seed=5)
+        ref = unit_reference(2, seed=5)
         cloud = PointCloud("t", ref.sample(600, seed=6))
         cfg = SolverConfig(batch_size=128, iters=400, lr=3e-3, hidden=(12,), seed=1)
         pair = train_map(ref, cloud, cfg)
@@ -149,7 +148,7 @@ class TestEmbedTestCloud:
 
 class TestPredictResampled:
     def test_k1_equals_score_on_that_sample(self):
-        ref = ReferenceMeasure.standard(2, seed=8)
+        ref = unit_reference(2, seed=8)
         model = ClassifierModel(zero_weightnet(2, bias=(0.5, 0.5)))
         pair = quad_pair(2, q_psi=1.0)
         seed = 77
@@ -158,7 +157,7 @@ class TestPredictResampled:
         assert got == score(model, pair, sample)
 
     def test_constant_model_constant_for_any_k(self):
-        ref = ReferenceMeasure.standard(2, seed=8)
+        ref = unit_reference(2, seed=8)
         model = ClassifierModel(zero_weightnet(2, bias=(1.0, 0.0)))
         pair = quad_pair(2, q_psi=0.0, psi_tilt=(0.9, 0.0))  # constant map
         vals = [predict_resampled(model, pair, ref, 30, k, seed=5)
@@ -170,7 +169,7 @@ class TestPredictResampled:
     @pytest.mark.usefixtures("one_blas_thread")
     def test_pooled_mean_equals_the_serial_scores_bitwise(self, rng, monkeypatch, cpus):
         monkeypatch.setattr(nncore, "_usable_cpus", lambda: cpus)
-        ref = ReferenceMeasure.standard(3, seed=8)
+        ref = unit_reference(3, seed=8)
         model = ClassifierModel(random_weightnet(3, rng.spawn(1), hidden=(64, 64)))
         frame = Frame(sigma_mean=(0.1, -0.2, 0.3), mu_mean=(1.0, 0.5, -1.0), scale=1.3)
         pair = init_dual_pair(3, SolverConfig(), Rng(2), frame=frame)
@@ -180,7 +179,7 @@ class TestPredictResampled:
         assert predict_resampled(model, pair, ref, 500, 7, seed=11) == want
 
     def test_invalid_k_rejected(self):
-        ref = ReferenceMeasure.standard(2, seed=8)
+        ref = unit_reference(2, seed=8)
         with pytest.raises(ValueError):
             predict_resampled(ClassifierModel(zero_weightnet(2)),
                               quad_pair(2), ref, 10, 0, seed=1)

@@ -8,7 +8,7 @@ from lotnn.cli import load_config, main
 from lotnn.data import gen_synthetic
 from lotnn.errors import NumericError
 
-from conftest import BUNDLE_V1, start_workers
+from conftest import start_workers
 
 TINY_CONFIG = {
     "subsample_n": 50,
@@ -119,7 +119,7 @@ def test_eval_embeds_at_the_recorded_budget(workdir, monkeypatch):
 
 
 def test_eval_budget_falls_back_to_solver_iters(workdir, monkeypatch):
-    # bundles written before pairs recorded their steps hold 0
+    # untrained pairs hold 0 steps
     path = _set_iterations(workdir, "zero_steps.json", [0] * 1000)
     code, budgets = _eval_budgets(workdir, monkeypatch, path)
     assert code == 0 and budgets and set(budgets) == {TINY_CONFIG["solver"]["iters"]}
@@ -132,53 +132,39 @@ def test_eval_rejects_pairs_with_different_budgets(workdir, monkeypatch, capsys)
     assert "different step counts [1, 3]" in capsys.readouterr().err
 
 
-# the solver, network and reference settings bundles written before they
-# were removed still store, each at the one value it now always has
-LEGACY_SOLVER = {"sharpness": 1.0, "quad_psi": 0.05, "quad_phi": 0.5,
-                 "adaptive_quad": True, "activation": "smooth_relu",
-                 "init_scale": 0.1, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8}
-LEGACY_NET = {"sharpness": 1.0, "activation": "smooth_relu"}
+def _bundle_storing(workdir, name, record, settings):
+    """The tiny bundle with settings added to one record of its header.
 
-
-def _legacy_bundle(workdir, name, solver=None, net=None, reference=None):
-    """The tiny bundle with the removed settings stored as older versions did."""
+    record is "header" itself, "reference", "solver" (config.solver) or
+    "net" (every pair's psi and phi cfg).
+    """
     d, _ = workdir
     header, payload = read_document(d / "bundle.json")
-    header["config"]["solver"].update(LEGACY_SOLVER, **(solver or {}))
-    for p in header["pairs"]:
-        for cfg in (p["psi"]["cfg"], p["phi"]["cfg"]):
-            cfg.update(LEGACY_NET, **(net or {}))
-    header["reference"].update({"halfwidth": 1.0}, **(reference or {}))
+    records = {"header": [header], "reference": [header["reference"]],
+               "solver": [header["config"]["solver"]],
+               "net": [p[net]["cfg"] for p in header["pairs"] for net in ("psi", "phi")]}
+    for r in records[record]:
+        r.update(settings)
     write_document(d / name, header, payload)
     return d / name
 
 
-def test_eval_reads_a_bundle_with_the_removed_settings(workdir, capsys):
-    d, base = workdir
-    args = ["eval", "--data", str(d / "data"), "--subset", "all", "--resamples", "1"]
-    for bundle, out in ((d / "bundle.json", "now.csv"),
-                        (_legacy_bundle(workdir, "legacy.json"), "legacy.csv")):
-        assert main(base + args + ["--bundle", str(bundle), "--out", str(d / out)]) == 0
-    assert "config_hash" not in capsys.readouterr().err
-    assert _csv_rows(d / "legacy.probs.csv") == _csv_rows(d / "now.probs.csv")
-
-
-@pytest.mark.parametrize("command,solver,net,reference,message", [
-    ("eval", {"adaptive_quad": False}, None, None,
-     "adaptive_quad=False is no longer supported"),
-    ("dist", None, {"sharpness": 2.0}, None, "sharpness=2.0 is no longer supported"),
-    ("eval", {"beta1": 0.5}, None, None, "beta1=0.5 is no longer supported"),
-    ("eval", {"init_scale": 1.0}, None, None, "init_scale=1.0 is no longer supported"),
-    ("dist", None, {"activation": "relu"}, None,
-     "activation='relu' is no longer supported"),
-    ("dist", None, None, {"kind": "box"}, "unknown reference kind 'box'"),
-    ("eval", None, None, {"halfwidth": 0.5}, "halfwidth=0.5 is no longer supported"),
+@pytest.mark.parametrize("command,record,settings,message", [
+    ("eval", "solver", {"adaptive_quad": False}, "unknown config key 'adaptive_quad'"),
+    ("dist", "net", {"sharpness": 2.0}, "unknown config key 'sharpness'"),
+    ("eval", "solver", {"beta1": 0.5}, "unknown config key 'beta1'"),
+    ("eval", "solver", {"init_scale": 1.0}, "unknown config key 'init_scale'"),
+    ("dist", "net", {"activation": "relu"}, "unknown config key 'activation'"),
+    ("dist", "reference", {"kind": "box"}, "unknown reference kind 'box'"),
+    ("eval", "reference", {"halfwidth": 0.5}, "unknown config key 'halfwidth'"),
+    ("eval", "reference", {"kind": "standard"}, "unknown reference kind 'standard'"),
+    ("dist", "header", {"format_version": 1}, "unsupported format version 1"),
 ], ids=["adaptive_quad", "sharpness", "beta1", "init_scale", "activation", "box",
-        "halfwidth"])
+        "halfwidth", "standard", "version_1"])
 def test_bundle_with_a_removed_setting_off_its_value_exits_3(
-        workdir, capsys, command, solver, net, reference, message):
+        workdir, capsys, command, record, settings, message):
     d, base = workdir
-    path = _legacy_bundle(workdir, f"legacy_{command}.json", solver, net, reference)
+    path = _bundle_storing(workdir, f"removed_{command}.json", record, settings)
     args = {"eval": ["--data", str(d / "data")], "dist": ["--out", str(d / "x.csv")]}
     assert main(base + [command, "--bundle", str(path)] + args[command]) == 3
     err = capsys.readouterr().err
@@ -391,15 +377,10 @@ def _malformed(case, workdir, path):
     if case == "header_only":
         path.write_text('{"format_version": 1}')
         return
-    v1 = case.startswith("v1_")
-    header, payload = read_document(BUNDLE_V1 if v1 else d / "bundle.json")
-    block = header["pairs"][0]["psi"]["wx" if v1 else "theta"]
+    header, payload = read_document(d / "bundle.json")
+    block = header["pairs"][0]["psi"]["theta"]
     if case == "wrong_type":
         header["pairs"][0]["psi"]["cfg"]["hidden"] = 4
-    elif case == "v1_bad_hex":
-        block[0]["hex"] = "zz" + block[0]["hex"][2:]
-    elif case == "v1_reshape":
-        block[0]["shape"] = [3, 3]
     elif case == "short_payload":
         payload = payload[:-1]
     elif case == "long_payload":
@@ -409,9 +390,8 @@ def _malformed(case, workdir, path):
     write_document(path, header, payload)
 
 
-@pytest.mark.parametrize("case", ["header_only", "wrong_type", "v1_bad_hex",
-                                  "v1_reshape", "short_payload", "long_payload",
-                                  "theta_length"])
+@pytest.mark.parametrize("case", ["header_only", "wrong_type", "short_payload",
+                                  "long_payload", "theta_length"])
 def test_dist_rejects_a_malformed_bundle(workdir, tmp_path, capsys, case):
     d, base = workdir
     path = tmp_path / f"{case}.json"

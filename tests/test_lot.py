@@ -17,12 +17,12 @@ from lotnn.lot import (
 )
 from lotnn.nncore import Rng
 from lotnn.otsolve import Frame, SolverConfig, init_dual_pair
-from conftest import quad_pair, relerr
+from conftest import quad_pair, relerr, unit_reference
 
 
 class TestReferenceMeasure:
     def test_sampling_is_reproducible(self):
-        ref = ReferenceMeasure.standard(3, seed=4)
+        ref = unit_reference(3, seed=4)
         assert np.array_equal(ref.sample(10), ref.sample(10))
         assert np.array_equal(ref.sample(10, seed=9), ref.sample(10, seed=9))
         assert not np.array_equal(ref.sample(10, seed=9), ref.sample(10, seed=10))
@@ -43,7 +43,19 @@ class TestReferenceMeasure:
 
     def test_invalid_kind_rejected(self):
         with pytest.raises(ValueError):
-            ReferenceMeasure(kind="cauchy", dim=2)
+            ReferenceMeasure(kind="cauchy", dim=2, mean=(0.0, 0.0), var=(1.0, 1.0))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 10])
+    def test_unit_reference_is_the_standard_normal_bitwise(self, dim):
+        ref = unit_reference(dim, seed=4)
+        for seed in range(8):
+            want = np.random.Generator(np.random.PCG64(seed)).standard_normal((25, dim))
+            assert ref.sample(25, seed=seed).tobytes() == want.tobytes()
+        want = np.random.Generator(np.random.PCG64(4)).standard_normal((25, dim))
+        assert ref.sample(25).tobytes() == want.tobytes()
+        assert ref.mean_vector().tobytes() == np.zeros(dim).tobytes()
+        assert ref.std_vector().tobytes() == np.ones(dim).tobytes()
+        assert ref.scale_scalar() == 1.0
 
 
 class TestLotDistance:
@@ -85,13 +97,13 @@ class TestLotDistance:
                                    + lot_distance_empirical(c, b, sample) + 1e-9)
 
     def test_resampled_identical_pairs_zero(self):
-        ref = ReferenceMeasure.standard(2, seed=1)
+        ref = unit_reference(2, seed=1)
         pair = quad_pair(2, q_psi=1.5, psi_tilt=(0.3, -0.2))
         for seed in (0, 1, 2):
             assert lot_distance_empirical(pair, pair, ref.sample(50, seed=seed)) == 0.0
 
     def test_resampled_single_point(self):
-        ref = ReferenceMeasure.standard(2, seed=1)
+        ref = unit_reference(2, seed=1)
         p1 = quad_pair(2, q_psi=1.0)
         p2 = quad_pair(2, q_psi=1.0, psi_tilt=(3.0, 4.0))
         assert relerr(lot_distance_empirical(p1, p2, ref.sample(1, seed=5)), 5.0) < 1e-12
@@ -99,7 +111,7 @@ class TestLotDistance:
 
 class TestPairwiseMatrix:
     def _embedding(self, pairs_dict, n=20):
-        ref = ReferenceMeasure.standard(2, seed=0)
+        ref = unit_reference(2, seed=0)
         return EmbeddingSet.build(ref, list(pairs_dict), pairs_dict,
                                   eval_n=n, eval_seed=3)
 

@@ -29,7 +29,8 @@ from lotnn.otsolve import (
     solver_loss_and_grads,
     train_map,
 )
-from conftest import blocks, quad_pair, relerr, shift_pair, slow_task, start_workers
+from conftest import (blocks, late_inner_task, quad_pair, relerr, shift_pair, slow_task,
+                      start_workers, unit_reference)
 
 
 class TestDualObjective:
@@ -212,7 +213,7 @@ class TestSolverLossGradients:
 
 class TestTrainMap:
     def test_zero_budget_returns_initialized_pair(self):
-        sigma = ReferenceMeasure.standard(2, seed=0)
+        sigma = unit_reference(2, seed=0)
         cfg = SolverConfig(batch_size=8, iters=0, hidden=(4,), seed=5)
         cloud = sigma.sample(30, seed=1)
         pair = train_map(sigma, cloud, cfg)
@@ -223,7 +224,7 @@ class TestTrainMap:
         assert pair.meta["iterations"] == 0
 
     def test_learns_shift_map(self):
-        sigma = ReferenceMeasure.standard(2, seed=21)
+        sigma = unit_reference(2, seed=21)
         shift = np.array([2.0, 0.0])
         cloud = sigma.sample(800, seed=22) + shift
         cfg = SolverConfig(batch_size=128, iters=500, lr=3e-3, hidden=(16,), seed=7)
@@ -233,7 +234,7 @@ class TestTrainMap:
         assert err <= 0.15 * float(np.linalg.norm(shift))
 
     def test_deterministic_replay(self):
-        sigma = ReferenceMeasure.standard(2, seed=31)
+        sigma = unit_reference(2, seed=31)
         cloud = sigma.sample(200, seed=32) + np.array([1.0, 1.0])
         cfg = SolverConfig(batch_size=32, iters=40, hidden=(5,), seed=11)
         p1 = train_map(sigma, cloud, cfg)
@@ -242,7 +243,7 @@ class TestTrainMap:
         assert p1.meta["loss_history"] == p2.meta["loss_history"]
 
     def test_empty_cloud_rejected(self):
-        sigma = ReferenceMeasure.standard(2, seed=0)
+        sigma = unit_reference(2, seed=0)
         with pytest.raises(ShapeError):
             train_map(sigma, np.empty((0, 2)), SolverConfig(batch_size=8, iters=1))
 
@@ -250,7 +251,7 @@ class TestTrainMap:
 class TestFitPairs:
     @staticmethod
     def _setup(n_clouds=2):
-        sigma = ReferenceMeasure.standard(2, seed=41)
+        sigma = unit_reference(2, seed=41)
         cfg = SolverConfig(batch_size=16, hidden=(5,), seed=3)
         clouds = {f"c{i}": sigma.sample(40, seed=42 + i) + np.array([i, -i])
                   for i in range(n_clouds)}
@@ -336,7 +337,7 @@ class TestFitPairs:
     def test_equals_the_functional_step_bitwise(self, dim):
         # the step as it reads without in-place updates: concatenate both
         # networks, textbook Adam, split, clamp wz in copies
-        sigma = ReferenceMeasure.standard(dim, seed=41)
+        sigma = unit_reference(dim, seed=41)
         cfg = SolverConfig(batch_size=16, hidden=(6, 5), seed=3, lr=0.01)
         clouds = {f"c{i}": 1.5 * sigma.sample(40, seed=42 + i) + i for i in range(2)}
 
@@ -468,13 +469,8 @@ class TestFitPairsOnWorkers:
         assert here == 5 * -(-5 // cpus)
 
     def test_late_worker_chunk_runs_in_the_caller_too(self, monkeypatch):
-        # the worker's two clouds have far larger networks than the
-        # caller's three, so the caller is done first and runs them too
         def run():
             sigma, cfg, clouds, pairs = TestFitPairs._setup(5)
-            big = SolverConfig(batch_size=16, hidden=(64, 64, 64), seed=3)
-            for i in (3, 4):
-                pairs[f"c{i}"] = pair_for_cloud(sigma, clouds[f"c{i}"], big, Rng(50 + i))
             states = {}
             losses = fit_pairs(sigma, clouds, pairs, states, cfg, Rng(60), 4)
             return losses, [(p.psi.theta.tobytes(), p.phi.theta.tobytes(), p.meta,
@@ -487,8 +483,12 @@ class TestFitPairsOnWorkers:
         start_workers(monkeypatch, 2)
         monkeypatch.setattr(otsolve_mod, "solver_step",
                             lambda *args: here.append(1) or step(*args))
+        # the worker reads its two clouds, then starts them 1 s late: the
+        # caller runs its own three and then the worker's two, all 4 steps
+        monkeypatch.setattr(otsolve_mod, "_fit_remote", functools.partial(
+            late_inner_task, 1.0, "lotnn.otsolve", "_run_chunk", "_fit_remote"))
         assert run() == want
-        assert len(here) > 4 * 3
+        assert len(here) == 4 * 5
 
     def test_worker_side_failure_raises_the_serial_error(self, monkeypatch):
         def failure(bad):
@@ -557,7 +557,7 @@ class TestOneCloudOnTwoProcesses:
 
     @pytest.mark.parametrize("cpus", [2, 3])
     def test_train_map_equals_the_serial_fit_bitwise(self, monkeypatch, cpus):
-        sigma = ReferenceMeasure.standard(3, seed=31)
+        sigma = unit_reference(3, seed=31)
         cloud = 1.5 * sigma.sample(300, seed=32) + 1.0
         cfg = SolverConfig(batch_size=33, iters=6, hidden=(6, 5), seed=11)
 

@@ -20,10 +20,10 @@ from scipy.spatial.distance import cdist
 from lotnn import data
 from lotnn.classify import ClassifierModel, WeightNet, score
 from lotnn.errors import DataError
-from lotnn.lot import EmbeddingSet, ReferenceMeasure, pairwise_matrix
+from lotnn.lot import EmbeddingSet, pairwise_matrix
 from lotnn.nncore import Rng, mlp_init
 from lotnn.otsolve import exact_ot_discrete
-from conftest import quad_pair, shift_pair
+from conftest import quad_pair, shift_pair, unit_reference
 
 # derandomized so that every run of the suite checks the same examples
 PROPERTY = settings(max_examples=25, deadline=None, database=None,
@@ -46,7 +46,7 @@ def embeddings(draw):
     pairs = draw(st.lists(affine_pairs(dim), min_size=2, max_size=6))
     ids = [f"p{i}" for i in range(len(pairs))]
     seed = draw(SEEDS)
-    return EmbeddingSet.build(ReferenceMeasure.standard(dim, seed=seed), ids,
+    return EmbeddingSet.build(unit_reference(dim, seed=seed), ids,
                               dict(zip(ids, pairs)), eval_n=64, eval_seed=seed)
 
 
