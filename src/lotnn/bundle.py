@@ -201,7 +201,7 @@ class _Payload:
 
 
 def _dec_icnn(d: dict, payload: _Payload, what: str) -> tuple[IcnnParams, IcnnConfig]:
-    cfg = decode_config(IcnnConfig, d["cfg"])
+    cfg = decode_config(IcnnConfig, d["cfg"], what)
     return payload.params(IcnnParams, icnn_shapes(cfg), d["theta"], what), cfg
 
 

@@ -207,7 +207,7 @@ def _metrics_line(label: str, m) -> str:
             f"accuracy={m.accuracy:.4f}")
 
 
-def _embedding_solver(cfg: RunConfig, bundle: ModelBundle) -> SolverConfig:
+def _embedding_solver(cfg: RunConfig, bundle: ModelBundle, path: str) -> SolverConfig:
     """The solver config and step count the bundle's maps were trained with.
 
     Clouds without a trained pair are embedded with it, whatever this
@@ -221,7 +221,7 @@ def _embedding_solver(cfg: RunConfig, bundle: ModelBundle) -> SolverConfig:
         try:
             solver = decode_config(SolverConfig, bundle.config["solver"], "solver")
         except DataError as e:
-            raise DataError(f"bundle has an unusable solver config: {e}") from e
+            raise DataError(f"bundle {path} has an unusable solver config: {e}") from e
         if dataclasses.replace(solver, seed=cfg.solver.seed) != cfg.solver:
             print(f"note: this run's solver config differs from the bundle's "
                   f"(config_hash={bundle.config_hash}); embedding with the bundle's",
@@ -239,7 +239,7 @@ def cmd_eval(cfg: RunConfig, bundle_path: str, data_dir: str, resamples: int,
     if resamples < 1:
         raise DataError(f"--resamples must be >= 1, not {resamples}")
     bundle = load_bundle(bundle_path)
-    embed_solver = _embedding_solver(cfg, bundle)
+    embed_solver = _embedding_solver(cfg, bundle, bundle_path)
     ds = load_csv_dir(data_dir, cfg.subsample_n, seed=cfg.seed)
     if subset == "all":
         ids = sorted(ds.ids)

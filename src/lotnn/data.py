@@ -21,15 +21,19 @@ Row rules of a cloud file, applied to each line stripped of whitespace
   are dropped and counted too; among tied widths the one seen first in
   the file wins.
 A file left with no row is a `DataError`.
+
+A clean file (no row to drop, and no line to skip after the first but
+empty ones) is read by `np.loadtxt`, any other file row by row; both
+paths give the same points.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import warnings
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -195,12 +199,6 @@ def gen_synthetic(spec: SyntheticSpec, n_clouds_per_class: int, n_points: int,
 # CSV ingestion / export
 # ---------------------------------------------------------------------------
 
-# Lines per block of the clean-file path: big enough that the per-block
-# Python steps vanish, small enough that a block's field strings stay a
-# few MB however long the file is.
-_BLOCK_LINES = 4096
-
-
 def _declared_dim(line: str, path: Path) -> int | None:
     """d of a `#dim=<d>` header line, or None when the line is no such header."""
     line = line.strip()
@@ -212,43 +210,23 @@ def _declared_dim(line: str, path: Path) -> int | None:
         raise DataError(f"{path}: bad header {line!r}, expected #dim=<integer>") from None
 
 
-def _parse_blocks(path: Path) -> Array | None:
-    """Points of a file that has no row to skip or drop, else None.
-
-    Reads `_BLOCK_LINES` lines at a time and converts each block with
-    one float map over its joined text. Returns None, leaving the file
-    to `_parse_rows`, on the first line with a width other than the
-    declared (or else the first row's) one, a field that is not a
-    finite float, or a bare \\r line end; blank and `#` lines after the
-    first fail as fields.
-    """
-    blocks: list[Array] = []
-    with open(path, newline="") as fh:
+def _parse_clean(path: Path) -> Array | None:
+    """Points of a clean file by np.loadtxt, else None (for `_parse_rows`).
+    comments=None, so that a `#` after the first line fails as a field."""
+    with open(path) as fh, warnings.catch_warnings():
+        # a header-only file is left to _parse_rows, which reports it
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         first = fh.readline()
         width = _declared_dim(first, path)
-        lines = fh if first.strip().startswith("#") else chain([first], fh)
-        for block in iter(lambda: list(islice(lines, _BLOCK_LINES)), []):
-            text = "".join(block)
-            if "\r" in text:
-                text = text.replace("\r\n", "\n")
-                if "\r" in text:
-                    return None
-            if width is None:
-                width = block[0].count(",") + 1
-            commas = list(map(str.count, block, repeat(",")))
-            if commas.count(width - 1) != len(commas):
-                return None
-            if text.endswith("\n"):
-                text = text[:-1]
-            try:
-                vals = np.fromiter(map(float, text.replace("\n", ",").split(",")),
-                                   np.float64, len(block) * width)
-            except ValueError:
-                return None
-            if not np.isfinite(vals).all():
-                return None
-            blocks.append(vals.reshape(len(block), width))
-    return np.concatenate(blocks) if blocks else None
+        if not first.strip().startswith("#"):
+            fh.seek(0)
+        try:
+            pts = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            return None
+    if pts.size == 0 or width not in (None, pts.shape[1]) or not np.isfinite(pts).all():
+        return None
+    return pts
 
 
 def _parse_rows(path: Path) -> tuple[Array, int]:
@@ -293,7 +271,7 @@ def _parse_rows(path: Path) -> tuple[Array, int]:
 
 def _parse_cloud_csv(path: Path) -> tuple[Array, int]:
     """Parse one cloud file; returns (points, dropped-row count)."""
-    pts = _parse_blocks(path)
+    pts = _parse_clean(path)
     return (pts, 0) if pts is not None else _parse_rows(path)
 
 

@@ -525,6 +525,11 @@ class FlatParams:
         new._bind(theta, shapes)
         return new
 
+    @classmethod
+    def empty(cls, shapes: tuple):
+        """The network with block shapes `shapes` over a new, unset vector."""
+        return cls.over(np.empty(sum(math.prod(s) for g in shapes for s in g)), shapes)
+
     def with_theta(self, theta: Array):
         """The same layout over another vector, sharing its memory."""
         return self.over(theta, self._shapes)

@@ -388,7 +388,8 @@ def fit_pairs(sigma: "ReferenceMeasure", clouds: dict[str, Array],
     """Advance each cloud's pair by `steps` solver steps, in place.
 
     Each step draws one reference batch shared by all clouds, visited in
-    dict order; a missing Adam state is created from cfg, and each step
+    dict order; a missing Adam state is created from cfg, and missing
+    Adam accumulators as the zeros adam_step starts from. Each step
     updates the pair's networks and Adam state in place and adds one to
     the pair's meta["iterations"]. Returns the losses, step-major.
 
@@ -420,7 +421,10 @@ def fit_pairs(sigma: "ReferenceMeasure", clouds: dict[str, Array],
     if steps < 1:
         return []
     for cid in clouds:
-        states.setdefault(cid, OptimState(lr=cfg.lr))
+        state = states.setdefault(cid, OptimState(lr=cfg.lr))
+        if state.m is None:
+            n = pairs[cid].psi.theta.size + pairs[cid].phi.theta.size
+            state.m, state.v = np.zeros(n), np.zeros(n)
     work = [(cid, pairs[cid], states[cid], as_f64(points)) for cid, points in clouds.items()]
     losses = np.empty((len(work), steps))
     failures: list[tuple[int, int, Exception]] = []
@@ -506,21 +510,15 @@ def _run_chunk(work: list, X: Array, idx: Array, lambda_cyc: float, losses: Arra
     return None
 
 
-def _adam_arrays(state: OptimState) -> tuple[Array, ...]:
-    return () if state.m is None else (state.m, state.v)
-
-
 def _send_chunk(conn: Connection, work: list, X: Array, idx: Array,
                 lambda_cyc: float) -> None:
     """Hand one chunk of fit_pairs to a worker process (_fit_remote)."""
-    specs = [(cid, p.psi_cfg, p.psi.theta.size, p.phi_cfg, p.phi.theta.size, p.frame,
-              points.shape, s.lr, s.step, s.m is not None, p.meta.get("iterations", 0))
-             for cid, p, s, points in work]
+    specs = [(cid, p.psi_cfg, p.phi_cfg, p.frame, points.shape, s.lr, s.step,
+              p.meta.get("iterations", 0)) for cid, p, s, points in work]
     conn.send((_fit_remote, (specs, lambda_cyc, X.shape)))
     send_arrays(conn, X, np.ascontiguousarray(idx))
     for _, p, s, points in work:
-        send_arrays(conn, np.ascontiguousarray(points), p.psi.theta, p.phi.theta,
-                    *_adam_arrays(s))
+        send_arrays(conn, np.ascontiguousarray(points), p.psi.theta, p.phi.theta, s.m, s.v)
 
 
 def _fit_remote(conn: Connection, specs: list, lambda_cyc: float, x_shape: tuple) -> None:
@@ -529,22 +527,21 @@ def _fit_remote(conn: Connection, specs: list, lambda_cyc: float, x_shape: tuple
     idx = np.empty((len(specs), *x_shape[:2]), dtype=np.int64)
     recv_arrays(conn, X, idx)
     work = []
-    for cid, psi_cfg, n_psi, phi_cfg, n_phi, frame, shape, lr, step, has_m, iters in specs:
-        pair = DualPair(IcnnParams.over(np.empty(n_psi), icnn_shapes(psi_cfg)), psi_cfg,
-                        IcnnParams.over(np.empty(n_phi), icnn_shapes(phi_cfg)), phi_cfg,
+    for cid, psi_cfg, phi_cfg, frame, shape, lr, step, iters in specs:
+        pair = DualPair(IcnnParams.empty(icnn_shapes(psi_cfg)), psi_cfg,
+                        IcnnParams.empty(icnn_shapes(phi_cfg)), phi_cfg,
                         frame, meta={"iterations": iters})
-        state = OptimState(lr=lr, step=step)
-        if has_m:
-            state.m, state.v = np.empty(n_psi + n_phi), np.empty(n_psi + n_phi)
+        n = pair.psi.theta.size + pair.phi.theta.size
+        state = OptimState(lr=lr, step=step, m=np.empty(n), v=np.empty(n))
         work.append((cid, pair, state, np.empty(shape)))
-        recv_arrays(conn, work[-1][3], pair.psi.theta, pair.phi.theta, *_adam_arrays(state))
+        recv_arrays(conn, work[-1][3], pair.psi.theta, pair.phi.theta, state.m, state.v)
     losses = np.empty((len(work), x_shape[0]))
     failure = _run_chunk(work, X, idx, lambda_cyc, losses)
     arrays = [losses]
     for _, p, s, _ in work:
-        arrays += [p.psi.theta, p.phi.theta, *_adam_arrays(s)]
-    conn.send((len(arrays), [(s.step, s.m is not None, p.meta["iterations"])
-                             for _, p, s, _ in work], failure))
+        arrays += [p.psi.theta, p.phi.theta, s.m, s.v]
+    conn.send((len(arrays), [(s.step, p.meta["iterations"]) for _, p, s, _ in work],
+               failure))
     send_arrays(conn, *arrays)
 
 
@@ -555,11 +552,8 @@ def _recv_chunk(conn: Connection, work: list,
     got = np.empty(losses.shape)
     recv_arrays(conn, got)
     losses[...] = got
-    for (_, p, s, _), (step, has_m, iterations) in zip(work, done):
-        if has_m and s.m is None:
-            n = p.psi.theta.size + p.phi.theta.size
-            s.m, s.v = np.empty(n), np.empty(n)
-        recv_arrays(conn, p.psi.theta, p.phi.theta, *((s.m, s.v) if has_m else ()))
+    for (_, p, s, _), (step, iterations) in zip(work, done):
+        recv_arrays(conn, p.psi.theta, p.phi.theta, s.m, s.v)
         s.step = step
         p.meta["iterations"] = iterations
     return failure
@@ -586,9 +580,8 @@ class _WorkerHalf:
         conn = self.conn
         if conn is None:
             return None
-        sizes = (pair.psi.theta.size, pair.phi.theta.size)
-        conn.send((_half_remote, (pair.psi_cfg, pair.phi_cfg, sizes, Xs.shape[0],
-                                  Ys.shape[0], lambda_cyc, n, m)))
+        conn.send((_half_remote, (pair.psi_cfg, pair.phi_cfg, Xs.shape[0], Ys.shape[0],
+                                  lambda_cyc, n, m)))
         send_arrays(conn, pair.psi.theta, pair.phi.theta, Xs, Ys)
         sent = time.perf_counter()
 
@@ -600,7 +593,7 @@ class _WorkerHalf:
             _, loss, failure = conn.recv()
             if failure is not None:
                 return failure
-            g_psi, g_phi = np.empty(sizes[0]), np.empty(sizes[1])
+            g_psi, g_phi = np.empty_like(pair.psi.theta), np.empty_like(pair.phi.theta)
             recv_arrays(conn, g_psi, g_phi)
             return loss, g_psi, g_phi
 
@@ -608,11 +601,10 @@ class _WorkerHalf:
 
 
 def _half_remote(conn: Connection, psi_cfg: IcnnConfig, phi_cfg: IcnnConfig,
-                 sizes: tuple[int, int], n_x: int, n_y: int, lambda_cyc: float,
-                 n: int, m: int) -> None:
+                 n_x: int, n_y: int, lambda_cyc: float, n: int, m: int) -> None:
     """A worker process's side of _WorkerHalf."""
-    psi = IcnnParams.over(np.empty(sizes[0]), icnn_shapes(psi_cfg))
-    phi = IcnnParams.over(np.empty(sizes[1]), icnn_shapes(phi_cfg))
+    psi = IcnnParams.empty(icnn_shapes(psi_cfg))
+    phi = IcnnParams.empty(icnn_shapes(phi_cfg))
     Xs, Ys = np.empty((n_x, psi_cfg.dim)), np.empty((n_y, phi_cfg.dim))
     recv_arrays(conn, psi.theta, phi.theta, Xs, Ys)
     pair = DualPair(psi, psi_cfg, phi, phi_cfg, Frame.identity(psi_cfg.dim))

@@ -91,10 +91,11 @@ def _v2_copy_with(bundle, tmp_path, edit):
 
 
 @pytest.mark.parametrize("record,key,value,message", [
-    ("psi", "activation", "relu", "unknown config key 'activation'"),
+    ("psi", "activation", "relu", "unknown config key 'activation' in \"pair 'c1' psi\""),
+    ("phi", "sharpness", 2.0, "unknown config key 'sharpness' in \"pair 'c1' phi\""),
     ("reference", "halfwidth", 2.0, "unknown config key 'halfwidth'"),
     ("reference", "kind", "box", "unknown reference kind 'box'"),
-], ids=["activation", "halfwidth", "box"])
+], ids=["activation", "sharpness", "halfwidth", "box"])
 def test_document_with_a_retired_setting_off_its_value_rejected(
         bundle, tmp_path, record, key, value, message):
     def edit(header, payload):

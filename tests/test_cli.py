@@ -150,10 +150,13 @@ def _bundle_storing(workdir, name, record, settings):
 
 
 @pytest.mark.parametrize("command,record,settings,message", [
-    ("eval", "solver", {"adaptive_quad": False}, "unknown config key 'adaptive_quad'"),
+    ("eval", "solver", {"adaptive_quad": False},
+     "bundle {path} has an unusable solver config: unknown config key 'adaptive_quad'"),
     ("dist", "net", {"sharpness": 2.0}, "unknown config key 'sharpness'"),
-    ("eval", "solver", {"beta1": 0.5}, "unknown config key 'beta1'"),
-    ("eval", "solver", {"init_scale": 1.0}, "unknown config key 'init_scale'"),
+    ("eval", "solver", {"beta1": 0.5},
+     "bundle {path} has an unusable solver config: unknown config key 'beta1'"),
+    ("eval", "solver", {"init_scale": 1.0},
+     "bundle {path} has an unusable solver config: unknown config key 'init_scale'"),
     ("dist", "net", {"activation": "relu"}, "unknown config key 'activation'"),
     ("dist", "reference", {"kind": "box"}, "unknown reference kind 'box'"),
     ("eval", "reference", {"halfwidth": 0.5}, "unknown config key 'halfwidth'"),
@@ -168,7 +171,7 @@ def test_bundle_with_a_removed_setting_off_its_value_exits_3(
     args = {"eval": ["--data", str(d / "data")], "dist": ["--out", str(d / "x.csv")]}
     assert main(base + [command, "--bundle", str(path)] + args[command]) == 3
     err = capsys.readouterr().err
-    assert message in err and "Traceback" not in err
+    assert message.format(path=path) in err and "Traceback" not in err
 
 
 def test_eval_scores_each_cloud_the_same_in_any_subset(workdir):

@@ -103,14 +103,23 @@ class TestCsvRoundTrip:
         assert ds.cloud("a").n == 2
         assert ds.cloud("a").meta["dropped_rows"] == 2
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("lines, width", [
         (["1,2", "3,4", "5,6,7", "8,9,10"], 2),
         (["5,6,7", "8,9,10", "1,2", "3,4"], 3),
         (["5,6,7", "1,2", "8,9,10", "3,4"], 3),
+        # a `#` inside a row is no comment: the row is dropped
+        (["1,2", "3,4 # note", "5,6#", "7,8"], 2),
+        # a header alone leaves no row, and no numpy warning gets out
+        (["#dim=2"], None),
     ])
     def test_width_tie_keeps_the_first_seen_width(self, tmp_path, lines, width):
         (tmp_path / "cloud_a.csv").write_text("\n".join(lines) + "\n")
         (tmp_path / "labels.csv").write_text("id,label\na,0\n")
+        if width is None:
+            with pytest.raises(DataError, match="no usable rows"):
+                load_csv_dir(tmp_path, subsample_n=10, seed=0)
+            return
         cloud = load_csv_dir(tmp_path, subsample_n=10, seed=0).cloud("a")
         assert cloud.points.shape == (2, width)
         assert cloud.meta["dropped_rows"] == 2

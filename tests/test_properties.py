@@ -8,8 +8,6 @@ oracle finds the optimum of a plain assignment on raw squared distances
 and obeys the translation law of W2.
 """
 
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -111,8 +109,7 @@ def cloud_files(draw):
     end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     lines = ([header] if header else []) + [",".join(r) for r in rows]
     text = end.join(lines) + (end if draw(st.booleans()) else "")
-    clean = (not mutations and end != "\r"
-             and header in (None, "# cloud", f"#dim={width}"))
+    clean = not mutations and header in (None, "# cloud", f"#dim={width}")
     return text, clean
 
 
@@ -130,15 +127,14 @@ def cloud_path(tmp_path_factory):
 
 
 @settings(PROPERTY, max_examples=150)
-@given(cloud_files(), st.sampled_from([1, 2, 3, 4096]))
-def test_cloud_files_parse_as_the_per_row_rules_parse_them(cloud_path, case, block_lines):
+@given(cloud_files())
+def test_cloud_files_parse_as_the_per_row_rules_parse_them(cloud_path, case):
     text, clean = case
     cloud_path.write_bytes(text.encode())
-    with mock.patch.object(data, "_BLOCK_LINES", block_lines):
-        assert (_outcome(data._parse_cloud_csv, cloud_path)
-                == _outcome(data._parse_rows, cloud_path))
-        if clean:
-            assert data._parse_blocks(cloud_path) is not None
+    assert (_outcome(data._parse_cloud_csv, cloud_path)
+            == _outcome(data._parse_rows, cloud_path))
+    if clean:
+        assert data._parse_clean(cloud_path) is not None
 
 
 def _plain_assignment_cost(X, Y):
