@@ -22,8 +22,8 @@ one worker computes the second half of every solver step's batch
 does by default, they take the CPUs and all of this runs in the
 calling thread. The outputs do not depend on the CPU count.
 
-A bundle (--bundle) is not a JSON text: it is one line of JSON metadata
-followed by the binary float64 parameters; lotnn.bundle describes the
+A bundle (--bundle) is not a JSON text: it is one line of JSON metadata,
+then the binary float64 parameters; lotnn.bundle describes the
 layout.
 
 `train` fits every map against the Gaussian fitted to the training
@@ -320,11 +320,12 @@ def cmd_bound(beta: float, eps: float, R: float, delta: float, n: int) -> int:
 def cmd_baseline(cfg: RunConfig, data_dir: str, out_path: str | None) -> int:
     ds = load_csv_dir(data_dir, cfg.subsample_n, seed=cfg.seed)
     train_ds, val_ds, test_ds = split(ds, seed=cfg.seed)
-    eval_ds = test_ds if test_ds.clouds else val_ds
+    subset, eval_ds = ("test", test_ds) if test_ds.clouds else ("val", val_ds)
+    labels = [eval_ds.labels[c.id] for c in eval_ds.clouds]
+    _note_single_class(subset, labels)
 
     model, _ = ds_train(train_ds, val_ds, cfg.deepsets_epochs, cfg.deepsets,
                         seed=cfg.seed)
-    labels = [eval_ds.labels[c.id] for c in eval_ds.clouds]
     single = [ds_forward(model, c) for c in eval_ds.clouds]
     m_single = evaluate(single, labels)
 

@@ -10,7 +10,8 @@ the package shares work out over CPUs: on_cpus, a thread pool for map
 evaluations (1000-row kernels release the GIL long enough to overlap),
 with start_on_cpus to let the caller work while the helper threads run,
 and worker_processes, persistent worker processes for solver steps
-(256-row steps hold the GIL for most of their time). One rule,
+(256-row steps hold the GIL for most of their time), whose caller waits
+for every reply. One rule,
 _helpers, sizes both: one worker per usable CPU, the caller included,
 and none for one item or when BLAS runs threads of its own.
 All arrays are float64; 32-bit cannot hold the gradient-check tolerances.
@@ -188,18 +189,12 @@ class _Worker:
         self.proc.start()
         child.close()  # so the worker alone holds that end, and sees EOF on ours
         self.ready = False
-        self.owed = 0  # replies the caller left unread (leave_reply)
 
     def poll(self) -> bool:
-        """True once the worker has started up with one BLAS thread and
-        every reply left unread has come and been dropped."""
+        """True once the worker has started up with one BLAS thread."""
         if not self.ready and self.conn.poll():
             self.ready = self.conn.recv() in (1, None)
-        while self.ready and self.owed and self.conn.poll():
-            for _ in range(self.conn.recv()[0]):
-                self.conn.recv_bytes()
-            self.owed -= 1
-        return self.ready and not self.owed
+        return self.ready
 
     def close(self, wait: float = 5.0) -> None:
         self.conn.close()  # an idle worker leaves at EOF
@@ -215,7 +210,8 @@ def _serve(conn: Connection) -> None:
     It leaves when the parent closes its end of the pipe or exits, also
     when the parent is killed: the parent's end is held by no one else.
     A parent that closes its end with a message of ours unread (the
-    start-up report, a reply left to leave_reply) resets the connection.
+    start-up report, the reply to a task whose caller raised) resets the
+    connection.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles Ctrl-C
     _set_blas_threads(1)
@@ -285,10 +281,11 @@ def worker_processes(n: int) -> Iterator[list[Connection]]:
     Only workers that have finished starting up (0.75-1 s, mostly
     imports) are handed out, so the calls until then get fewer or none;
     so does a second thread while another holds them. The body sends
-    each worker a task (see _serve) and reads its reply, or hands the
-    reply to leave_reply. A reply is a pickled tuple whose first item
-    counts the send_arrays messages that follow it. If the body raises,
-    its workers are ended, since their pipes may hold half a message.
+    each worker a task (see _serve) and waits for its whole reply: a
+    pickled header, then the send_arrays messages the header implies. A
+    worker on a busy CPU holds the caller up for as long as it is late.
+    If the body raises, its workers are ended, since their pipes may
+    hold half a message; one that died mid-task raises RuntimeError.
     Workers run untraced: benchmarks/tracing.py sees only the caller's
     share.
     """
@@ -307,17 +304,6 @@ def worker_processes(n: int) -> Iterator[list[Connection]]:
             raise
     finally:
         _WORKERS.lock.release()
-
-
-def leave_reply(conn: Connection) -> None:
-    """Leave the reply to the task running on conn's worker unread.
-
-    The pool drops it when it comes, and hands the worker out again
-    only then.
-    """
-    for w in _WORKERS.workers:
-        if w.conn is conn:
-            w.owed += 1
 
 
 def send_arrays(conn: Connection, *arrays: Array) -> None:

@@ -30,10 +30,9 @@ closed-form Gaussian (diagonal covariance) distance.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from multiprocessing.connection import Connection
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -60,7 +59,6 @@ from .nncore import (
     adam_step,
     as_f64,
     check_finite,
-    leave_reply,
     recv_arrays,
     send_arrays,
     worker_processes,
@@ -236,7 +234,7 @@ LossGrads = tuple[float, Array, Array]
 
 def solver_loss_and_grads(
     pair: DualPair, Xs: Array, Ys: Array, lambda_cyc: float,
-    elsewhere: Callable | None = None,
+    half: Connection | None = None,
 ) -> LossGrads:
     """Loss and exact gradients of the cycle-regularized dual objective.
 
@@ -256,23 +254,24 @@ def solver_loss_and_grads(
     Each half weights its rows by the whole batch's 1/n, 1/m and
     2 lambda/n (_half_loss_and_grads), and half 2 is added to half 1.
     The halves are the same wherever they run, so the result is bitwise
-    the same at every CPU count. elsewhere, when given, is called with
-    half 2's arguments to _half_loss_and_grads before half 1 runs here,
-    and returns None or a finish() that returns half 2's result, the
-    error it raised, or None; on None half 2 runs here as well.
+    the same at every CPU count. With half, a worker process's pipe,
+    half 2 is sent there before half 1 runs here, and its reply is
+    waited for, also when half 1 raised; half 1's error then wins over
+    the worker's.
     """
     n, m = Xs.shape[0], Ys.shape[0]
     h, k = -(-n // 2), -(-m // 2)
     second = (pair, Xs[h:], Ys[k:], lambda_cyc, n, m)
-    finish = elsewhere(*second) if elsewhere else None
+    if half is not None:
+        _send_half(half, *second)
     try:
         loss, g_psi, g_phi = _half_loss_and_grads(pair, Xs[:h], Ys[:k], lambda_cyc, n, m)
     finally:
         # also when half 1 raised, so no reply stays unread
-        got = finish() if finish else None
+        got = _recv_half(half, pair) if half is not None else None
     if isinstance(got, Exception):
         raise got
-    loss2, g_psi2, g_phi2 = got or _half_loss_and_grads(*second)
+    loss2, g_psi2, g_phi2 = _half_loss_and_grads(*second) if half is None else got
     g_psi += g_psi2
     g_phi += g_phi2
     return loss + loss2, g_psi, g_phi
@@ -358,18 +357,19 @@ def pair_for_cloud(sigma: "ReferenceMeasure", points: Array,
 
 
 def solver_step(pair: DualPair, X: Array, Y: Array, lambda_cyc: float,
-                state: OptimState, elsewhere: Callable | None = None) -> float:
+                state: OptimState, half: Connection | None = None) -> float:
     """One joint Adam update of both potentials in place, then projection.
 
     X and Y are original-coordinates batches; standardization happens
     here using the pair's frame. Adam sees psi's and phi's parameter
     vectors as one, psi first; a non-finite gradient raises before
-    either network changes. elsewhere may run the batch's second half;
-    see solver_loss_and_grads. Returns the loss.
+    either network changes. With half, a worker process's pipe, the
+    batch's second half runs there; see solver_loss_and_grads. Returns
+    the loss.
     """
     Xs = pair._sigma_side(X)
     Ys = pair._mu_side(Y)
-    loss, g_psi, g_phi = solver_loss_and_grads(pair, Xs, Ys, lambda_cyc, elsewhere)
+    loss, g_psi, g_phi = solver_loss_and_grads(pair, Xs, Ys, lambda_cyc, half)
     step = adam_step(np.concatenate([g_psi, g_phi]), state)
     pair.psi.theta -= step[:g_psi.size]
     pair.phi.theta -= step[g_psi.size:]
@@ -401,22 +401,18 @@ def fit_pairs(sigma: "ReferenceMeasure", clouds: dict[str, Array],
     clouds. A worker gets its pairs' parameters, Adam state and
     iterations as raw buffers and sends them back into the same arrays,
     so every output is bitwise the serial one at any CPU count. The
-    caller keeps the largest chunk; when it is done and a worker's reply
-    is late, it runs that worker's chunk as well until the reply comes
-    (the reply then overwrites the partial run), or to the end, leaving
-    the reply to the pool. So a worker on a busy CPU costs at most about
-    the serial time. Of the failures, the one the serial loop would meet
-    first (lowest step, then cloud order) is raised; clouds of other
-    chunks may have gone further than the serial loop would have taken
-    them.
+    caller keeps the largest chunk and, once it is done, waits for each
+    worker's reply in turn. Of the failures, the one the serial loop
+    would meet first (lowest step, then cloud order) is raised; clouds
+    of other chunks may have gone further than the serial loop would
+    have taken them.
 
     One cloud (train_map) counts as two items: every step's loss and
     gradients are the sum of two fixed halves of its batch, at every CPU
     count (solver_loss_and_grads). With a worker, each step sends it the
-    pair's parameters and half 2's rows (_WorkerHalf), computes half 1
+    pair's parameters and half 2's rows (_send_half), computes half 1
     meanwhile and adds the worker's half 2, the bits it would have
-    computed itself. A late reply is left to the pool as above: the
-    caller computes that half too, and the rest of the call alone.
+    computed itself.
     """
     if steps < 1:
         return []
@@ -430,7 +426,7 @@ def fit_pairs(sigma: "ReferenceMeasure", clouds: dict[str, Array],
     failures: list[tuple[int, int, Exception]] = []
     with worker_processes(2 if len(work) == 1 else len(work)) as pool:
         # the half's worker stays in the pool, which ends it if this raises
-        half = _WorkerHalf(pool[0]) if len(work) == 1 and pool else None
+        half = pool[0] if len(work) == 1 and pool else None
         conns = [] if half else pool
         block = 1 if not conns else \
             max(1, BATCH_BYTES // (8 * cfg.batch_size * (sigma.dim + len(work))))
@@ -441,24 +437,10 @@ def fit_pairs(sigma: "ReferenceMeasure", clouds: dict[str, Array],
             cut = [-(-k * len(work) // (len(conns) + 1)) for k in range(len(conns) + 2)]
             for conn, lo, hi in zip(conns, cut[1:], cut[2:]):
                 _send_chunk(conn, work[lo:hi], X, idx[lo:hi], cfg.lambda_cyc)
-            t = time.perf_counter()
-            if failure := _run_chunk(work[:cut[1]], X, idx, cfg.lambda_cyc, out, half=half):
+            if failure := _run_chunk(work[:cut[1]], X, idx, cfg.lambda_cyc, out, half):
                 failures.append(failure)
-            grace = 2 * (time.perf_counter() - t) / (cut[1] * X.shape[0])
-            for conn, lo, hi in zip(list(conns), cut[1:], cut[2:]):
-                # a worker that is late (a busy CPU) does not hold the caller up:
-                # the caller runs that chunk too, until the reply comes, which
-                # then overwrites the whole chunk's state
-                failure = None
-                if not conn.poll(grace):
-                    failure = _run_chunk(work[lo:hi], X, idx[lo:hi], cfg.lambda_cyc,
-                                         out[lo:hi], stop=conn.poll)
-                if conn.poll():
-                    failure = _recv_chunk(conn, work[lo:hi], out[lo:hi])
-                else:
-                    leave_reply(conn)
-                    conns.remove(conn)
-                if failure:
+            for conn, lo, hi in zip(conns, cut[1:], cut[2:]):
+                if failure := _recv_chunk(conn, work[lo:hi], out[lo:hi]):
                     failures.append((failure[0], lo + failure[1], failure[2]))
             if failures:
                 break
@@ -481,24 +463,20 @@ def _draw(sigma: "ReferenceMeasure", work: list, batch_size: int, batch_rng: Rng
 
 
 def _run_chunk(work: list, X: Array, idx: Array, lambda_cyc: float, losses: Array,
-               stop: Callable[[], bool] = lambda: False,
-               half: "_WorkerHalf | None" = None) -> tuple[int, int, Exception] | None:
+               half: Connection | None = None) -> tuple[int, int, Exception] | None:
     """fit_pairs's steps on X for one chunk of (cid, pair, state, points).
 
     Writes losses[j, s] for cloud j of the chunk. Stops at the first
     failure and returns it as (step, cloud, error), both counted from 0
-    in this chunk and block of steps; stops too, returning None, once
-    stop() is true before a solver step. With half, each step's second
-    half of the batch runs there (solver_step's elsewhere).
+    in this chunk and block of steps. With half, a worker process's
+    pipe, each step's second half of the batch runs there (solver_step).
     """
     for s in range(X.shape[0]):
         for j, (cid, pair, state, points) in enumerate(work):
-            if stop():
-                return None
             step = pair.meta.get("iterations", 0)
             args = (pair, X[s], points[idx[j, s]], lambda_cyc, state)
             try:
-                loss = solver_step(*args, elsewhere=half) if half else solver_step(*args)
+                loss = solver_step(*args, half) if half else solver_step(*args)
             except NumericError as e:
                 err = NumericError(f"{e} (cloud {cid}, step {step})")
                 err.__cause__ = e
@@ -540,15 +518,14 @@ def _fit_remote(conn: Connection, specs: list, lambda_cyc: float, x_shape: tuple
     arrays = [losses]
     for _, p, s, _ in work:
         arrays += [p.psi.theta, p.phi.theta, s.m, s.v]
-    conn.send((len(arrays), [(s.step, p.meta["iterations"]) for _, p, s, _ in work],
-               failure))
+    conn.send(([(s.step, p.meta["iterations"]) for _, p, s, _ in work], failure))
     send_arrays(conn, *arrays)
 
 
 def _recv_chunk(conn: Connection, work: list,
                 losses: Array) -> tuple[int, int, Exception] | None:
     """A worker's reply to _send_chunk, written into the chunk's own arrays."""
-    _, done, failure = conn.recv()
+    done, failure = conn.recv()
     got = np.empty(losses.shape)
     recv_arrays(conn, got)
     losses[...] = got
@@ -559,50 +536,31 @@ def _recv_chunk(conn: Connection, work: list,
     return failure
 
 
-class _WorkerHalf:
-    """Each solver step's second half of the batch, on one worker process.
+def _send_half(conn: Connection, pair: DualPair, Xs: Array, Ys: Array,
+               lambda_cyc: float, n: int, m: int) -> None:
+    """Hand one step's second half of the batch, _half_loss_and_grads's
+    arguments, to a worker process (_half_remote): the pair's networks
+    and the half's rows go as raw buffers."""
+    conn.send((_half_remote, (pair.psi_cfg, pair.phi_cfg, Xs.shape[0], Ys.shape[0],
+                              lambda_cyc, n, m)))
+    send_arrays(conn, pair.psi.theta, pair.phi.theta, Xs, Ys)
 
-    Called with _half_loss_and_grads's arguments, it sends the worker
-    the pair's networks and the half's rows, as raw buffers, and returns
-    finish(). finish() receives the worker's loss and gradients into
-    fresh arrays, or returns the NumericError the worker raised. It
-    waits for the reply twice as long as the caller took from the call
-    to finish(); a reply that has not come by then is left to the pool,
-    and finish() and every later call return None, so that the caller
-    runs those halves itself.
-    """
 
-    def __init__(self, conn: Connection):
-        self.conn: Connection | None = conn
-
-    def __call__(self, pair: DualPair, Xs: Array, Ys: Array, lambda_cyc: float,
-                 n: int, m: int) -> Callable[[], LossGrads | Exception | None] | None:
-        conn = self.conn
-        if conn is None:
-            return None
-        conn.send((_half_remote, (pair.psi_cfg, pair.phi_cfg, Xs.shape[0], Ys.shape[0],
-                                  lambda_cyc, n, m)))
-        send_arrays(conn, pair.psi.theta, pair.phi.theta, Xs, Ys)
-        sent = time.perf_counter()
-
-        def finish() -> LossGrads | Exception | None:
-            if not conn.poll(2 * (time.perf_counter() - sent)):
-                leave_reply(conn)
-                self.conn = None
-                return None
-            _, loss, failure = conn.recv()
-            if failure is not None:
-                return failure
-            g_psi, g_phi = np.empty_like(pair.psi.theta), np.empty_like(pair.phi.theta)
-            recv_arrays(conn, g_psi, g_phi)
-            return loss, g_psi, g_phi
-
-        return finish
+def _recv_half(conn: Connection, pair: DualPair) -> LossGrads | NumericError:
+    """A worker's reply to _send_half: its loss and gradients in fresh
+    arrays, or the NumericError it raised, returned rather than raised
+    so that it cannot mask an error of the caller's half."""
+    loss, failure = conn.recv()
+    if failure is not None:
+        return failure
+    g_psi, g_phi = np.empty_like(pair.psi.theta), np.empty_like(pair.phi.theta)
+    recv_arrays(conn, g_psi, g_phi)
+    return loss, g_psi, g_phi
 
 
 def _half_remote(conn: Connection, psi_cfg: IcnnConfig, phi_cfg: IcnnConfig,
                  n_x: int, n_y: int, lambda_cyc: float, n: int, m: int) -> None:
-    """A worker process's side of _WorkerHalf."""
+    """A worker process's side of _send_half and _recv_half."""
     psi = IcnnParams.empty(icnn_shapes(psi_cfg))
     phi = IcnnParams.empty(icnn_shapes(phi_cfg))
     Xs, Ys = np.empty((n_x, psi_cfg.dim)), np.empty((n_y, phi_cfg.dim))
@@ -611,9 +569,9 @@ def _half_remote(conn: Connection, psi_cfg: IcnnConfig, phi_cfg: IcnnConfig,
     try:
         loss, g_psi, g_phi = _half_loss_and_grads(pair, Xs, Ys, lambda_cyc, n, m)
     except NumericError as e:
-        conn.send((0, None, e))
+        conn.send((None, e))
         return
-    conn.send((2, loss, None))
+    conn.send((loss, None))
     send_arrays(conn, g_psi, g_phi)
 
 
@@ -622,8 +580,8 @@ def train_map(sigma: "ReferenceMeasure", mu, cfg: SolverConfig) -> DualPair:
 
     Deterministic given cfg.seed, and bitwise the same at every CPU
     count: with one BLAS thread and a second usable CPU, each step's
-    second half of the batch runs on a worker process (fit_pairs). A
-    zero budget returns the initialized pair untouched. Loss history is
+    second half of the batch runs on a worker process, whose reply
+    every step waits for (fit_pairs). A zero budget returns the initialized pair untouched. Loss history is
     stored in the pair metadata.
     """
     points = mu.points if hasattr(mu, "points") else np.atleast_2d(as_f64(mu))

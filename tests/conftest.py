@@ -2,6 +2,7 @@
 
 import importlib
 import importlib.util
+import os
 import sys
 import threading
 import time
@@ -140,24 +141,16 @@ def start_workers(monkeypatch, cpus: int) -> None:
         time.sleep(0.01)
 
 
-def slow_task(delay, module, name, conn, *args):
-    """module.name(conn, *args) after `delay` seconds.
-
-    functools.partial(slow_task, delay, module, name) is a worker
-    process task; workers are spawned with this process's sys.path, so
-    they import this module to run it. The task goes by name, as a
-    function that a test has replaced in its module no longer pickles.
-    """
-    time.sleep(delay)
-    getattr(importlib.import_module(module), name)(conn, *args)
-
-
 def late_inner_task(delay, module, inner, name, conn, *args):
     """module.name(conn, *args) with each call of module.inner `delay` seconds late.
 
-    Unlike slow_task, the task reads what the caller sends it first, so
-    the caller is not held up sending a message larger than the pipe's
-    buffer; only the work, and so the reply, comes late.
+    functools.partial(late_inner_task, delay, module, inner, name) is a
+    worker process task; workers are spawned with this process's
+    sys.path, so they import this module to run it. The task goes by
+    name, as a function that a test has replaced in its module no longer
+    pickles. It reads what the caller sends it first, so the caller is
+    not held up sending a message larger than the pipe's buffer; only
+    the work, and so the reply, comes late.
     """
     mod = importlib.import_module(module)
     run = getattr(mod, inner)
@@ -171,6 +164,15 @@ def late_inner_task(delay, module, inner, name, conn, *args):
         getattr(mod, name)(conn, *args)
     finally:
         setattr(mod, inner, run)
+
+
+def exit_inner_task(module, inner, name, conn, *args):
+    """module.name(conn, *args), whose process ends at the first call of
+    module.inner: after it has read what the caller sent, before it replies.
+    A worker process task, like late_inner_task."""
+    mod = importlib.import_module(module)
+    setattr(mod, inner, lambda *a, **k: os._exit(1))
+    getattr(mod, name)(conn, *args)
 
 
 @pytest.fixture

@@ -437,9 +437,11 @@ def test_train_numeric_failure_exits_4(workdir, monkeypatch, capsys):
     assert not (d / "failed.json").exists()
 
 
-def test_baseline_and_bound(workdir):
+def test_baseline_and_bound(workdir, capsys):
     d, base = workdir
     assert main(base + ["baseline", "--data", str(d / "data")]) == 0
+    # the test subset it scores holds class 1 only, as in test_eval_test_subset
+    assert capsys.readouterr().err.count("note: subset 'test' holds only class 1;") == 1
     assert main(["bound", "--beta", "1", "--eps", "0.1", "--R", "1",
                  "--delta", "0.05", "--n", "1000"]) == 0
 

@@ -510,21 +510,6 @@ class TestWorkerProcesses:
         assert nncore._WORKERS.workers == started[:keep]
         assert not any(w.proc.is_alive() for w in started[keep:])
 
-    @pytest.mark.usefixtures("one_blas_thread")
-    def test_a_reply_left_unread_is_dropped(self, monkeypatch):
-        from multiprocessing.connection import Connection
-
-        start_workers(monkeypatch, 2)
-        worker = nncore._WORKERS.workers[0]
-        with nncore.worker_processes(2) as conns:
-            # the worker runs Connection.send(conn, (0,)): a reply of a
-            # header and no arrays
-            conns[0].send((Connection.send, ((0,),)))
-            nncore.leave_reply(conns[0])
-        start_workers(monkeypatch, 2)  # handed out again once it is dropped
-        assert nncore._WORKERS.workers[0] is worker and worker.owed == 0
-        assert not worker.conn.poll()
-
     def test_arrays_travel_in_place(self):
         import multiprocessing
 

@@ -1,7 +1,6 @@
 import dataclasses
 import functools
 import itertools
-import time
 import tracemalloc
 
 import numpy as np
@@ -29,8 +28,8 @@ from lotnn.otsolve import (
     solver_loss_and_grads,
     train_map,
 )
-from conftest import (blocks, late_inner_task, quad_pair, relerr, shift_pair, slow_task,
-                      start_workers, unit_reference)
+from conftest import (blocks, exit_inner_task, late_inner_task, quad_pair, relerr,
+                      shift_pair, start_workers, unit_reference)
 
 
 class TestDualObjective:
@@ -430,18 +429,13 @@ class TestFitPairs:
 @pytest.mark.usefixtures("one_blas_thread")
 class TestFitPairsOnWorkers:
     @staticmethod
-    def _run(monkeypatch, n_clouds=5, pause=0.0, **solver):
+    def _run(monkeypatch, n_clouds=5, **solver):
         """Two fit_pairs calls; the outputs, and the solver steps run in this
-        process, each `pause` seconds longer than it takes."""
+        process."""
         here = []
         step = otsolve_mod.solver_step
-
-        def counted(*args, **kwargs):
-            here.append(1)
-            time.sleep(pause)
-            return step(*args, **kwargs)
-
-        monkeypatch.setattr(otsolve_mod, "solver_step", counted)
+        monkeypatch.setattr(otsolve_mod, "solver_step",
+                            lambda *args: here.append(1) or step(*args))
         sigma, cfg, clouds, pairs = TestFitPairs._setup(n_clouds)
         cfg = dataclasses.replace(cfg, **solver)
         states, rng = {}, Rng(60)
@@ -460,15 +454,13 @@ class TestFitPairsOnWorkers:
         want, _ = self._run(monkeypatch)
         start_workers(monkeypatch, cpus)
         monkeypatch.setattr(otsolve_mod, "BATCH_BYTES", batch_bytes)
-        # the caller's steps take 30 ms more, so each worker's reply comes
-        # within the grace period and no chunk of theirs runs here
-        got, here = self._run(monkeypatch, pause=0.03)
+        got, here = self._run(monkeypatch)
         assert got == want
         # the caller ran its own chunk, the first and largest of `cpus`
         # chunks of the 5 clouds, for all 5 steps, and nothing else
         assert here == 5 * -(-5 // cpus)
 
-    def test_late_worker_chunk_runs_in_the_caller_too(self, monkeypatch):
+    def test_late_worker_is_waited_for(self, monkeypatch):
         def run():
             sigma, cfg, clouds, pairs = TestFitPairs._setup(5)
             states = {}
@@ -484,11 +476,27 @@ class TestFitPairsOnWorkers:
         monkeypatch.setattr(otsolve_mod, "solver_step",
                             lambda *args: here.append(1) or step(*args))
         # the worker reads its two clouds, then starts them 1 s late: the
-        # caller runs its own three and then the worker's two, all 4 steps
+        # caller runs only its own three, all 4 steps, and waits
         monkeypatch.setattr(otsolve_mod, "_fit_remote", functools.partial(
             late_inner_task, 1.0, "lotnn.otsolve", "_run_chunk", "_fit_remote"))
         assert run() == want
-        assert len(here) == 4 * 5
+        assert len(here) == 4 * 3
+
+    def test_a_worker_that_dies_mid_task_raises(self, monkeypatch):
+        monkeypatch.setattr(nncore._WORKERS, "broken", False)  # restored after the test
+        monkeypatch.setattr(nncore, "_usable_cpus", lambda: 1)
+        want, _ = self._run(monkeypatch)
+        start_workers(monkeypatch, 2)
+        # the worker reads its chunk, then its process ends
+        monkeypatch.setattr(otsolve_mod, "_fit_remote", functools.partial(
+            exit_inner_task, "lotnn.otsolve", "_run_chunk", "_fit_remote"))
+        sigma, cfg, clouds, pairs = TestFitPairs._setup(5)
+        with pytest.raises(RuntimeError, match="a worker process ended before its task did"):
+            fit_pairs(sigma, clouds, pairs, {}, cfg, Rng(60), 2)
+        assert nncore._WORKERS.broken and not nncore._WORKERS.workers
+        # no worker is started again: the next calls run serially
+        got, here = self._run(monkeypatch)
+        assert got == want and here == 5 * 5
 
     def test_worker_side_failure_raises_the_serial_error(self, monkeypatch):
         def failure(bad):
@@ -521,26 +529,12 @@ class TestOneCloudOnTwoProcesses:
     """A one-cloud fit runs each step's second half of the batch on a worker."""
 
     @staticmethod
-    def _replies(monkeypatch, pause=0.0):
-        """Worker replies the caller reads and leaves, as two growing lists.
-
-        The caller's half of each batch takes `pause` seconds longer, so a
-        worker on a free CPU always answers within the grace period.
-        """
-        read, left = [], []
-        half, recv, leave = (otsolve_mod._half_loss_and_grads, otsolve_mod.recv_arrays,
-                             otsolve_mod.leave_reply)
-
-        def slow_half(*args):
-            time.sleep(pause)
-            return half(*args)
-
-        monkeypatch.setattr(otsolve_mod, "_half_loss_and_grads", slow_half)
+    def _replies(monkeypatch):
+        """Worker replies of gradients the caller reads, as a growing list."""
+        read, recv = [], otsolve_mod.recv_arrays
         monkeypatch.setattr(otsolve_mod, "recv_arrays",
                             lambda *a: read.append(1) or recv(*a))
-        monkeypatch.setattr(otsolve_mod, "leave_reply",
-                            lambda conn: left.append(1) or leave(conn))
-        return read, left
+        return read
 
     @pytest.mark.parametrize("batch_size", [16, 2, 7])
     @pytest.mark.parametrize("cpus", [2, 3])
@@ -549,11 +543,11 @@ class TestOneCloudOnTwoProcesses:
         monkeypatch.setattr(nncore, "_usable_cpus", lambda: 1)
         want, _ = TestFitPairsOnWorkers._run(monkeypatch, 1, batch_size=batch_size)
         start_workers(monkeypatch, cpus)
-        read, left = self._replies(monkeypatch, pause=0.01)
+        read = self._replies(monkeypatch)
         got, here = TestFitPairsOnWorkers._run(monkeypatch, 1, batch_size=batch_size)
         assert got == want
         # every step ran here, and its second half on the one worker
-        assert here == len(read) == 5 and not left
+        assert here == len(read) == 5
 
     @pytest.mark.parametrize("cpus", [2, 3])
     def test_train_map_equals_the_serial_fit_bitwise(self, monkeypatch, cpus):
@@ -568,30 +562,21 @@ class TestOneCloudOnTwoProcesses:
         monkeypatch.setattr(nncore, "_usable_cpus", lambda: 1)
         want = fit()
         start_workers(monkeypatch, cpus)
-        read, _ = self._replies(monkeypatch, pause=0.01)
+        read = self._replies(monkeypatch)
         assert fit() == want and len(read) == cfg.iters
         assert want[0]["iterations"] == cfg.iters
 
-    def test_late_worker_gives_the_same_bits(self, monkeypatch):
+    def test_late_worker_half_is_waited_for_every_step(self, monkeypatch):
         monkeypatch.setattr(nncore, "_usable_cpus", lambda: 1)
         want, _ = TestFitPairsOnWorkers._run(monkeypatch, 1)
         start_workers(monkeypatch, 2)
-        read, left = self._replies(monkeypatch)
-        # the worker starts its half 1 s late: the caller computes it
-        # too, leaves the reply to the pool and goes on alone
+        read = self._replies(monkeypatch)
+        # the worker reads each step's half 2, then starts it 50 ms late:
+        # every step still takes its second half from the worker
         monkeypatch.setattr(otsolve_mod, "_half_remote", functools.partial(
-            slow_task, 1.0, "lotnn.otsolve", "_half_remote"))
+            late_inner_task, 0.05, "lotnn.otsolve", "_half_loss_and_grads", "_half_remote"))
         assert TestFitPairsOnWorkers._run(monkeypatch, 1)[0] == want
-        assert len(left) == 1 and not read
-        # while the reply is unread the worker is not handed out, and
-        # once it has come it is again, with nothing left in its pipe
-        with nncore.worker_processes(2) as conns:
-            assert conns == []
-        monkeypatch.undo()
-        start_workers(monkeypatch, 2)
-        read, left = self._replies(monkeypatch, pause=0.01)
-        assert TestFitPairsOnWorkers._run(monkeypatch, 1)[0] == want
-        assert len(read) == 5 and not left and not nncore._WORKERS.broken
+        assert len(read) == 5 and not nncore._WORKERS.broken
 
     def test_an_error_mid_step_ends_the_worker(self, monkeypatch):
         # its pipe may hold a reply no one will read, so the pool ends it
@@ -611,8 +596,20 @@ class TestOneCloudOnTwoProcesses:
         assert nncore._WORKERS.broken and not nncore._WORKERS.workers
 
     def test_worker_side_failure_raises_the_serial_error(self, monkeypatch):
-        # a NaN in the last row of step 1's reference batch: only the
-        # second half of that batch raises, in icnn_input_grad
+        # a NaN in the last row of step 1's reference batch: only half 2 of
+        # that batch raises, on the worker. Step 0's half 2 came back as
+        # gradients, step 1's as the error
+        assert self._step_1_failure(monkeypatch, row=-1) == 1
+
+    def test_caller_side_failure_still_reads_the_worker_reply(self, monkeypatch):
+        # in the first row only half 1 raises, here; step 1's half 2 still
+        # comes back as gradients, and is read before the error is raised
+        assert self._step_1_failure(monkeypatch, row=0) == 2
+
+    @staticmethod
+    def _step_1_failure(monkeypatch, row):
+        """The serial error of a NaN in `row` of step 1's reference batch,
+        checked at 2 CPUs; the worker replies of gradients read there."""
         sample = ReferenceMeasure.sample
         drawn = []
 
@@ -620,7 +617,7 @@ class TestOneCloudOnTwoProcesses:
             X = sample(self, n, seed=seed)
             drawn.append(1)
             if len(drawn) == 2:
-                X[-1, 0] = np.nan
+                X[row, 0] = np.nan
             return X
 
         def failure():
@@ -639,12 +636,12 @@ class TestOneCloudOnTwoProcesses:
         assert want[0] == "non-finite values in icnn_input_grad output (cloud c0, step 1)"
         assert want[1][:2] == (1, 1)
         start_workers(monkeypatch, 2)
-        read, left = self._replies(monkeypatch, pause=0.01)
+        read = TestOneCloudOnTwoProcesses._replies(monkeypatch)
         assert failure() == want
-        # step 0's half 2 came back as gradients, step 1's as the error
-        assert len(read) == 1 and not left and not nncore._WORKERS.broken
+        assert not nncore._WORKERS.broken
         with nncore.worker_processes(2) as conns:
             assert len(conns) == 1  # its pipe holds nothing unread
+        return len(read)
 
 
 def brute_force_cost(X, Y):
