@@ -304,7 +304,11 @@ def load_bundle(path) -> ModelBundle:
             raise DataError(f"unsupported format version {version!r}")
         payload = _Payload(data)
         reference = decode_config(ReferenceMeasure, doc["reference"])
-        pairs = {d["id"]: _dec_pair(d, payload) for d in doc["pairs"]}
+        pairs = {}
+        for d in doc["pairs"]:
+            if d["id"] in pairs:
+                raise DataError(f"pair id {d['id']!r} repeats")
+            pairs[d["id"]] = _dec_pair(d, payload)
         wn = None
         if doc.get("weightnet"):
             wn = _dec_weightnet(doc["weightnet"], payload, reference.dim)
@@ -313,7 +317,7 @@ def load_bundle(path) -> ModelBundle:
         _check_eval_settings(threshold, sample["n"], sample["seed"])
         return ModelBundle(
             reference=reference,
-            pair_ids=[d["id"] for d in doc["pairs"]],
+            pair_ids=list(pairs),
             pairs=pairs,
             weightnet=wn,
             threshold=threshold,

@@ -6,21 +6,11 @@ Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric failure.
 Every emitted report (history/metrics CSVs, bundles, manifests) embeds
 the resolved config hash, the seeds, and the build version, so a run is
 reproducible from its artifacts alone. Reruns with the same config and
-seed are byte-identical only at the same BLAS thread count: OpenBLAS
-splits a matrix product's rows over its threads, which changes the
-rounding, and defaults to one thread per core.
-
-With one BLAS thread (OPENBLAS_NUM_THREADS=1), `dist`, `train`, `eval`
-and `baseline` run on all usable CPUs. Threads (lotnn.nncore.on_cpus)
-evaluate transport maps in `dist` and `train`, score clouds in `eval`
-and run DeepSets' validation and bagging in `baseline`; `train` also
-fits the maps in worker processes, one per further CPU
-(lotnn.nncore.worker_processes), started on first use and ended with
-the command. `eval` fits each held-out cloud's map on two processes:
-one worker computes the second half of every solver step's batch
-(lotnn.otsolve.fit_pairs). When BLAS runs more threads, as OpenBLAS
-does by default, they take the CPUs and all of this runs in the
-calling thread. The outputs do not depend on the CPU count.
+seed are byte-identical, whatever the CPU count or OPENBLAS_NUM_THREADS:
+`dist`, `train`, `eval` and `baseline` share their work over all usable
+CPUs with numpy's BLAS on one thread, as lotnn.nncore describes. The
+worker processes that fit maps in `train` and `eval` start on first use
+and end with the command.
 
 A bundle (--bundle) is not a JSON text: it is one line of JSON metadata,
 then the binary float64 parameters; lotnn.bundle describes the

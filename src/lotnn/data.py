@@ -291,6 +291,7 @@ def load_csv_dir(path, subsample_n: int, seed: int) -> LabeledDataset:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != ["id", "label"]:
             raise DataError("labels.csv must have header 'id,label'")
+        reader.fieldnames = ["id", "label"]  # the names without their spaces
         for row in reader:
             if row["id"] in labels:
                 raise DataError(f"labels.csv repeats id {row['id']!r}")

@@ -7,20 +7,12 @@ maps evaluated on a common sigma-sample. On shift/scaling families this
 reproduces the exact Wasserstein-2 distance up to training and sampling
 error, and the deviation-bound calculator quantifies that error budget.
 
-maps_on evaluates many clouds' maps on one sample with one thread per
-usable CPU, so `lotnn dist` (pairwise_matrix) and `lotnn train` (the
-classifier phases of train_alternating) use all the CPUs the process
-may run on. The pool is nncore.on_cpus, which classify.predict_resampled
-and the DeepSets baseline share; the maps themselves are fitted in
-worker processes (otsolve.fit_pairs). Results do not depend on the CPU
-count: each map is computed whole by one thread, bit for bit as
-map_forward computes it. BLAS threads are a separate setting, made
-through OPENBLAS_NUM_THREADS (or the variable of whichever BLAS numpy
-loads) before numpy starts. With more than one, the pools start no
-thread or process, since BLAS then takes the CPUs itself, and results
-are bitwise reproducible only at the same BLAS thread count: OpenBLAS
-splits a matrix product's rows over its threads, which changes the
-rounding.
+maps_on evaluates many clouds' maps on one sample on nncore.on_cpus,
+so `lotnn dist` (pairwise_matrix) and `lotnn train` (the classifier
+phases of train_alternating) use all the CPUs the process may run on;
+nncore describes how lotnn shares work out over CPUs. Results do not
+depend on the CPU count: each map is computed whole by one thread, bit
+for bit as map_forward computes it.
 """
 
 from __future__ import annotations

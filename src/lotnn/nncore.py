@@ -6,14 +6,26 @@ vector per network's parameters, an Adam update of such a vector in
 place, order-independent pooling, a binary cross-entropy loss, small
 tanh MLPs with hand-written backward passes, the central-difference
 oracle used to cross-check every analytic gradient, and the two ways
-the package shares work out over CPUs: on_cpus, a thread pool for map
-evaluations (1000-row kernels release the GIL long enough to overlap),
-with start_on_cpus to let the caller work while the helper threads run,
-and worker_processes, persistent worker processes for solver steps
-(256-row steps hold the GIL for most of their time), whose caller waits
-for every reply. One rule,
-_helpers, sizes both: one worker per usable CPU, the caller included,
-and none for one item or when BLAS runs threads of its own.
+the package shares work out over CPUs.
+
+Importing lotnn runs numpy's BLAS on one thread, whatever
+OPENBLAS_NUM_THREADS says: OpenBLAS splits a matrix product's rows over
+its threads, which changes the rounding, so a second BLAS thread would
+change the results bitwise. lotnn's own pools use the CPUs instead, one
+worker per usable CPU with the caller included, and none for one item
+(_helpers):
+- on_cpus, a thread pool for map evaluations (1000-row kernels release
+  the GIL long enough to overlap), with start_on_cpus to let the caller
+  work while the helper threads run; `lotnn dist` and `train` evaluate
+  maps on it, `eval` scores clouds on it, and `baseline` runs DeepSets'
+  validation and bagging on it;
+- worker_processes, persistent worker processes for solver steps
+  (256-row steps hold the GIL for most of their time), whose caller
+  waits for every reply; `train` fits the maps on them, and `eval` fits
+  each held-out cloud's map on two processes (otsolve.fit_pairs).
+Each item runs whole on one thread or process, so no result depends on
+the CPU count. The pin reaches only the OpenBLAS that numpy's wheel
+bundles; a numpy built on another BLAS keeps that BLAS's own setting.
 All arrays are float64; 32-bit cannot hold the gradient-check tolerances.
 """
 
@@ -87,50 +99,36 @@ def _openblas(name: str):
     return None
 
 
-def _blas_threads() -> int | None:
-    """Threads numpy's BLAS splits a product over; None if it cannot tell."""
-    fn = _openblas("get_num_threads")
-    if fn is None:
-        return None
-    fn.argtypes, fn.restype = [], ctypes.c_int
-    return int(fn())
-
-
 def _set_blas_threads(n: int) -> None:
-    """Set the threads of numpy's BLAS, where _blas_threads can read them."""
+    """Set the threads of numpy's BLAS, where _openblas can reach it."""
     fn = _openblas("set_num_threads")
     if fn is not None:
         fn.argtypes, fn.restype = [ctypes.c_int], None
         fn(n)
 
 
-def _helpers(n: int) -> int:
-    """Workers to start beside the caller for n items of work.
+_set_blas_threads(1)  # see the module docstring
 
-    One per usable CPU, the caller's included, and none for one item or
-    when BLAS splits products over threads of its own: with two BLAS
-    threads on two CPUs, 40 map evaluations on two threads took 1.3-1.5x
-    as long as on one.
-    """
-    if n < 2 or (_blas_threads() or 1) > 1:
-        return 0
-    return min(_usable_cpus(), n) - 1
+
+def _helpers(n: int) -> int:
+    """Workers to start beside the caller for n items of work: one per
+    usable CPU, the caller's included, and none for one item."""
+    return max(min(_usable_cpus(), n) - 1, 0)
 
 
 def on_cpus(fn: Callable[[int], T], n: int) -> list[T]:
     """[fn(0), ..., fn(n - 1)], shared out over one thread per usable CPU.
 
     The calling thread is one of them; _helpers says how many more
-    start, none with one CPU, one item or a multi-threaded BLAS. Each
-    fn(k) runs whole on one thread, so the results
-    are bitwise the serial ones whatever the CPU count: splitting one
-    item's rows over threads would change how BLAS rounds the products
-    of the smaller blocks. numpy releases the GIL inside its kernels,
-    which is where the threads overlap. fn must call none of the
-    functions benchmarks/tracing.py wraps, as its tracer records one
-    thread only: a traced run bills the workers' time to the caller.
-    If calls fail, the lowest index's error is raised once every thread
-    has finished.
+    start, none with one CPU or one item. Each fn(k) runs whole on one
+    thread, so the results are bitwise the serial ones whatever the CPU
+    count: splitting one item's rows over threads would change how BLAS
+    rounds the products of the smaller blocks. numpy releases the GIL
+    inside its kernels, which is where the threads overlap. fn must call
+    none of the functions benchmarks/tracing.py wraps, as its tracer
+    records one thread only: a traced run bills the workers' time to the
+    caller. If calls fail, the lowest index's error is raised once every
+    thread has finished.
     """
     return start_on_cpus(fn, n)()
 
@@ -191,9 +189,10 @@ class _Worker:
         self.ready = False
 
     def poll(self) -> bool:
-        """True once the worker has started up with one BLAS thread."""
+        """True once the worker has sent word that it has started up."""
         if not self.ready and self.conn.poll():
-            self.ready = self.conn.recv() in (1, None)
+            self.conn.recv()
+            self.ready = True
         return self.ready
 
     def close(self, wait: float = 5.0) -> None:
@@ -214,9 +213,8 @@ def _serve(conn: Connection) -> None:
     connection.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles Ctrl-C
-    _set_blas_threads(1)
     try:
-        conn.send(_blas_threads())
+        conn.send(None)  # started up
         while True:
             task, args = conn.recv()
             task(conn, *args)
@@ -275,19 +273,19 @@ _WORKERS = _Workers()
 def worker_processes(n: int) -> Iterator[list[Connection]]:
     """Pipes to the worker processes that may take part of n items' work.
 
-    Workers follow on_cpus's rule (_helpers), so with one CPU, one item
-    or a multi-threaded BLAS the list is empty. They are spawned, never
-    forked, on the first call that wants them, and run one BLAS thread.
-    Only workers that have finished starting up (0.75-1 s, mostly
-    imports) are handed out, so the calls until then get fewer or none;
-    so does a second thread while another holds them. The body sends
-    each worker a task (see _serve) and waits for its whole reply: a
-    pickled header, then the send_arrays messages the header implies. A
-    worker on a busy CPU holds the caller up for as long as it is late.
-    If the body raises, its workers are ended, since their pipes may
-    hold half a message; one that died mid-task raises RuntimeError.
-    Workers run untraced: benchmarks/tracing.py sees only the caller's
-    share.
+    Workers follow on_cpus's rule (_helpers), so with one CPU or one
+    item the list is empty. They are spawned, never forked, on the first
+    call that wants them; importing lotnn to run _serve pins their BLAS
+    to one thread too. Only workers that have finished starting up
+    (0.75-1 s, mostly imports) are handed out, so the calls until then
+    get fewer or none; so does a second thread while another holds them.
+    The body sends each worker a task (see _serve) and waits for its
+    whole reply: a pickled header, then the send_arrays messages the
+    header implies. A worker on a busy CPU holds the caller up for as
+    long as it is late. If the body raises, its workers are ended, since
+    their pipes may hold half a message; one that died mid-task raises
+    RuntimeError. Workers run untraced: benchmarks/tracing.py sees only
+    the caller's share.
     """
     if not _WORKERS.lock.acquire(blocking=False):
         yield []

@@ -394,18 +394,17 @@ def fit_pairs(sigma: "ReferenceMeasure", clouds: dict[str, Array],
     the pair's meta["iterations"]. Returns the losses, step-major.
 
     The clouds are shared out, in contiguous chunks, over the caller and
-    the worker processes of nncore.worker_processes, one per usable CPU
-    when BLAS runs one thread. The caller draws every batch first, in
-    the serial order (up to BATCH_BYTES of them at a time; one step at a
-    time without workers), and each chunk then runs those steps for its
-    clouds. A worker gets its pairs' parameters, Adam state and
-    iterations as raw buffers and sends them back into the same arrays,
-    so every output is bitwise the serial one at any CPU count. The
-    caller keeps the largest chunk and, once it is done, waits for each
-    worker's reply in turn. Of the failures, the one the serial loop
-    would meet first (lowest step, then cloud order) is raised; clouds
-    of other chunks may have gone further than the serial loop would
-    have taken them.
+    the worker processes of nncore.worker_processes, one per further
+    usable CPU. The caller draws every batch first, in the serial order
+    (up to BATCH_BYTES of them at a time; one step at a time without
+    workers), and each chunk then runs those steps for its clouds. A
+    worker gets its pairs' parameters, Adam state and iterations as raw
+    buffers and sends them back into the same arrays, so every output
+    is bitwise the serial one at any CPU count. The caller keeps the
+    largest chunk and, once it is done, waits for each worker's reply in
+    turn. Of the failures, the one the serial loop would meet first
+    (lowest step, then cloud order) is raised; clouds of other chunks
+    may have gone further than the serial loop would have taken them.
 
     One cloud (train_map) counts as two items: every step's loss and
     gradients are the sum of two fixed halves of its batch, at every CPU
@@ -579,10 +578,10 @@ def train_map(sigma: "ReferenceMeasure", mu, cfg: SolverConfig) -> DualPair:
     """Train a DualPair pushing the reference measure onto one cloud.
 
     Deterministic given cfg.seed, and bitwise the same at every CPU
-    count: with one BLAS thread and a second usable CPU, each step's
-    second half of the batch runs on a worker process, whose reply
-    every step waits for (fit_pairs). A zero budget returns the initialized pair untouched. Loss history is
-    stored in the pair metadata.
+    count: with a second usable CPU, each step's second half of the
+    batch runs on a worker process, whose reply every step waits for
+    (fit_pairs). A zero budget returns the initialized pair untouched.
+    Loss history is stored in the pair metadata.
     """
     points = mu.points if hasattr(mu, "points") else np.atleast_2d(as_f64(mu))
     if points.size == 0:

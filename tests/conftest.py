@@ -127,10 +127,7 @@ def one_cpu(monkeypatch):
 
 
 def start_workers(monkeypatch, cpus: int) -> None:
-    """Raise nncore._usable_cpus to cpus and wait until its workers are up.
-
-    Needs one_blas_thread, as workers start only with one BLAS thread.
-    """
+    """Raise nncore._usable_cpus to cpus and wait until its workers are up."""
     monkeypatch.setattr(nncore, "_usable_cpus", lambda: cpus)
     deadline = time.monotonic() + 60
     while True:
@@ -173,13 +170,3 @@ def exit_inner_task(module, inner, name, conn, *args):
     mod = importlib.import_module(module)
     setattr(mod, inner, lambda *a, **k: os._exit(1))
     getattr(mod, name)(conn, *args)
-
-
-@pytest.fixture
-def one_blas_thread():
-    """numpy's BLAS on one thread, so that the pools may start workers."""
-    before = nncore._blas_threads()
-    nncore._set_blas_threads(1)
-    yield
-    if before is not None:
-        nncore._set_blas_threads(before)

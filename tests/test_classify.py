@@ -166,7 +166,6 @@ class TestPredictResampled:
         assert max(vals) - min(vals) <= 1e-15
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
-    @pytest.mark.usefixtures("one_blas_thread")
     def test_pooled_mean_equals_the_serial_scores_bitwise(self, rng, monkeypatch, cpus):
         monkeypatch.setattr(nncore, "_usable_cpus", lambda: cpus)
         ref = unit_reference(3, seed=8)
@@ -278,7 +277,6 @@ class TestTrainAlternating:
         assert (model3.weightnet.params.theta.tobytes()
                 == model1.weightnet.params.theta.tobytes())
 
-    @pytest.mark.usefixtures("one_blas_thread")
     def test_public_layers_run_on_the_calling_thread(self, rng, monkeypatch):
         # nncore.on_cpus shares work out over threads; every function a
         # traced benchmark run wraps must still run only where it is called

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -192,7 +195,6 @@ def test_eval_scores_each_cloud_the_same_in_any_subset(workdir):
 
 
 @pytest.mark.parametrize("cpus", [1, 3])
-@pytest.mark.usefixtures("one_blas_thread")
 def test_eval_outputs_equal_the_per_cloud_scores_bytewise(workdir, monkeypatch, cpus):
     # eval scores every cloud on the fixed sample with the weight net
     # evaluated once; the files must hold the bytes that score() per
@@ -216,7 +218,6 @@ def test_eval_outputs_equal_the_per_cloud_scores_bytewise(workdir, monkeypatch, 
                 == (d / f"per_cloud{suffix}").read_bytes())
 
 
-@pytest.mark.usefixtures("one_blas_thread")
 def test_eval_embeds_each_cloud_on_two_processes_with_the_same_bytes(workdir, monkeypatch):
     # the bundle holds no pair of the test clouds, so eval fits each one's
     # map with train_map, which at 2 CPUs runs half of every batch on a worker
@@ -375,6 +376,19 @@ def test_dist_rejects_a_bundle_with_a_cut_block(workdir, capsys):
         in capsys.readouterr().err
 
 
+def test_dist_rejects_a_bundle_that_repeats_a_pair_id(workdir, tmp_path, capsys):
+    d, base = workdir
+    header, payload = read_document(d / "bundle.json")
+    pid = header["pairs"][0]["id"]
+    header["pairs"][1]["id"] = pid
+    path = tmp_path / "repeated.json"
+    write_document(path, header, payload)
+    assert main(base + ["dist", "--bundle", str(path),
+                        "--out", str(tmp_path / "dist.csv")]) == 3
+    assert f"pair id {pid!r} repeats" in capsys.readouterr().err
+    assert not (tmp_path / "dist.csv").exists()
+
+
 def _malformed(case, workdir, path):
     d, _ = workdir
     if case == "header_only":
@@ -411,6 +425,37 @@ def test_train_rerun_is_byte_identical(workdir):
     assert main(base + ["train", "--data", str(d / "data"),
                         "--bundle", str(again)]) == 0
     assert again.read_bytes() == (d / "bundle.json").read_bytes()
+
+
+# a tiny run whose bundle bytes differ between one and two BLAS threads
+BLAS_CONFIG = {
+    "synth": {"dim": 2},
+    "synth_clouds_per_class": 20,
+    "synth_points": 60,
+    "solver": {"iters": 2, "batch_size": 32},
+    "schedule": {"ot_epochs_per_phase": 1, "clf_epochs_per_phase": 2,
+                 "total_epochs": 6},
+    "classifier": {"eval_n": 1000},
+}
+
+
+def test_train_bundle_ignores_blas_threads_in_the_environment(tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(BLAS_CONFIG))
+    base = ["--config", str(cfg), "--seed", "1"]
+    assert main(base + ["gen", "--out", str(tmp_path / "data")]) == 0
+    bundles = []
+    for threads in (None, "1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        path = tmp_path / f"bundle_{threads}.json"
+        subprocess.run([sys.executable, "-m", "lotnn.cli", *base, "train",
+                        "--data", str(tmp_path / "data"), "--bundle", str(path)],
+                       env=env, check=True, capture_output=True)
+        bundles.append(path.read_bytes())
+    assert bundles[0] == bundles[1] == bundles[2]
 
 
 def test_bundle_pairs_record_their_solver_steps(workdir):

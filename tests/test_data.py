@@ -152,6 +152,13 @@ class TestCsvRoundTrip:
         with pytest.raises(DataError, match="repeats id 'a'"):
             load_csv_dir(tmp_path, subsample_n=10, seed=0)
 
+    def test_labels_header_with_spaces_loads(self, tmp_path):
+        (tmp_path / "cloud_a.csv").write_text("1.0,2.0\n")
+        (tmp_path / "cloud_b.csv").write_text("3.0,4.0\n")
+        (tmp_path / "labels.csv").write_text("id, label\na, 0\nb,1\n")
+        ds = load_csv_dir(tmp_path, subsample_n=10, seed=0)
+        assert ds.labels == {"a": 0, "b": 1}
+
     @pytest.mark.parametrize("dim", [1, 3])
     def test_writer_bytes_match_the_row_writer(self, tmp_path, rng, dim):
         pts = rng.normal((40, dim)) * 10.0 ** rng.uniform((40, dim), -300, 300)

@@ -119,7 +119,6 @@ def test_ds_train_rejects_empty_val_and_one_class_train(rng):
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
-@pytest.mark.usefixtures("one_blas_thread")
 def test_pooled_validation_and_bagging_equal_the_serial_runs_bitwise(
         rng, monkeypatch, cpus):
     # validation overlaps the next epoch's step; one val cloud starts no
@@ -150,7 +149,6 @@ def test_pooled_validation_and_bagging_equal_the_serial_runs_bitwise(
 
 
 @pytest.mark.parametrize("cpus", [1, 3])
-@pytest.mark.usefixtures("one_blas_thread")
 def test_failing_step_finishes_the_validation_in_flight(rng, monkeypatch, cpus):
     # epoch 1's loss is NaN while epoch 0's validation is still running:
     # ds_train raises once every val cloud is scored, and leaves no thread

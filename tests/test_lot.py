@@ -174,7 +174,6 @@ def icnn_pairs(rng, count, dim=2):
 class TestMapsOn:
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     @pytest.mark.parametrize("count", [1, 2, 7])
-    @pytest.mark.usefixtures("one_blas_thread")
     def test_equals_a_serial_stack_bitwise(self, rng, monkeypatch, cpus, count):
         # 1000 rows split three ways would change the 64 -> d products' bits
         monkeypatch.setattr(nncore, "_usable_cpus", lambda: cpus)
@@ -185,7 +184,6 @@ class TestMapsOn:
             assert maps_on(pairs, S).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("cpus", [1, 3])
-    @pytest.mark.usefixtures("one_blas_thread")
     def test_nan_parameters_raise_the_serial_error(self, rng, monkeypatch, cpus):
         monkeypatch.setattr(nncore, "_usable_cpus", lambda: cpus)
         pairs = icnn_pairs(rng, 4)

@@ -353,9 +353,28 @@ class TestHeapThresholds:
         assert not set_heap_thresholds()
 
 
+# reads numpy's BLAS thread count after importing lotnn
+_BLAS_PIN = """
+import ctypes
+from lotnn import nncore
+get = nncore._openblas("get_num_threads")
+get.argtypes, get.restype = [], ctypes.c_int
+nncore._usable_cpus = lambda: 2
+print(get(), nncore._helpers(2))
+"""
+
+
+@pytest.mark.skipif(nncore._openblas("get_num_threads") is None,
+                    reason="numpy's BLAS is not the OpenBLAS of its wheel")
+def test_import_runs_blas_on_one_thread_whatever_the_environment():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), OPENBLAS_NUM_THREADS="2")
+    out = subprocess.run([sys.executable, "-c", _BLAS_PIN], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["1", "1"]  # one BLAS thread, and a helper beside the caller
+
+
 class TestOnCpus:
     @pytest.mark.parametrize("cpus", [1, 2, 3])
-    @pytest.mark.usefixtures("one_blas_thread")
     def test_results_come_in_index_order(self, monkeypatch, cpus):
         monkeypatch.setattr(nncore, "_usable_cpus", lambda: cpus)
         assert on_cpus(lambda k: k * k, 7) == [k * k for k in range(7)]
@@ -371,34 +390,19 @@ class TestOnCpus:
         monkeypatch.setattr(nncore.threading, "Thread", None)
         assert on_cpus(lambda k: -k, 3) == [0, -1, -2]
 
-    @pytest.mark.parametrize("cpus, items, blas", [(1, 3, 1), (3, 1, 1), (3, 3, 2)])
-    def test_start_starts_no_thread_at_one_cpu_one_item_or_threaded_blas(
-            self, monkeypatch, cpus, items, blas):
+    @pytest.mark.parametrize("cpus, items", [(1, 3), (3, 1)])
+    def test_start_starts_no_thread_at_one_cpu_or_one_item(self, monkeypatch, cpus, items):
         monkeypatch.setattr(nncore, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(nncore, "_blas_threads", lambda: blas)
         monkeypatch.setattr(nncore.threading, "Thread", None)
         ran = []
         finish = start_on_cpus(lambda k: ran.append(k) or -k, items)
         assert ran == []  # everything waits for finish() on the calling thread
         assert finish() == [-k for k in range(items)]
 
-    @pytest.mark.parametrize("cpus", [1, 3])
-    def test_multithreaded_blas_starts_no_thread(self, monkeypatch, cpus):
-        # BLAS threads of its own would compete with the pool's for the CPUs
-        monkeypatch.setattr(nncore, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(nncore, "_blas_threads", lambda: 2)
-        monkeypatch.setattr(nncore.threading, "Thread", None)
-        assert on_cpus(lambda k: -k, 3) == [0, -1, -2]
-        assert nncore._helpers(3) == 0
-
     def test_helpers_count_the_caller(self, monkeypatch):
-        monkeypatch.setattr(nncore, "_blas_threads", lambda: 1)
         monkeypatch.setattr(nncore, "_usable_cpus", lambda: 3)
         assert [nncore._helpers(n) for n in (0, 1, 2, 3, 9)] == [0, 0, 1, 2, 2]
-        monkeypatch.setattr(nncore, "_blas_threads", lambda: None)  # unreadable
-        assert nncore._helpers(9) == 2
 
-    @pytest.mark.usefixtures("one_blas_thread")
     def test_every_item_is_taken_exactly_once_under_stress(self, monkeypatch):
         # more threads than cores and a tiny switch interval, so an item
         # taken twice or never would show
@@ -420,7 +424,6 @@ class TestOnCpus:
             sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize("cpus", [1, 3])
-    @pytest.mark.usefixtures("one_blas_thread")
     def test_lowest_failing_index_wins(self, monkeypatch, cpus):
         # item 3 fails last in time, yet its error is the one raised, and
         # the items after a failure still run; also when the caller is busy
@@ -452,7 +455,6 @@ _WORKER_PARENT = """
 import sys, time
 from lotnn import nncore
 nncore._usable_cpus = lambda: 2
-nncore._set_blas_threads(1)
 deadline = time.monotonic() + 60
 while time.monotonic() < deadline:
     with nncore.worker_processes(2) as conns:
@@ -498,7 +500,6 @@ class TestWorkerProcesses:
             parent.wait()
             parent.stdout.close()
 
-    @pytest.mark.usefixtures("one_blas_thread")
     def test_raised_cpu_count_leaves_no_extra_workers(self, monkeypatch):
         start_workers(monkeypatch, 3)
         started = list(nncore._WORKERS.workers)

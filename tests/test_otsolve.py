@@ -426,7 +426,6 @@ class TestFitPairs:
         assert {cid: snapshot(cid) for cid in clouds} == before
 
 
-@pytest.mark.usefixtures("one_blas_thread")
 class TestFitPairsOnWorkers:
     @staticmethod
     def _run(monkeypatch, n_clouds=5, **solver):
@@ -514,17 +513,14 @@ class TestFitPairsOnWorkers:
         assert [failure(bad) for bad in (["c3"], ["c1", "c3"])] == want
         assert not nncore._WORKERS.broken
 
-    @pytest.mark.parametrize("cpus, n_clouds, blas", [(1, 3, 1), (1, 1, 1), (3, 3, 2),
-                                                      (3, 1, 2)])
-    def test_starts_no_worker(self, monkeypatch, cpus, n_clouds, blas):
-        monkeypatch.setattr(nncore, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(nncore, "_blas_threads", lambda: blas)
+    @pytest.mark.parametrize("n_clouds", [3, 1])
+    def test_starts_no_worker(self, monkeypatch, n_clouds):
+        monkeypatch.setattr(nncore, "_usable_cpus", lambda: 1)
         monkeypatch.setattr(nncore, "_Worker", None)  # starting one would raise
         _, here = self._run(monkeypatch, n_clouds)
         assert here == 5 * n_clouds
 
 
-@pytest.mark.usefixtures("one_blas_thread")
 class TestOneCloudOnTwoProcesses:
     """A one-cloud fit runs each step's second half of the batch on a worker."""
 
