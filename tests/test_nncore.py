@@ -390,6 +390,19 @@ class TestOnCpus:
         monkeypatch.setattr(nncore.threading, "Thread", None)
         assert on_cpus(lambda k: -k, 3) == [0, -1, -2]
 
+    @pytest.mark.parametrize("cpus", [1])
+    def test_multithreaded_blas_starts_no_thread(self, monkeypatch, cpus):
+        # a caller that turns numpy's BLAS up after import changes nothing
+        # in the pool: one usable CPU still means no thread and no helper
+        monkeypatch.setattr(nncore, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(nncore.threading, "Thread", None)
+        nncore._set_blas_threads(2)
+        try:
+            assert on_cpus(lambda k: -k, 3) == [0, -1, -2]
+            assert nncore._helpers(3) == 0
+        finally:
+            nncore._set_blas_threads(1)
+
     @pytest.mark.parametrize("cpus, items", [(1, 3), (3, 1)])
     def test_start_starts_no_thread_at_one_cpu_or_one_item(self, monkeypatch, cpus, items):
         monkeypatch.setattr(nncore, "_usable_cpus", lambda: cpus)
