@@ -8,12 +8,13 @@ The first line is compact JSON with every piece of metadata; the
 format version is its first field. Spaces pad that line, newline
 included, to a multiple of 8 bytes, so the payload starts on an 8-byte
 boundary. The payload is one little-endian float64 vector. The header
-names each block of it as [offset, length], counted in float64s:
+names each block of it as [offset, length], counted in float64s, each
+block starting where the one before it ends, in this order:
 
-  - each pair's psi and phi as their FlatParams theta, next to the
-    IcnnConfig that fixes the layout of its blocks;
-  - each pair's frame as sigma_mean, mu_mean and scale, 2 dim + 1 values;
-  - the weight net's MlpParams theta, laid out for widths
+  - pair after pair, its psi and phi as their FlatParams theta, next to
+    the IcnnConfig that fixes the layout of its blocks, then its frame
+    as sigma_mean, mu_mean and scale, 2 dim + 1 values;
+  - last, the weight net's MlpParams theta, laid out for widths
     (dim, *hidden, dim).
 
 save_bundle writes the file whole to a temporary name in the target's
@@ -172,7 +173,7 @@ def decode_config(cls, d, where: str = ""):
 
 
 class _Payload:
-    """Hands out the payload blocks the header names, as views."""
+    """Hands out the payload blocks the header names, in order, as views."""
 
     def __init__(self, data: Array):
         if (bad := data[~np.isfinite(data)]).size:
@@ -184,7 +185,10 @@ class _Payload:
         off, length = span
         if length != n:
             raise DataError(f"{what} holds {length} values; its layout has {n}")
-        if not 0 <= off <= self.data.size - n:
+        if off != self.used:
+            raise DataError(f"{what} starts at {off}; the block before it ends "
+                            f"at {self.used}")
+        if off + n > self.data.size:
             raise DataError(f"{what} at [{off}, {off + n}) lies outside the payload "
                             f"of {self.data.size} values")
         self.used += n
@@ -216,9 +220,8 @@ def _dec_pair(d: dict, payload: _Payload) -> DualPair:
 
 
 def _dec_weightnet(d: dict, payload: _Payload, dim: int) -> WeightNet:
-    hidden = tuple(d["hidden"])
-    return WeightNet(payload.params(MlpParams, mlp_shapes((dim, *hidden, dim)),
-                                    d["theta"], "weight net"), hidden)
+    return WeightNet(payload.params(MlpParams, mlp_shapes((dim, *d["hidden"], dim)),
+                                    d["theta"], "weight net"))
 
 
 @dataclass

@@ -13,6 +13,11 @@ with the row's place in the batch, because BLAS rounds each row of an
 (n, h) @ (h, d) product by its position (icnn._input_grad's
 `delta @ wx[i]`, and W's last layer). On samples of a few to a hundred
 points the pooled logit moves by about 1e-17 under some permutations.
+A row also depends on n itself: the first 256 rows of an
+(n, 64) @ (64, d) product, and of a whole map, differ from those of a
+256-row product from n = 7816 at d = 2 and from n = 1564 at d = 10 on
+OpenBLAS. The default eval_n of 1000 is below both; a larger eval
+sample scores its points differently as it grows (ROADMAP item 17).
 
 Training alternates solver phases (`otsolve.fit_pairs` advancing every
 map on shared reference batches) with classifier phases (W updated by
@@ -41,7 +46,6 @@ from .nncore import (
     as_f64,
     bce,
     check_widths,
-    mlp_apply,
     mlp_backward,
     mlp_forward,
     mlp_init,
@@ -58,13 +62,14 @@ class WeightNet:
     """MLP from point space to point space supplying the inner-product weights."""
 
     params: MlpParams
-    hidden: tuple[int, ...]
 
-    def apply(self, x: Array) -> Array:
-        return mlp_apply(self.params, x)
+    @property
+    def hidden(self) -> tuple[int, ...]:
+        """The hidden widths, read from the weight shapes."""
+        return tuple(w.shape[0] for w in self.params.weights[:-1])
 
     def copy(self) -> "WeightNet":
-        return WeightNet(self.params.copy(), self.hidden)
+        return WeightNet(self.params.copy())
 
 
 @dataclass
@@ -162,14 +167,6 @@ def evaluate(preds, labels, threshold: float = 0.5) -> Metrics:
     )
 
 
-def pooled_logit(model: ClassifierModel, pair: DualPair, sample: Array) -> float:
-    """Mean inner product between weight-net values and map values."""
-    S = np.atleast_2d(as_f64(sample))
-    if S.size == 0:
-        raise ShapeError("empty sample")
-    return _pooled(model.weightnet.apply(S), pair.map_forward(S))
-
-
 def _pooled(W: Array, G: Array) -> float:
     """Mean over the sample of <W(x_k), G(x_k)>, summed in sorted order."""
     return float(sorted_mean(np.sum(W * G, axis=1)))
@@ -181,9 +178,12 @@ def score(model: ClassifierModel, pair: DualPair, sample: Array) -> float:
     Invariant to permutations of the sample up to the last bit of the
     map's and W's rows (see the module docstring); bitwise where those
     rows do not depend on their place in the batch, as with one hidden
-    unit.
+    unit or, on OpenBLAS, a sample whose size is a multiple of 4.
     """
-    return float(expit(pooled_logit(model, pair, sample)))
+    S = np.atleast_2d(as_f64(sample))
+    if S.size == 0:
+        raise ShapeError("empty sample")
+    return _score(model, pair, S)
 
 
 def scores(model: ClassifierModel, pairs, sample: Array) -> list[float]:
@@ -193,12 +193,12 @@ def scores(model: ClassifierModel, pairs, sample: Array) -> list[float]:
     (lot.maps_on).
     """
     S = np.atleast_2d(as_f64(sample))
-    W = model.weightnet.apply(S)
+    W, _ = mlp_forward(model.weightnet.params, S)
     return [float(expit(_pooled(W, G))) for G in maps_on(pairs, S)]
 
 
 def _score(model: ClassifierModel, pair: DualPair, S: Array) -> float:
-    """score() from the bodies of the functions it calls, for on_cpus workers."""
+    """score's body, for on_cpus workers: it calls no traced function."""
     W, _ = _mlp_forward(model.weightnet.params, S)
     return float(expit(_pooled(W, pair._map(S))))
 
@@ -264,7 +264,7 @@ def train_alternating(
              for j, (cid, points) in enumerate(clouds.items())}
     opt_states: dict[str, OptimState] = {}
 
-    wn = WeightNet(mlp_init((dim, *clf_cfg.hidden, dim), rng.spawn(2)), clf_cfg.hidden)
+    wn = WeightNet(mlp_init((dim, *clf_cfg.hidden, dim), rng.spawn(2)))
     wn_state = OptimState(lr=clf_cfg.lr)
     eval_seed = int(rng.spawn(3).integers(0, 2**62))
     X_eval = reference.sample(clf_cfg.eval_n, seed=eval_seed)

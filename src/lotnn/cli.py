@@ -102,14 +102,14 @@ def _report_header(cfg: RunConfig) -> list[str]:
     ]
 
 
-def _write_csv(path: Path, header: list[str], columns: list[str],
-               rows: list[list]) -> None:
-    lines = list(header)
-    lines.append(",".join(columns))
+def _csv_text(header: list[str], columns: list[str], rows) -> str:
+    """A report CSV: header lines, column names, rows. Every float, numpy's
+    included, is written as repr(float(v)), which reads back bitwise."""
+    lines = [*header, ",".join(columns)]
     for row in rows:
-        lines.append(",".join(repr(v) if isinstance(v, float) else str(v)
-                              for v in row))
-    path.write_text("\n".join(lines) + "\n")
+        lines.append(",".join(repr(float(v)) if isinstance(v, (float, np.floating))
+                              else str(v) for v in row))
+    return "\n".join(lines) + "\n"
 
 
 def _note_single_class(subset: str, labels) -> None:
@@ -174,8 +174,8 @@ def cmd_train(cfg: RunConfig, data_dir: str, bundle_path: str,
     save_bundle(bundle, bundle_path)
     if history_path:
         cols = ["phase", "epoch", "ot_loss_mean", "clf_loss", "val_accuracy"]
-        _write_csv(Path(history_path), _report_header(cfg), cols,
-                   [[row[c] for c in cols] for row in history])
+        Path(history_path).write_text(_csv_text(
+            _report_header(cfg), cols, [[row[c] for c in cols] for row in history]))
     print(f"trained {len(emb.ids)} maps over {len(history)} phases; "
           f"best validation accuracy {emb.meta['best_val_accuracy']:.4f} "
           f"(phase {emb.meta['best_phase']})")
@@ -269,10 +269,10 @@ def cmd_eval(cfg: RunConfig, bundle_path: str, data_dir: str, resamples: int,
     metric_rows = [_metrics_row("eval_sample", m1),
                    _metrics_row(f"k={resamples}", mk)]
     if out_path:
-        _write_csv(Path(out_path), _report_header(cfg), _METRIC_COLUMNS, metric_rows)
-        probs_path = Path(out_path).with_suffix(".probs.csv")
-        _write_csv(probs_path, _report_header(cfg),
-                   ["id", "label", "prob_eval_sample", f"prob_k{resamples}"], rows)
+        header, out = _report_header(cfg), Path(out_path)
+        out.write_text(_csv_text(header, _METRIC_COLUMNS, metric_rows))
+        out.with_suffix(".probs.csv").write_text(_csv_text(
+            header, ["id", "label", "prob_eval_sample", f"prob_k{resamples}"], rows))
     print(f"evaluated {len(ids)} clouds (subset={subset})")
     print(_metrics_line("eval_sample", m1))
     print(_metrics_line(f"k={resamples}", mk))
@@ -284,11 +284,8 @@ def cmd_dist(cfg: RunConfig, bundle_path: str, out_path: str | None) -> int:
     emb = EmbeddingSet.build(bundle.reference, bundle.pair_ids, bundle.pairs,
                              eval_n=bundle.eval_n, eval_seed=bundle.eval_seed)
     D = pairwise_matrix(emb)
-    lines = _report_header(cfg)
-    lines.append(",".join(["id"] + emb.ids))
-    for i, cid in enumerate(emb.ids):
-        lines.append(",".join([cid] + [repr(float(v)) for v in D[i]]))
-    text = "\n".join(lines) + "\n"
+    text = _csv_text(_report_header(cfg), ["id", *emb.ids],
+                     ([cid, *row] for cid, row in zip(emb.ids, D)))
     if out_path:
         Path(out_path).write_text(text)
     else:
@@ -327,7 +324,7 @@ def cmd_baseline(cfg: RunConfig, data_dir: str, out_path: str | None) -> int:
     rows = [_metrics_row("deepsets", m_single),
             _metrics_row(f"bagging_x{cfg.bagging}", m_bag)]
     if out_path:
-        _write_csv(Path(out_path), _report_header(cfg), _METRIC_COLUMNS, rows)
+        Path(out_path).write_text(_csv_text(_report_header(cfg), _METRIC_COLUMNS, rows))
     print(_metrics_line("deepsets    ", m_single))
     print(_metrics_line(f"bagging x{cfg.bagging}", m_bag))
     return 0

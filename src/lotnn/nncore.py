@@ -590,11 +590,6 @@ def _mlp_forward(p: MlpParams, x: Array) -> tuple[Array, list[Array]]:
     return h, cache
 
 
-def mlp_apply(p: MlpParams, x: Array) -> Array:
-    out, _ = mlp_forward(p, x)
-    return out
-
-
 def mlp_backward(p: MlpParams, cache: list[Array],
                  upstream: Array) -> tuple[Array, Array]:
     """Reverse pass for sum_b <upstream_b, out_b>.

@@ -31,7 +31,7 @@ def handmade_bundle() -> ModelBundle:
                                {"iterations": 3, "loss_history": [1.5, 0.75, 0.5]})
              for i in range(3)}
     wn = WeightNet(MlpParams([g.normal(size=(5, 2)), g.normal(size=(2, 5))],
-                             [g.normal(size=5), g.normal(size=2)]), hidden=(5,))
+                             [g.normal(size=5), g.normal(size=2)]))
     return ModelBundle(reference=ReferenceMeasure(kind="fitted", dim=2, mean=(0.5, -1.0),
                                                   var=(2.0, 0.25), seed=7),
                        pair_ids=sorted(pairs), pairs=pairs, weightnet=wn, threshold=0.5,
@@ -116,6 +116,19 @@ def test_document_with_a_non_finite_value_rejected(bundle, tmp_path, value):
 
     path = _v2_copy_with(bundle, tmp_path, edit)
     with pytest.raises(DataError, match=f"bundle {path}: the payload holds {value}"):
+        load_bundle(path)
+
+
+def test_document_whose_blocks_overlap_rejected(bundle, tmp_path):
+    # pair c1's psi named at pair c0's block: c1 would load c0's values,
+    # writable, and leave its own block unread
+    def edit(header, payload):
+        header["pairs"][1]["psi"]["theta"] = list(header["pairs"][0]["psi"]["theta"])
+
+    path = _v2_copy_with(bundle, tmp_path, edit)
+    # c0's psi, phi and frame hold 18 + 18 + 5 values
+    with pytest.raises(DataError, match=f"bundle {path}: pair 'c1' psi starts at 0; "
+                       "the block before it ends at 41"):
         load_bundle(path)
 
 

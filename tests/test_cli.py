@@ -376,6 +376,22 @@ def test_dist_rejects_a_bundle_with_a_cut_block(workdir, capsys):
         in capsys.readouterr().err
 
 
+def test_dist_rejects_a_bundle_whose_blocks_overlap(workdir, tmp_path, capsys):
+    # the second pair's psi named at the first pair's block
+    d, base = workdir
+    header, payload = read_document(d / "bundle.json")
+    first, second = header["pairs"][:2]
+    end = second["psi"]["theta"][0]
+    second["psi"]["theta"] = list(first["psi"]["theta"])
+    path = tmp_path / "overlap.json"
+    write_document(path, header, payload)
+    assert main(base + ["dist", "--bundle", str(path),
+                        "--out", str(tmp_path / "dist.csv")]) == 3
+    assert (f"pair {second['id']!r} psi starts at {first['psi']['theta'][0]}; "
+            f"the block before it ends at {end}") in capsys.readouterr().err
+    assert not (tmp_path / "dist.csv").exists()
+
+
 def test_dist_rejects_a_bundle_that_repeats_a_pair_id(workdir, tmp_path, capsys):
     d, base = workdir
     header, payload = read_document(d / "bundle.json")

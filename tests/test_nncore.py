@@ -17,7 +17,6 @@ from lotnn.nncore import (
     adam_step,
     bce,
     finite_diff_grad,
-    mlp_apply,
     mlp_backward,
     mlp_forward,
     mlp_init,
@@ -173,13 +172,13 @@ class TestRng:
 class TestMlp:
     def test_forward_shapes(self, rng):
         p = mlp_init((3, 5, 2), rng)
-        out = mlp_apply(p, rng.normal((7, 3)))
+        out, _ = mlp_forward(p, rng.normal((7, 3)))
         assert out.shape == (7, 2)
 
     def test_dim_mismatch(self, rng):
         p = mlp_init((3, 5, 2), rng)
         with pytest.raises(ShapeError):
-            mlp_apply(p, np.ones((4, 4)))
+            mlp_forward(p, np.ones((4, 4)))
 
     def test_backward_matches_finite_differences(self, rng):
         from lotnn.nncore import finite_diff_grad
@@ -192,14 +191,14 @@ class TestMlp:
             out, cache = mlp_forward(p, X)
             grads, xg = mlp_backward(p, cache, U)
             fd = finite_diff_grad(
-                lambda th: float(np.sum(U * mlp_apply(p.with_theta(th), X))),
+                lambda th: float(np.sum(U * mlp_forward(p.with_theta(th), X)[0])),
                 p.theta.copy(), 1e-6)
             for (key, g), (_, f) in zip(blocks(p, grads), blocks(p, fd)):
                 assert relerr(g, f) < 1e-6, key
             for b in range(3):
                 fd = finite_diff_grad(
                     lambda xx, b=b: float(np.sum(
-                        U * mlp_apply(p, np.vstack([X[:b], xx[None], X[b + 1:]])))),
+                        U * mlp_forward(p, np.vstack([X[:b], xx[None], X[b + 1:]]))[0])),
                     X[b].copy(), 1e-6)
                 assert relerr(xg[b], fd) < 1e-6
 

@@ -63,8 +63,7 @@ def scoring_cases(draw):
     dim = draw(st.integers(1, 3))
     n = draw(st.integers(2, 200))
     rng = Rng(draw(SEEDS))
-    model = ClassifierModel(WeightNet(mlp_init((dim, 6, dim), rng.spawn(0), scale=0.8),
-                                      (6,)))
+    model = ClassifierModel(WeightNet(mlp_init((dim, 6, dim), rng.spawn(0), scale=0.8)))
     sample = rng.spawn(1).normal((n, dim))
     perm = np.array(draw(st.permutations(range(n))))
     return model, draw(affine_pairs(dim)), sample, perm
