@@ -19,16 +19,16 @@ A row also depends on n itself: the first 256 rows of an
 OpenBLAS. The default eval_n of 1000 is below both; a larger eval
 sample scores its points differently as it grows (ROADMAP item 17).
 
-Training alternates solver phases (`otsolve.fit_pairs` advancing every
-map on shared reference batches) with classifier phases (W updated by
-the binary cross-entropy gradient while all maps stay frozen), and
-keeps the best-validation-accuracy snapshot: the weights often converge
-before the maps do.
+Training embeds first and classifies after, as LOT does (Wang et al.
+2013): one `otsolve.fit_pairs` call fits every map on shared reference
+batches for the schedule's solver steps, and W is then updated by the
+binary cross-entropy gradient on those final, frozen maps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from scipy.special import expit
@@ -68,9 +68,6 @@ class WeightNet:
         """The hidden widths, read from the weight shapes."""
         return tuple(w.shape[0] for w in self.params.weights[:-1])
 
-    def copy(self) -> "WeightNet":
-        return WeightNet(self.params.copy())
-
 
 @dataclass
 class ClassifierModel:
@@ -88,16 +85,22 @@ def _check_threshold(threshold: float) -> None:
 
 @dataclass(frozen=True)
 class TrainSchedule:
-    """Alternation plan: ot/clf phase lengths and the total epoch budget."""
+    """Training budget in phases of ot solver steps and clf classifier
+    epochs, cut at total_epochs; one history row per phase.
+
+    train_alternating runs every phase's solver steps first, in one fit,
+    then every classifier epoch.
+    """
 
     ot_epochs_per_phase: int = 10
     clf_epochs_per_phase: int = 10
     total_epochs: int = 1000
-    steps_per_ot_epoch: int = 1           # shared-batch solver steps per epoch
+    # not a setting: one solver step per ot epoch (benchmarks/pipeline.py reads it)
+    steps_per_ot_epoch: ClassVar[int] = 1
 
     def __post_init__(self):
         if min(self.ot_epochs_per_phase, self.clf_epochs_per_phase,
-               self.total_epochs, self.steps_per_ot_epoch) < 1:
+               self.total_epochs) < 1:
             raise ValueError("schedule values must be >= 1")
         if self.total_epochs < self.ot_epochs_per_phase + self.clf_epochs_per_phase:
             raise ValueError("total_epochs smaller than one phase pair")
@@ -217,14 +220,6 @@ def predict_resampled(model: ClassifierModel, pair: DualPair,
     return float(np.mean(on_cpus(lambda j: _score(model, pair, samples[j]), k)))
 
 
-@dataclass
-class _Snapshot:
-    pairs: dict[str, DualPair]
-    weightnet: WeightNet
-    val_accuracy: float
-    phase: int
-
-
 def train_alternating(
     train: LabeledDataset,
     val: LabeledDataset,
@@ -234,13 +229,20 @@ def train_alternating(
     seed: int,
     reference: ReferenceMeasure | None = None,
 ) -> tuple[EmbeddingSet, ClassifierModel, list[dict]]:
-    """Alternating map/classifier training over a labeled cloud set.
+    """Fit every map, then the classifier, over a labeled cloud set.
 
-    Validation clouds get their own pairs advanced in the solver phases
-    (map fitting never sees labels), so validation accuracy is always
-    measurable; only training clouds contribute to the BCE step. The
-    returned embedding holds the best-validation snapshot of every pair
-    plus the shared evaluation sample; history has one row per phase.
+    One fit_pairs call gives every train and validation cloud the
+    schedule's solver steps (map fitting never sees W or the labels); W
+    is then trained by the BCE step on the training clouds' final maps.
+    Validation clouds get pairs too, so validation accuracy is always
+    measurable. History has one row per schedule phase: its epoch, the
+    mean loss of its solver steps, and the classifier loss and
+    validation accuracy after its classifier epochs. The embedding holds
+    the final pairs and the shared evaluation sample, the model the
+    final W. emb.meta's "best_phase" and "best_val_accuracy" hold the
+    last phase and the final accuracy; they keep the names of the
+    best-phase snapshot this once kept because benchmarks/pipeline.py
+    reads them.
     """
     for name, ds in (("train", train), ("val", val)):
         if not ds.clouds:
@@ -259,39 +261,34 @@ def train_alternating(
     by_id = {c.id: c.points for c in train.clouds + val.clouds}
     clouds = {cid: by_id[cid] for cid in train_ids + val_ids}
     labels_tr = np.array([train.labels[i] for i in train_ids], dtype=np.float64)
+    labels_val = [val.labels[i] for i in val_ids]
 
     pairs = {cid: pair_for_cloud(reference, points, solver_cfg, rng.spawn(1000 + j))
              for j, (cid, points) in enumerate(clouds.items())}
-    opt_states: dict[str, OptimState] = {}
 
     wn = WeightNet(mlp_init((dim, *clf_cfg.hidden, dim), rng.spawn(2)))
     wn_state = OptimState(lr=clf_cfg.lr)
+    model = ClassifierModel(wn, clf_cfg.threshold)
     eval_seed = int(rng.spawn(3).integers(0, 2**62))
     X_eval = reference.sample(clf_cfg.eval_n, seed=eval_seed)
-    batch_rng = rng.spawn(4)
+
+    # each phase's solver steps, classifier epochs and epoch count at its end
+    phases, epoch = [], 0
+    while epoch < sched.total_epochs:
+        ot_epochs = min(sched.ot_epochs_per_phase, sched.total_epochs - epoch)
+        clf_epochs = min(sched.clf_epochs_per_phase, sched.total_epochs - epoch - ot_epochs)
+        epoch += ot_epochs + clf_epochs
+        phases.append((ot_epochs, clf_epochs, epoch))
+
+    ot_losses = fit_pairs(reference, clouds, pairs, {}, solver_cfg, rng.spawn(4),
+                          sum(steps for steps, _, _ in phases))
+    G_tr = maps_on([pairs[i] for i in train_ids], X_eval)
+    val_pairs = [pairs[i] for i in val_ids]
 
     history: list[dict] = []
-    best: _Snapshot | None = None
-    epoch = 0
-    phase = 0
-
-    def val_accuracy() -> float:
-        preds = scores(ClassifierModel(wn, clf_cfg.threshold),
-                       [pairs[i] for i in val_ids], X_eval)
-        ys = [val.labels[i] for i in val_ids]
-        return evaluate(preds, ys, clf_cfg.threshold).accuracy
-
-    while epoch < sched.total_epochs:
-        # --- solver phase: advance every pair on shared reference batches
-        ot_epochs = min(sched.ot_epochs_per_phase, sched.total_epochs - epoch)
-        ot_losses = fit_pairs(reference, clouds, pairs, opt_states, solver_cfg,
-                              batch_rng, ot_epochs * sched.steps_per_ot_epoch)
-        epoch += ot_epochs
-
-        # --- classifier phase: maps frozen, W updated by the BCE gradient
-        G_tr = maps_on([pairs[i] for i in train_ids], X_eval)
+    done = 0                                # solver steps of the phases so far
+    for phase, (steps, clf_epochs, epoch) in enumerate(phases):
         clf_loss = float("nan")
-        clf_epochs = min(sched.clf_epochs_per_phase, sched.total_epochs - epoch)
         for _ in range(clf_epochs):
             Wvals, cache = mlp_forward(wn.params, X_eval)
             logits = np.einsum("nd,ind->i", Wvals, G_tr) / X_eval.shape[0]
@@ -301,27 +298,23 @@ def train_alternating(
             upstream = np.einsum("i,ind->nd", resid, G_tr) / X_eval.shape[0]
             grads, _ = mlp_backward(wn.params, cache, upstream)
             wn.params.theta -= adam_step(grads, wn_state)
-            epoch += 1
-
-        acc = val_accuracy()
+        preds = scores(model, val_pairs, X_eval)
         history.append({
             "phase": phase,
             "epoch": epoch,
-            "ot_loss_mean": float(np.mean(ot_losses)) if ot_losses else float("nan"),
+            # fit_pairs' losses are step-major: len(clouds) per step
+            "ot_loss_mean": float(np.mean(
+                ot_losses[done * len(clouds):(done + steps) * len(clouds)])),
             "clf_loss": clf_loss,
-            "val_accuracy": acc,
+            "val_accuracy": evaluate(preds, labels_val, clf_cfg.threshold).accuracy,
         })
-        if best is None or acc > best.val_accuracy:
-            best = _Snapshot({i: p.copy() for i, p in pairs.items()},
-                             wn.copy(), acc, phase)
-        phase += 1
+        done += steps
 
-    assert best is not None
     emb = EmbeddingSet.build(
-        reference, train_ids + val_ids, best.pairs,
+        reference, train_ids + val_ids, pairs,
         eval_n=clf_cfg.eval_n, eval_seed=eval_seed,
         meta={"train_ids": train_ids, "val_ids": val_ids, "seed": seed,
-              "best_phase": best.phase, "best_val_accuracy": best.val_accuracy},
+              "best_phase": history[-1]["phase"],
+              "best_val_accuracy": history[-1]["val_accuracy"]},
     )
-    model = ClassifierModel(best.weightnet, threshold=clf_cfg.threshold)
     return emb, model, history

@@ -168,8 +168,7 @@ def cmd_train(cfg: RunConfig, data_dir: str, bundle_path: str,
         seed=cfg.seed,
         build_version=__version__,
         history_digest={"phases": len(history),
-                        "best_val_accuracy": emb.meta["best_val_accuracy"],
-                        "best_phase": emb.meta["best_phase"]},
+                        "val_accuracy": history[-1]["val_accuracy"]},
     )
     save_bundle(bundle, bundle_path)
     if history_path:
@@ -177,8 +176,7 @@ def cmd_train(cfg: RunConfig, data_dir: str, bundle_path: str,
         Path(history_path).write_text(_csv_text(
             _report_header(cfg), cols, [[row[c] for c in cols] for row in history]))
     print(f"trained {len(emb.ids)} maps over {len(history)} phases; "
-          f"best validation accuracy {emb.meta['best_val_accuracy']:.4f} "
-          f"(phase {emb.meta['best_phase']})")
+          f"validation accuracy {history[-1]['val_accuracy']:.4f}")
     print(f"bundle written to {bundle_path}")
     return 0
 
@@ -347,10 +345,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a synthetic two-class dataset")
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("train", help="alternating map/classifier training")
+    p = sub.add_parser("train", help="fit every map, then the classifier")
     p.add_argument("--data", required=True)
     p.add_argument("--bundle", required=True)
-    p.add_argument("--history", help="per-phase history CSV path")
+    p.add_argument("--history", help="history CSV path: one row per schedule phase")
 
     p = sub.add_parser("eval", help="embed held-out clouds and report metrics")
     p.add_argument("--bundle", required=True)

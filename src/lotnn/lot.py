@@ -8,11 +8,11 @@ reproduces the exact Wasserstein-2 distance up to training and sampling
 error, and the deviation-bound calculator quantifies that error budget.
 
 maps_on evaluates many clouds' maps on one sample on nncore.on_cpus,
-so `lotnn dist` (pairwise_matrix) and `lotnn train` (the classifier
-phases of train_alternating) use all the CPUs the process may run on;
-nncore describes how lotnn shares work out over CPUs. Results do not
-depend on the CPU count: each map is computed whole by one thread, bit
-for bit as map_forward computes it.
+so `lotnn dist` (pairwise_matrix) and `lotnn train` (the fitted maps
+that train_alternating's classifier reads) use all the CPUs the process
+may run on; nncore describes how lotnn shares work out over CPUs.
+Results do not depend on the CPU count: each map is computed whole by
+one thread, bit for bit as map_forward computes it.
 """
 
 from __future__ import annotations

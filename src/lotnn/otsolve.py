@@ -397,7 +397,9 @@ def fit_pairs(sigma: "ReferenceMeasure", clouds: dict[str, Array],
     the worker processes of nncore.worker_processes, one per further
     usable CPU. The caller draws every batch first, in the serial order
     (up to BATCH_BYTES of them at a time; one step at a time without
-    workers), and each chunk then runs those steps for its clouds. A
+    workers), and each chunk then runs those steps for its clouds. The
+    workers are asked for again before each such block, so one that is
+    still starting up when a long call begins joins it later. A
     worker gets its pairs' parameters, Adam state and iterations as raw
     buffers and sends them back into the same arrays, so every output
     is bitwise the serial one at any CPU count. The caller keeps the
@@ -423,13 +425,15 @@ def fit_pairs(sigma: "ReferenceMeasure", clouds: dict[str, Array],
     work = [(cid, pairs[cid], states[cid], as_f64(points)) for cid, points in clouds.items()]
     losses = np.empty((len(work), steps))
     failures: list[tuple[int, int, Exception]] = []
-    with worker_processes(2 if len(work) == 1 else len(work)) as pool:
-        # the half's worker stays in the pool, which ends it if this raises
-        half = pool[0] if len(work) == 1 and pool else None
-        conns = [] if half else pool
-        block = 1 if not conns else \
-            max(1, BATCH_BYTES // (8 * cfg.batch_size * (sigma.dim + len(work))))
-        for start in range(0, steps, block):
+    start = 0
+    while start < steps and not failures:
+        # asked for again each block, so workers still starting up join a later one
+        with worker_processes(2 if len(work) == 1 else len(work)) as pool:
+            # the half's worker stays in the pool, which ends it if this raises
+            half = pool[0] if len(work) == 1 and pool else None
+            conns = [] if half else pool
+            block = 1 if not conns else \
+                max(1, BATCH_BYTES // (8 * cfg.batch_size * (sigma.dim + len(work))))
             X, idx = _draw(sigma, work, cfg.batch_size, batch_rng, min(block, steps - start))
             out = losses[:, start:start + X.shape[0]]
             # the caller's chunk first, and the largest
@@ -441,8 +445,7 @@ def fit_pairs(sigma: "ReferenceMeasure", clouds: dict[str, Array],
             for conn, lo, hi in zip(conns, cut[1:], cut[2:]):
                 if failure := _recv_chunk(conn, work[lo:hi], out[lo:hi]):
                     failures.append((failure[0], lo + failure[1], failure[2]))
-            if failures:
-                break
+            start += X.shape[0]
     if failures:
         raise min(failures, key=lambda f: f[:2])[2]
     return losses.T.ravel().tolist()

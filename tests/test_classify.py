@@ -20,8 +20,11 @@ from lotnn.data import LabeledDataset, PointCloud, SyntheticSpec, gen_synthetic
 from lotnn.icnn import project_nonneg
 from lotnn.nncore import (MlpParams, Rng, finite_diff_grad, mlp_backward, mlp_forward,
                           mlp_init)
-from lotnn.otsolve import Frame, SolverConfig, init_dual_pair, train_map
-from conftest import blocks, load_tracing, quad_pair, relerr, unit_reference
+from lotnn.lot import ReferenceMeasure
+from lotnn.otsolve import (Frame, SolverConfig, fit_pairs, init_dual_pair, pair_for_cloud,
+                           train_map)
+from conftest import (blocks, load_tracing, quad_pair, relerr, start_workers,
+                      unit_reference)
 
 
 def zero_weightnet(dim, bias=None):
@@ -79,7 +82,7 @@ class TestScore:
 
     def test_weightnet_hidden_is_read_from_its_weights(self, rng):
         assert random_weightnet(3, rng, hidden=(7, 5)).hidden == (7, 5)
-        assert zero_weightnet(2).copy().hidden == (4,)
+        assert zero_weightnet(2).hidden == (4,)
 
     def test_score_records_one_span_and_its_bodies_none(self, rng):
         # score is one span, and the bodies that on_cpus workers run
@@ -282,59 +285,74 @@ class TestTrainAlternating:
             fresh = init_dual_pair(train.dim, QUICK_SOLVER, Rng(5).spawn(1000 + j))
             assert np.array_equal(emb.pairs[cid].psi.theta, fresh.psi.theta)
 
-    @pytest.mark.parametrize("accuracies", [(1.0, 0.5, 0.5), (0.5, 1.0, 1.0),
-                                            (0.2, 0.4, 0.6)])
-    def test_pairs_record_their_steps_through_the_best_phase(
+    # phases of 3, 3 and (cut by the 12-epoch budget) 2 solver steps, the
+    # last with no classifier epochs left
+    PHASES = TrainSchedule(ot_epochs_per_phase=3, clf_epochs_per_phase=2, total_epochs=12)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_pairs_are_one_fit_of_every_phases_steps(self, rng, monkeypatch, cpus):
+        start_workers(monkeypatch, cpus)
+        train, val = two_class_sets(rng)
+        emb, _, history = train_alternating(train, val, self.PHASES, QUICK_SOLVER,
+                                            QUICK_CLF, seed=7)
+        assert [row["epoch"] for row in history] == [5, 10, 12]
+
+        monkeypatch.setattr(nncore, "_usable_cpus", lambda: 1)
+        reference = ReferenceMeasure.fitted(train.clouds, seed=Rng(7).spawn(1).seed)
+        by_id = {c.id: c.points for c in train.clouds + val.clouds}
+        clouds = {cid: by_id[cid] for cid in sorted(train.ids) + sorted(val.ids)}
+        pairs = {cid: pair_for_cloud(reference, points, QUICK_SOLVER, Rng(7).spawn(1000 + j))
+                 for j, (cid, points) in enumerate(clouds.items())}
+        fit_pairs(reference, clouds, pairs, {}, QUICK_SOLVER, Rng(7).spawn(4), 8)
+        assert emb.ids == list(clouds)
+        for cid, want in pairs.items():
+            assert emb.pairs[cid].meta["iterations"] == want.meta["iterations"] == 8
+            for net in ("psi", "phi"):
+                assert (getattr(emb.pairs[cid], net).theta.tobytes()
+                        == getattr(want, net).theta.tobytes())
+
+    @pytest.mark.parametrize("accuracies", [(1.0, 0.5, 0.5), (0.5, 1.0, 1.0)])
+    def test_validation_accuracy_changes_no_map_and_no_weight(
             self, rng, monkeypatch, accuracies):
-        # validation accuracy is scripted per phase, so the best phase is
-        # the first maximum of `accuracies`
+        # validation accuracy is only reported: scripting it leaves the
+        # pairs, W and the solver losses bitwise those of a plain run
         import lotnn.classify as classify_mod
 
+        train, val = two_class_sets(rng)
+        emb1, model1, history1 = train_alternating(train, val, self.PHASES, QUICK_SOLVER,
+                                                   QUICK_CLF, seed=7)
         scripted = iter(accuracies)
         monkeypatch.setattr(
             classify_mod, "evaluate",
             lambda preds, labels, threshold: Metrics(0, 0, 0, 0, 0.0, 0.0,
                                                      next(scripted)))
-        train, val = two_class_sets(rng)
-        sched = TrainSchedule(ot_epochs_per_phase=3, clf_epochs_per_phase=2,
-                              total_epochs=12, steps_per_ot_epoch=2)
-        emb, _, history = train_alternating(train, val, sched, QUICK_SOLVER,
-                                            QUICK_CLF, seed=7)
-        # phases run 3, 3 and (cut by the 12-epoch budget) 2 solver epochs
-        # of 2 steps each, the last with no classifier epochs left
-        assert [row["epoch"] for row in history] == [5, 10, 12]
-        phase_steps = [6, 6, 4]
-        best = emb.meta["best_phase"]
-        assert best == accuracies.index(max(accuracies))
-        want = sum(phase_steps[:best + 1])
-        assert {p.meta["iterations"] for p in emb.pairs.values()} == {want}
-
-    def test_best_snapshot_survives_later_phases(self, rng, monkeypatch):
-        # pairs and the weight net are updated in place; the phase-0
-        # snapshot must equal a run that stops after phase 0
-        import lotnn.classify as classify_mod
-
-        train, val = two_class_sets(rng)
-        short = TrainSchedule(ot_epochs_per_phase=3, clf_epochs_per_phase=2,
-                              total_epochs=5)
-        emb1, model1, _ = train_alternating(train, val, short, QUICK_SOLVER,
-                                            QUICK_CLF, seed=7)
-        scripted = iter((1.0, 0.5, 0.5))
-        monkeypatch.setattr(
-            classify_mod, "evaluate",
-            lambda preds, labels, threshold: Metrics(0, 0, 0, 0, 0.0, 0.0,
-                                                     next(scripted)))
-        long = TrainSchedule(ot_epochs_per_phase=3, clf_epochs_per_phase=2,
-                             total_epochs=15)
-        emb3, model3, history = train_alternating(train, val, long, QUICK_SOLVER,
-                                                  QUICK_CLF, seed=7)
-        assert len(history) == 3 and emb3.meta["best_phase"] == 0
+        emb2, model2, history2 = train_alternating(train, val, self.PHASES, QUICK_SOLVER,
+                                                   QUICK_CLF, seed=7)
+        assert [row["val_accuracy"] for row in history2] == list(accuracies)
+        assert (emb2.meta["best_phase"], emb2.meta["best_val_accuracy"]) == (2, accuracies[2])
+        assert ([row["ot_loss_mean"] for row in history2]
+                == [row["ot_loss_mean"] for row in history1])
         for cid in emb1.ids:
             for net in ("psi", "phi"):
-                assert (getattr(emb3.pairs[cid], net).theta.tobytes()
+                assert (getattr(emb2.pairs[cid], net).theta.tobytes()
                         == getattr(emb1.pairs[cid], net).theta.tobytes())
-        assert (model3.weightnet.params.theta.tobytes()
+        assert (model2.weightnet.params.theta.tobytes()
                 == model1.weightnet.params.theta.tobytes())
+
+    def test_a_multi_phase_schedule_fits_the_maps_once(self, rng, monkeypatch):
+        import lotnn.classify as classify_mod
+
+        steps = []
+
+        def counted(*args):
+            steps.append(args[-1])
+            return fit_pairs(*args)
+
+        monkeypatch.setattr(classify_mod, "fit_pairs", counted)
+        train, val = two_class_sets(rng)
+        _, _, history = train_alternating(train, val, self.PHASES, QUICK_SOLVER,
+                                          QUICK_CLF, seed=7)
+        assert len(history) == 3 and steps == [8]
 
     def test_public_layers_run_on_the_calling_thread(self, rng, monkeypatch):
         # nncore.on_cpus shares work out over threads; every function a

@@ -481,6 +481,25 @@ def test_bundle_pairs_record_their_solver_steps(workdir):
     assert pairs and all(p["meta"]["iterations"] == 1 for p in pairs)
 
 
+def test_bundle_digest_holds_the_final_validation_accuracy(workdir):
+    d, _ = workdir
+    rows = _csv_rows(d / "history.csv")
+    final = dict(zip(rows[0], rows[-1]))
+    assert _header(workdir)["history_digest"] == {
+        "phases": len(rows) - 1, "val_accuracy": float(final["val_accuracy"])}
+
+
+def test_bundle_storing_the_retired_steps_per_ot_epoch_still_loads(workdir):
+    d, base = workdir
+    header, payload = read_document(d / "bundle.json")
+    header["config"]["schedule"]["steps_per_ot_epoch"] = 1
+    write_document(d / "old_schedule.json", header, payload)
+    assert main(base + ["eval", "--bundle", str(d / "old_schedule.json"),
+                        "--data", str(d / "data"), "--resamples", "1"]) == 0
+    assert main(base + ["dist", "--bundle", str(d / "old_schedule.json"),
+                        "--out", str(d / "old_schedule.csv")]) == 0
+
+
 @pytest.mark.usefixtures("one_cpu")
 def test_train_numeric_failure_exits_4(workdir, monkeypatch, capsys):
     import lotnn.otsolve as otsolve_mod
@@ -581,6 +600,7 @@ MALFORMED_CONFIGS = {
     "beta2": {"solver": {"beta2": 0.999}},
     "eps": {"solver": {"eps": 1e-8}},
     "classifier_init_scale": {"classifier": {"init_scale": 1.0}},
+    "steps_per_ot_epoch": {"schedule": {"steps_per_ot_epoch": 1}},
     "deepsets_init_scale": {"deepsets": {"init_scale": 1.0}},
 }
 

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import functools
 import itertools
@@ -480,6 +481,28 @@ class TestFitPairsOnWorkers:
             late_inner_task, 1.0, "lotnn.otsolve", "_run_chunk", "_fit_remote"))
         assert run() == want
         assert len(here) == 4 * 3
+
+    def test_a_worker_still_starting_up_joins_a_later_block(self, monkeypatch):
+        monkeypatch.setattr(nncore, "_usable_cpus", lambda: 1)
+        want, _ = self._run(monkeypatch)
+        start_workers(monkeypatch, 2)
+        pools = []
+        real = otsolve_mod.worker_processes
+
+        @contextlib.contextmanager
+        def none_at_first(n):
+            # the first request finds the worker not yet started up
+            with real(n) as pool:
+                pools.append(len(pool) if pools else 0)
+                yield pool if len(pools) > 1 else []
+
+        monkeypatch.setattr(otsolve_mod, "worker_processes", none_at_first)
+        got, here = self._run(monkeypatch)
+        assert got == want
+        # the 2-step call runs its first step here, then asks again and
+        # shares its second; the 3-step call shares all of its steps
+        assert pools == [0, 1, 1]
+        assert here == 5 + 3 + 3 * 3
 
     def test_a_worker_that_dies_mid_task_raises(self, monkeypatch):
         monkeypatch.setattr(nncore._WORKERS, "broken", False)  # restored after the test
