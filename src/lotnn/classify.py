@@ -20,9 +20,10 @@ OpenBLAS. The default eval_n of 1000 is below both; a larger eval
 sample scores its points differently as it grows (ROADMAP item 17).
 
 Training embeds first and classifies after, as LOT does (Wang et al.
-2013): one `otsolve.fit_pairs` call fits every map on shared reference
-batches for the schedule's solver steps, and W is then updated by the
-binary cross-entropy gradient on those final, frozen maps.
+2013): one `otsolve.fit_pairs` call fits every map for the schedule's
+solver steps, each on batches drawn from its own pair's seed, and W is
+then updated by the binary cross-entropy gradient on those final,
+frozen maps.
 """
 
 from __future__ import annotations
@@ -196,8 +197,13 @@ def scores(model: ClassifierModel, pairs, sample: Array) -> list[float]:
     (lot.maps_on).
     """
     S = np.atleast_2d(as_f64(sample))
+    return _probs(model, S, maps_on(pairs, S))
+
+
+def _probs(model: ClassifierModel, S: Array, maps: Array) -> list[float]:
+    """scores' body, given every pair's map on S."""
     W, _ = mlp_forward(model.weightnet.params, S)
-    return [float(expit(_pooled(W, G))) for G in maps_on(pairs, S)]
+    return [float(expit(_pooled(W, G))) for G in maps]
 
 
 def _score(model: ClassifierModel, pair: DualPair, S: Array) -> float:
@@ -235,7 +241,8 @@ def train_alternating(
     schedule's solver steps (map fitting never sees W or the labels); W
     is then trained by the BCE step on the training clouds' final maps.
     Validation clouds get pairs too, so validation accuracy is always
-    measurable. History has one row per schedule phase: its epoch, the
+    measurable; their maps on the evaluation sample are computed once,
+    after the fit. History has one row per schedule phase: its epoch, the
     mean loss of its solver steps, and the classifier loss and
     validation accuracy after its classifier epochs. The embedding holds
     the final pairs and the shared evaluation sample, the model the
@@ -280,10 +287,10 @@ def train_alternating(
         epoch += ot_epochs + clf_epochs
         phases.append((ot_epochs, clf_epochs, epoch))
 
-    ot_losses = fit_pairs(reference, clouds, pairs, {}, solver_cfg, rng.spawn(4),
+    ot_losses = fit_pairs(reference, clouds, pairs, {}, solver_cfg,
                           sum(steps for steps, _, _ in phases))
     G_tr = maps_on([pairs[i] for i in train_ids], X_eval)
-    val_pairs = [pairs[i] for i in val_ids]
+    G_val = maps_on([pairs[i] for i in val_ids], X_eval)
 
     history: list[dict] = []
     done = 0                                # solver steps of the phases so far
@@ -298,7 +305,7 @@ def train_alternating(
             upstream = np.einsum("i,ind->nd", resid, G_tr) / X_eval.shape[0]
             grads, _ = mlp_backward(wn.params, cache, upstream)
             wn.params.theta -= adam_step(grads, wn_state)
-        preds = scores(model, val_pairs, X_eval)
+        preds = _probs(model, X_eval, G_val)
         history.append({
             "phase": phase,
             "epoch": epoch,

@@ -17,7 +17,10 @@ then the binary float64 parameters; lotnn.bundle describes the
 layout.
 
 `train` fits every map against the Gaussian fitted to the training
-clouds (lotnn.lot.ReferenceMeasure.fitted).
+clouds (lotnn.lot.ReferenceMeasure.fitted). `eval` fits the held-out
+clouds the bundle has no pair for in one call; each gets the map that
+otsolve.train_map gives it alone, seeded from its id, so it scores the
+same in every subset.
 """
 
 from __future__ import annotations
@@ -46,7 +49,8 @@ from .data import SyntheticSpec, gen_synthetic, hash_id, load_csv_dir, save_csv_
 from .deepsets import DeepSetsConfig, ds_bagging, ds_forward, ds_train
 from .lot import BoundParams, EmbeddingSet, ReferenceMeasure, pairwise_matrix, theorem_bound
 from .bundle import ModelBundle, decode_config, load_bundle, save_bundle
-from .otsolve import SolverConfig, train_map
+from .nncore import Rng
+from .otsolve import SolverConfig, fit_pairs, pair_for_cloud
 
 
 @dataclass(frozen=True)
@@ -243,19 +247,20 @@ def cmd_eval(cfg: RunConfig, bundle_path: str, data_dir: str, resamples: int,
     model = bundle.classifier()
     eval_sample = bundle.reference.sample(bundle.eval_n, seed=bundle.eval_seed)
 
-    pairs, pk = [], []
-    for cid in ids:
-        # seeds from the id, so a cloud scores the same in every subset
-        embed_seed, resample_seed = (int(s) for s in np.random.SeedSequence(
-            [cfg.seed, hash_id(cid)]).generate_state(2))
-        # reuse the trained pair when the bundle has one, else embed fresh
-        pair = bundle.pairs.get(cid)
-        if pair is None:
-            solver_cfg = dataclasses.replace(embed_solver, seed=embed_seed)
-            pair = train_map(bundle.reference, ds.cloud(cid), solver_cfg)
-        pairs.append(pair)
-        pk.append(predict_resampled(model, pair, bundle.reference, bundle.eval_n,
-                                    resamples, seed=resample_seed))
+    # seeds from the id, so a cloud scores the same in every subset
+    seeds = {cid: np.random.SeedSequence([cfg.seed, hash_id(cid)]).generate_state(2).tolist()
+             for cid in ids}
+    # reuse the trained pair when the bundle has one, else embed fresh: the
+    # new pairs are those train_map gives each cloud, fitted in one call
+    fresh = {cid: ds.cloud(cid).points for cid in ids if cid not in bundle.pairs}
+    by_id = dict(bundle.pairs)
+    by_id.update({cid: pair_for_cloud(bundle.reference, points, embed_solver,
+                                      Rng(seeds[cid][0]).spawn(0))
+                  for cid, points in fresh.items()})
+    fit_pairs(bundle.reference, fresh, by_id, {}, embed_solver, embed_solver.iters)
+    pairs = [by_id[cid] for cid in ids]
+    pk = [predict_resampled(model, pair, bundle.reference, bundle.eval_n, resamples,
+                            seed=seeds[cid][1]) for cid, pair in zip(ids, pairs)]
     # the weight net on the fixed sample once, not once per cloud
     p1 = scores(model, pairs, eval_sample)
     rows = list(zip(ids, labels, p1, pk))

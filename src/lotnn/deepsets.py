@@ -147,7 +147,7 @@ def ds_train(
     model = init_deepsets(train.dim, cfg, rng.spawn(0))
     state_phi = OptimState(lr=cfg.lr)
     state_rho = OptimState(lr=cfg.lr)
-    batch_rng = rng.spawn(1)
+    rows_rng = rng.spawn(1)
     ids = sorted(train.ids)
     y = np.array([train.labels[i] for i in ids], dtype=np.float64)
     cloud_pts = {c.id: c.points for c in train.clouds}
@@ -155,7 +155,7 @@ def ds_train(
 
     def step(epoch: int) -> float:
         batches = [pts if pts.shape[0] <= cfg.batch_points else
-                   pts[batch_rng.integers(0, pts.shape[0], size=cfg.batch_points)]
+                   pts[rows_rng.integers(0, pts.shape[0], size=cfg.batch_points)]
                    for pts in (cloud_pts[cid] for cid in ids)]
         loss, g_phi, g_rho = ds_loss_and_grads(model, batches, y)
         if not np.isfinite(loss):

@@ -21,8 +21,8 @@ worker per usable CPU with the caller included, and none for one item
   validation and bagging on it;
 - worker_processes, persistent worker processes for solver steps
   (256-row steps hold the GIL for most of their time), whose caller
-  waits for every reply; `train` fits the maps on them, and `eval` fits
-  each held-out cloud's map on two processes (otsolve.fit_pairs).
+  waits for every reply; `train` and `eval` fit their maps on them
+  (otsolve.fit_pairs), a lone cloud's on two processes.
 Each item runs whole on one thread or process, so no result depends on
 the CPU count. The pin reaches only the OpenBLAS that numpy's wheel
 bundles; a numpy built on another BLAS keeps that BLAS's own setting.

@@ -147,11 +147,6 @@ class DualPair:
         out += np.asarray(self.frame.mu_mean)
         return out
 
-    def copy(self) -> "DualPair":
-        return DualPair(self.psi.copy(), self.psi_cfg,
-                        self.phi.copy(), self.phi_cfg, self.frame,
-                        dict(self.meta))
-
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -378,35 +373,34 @@ def solver_step(pair: DualPair, X: Array, Y: Array, lambda_cyc: float,
     return loss
 
 
-# bytes of batches fit_pairs draws ahead when worker processes share its clouds
-BATCH_BYTES = 16 << 20
-
-
 def fit_pairs(sigma: "ReferenceMeasure", clouds: dict[str, Array],
               pairs: dict[str, DualPair], states: dict[str, OptimState],
-              cfg: SolverConfig, batch_rng: Rng, steps: int) -> list[float]:
+              cfg: SolverConfig, steps: int) -> list[float]:
     """Advance each cloud's pair by `steps` solver steps, in place.
 
-    Each step draws one reference batch shared by all clouds, visited in
-    dict order; a missing Adam state is created from cfg, and missing
-    Adam accumulators as the zeros adam_step starts from. Each step
-    updates the pair's networks and Adam state in place and adds one to
-    the pair's meta["iterations"]. Returns the losses, step-major.
+    A pair's step t draws its reference batch and its cloud's rows from
+    its meta["seed"] and t alone (_batch), so a fit depends neither on
+    the other clouds of the call nor on how calls split the steps. A
+    missing Adam state is created from cfg, and missing Adam
+    accumulators as the zeros adam_step starts from. Each step updates
+    the pair's networks and Adam state in place and adds one to the
+    pair's meta["iterations"]. Returns the losses, step-major, each
+    step's in the clouds' dict order.
 
     The clouds are shared out, in contiguous chunks, over the caller and
     the worker processes of nncore.worker_processes, one per further
-    usable CPU. The caller draws every batch first, in the serial order
-    (up to BATCH_BYTES of them at a time; one step at a time without
-    workers), and each chunk then runs those steps for its clouds. The
-    workers are asked for again before each such block, so one that is
-    still starting up when a long call begins joins it later. A
-    worker gets its pairs' parameters, Adam state and iterations as raw
-    buffers and sends them back into the same arrays, so every output
-    is bitwise the serial one at any CPU count. The caller keeps the
-    largest chunk and, once it is done, waits for each worker's reply in
-    turn. Of the failures, the one the serial loop would meet first
-    (lowest step, then cloud order) is raised; clouds of other chunks
-    may have gone further than the serial loop would have taken them.
+    usable CPU; whichever process runs a step draws its batch. While no
+    worker is ready the steps run here one at a time, and workers are
+    asked for again before each, so one that is still starting up when a
+    long call begins joins it later; then the remaining steps run in one
+    block. A worker gets its pairs' parameters, Adam state and
+    iterations as raw buffers and sends them back into the same arrays,
+    so every output is bitwise the serial one at any CPU count. The
+    caller keeps the largest chunk and, once it is done, waits for each
+    worker's reply in turn. Of the failures, the one the serial loop
+    would meet first (lowest step, then cloud order) is raised; clouds
+    of other chunks may have gone further than the serial loop would
+    have taken them.
 
     One cloud (train_map) counts as two items: every step's loss and
     gradients are the sum of two fixed halves of its batch, at every CPU
@@ -415,7 +409,7 @@ def fit_pairs(sigma: "ReferenceMeasure", clouds: dict[str, Array],
     meanwhile and adds the worker's half 2, the bits it would have
     computed itself.
     """
-    if steps < 1:
+    if steps < 1 or not clouds:
         return []
     for cid in clouds:
         state = states.setdefault(cid, OptimState(lr=cfg.lr))
@@ -432,51 +426,47 @@ def fit_pairs(sigma: "ReferenceMeasure", clouds: dict[str, Array],
             # the half's worker stays in the pool, which ends it if this raises
             half = pool[0] if len(work) == 1 and pool else None
             conns = [] if half else pool
-            block = 1 if not conns else \
-                max(1, BATCH_BYTES // (8 * cfg.batch_size * (sigma.dim + len(work))))
-            X, idx = _draw(sigma, work, cfg.batch_size, batch_rng, min(block, steps - start))
-            out = losses[:, start:start + X.shape[0]]
+            block = steps - start if pool else 1
+            out = losses[:, start:start + block]
             # the caller's chunk first, and the largest
             cut = [-(-k * len(work) // (len(conns) + 1)) for k in range(len(conns) + 2)]
             for conn, lo, hi in zip(conns, cut[1:], cut[2:]):
-                _send_chunk(conn, work[lo:hi], X, idx[lo:hi], cfg.lambda_cyc)
-            if failure := _run_chunk(work[:cut[1]], X, idx, cfg.lambda_cyc, out, half):
+                _send_chunk(conn, work[lo:hi], sigma, cfg, block)
+            if failure := _run_chunk(work[:cut[1]], sigma, cfg, out, half):
                 failures.append(failure)
             for conn, lo, hi in zip(conns, cut[1:], cut[2:]):
                 if failure := _recv_chunk(conn, work[lo:hi], out[lo:hi]):
                     failures.append((failure[0], lo + failure[1], failure[2]))
-            start += X.shape[0]
+            start += block
     if failures:
         raise min(failures, key=lambda f: f[:2])[2]
     return losses.T.ravel().tolist()
 
 
-def _draw(sigma: "ReferenceMeasure", work: list, batch_size: int, batch_rng: Rng,
-          steps: int) -> tuple[Array, Array]:
-    """Batches of `steps` steps in the serial order: each step's reference
-    batch X[s], then each cloud's rows idx[j, s]."""
-    X = np.empty((steps, batch_size, sigma.dim))
-    idx = np.empty((len(work), steps, batch_size), dtype=np.int64)
-    for s in range(steps):
-        X[s] = sigma.sample(batch_size, seed=int(batch_rng.integers(0, 2**62)))
-        for j, (*_, points) in enumerate(work):
-            idx[j, s] = batch_rng.integers(0, points.shape[0], size=batch_size)
-    return X, idx
+def _batch(sigma: "ReferenceMeasure", seed: int, step: int, points: Array,
+           batch_size: int) -> tuple[Array, Array]:
+    """Step `step`'s reference batch and cloud rows for a pair seeded
+    `seed`, drawn from SeedSequence([seed, step]) and nothing else."""
+    x_seed, row_seed = np.random.SeedSequence([seed, step]).generate_state(2)
+    rows = Rng(int(row_seed)).integers(0, points.shape[0], size=batch_size)
+    return sigma.sample(batch_size, seed=int(x_seed)), points[rows]
 
 
-def _run_chunk(work: list, X: Array, idx: Array, lambda_cyc: float, losses: Array,
+def _run_chunk(work: list, sigma: "ReferenceMeasure", cfg: SolverConfig, losses: Array,
                half: Connection | None = None) -> tuple[int, int, Exception] | None:
-    """fit_pairs's steps on X for one chunk of (cid, pair, state, points).
+    """fit_pairs's steps for one chunk of (cid, pair, state, points).
 
-    Writes losses[j, s] for cloud j of the chunk. Stops at the first
-    failure and returns it as (step, cloud, error), both counted from 0
-    in this chunk and block of steps. With half, a worker process's
-    pipe, each step's second half of the batch runs there (solver_step).
+    Runs losses.shape[1] steps and writes losses[j, s] for cloud j of the
+    chunk. Stops at the first failure and returns it as (step, cloud,
+    error), both counted from 0 in this chunk and block of steps. With
+    half, a worker process's pipe, each step's second half of the batch
+    runs there (solver_step).
     """
-    for s in range(X.shape[0]):
+    for s in range(losses.shape[1]):
         for j, (cid, pair, state, points) in enumerate(work):
             step = pair.meta.get("iterations", 0)
-            args = (pair, X[s], points[idx[j, s]], lambda_cyc, state)
+            X, Y = _batch(sigma, pair.meta["seed"], step, points, cfg.batch_size)
+            args = (pair, X, Y, cfg.lambda_cyc, state)
             try:
                 loss = solver_step(*args, half) if half else solver_step(*args)
             except NumericError as e:
@@ -490,33 +480,31 @@ def _run_chunk(work: list, X: Array, idx: Array, lambda_cyc: float, losses: Arra
     return None
 
 
-def _send_chunk(conn: Connection, work: list, X: Array, idx: Array,
-                lambda_cyc: float) -> None:
-    """Hand one chunk of fit_pairs to a worker process (_fit_remote)."""
+def _send_chunk(conn: Connection, work: list, sigma: "ReferenceMeasure",
+                cfg: SolverConfig, steps: int) -> None:
+    """Hand `steps` steps of one chunk of fit_pairs to a worker process
+    (_fit_remote)."""
     specs = [(cid, p.psi_cfg, p.phi_cfg, p.frame, points.shape, s.lr, s.step,
-              p.meta.get("iterations", 0)) for cid, p, s, points in work]
-    conn.send((_fit_remote, (specs, lambda_cyc, X.shape)))
-    send_arrays(conn, X, np.ascontiguousarray(idx))
+              p.meta["seed"], p.meta.get("iterations", 0)) for cid, p, s, points in work]
+    conn.send((_fit_remote, (sigma, cfg, specs, steps)))
     for _, p, s, points in work:
         send_arrays(conn, np.ascontiguousarray(points), p.psi.theta, p.phi.theta, s.m, s.v)
 
 
-def _fit_remote(conn: Connection, specs: list, lambda_cyc: float, x_shape: tuple) -> None:
+def _fit_remote(conn: Connection, sigma: "ReferenceMeasure", cfg: SolverConfig,
+                specs: list, steps: int) -> None:
     """A worker process's side of _send_chunk and _recv_chunk."""
-    X = np.empty(x_shape)
-    idx = np.empty((len(specs), *x_shape[:2]), dtype=np.int64)
-    recv_arrays(conn, X, idx)
     work = []
-    for cid, psi_cfg, phi_cfg, frame, shape, lr, step, iters in specs:
+    for cid, psi_cfg, phi_cfg, frame, shape, lr, step, seed, iters in specs:
         pair = DualPair(IcnnParams.empty(icnn_shapes(psi_cfg)), psi_cfg,
                         IcnnParams.empty(icnn_shapes(phi_cfg)), phi_cfg,
-                        frame, meta={"iterations": iters})
+                        frame, meta={"iterations": iters, "seed": seed})
         n = pair.psi.theta.size + pair.phi.theta.size
         state = OptimState(lr=lr, step=step, m=np.empty(n), v=np.empty(n))
         work.append((cid, pair, state, np.empty(shape)))
         recv_arrays(conn, work[-1][3], pair.psi.theta, pair.phi.theta, state.m, state.v)
-    losses = np.empty((len(work), x_shape[0]))
-    failure = _run_chunk(work, X, idx, lambda_cyc, losses)
+    losses = np.empty((len(work), steps))
+    failure = _run_chunk(work, sigma, cfg, losses)
     arrays = [losses]
     for _, p, s, _ in work:
         arrays += [p.psi.theta, p.phi.theta, s.m, s.v]
@@ -580,27 +568,24 @@ def _half_remote(conn: Connection, psi_cfg: IcnnConfig, phi_cfg: IcnnConfig,
 def train_map(sigma: "ReferenceMeasure", mu, cfg: SolverConfig) -> DualPair:
     """Train a DualPair pushing the reference measure onto one cloud.
 
-    Deterministic given cfg.seed, and bitwise the same at every CPU
-    count: with a second usable CPU, each step's second half of the
-    batch runs on a worker process, whose reply every step waits for
-    (fit_pairs). A zero budget returns the initialized pair untouched.
-    Loss history is stored in the pair metadata.
+    fit_pairs runs cfg.iters steps on pair_for_cloud's pair with
+    Rng(cfg.seed).spawn(0), whose seed meta["seed"] records and every
+    batch comes from. So the map is bitwise the same at every CPU count,
+    and the same as that pair fitted beside other clouds. A zero budget
+    returns the initialized pair untouched. Loss history is stored in
+    the pair metadata.
     """
     points = mu.points if hasattr(mu, "points") else np.atleast_2d(as_f64(mu))
     if points.size == 0:
         raise ShapeError("empty target cloud")
     if points.shape[1] != sigma.dim:
         raise ShapeError(f"cloud dim {points.shape[1]} != reference dim {sigma.dim}")
-    rng = Rng(cfg.seed)
     cid = getattr(mu, "id", "target")
-    pairs = {cid: pair_for_cloud(sigma, points, cfg, rng.spawn(0))}
-    losses = fit_pairs(sigma, {cid: points}, pairs, {}, cfg, rng.spawn(3), cfg.iters)
-    pairs[cid].meta.update({
-        "final_loss": losses[-1] if losses else None,
-        "seed": cfg.seed,
-        "loss_history": losses,
-    })
-    return pairs[cid]
+    pair = pair_for_cloud(sigma, points, cfg, Rng(cfg.seed).spawn(0))
+    losses = fit_pairs(sigma, {cid: points}, {cid: pair}, {}, cfg, cfg.iters)
+    pair.meta.update({"final_loss": losses[-1] if losses else None,
+                      "loss_history": losses})
+    return pair
 
 
 # ---------------------------------------------------------------------------

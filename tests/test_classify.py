@@ -303,7 +303,7 @@ class TestTrainAlternating:
         clouds = {cid: by_id[cid] for cid in sorted(train.ids) + sorted(val.ids)}
         pairs = {cid: pair_for_cloud(reference, points, QUICK_SOLVER, Rng(7).spawn(1000 + j))
                  for j, (cid, points) in enumerate(clouds.items())}
-        fit_pairs(reference, clouds, pairs, {}, QUICK_SOLVER, Rng(7).spawn(4), 8)
+        fit_pairs(reference, clouds, pairs, {}, QUICK_SOLVER, 8)
         assert emb.ids == list(clouds)
         for cid, want in pairs.items():
             assert emb.pairs[cid].meta["iterations"] == want.meta["iterations"] == 8
@@ -353,6 +353,20 @@ class TestTrainAlternating:
         _, _, history = train_alternating(train, val, self.PHASES, QUICK_SOLVER,
                                           QUICK_CLF, seed=7)
         assert len(history) == 3 and steps == [8]
+
+    def test_a_multi_phase_schedule_maps_each_set_once(self, rng, monkeypatch):
+        # the maps do not change after the fit: one maps_on call for the
+        # training clouds, one for the validation clouds, whatever the phases
+        import lotnn.classify as classify_mod
+
+        sizes = []
+        real = classify_mod.maps_on
+        monkeypatch.setattr(classify_mod, "maps_on",
+                            lambda pairs, sample: sizes.append(len(pairs)) or real(pairs, sample))
+        train, val = two_class_sets(rng)
+        _, _, history = train_alternating(train, val, self.PHASES, QUICK_SOLVER,
+                                          QUICK_CLF, seed=7)
+        assert len(history) == 3 and sizes == [len(train.ids), len(val.ids)]
 
     def test_public_layers_run_on_the_calling_thread(self, rng, monkeypatch):
         # nncore.on_cpus shares work out over threads; every function a

@@ -92,13 +92,17 @@ def test_eval_single_resample_rows_are_distinct(workdir):
 
 
 def _eval_budgets(workdir, monkeypatch, bundle):
-    """iters of every train_map call that `eval --subset test` makes."""
+    """(steps, cloud ids) of every fit_pairs call that `eval --subset test` makes."""
     import lotnn.cli as cli_mod
 
     d, base = workdir
-    real, budgets = cli_mod.train_map, []
-    monkeypatch.setattr(cli_mod, "train_map", lambda ref, cloud, cfg:
-                        budgets.append(cfg.iters) or real(ref, cloud, cfg))
+    real, budgets = cli_mod.fit_pairs, []
+
+    def counted(sigma, clouds, pairs, states, cfg, steps):
+        budgets.append((steps, sorted(clouds)))
+        return real(sigma, clouds, pairs, states, cfg, steps)
+
+    monkeypatch.setattr(cli_mod, "fit_pairs", counted)
     code = main(base + ["eval", "--bundle", str(bundle), "--data", str(d / "data"),
                         "--subset", "test", "--resamples", "1"])
     return code, budgets
@@ -114,18 +118,20 @@ def _set_iterations(workdir, name, counts):
 
 
 def test_eval_embeds_at_the_recorded_budget(workdir, monkeypatch):
-    # the kept pairs took 1 step each, while solver.iters is 2
+    # the kept pairs took 1 step each, while solver.iters is 2; one call
+    # fits every test cloud
     d, _ = workdir
     test_ids = _header(workdir)["split"]["test"]
     code, budgets = _eval_budgets(workdir, monkeypatch, d / "bundle.json")
-    assert code == 0 and budgets == [1] * len(test_ids)
+    assert code == 0 and budgets == [(1, sorted(test_ids))]
 
 
 def test_eval_budget_falls_back_to_solver_iters(workdir, monkeypatch):
     # untrained pairs hold 0 steps
     path = _set_iterations(workdir, "zero_steps.json", [0] * 1000)
+    test_ids = _header(workdir)["split"]["test"]
     code, budgets = _eval_budgets(workdir, monkeypatch, path)
-    assert code == 0 and budgets and set(budgets) == {TINY_CONFIG["solver"]["iters"]}
+    assert code == 0 and budgets == [(TINY_CONFIG["solver"]["iters"], sorted(test_ids))]
 
 
 def test_eval_rejects_pairs_with_different_budgets(workdir, monkeypatch, capsys):
@@ -219,31 +225,27 @@ def test_eval_outputs_equal_the_per_cloud_scores_bytewise(workdir, monkeypatch, 
 
 
 def test_eval_embeds_each_cloud_on_two_processes_with_the_same_bytes(workdir, monkeypatch):
-    # the bundle holds no pair of the test clouds, so eval fits each one's
-    # map with train_map, which at 2 CPUs runs half of every batch on a worker
-    import time
-
+    # the bundle holds no pair of the test clouds, so eval fits them all in
+    # one fit_pairs call, which at 2 CPUs hands a chunk of them to a worker
     import lotnn.otsolve as otsolve_mod
     from lotnn import nncore
 
     d, base = workdir
     test_ids = _header(workdir)["split"]["test"]
-    assert test_ids and not set(test_ids) & {p["id"] for p in _header(workdir)["pairs"]}
+    assert len(test_ids) > 1
+    assert not set(test_ids) & {p["id"] for p in _header(workdir)["pairs"]}
     args = ["eval", "--bundle", str(d / "bundle.json"), "--data", str(d / "data"),
             "--subset", "test", "--resamples", "2", "--out"]
     monkeypatch.setattr(nncore, "_usable_cpus", lambda: 1)
     assert main(base + args + [str(d / "one_cpu.csv")]) == 0
     start_workers(monkeypatch, 2)
-    # the caller's half of each batch takes 10 ms longer, so the worker's
-    # reply always comes in time; each one is read with recv_arrays
-    half, recv, read = otsolve_mod._half_loss_and_grads, otsolve_mod.recv_arrays, []
-    monkeypatch.setattr(otsolve_mod, "_half_loss_and_grads",
-                        lambda *a: time.sleep(0.01) or half(*a))
-    monkeypatch.setattr(otsolve_mod, "recv_arrays", lambda *a: read.append(1) or recv(*a))
+    recv, replies = otsolve_mod._recv_chunk, []
+    monkeypatch.setattr(otsolve_mod, "_recv_chunk", lambda *a: replies.append(1) or recv(*a))
     assert main(base + args + [str(d / "two_cpus.csv")]) == 0
-    assert len(read) == len(test_ids)  # one solver step each
-    assert ((d / "two_cpus.probs.csv").read_bytes()
-            == (d / "one_cpu.probs.csv").read_bytes())
+    assert len(replies) == 1  # the one solver step, its second chunk on the worker
+    for suffix in (".csv", ".probs.csv"):
+        assert ((d / f"two_cpus{suffix}").read_bytes()
+                == (d / f"one_cpu{suffix}").read_bytes())
 
 
 @pytest.mark.parametrize("value", [1.5, 0.0, 1.0, float("nan"), float("inf"), "0.5", True])

@@ -120,8 +120,8 @@ class TestPairwiseMatrix:
         assert np.array_equal(pairwise_matrix(emb), [[0.0]])
 
     def test_two_identical(self):
-        pair = quad_pair(2, q_psi=1.0, psi_tilt=(0.5, 0.5))
-        emb = self._embedding({"a": pair, "b": pair.copy()})
+        emb = self._embedding({"a": quad_pair(2, q_psi=1.0, psi_tilt=(0.5, 0.5)),
+                               "b": quad_pair(2, q_psi=1.0, psi_tilt=(0.5, 0.5))})
         assert np.array_equal(pairwise_matrix(emb), np.zeros((2, 2)))
 
     def test_line_metric_of_shifts(self):

@@ -260,15 +260,15 @@ class TestFitPairs:
         return sigma, cfg, clouds, pairs
 
     def test_split_budget_equals_one_call(self):
-        # pairs, Adam states and the batch stream all carry over between
-        # calls, so 3 + 2 steps are bitwise the same as 5
+        # pairs and Adam states carry over between calls, and a step's
+        # batches depend on its pair's seed and step count alone, so 3 + 2
+        # steps are bitwise the same as 5
         sigma, cfg, clouds, pairs = self._setup()
         states = {}
-        rng = Rng(60)
-        losses = fit_pairs(sigma, clouds, pairs, states, cfg, rng, 3)
-        losses += fit_pairs(sigma, clouds, pairs, states, cfg, rng, 2)
+        losses = fit_pairs(sigma, clouds, pairs, states, cfg, 3)
+        losses += fit_pairs(sigma, clouds, pairs, states, cfg, 2)
         _, _, _, whole = self._setup()
-        want = fit_pairs(sigma, clouds, whole, {}, cfg, Rng(60), 5)
+        want = fit_pairs(sigma, clouds, whole, {}, cfg, 5)
         assert losses == want and len(losses) == 5 * len(clouds)
         assert set(states) == set(clouds)
         for cid in clouds:
@@ -280,28 +280,41 @@ class TestFitPairs:
         cfg = SolverConfig(batch_size=16, hidden=(5,), iters=4, seed=3)
         got = train_map(sigma, clouds["c0"], cfg)
         pairs = {"c0": pair_for_cloud(sigma, clouds["c0"], cfg, Rng(cfg.seed).spawn(0))}
-        losses = fit_pairs(sigma, clouds, pairs, {}, cfg, Rng(cfg.seed).spawn(3), 4)
+        losses = fit_pairs(sigma, clouds, pairs, {}, cfg, 4)
         assert got.meta["loss_history"] == losses
         assert got.meta["iterations"] == 4
+        # the seed recorded is the one the batches came from
+        assert got.meta["seed"] == pairs["c0"].meta["seed"] == Rng(cfg.seed).spawn(0).seed
         assert got.phi.theta.tobytes() == pairs["c0"].phi.theta.tobytes()
 
     @pytest.mark.usefixtures("one_cpu")
-    def test_clouds_share_each_steps_reference_batch(self, monkeypatch):
-        import lotnn.otsolve as otsolve_mod
-
+    def test_a_steps_draws_depend_only_on_its_pairs_seed_and_step(self, monkeypatch):
         sigma, cfg, clouds, pairs = self._setup(3)
+        # c2 gets c0's seed; the clouds are of one size, so the same draws
+        # pick the same reference batch and the same row numbers
+        pairs["c2"].meta["seed"] = pairs["c0"].meta["seed"]
         seen = []
         monkeypatch.setattr(otsolve_mod, "solver_step",
                             lambda pair, X, Y, lam, state: seen.append((X, Y)) or 0.0)
-        fit_pairs(sigma, clouds, pairs, {}, cfg, Rng(0), 2)
+        fit_pairs(sigma, clouds, pairs, {}, cfg, 2)
         assert len(seen) == 6
-        for step in (0, 1):
-            X0 = seen[3 * step][0]
-            for j, points in enumerate(clouds.values()):
-                X, Y = seen[3 * step + j]
-                assert np.array_equal(X, X0) and Y.shape == (cfg.batch_size, 2)
-                assert all(any(np.array_equal(y, p) for p in points) for y in Y)
-        assert not np.array_equal(seen[0][0], seen[3][0])
+        draws = {(cid, t): seen[3 * t + j] for t in (0, 1) for j, cid in enumerate(clouds)}
+
+        def rows(cid, Y):
+            return [int(np.flatnonzero((clouds[cid] == y).all(axis=1))[0]) for y in Y]
+
+        for t in (0, 1):
+            (X0, Y0), (X1, _), (X2, Y2) = (draws[cid, t] for cid in clouds)
+            assert X0.shape == (cfg.batch_size, 2) and Y0.shape == (cfg.batch_size, 2)
+            assert np.array_equal(X0, X2) and rows("c0", Y0) == rows("c2", Y2)
+            assert not np.array_equal(X0, X1)
+        assert not np.array_equal(draws["c0", 0][0], draws["c0", 1][0])
+        # c1's step 1 once more, alone in a call of its own: the same draws
+        seen.clear()
+        pairs["c1"].meta["iterations"] = 1
+        fit_pairs(sigma, {"c1": clouds["c1"]}, pairs, {}, cfg, 1)
+        assert len(seen) == 1
+        assert all(np.array_equal(a, b) for a, b in zip(seen[0], draws["c1", 1]))
 
     @pytest.mark.usefixtures("one_cpu")
     def test_nonfinite_loss_names_cloud_and_step(self, monkeypatch):
@@ -316,7 +329,7 @@ class TestFitPairs:
 
         monkeypatch.setattr(otsolve_mod, "solver_step", fake_step)
         with pytest.raises(NumericError, match=r"non-finite loss \(cloud c1, step 1\)"):
-            fit_pairs(sigma, clouds, pairs, {}, cfg, Rng(0), 3)
+            fit_pairs(sigma, clouds, pairs, {}, cfg, 3)
         assert pairs["c0"].meta["iterations"] == 2
         assert pairs["c1"].meta["iterations"] == 1
 
@@ -330,7 +343,7 @@ class TestFitPairs:
         sigma, cfg, clouds, pairs = self._setup()
         monkeypatch.setattr(otsolve_mod, "solver_step", fail)
         with pytest.raises(NumericError, match=r"^injected \(cloud c0, step 0\)$"):
-            fit_pairs(sigma, clouds, pairs, {}, cfg, Rng(0), 1)
+            fit_pairs(sigma, clouds, pairs, {}, cfg, 1)
 
 
     @pytest.mark.parametrize("dim", [2, 10])
@@ -349,11 +362,14 @@ class TestFitPairs:
         ref = {cid: (p.psi.theta.copy(), p.phi.theta.copy(), 0.0, 0.0)
                for cid, p in init.items()}
         b1, b2, eps = 0.9, 0.999, 1e-8
-        rng, want = Rng(60), []
+        want = []
         for t in range(1, 6):
-            X = sigma.sample(cfg.batch_size, seed=int(rng.integers(0, 2**62)))
             for cid, pts in clouds.items():
-                Y = pts[rng.integers(0, pts.shape[0], size=cfg.batch_size)]
+                # step t's batches, from the pair's seed and its t - 1 steps so far
+                x_seed, row_seed = np.random.SeedSequence(
+                    [init[cid].meta["seed"], t - 1]).generate_state(2)
+                X = sigma.sample(cfg.batch_size, seed=int(x_seed))
+                Y = pts[Rng(int(row_seed)).integers(0, pts.shape[0], size=cfg.batch_size)]
                 psi_th, phi_th, m, v = ref[cid]
                 p = init[cid]
                 pair = DualPair(p.psi.with_theta(psi_th), p.psi_cfg,
@@ -376,7 +392,7 @@ class TestFitPairs:
                 want.append(loss)
 
         pairs, states = fresh_pairs(), {}
-        assert fit_pairs(sigma, clouds, pairs, states, cfg, Rng(60), 5) == want
+        assert fit_pairs(sigma, clouds, pairs, states, cfg, 5) == want
         for cid, (psi_th, phi_th, m, v) in ref.items():
             assert pairs[cid].psi.theta.tobytes() == psi_th.tobytes()
             assert pairs[cid].phi.theta.tobytes() == phi_th.tobytes()
@@ -389,9 +405,9 @@ class TestFitPairs:
         nets = {cid: (p.psi, p.phi, p.psi.theta, p.phi.theta) for cid, p in pairs.items()}
         bytes0 = {cid: p.psi.theta.tobytes() for cid, p in pairs.items()}
         states = {}
-        fit_pairs(sigma, clouds, pairs, states, cfg, Rng(60), 2)
+        fit_pairs(sigma, clouds, pairs, states, cfg, 2)
         adam = {cid: (s, s.m, s.v) for cid, s in states.items()}
-        fit_pairs(sigma, clouds, pairs, states, cfg, Rng(61), 3)
+        fit_pairs(sigma, clouds, pairs, states, cfg, 3)
         for cid, pair in pairs.items():
             psi, phi, psi_th, phi_th = nets[cid]
             assert pair is before[cid] and pair.psi is psi and pair.phi is phi
@@ -407,7 +423,7 @@ class TestFitPairs:
 
         sigma, cfg, clouds, pairs = self._setup()
         states = {}
-        fit_pairs(sigma, clouds, pairs, states, cfg, Rng(60), 2)
+        fit_pairs(sigma, clouds, pairs, states, cfg, 2)
         real = otsolve_mod.solver_loss_and_grads
 
         def poisoned(*args):
@@ -423,48 +439,69 @@ class TestFitPairs:
         before = {cid: snapshot(cid) for cid in clouds}
         monkeypatch.setattr(otsolve_mod, "solver_loss_and_grads", poisoned)
         with pytest.raises(NumericError, match=r"non-finite gradient \(cloud c0, step 2\)"):
-            fit_pairs(sigma, clouds, pairs, states, cfg, Rng(61), 1)
+            fit_pairs(sigma, clouds, pairs, states, cfg, 1)
         assert {cid: snapshot(cid) for cid in clouds} == before
 
 
 class TestFitPairsOnWorkers:
     @staticmethod
-    def _run(monkeypatch, n_clouds=5, **solver):
+    def _run(monkeypatch, n_clouds=5, batch_seed=None, **solver):
         """Two fit_pairs calls; the outputs, and the solver steps run in this
-        process."""
+        process. With batch_seed, pair i draws its batches from seed
+        batch_seed + i."""
         here = []
         step = otsolve_mod.solver_step
         monkeypatch.setattr(otsolve_mod, "solver_step",
                             lambda *args: here.append(1) or step(*args))
         sigma, cfg, clouds, pairs = TestFitPairs._setup(n_clouds)
+        if batch_seed is not None:
+            for i, pair in enumerate(pairs.values()):
+                pair.meta["seed"] = batch_seed + i
         cfg = dataclasses.replace(cfg, **solver)
-        states, rng = {}, Rng(60)
-        losses = [fit_pairs(sigma, clouds, pairs, states, cfg, rng, k) for k in (2, 3)]
+        states = {}
+        losses = [fit_pairs(sigma, clouds, pairs, states, cfg, k) for k in (2, 3)]
         monkeypatch.setattr(otsolve_mod, "solver_step", step)
         nets = {cid: (p.meta, p.psi.theta.tobytes(), p.phi.theta.tobytes(),
                       states[cid].m.tobytes(), states[cid].v.tobytes(), states[cid].step)
                 for cid, p in pairs.items()}
         return (losses, nets), len(here)
 
-    @pytest.mark.parametrize("batch_bytes", [otsolve_mod.BATCH_BYTES, 1])
+    @pytest.mark.parametrize("batch_seed", [1 << 24, 1])
     @pytest.mark.parametrize("cpus", [1, 2, 3])
-    def test_equals_the_serial_fit_bitwise(self, monkeypatch, cpus, batch_bytes):
-        # BATCH_BYTES 1 draws and sends the batches one step at a time
+    def test_equals_the_serial_fit_bitwise(self, monkeypatch, cpus, batch_seed):
         monkeypatch.setattr(nncore, "_usable_cpus", lambda: 1)
-        want, _ = self._run(monkeypatch)
+        want, _ = self._run(monkeypatch, batch_seed=batch_seed)
         start_workers(monkeypatch, cpus)
-        monkeypatch.setattr(otsolve_mod, "BATCH_BYTES", batch_bytes)
-        got, here = self._run(monkeypatch)
+        got, here = self._run(monkeypatch, batch_seed=batch_seed)
         assert got == want
         # the caller ran its own chunk, the first and largest of `cpus`
         # chunks of the 5 clouds, for all 5 steps, and nothing else
         assert here == 5 * -(-5 // cpus)
 
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_clouds_fitted_together_equal_each_fitted_alone(self, monkeypatch, cpus):
+        # losses, both networks, Adam's m, v and step, and meta of each pair
+        def fit(ids):
+            sigma, cfg, clouds, pairs = TestFitPairs._setup(3)
+            states = {}
+            losses = fit_pairs(sigma, {cid: clouds[cid] for cid in ids}, pairs, states, cfg, 4)
+            return {cid: (losses[j::len(ids)], pairs[cid].meta,
+                          pairs[cid].psi.theta.tobytes(), pairs[cid].phi.theta.tobytes(),
+                          states[cid].m.tobytes(), states[cid].v.tobytes(), states[cid].step)
+                    for j, cid in enumerate(ids)}
+
+        start_workers(monkeypatch, cpus)
+        alone = {cid: fit([cid])[cid] for cid in ("c0", "c1", "c2")}
+        recv, replies = otsolve_mod._recv_chunk, []
+        monkeypatch.setattr(otsolve_mod, "_recv_chunk", lambda *a: replies.append(1) or recv(*a))
+        assert fit(["c0", "c1", "c2"]) == alone
+        assert len(replies) == cpus - 1  # each worker ran its chunk's 4 steps
+
     def test_late_worker_is_waited_for(self, monkeypatch):
         def run():
             sigma, cfg, clouds, pairs = TestFitPairs._setup(5)
             states = {}
-            losses = fit_pairs(sigma, clouds, pairs, states, cfg, Rng(60), 4)
+            losses = fit_pairs(sigma, clouds, pairs, states, cfg, 4)
             return losses, [(p.psi.theta.tobytes(), p.phi.theta.tobytes(), p.meta,
                              states[c].m.tobytes(), states[c].step) for c, p in pairs.items()]
 
@@ -514,7 +551,7 @@ class TestFitPairsOnWorkers:
             exit_inner_task, "lotnn.otsolve", "_run_chunk", "_fit_remote"))
         sigma, cfg, clouds, pairs = TestFitPairs._setup(5)
         with pytest.raises(RuntimeError, match="a worker process ended before its task did"):
-            fit_pairs(sigma, clouds, pairs, {}, cfg, Rng(60), 2)
+            fit_pairs(sigma, clouds, pairs, {}, cfg, 2)
         assert nncore._WORKERS.broken and not nncore._WORKERS.workers
         # no worker is started again: the next calls run serially
         got, here = self._run(monkeypatch)
@@ -526,7 +563,7 @@ class TestFitPairsOnWorkers:
             for cid in bad:
                 pairs[cid].psi.theta[0] = np.nan
             with pytest.raises(NumericError) as e:
-                fit_pairs(sigma, clouds, pairs, {}, cfg, Rng(60), 3)
+                fit_pairs(sigma, clouds, pairs, {}, cfg, 3)
             return str(e.value)
 
         monkeypatch.setattr(nncore, "_usable_cpus", lambda: 1)
@@ -644,7 +681,7 @@ class TestOneCloudOnTwoProcesses:
             drawn.clear()
             states = {}
             with pytest.raises(NumericError) as e:
-                fit_pairs(sigma, clouds, pairs, states, cfg, Rng(60), 3)
+                fit_pairs(sigma, clouds, pairs, states, cfg, 3)
             s = states["c0"]
             return str(e.value), (pairs["c0"].meta["iterations"], s.step,
                                   pairs["c0"].psi.theta.tobytes(), s.m.tobytes())
