@@ -23,12 +23,19 @@ Training embeds first and classifies after, as LOT does (Wang et al.
 2013): one `otsolve.fit_pairs` call fits every map for the schedule's
 solver steps, each on batches drawn from its own pair's seed, and W is
 then updated by the binary cross-entropy gradient on those final,
-frozen maps.
+frozen maps. Each classifier epoch's logits and gradient are sums over
+the eval sample's rows, taken as half 1, rows [0, h), plus half 2, rows
+[h, n), with h = ceil(n/2). With a second usable CPU a worker process
+runs half 2 on its own copy of W and of W's Adam state; both processes
+add the halves in that order and take the same Adam step, so W is
+bitwise the same at every CPU count.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
+from multiprocessing.connection import Connection
 from typing import ClassVar
 
 import numpy as np
@@ -50,8 +57,12 @@ from .nncore import (
     mlp_backward,
     mlp_forward,
     mlp_init,
+    mlp_shapes,
     on_cpus,
+    recv_arrays,
+    send_arrays,
     sorted_mean,
+    worker_processes,
 )
 from .otsolve import DualPair, SolverConfig, fit_pairs, pair_for_cloud
 # unused here; benchmarks/test_bench.py asserts the traced run wraps classify.solver_step
@@ -226,6 +237,105 @@ def predict_resampled(model: ClassifierModel, pair: DualPair,
     return float(np.mean(on_cpus(lambda j: _score(model, pair, samples[j]), k)))
 
 
+@dataclass
+class _Half:
+    """One fixed half of the eval sample in the classifier epochs: its
+    rows X and the train maps' rows G there, (N, len(X), d), C-ordered
+    here as in the worker that may run it."""
+
+    X: Array
+    G: Array
+    cache: list[Array] | None = None
+
+    def pooled(self, params: MlpParams) -> Array:
+        """sum_k <W(x_k), G_i(x_k)> over the half's rows, one per train
+        cloud i; keeps W's forward cache for grads."""
+        W, self.cache = mlp_forward(params, self.X)
+        return np.einsum("nd,ind->i", W, self.G)
+
+    def grads(self, params: MlpParams, resid: Array, n: int) -> Array:
+        """The half's share of the loss gradient in W's parameters, given
+        the loss's gradient in the logits of an n-row sample."""
+        upstream = np.einsum("i,ind->nd", resid, self.G) / n
+        return mlp_backward(params, self.cache, upstream)[0]
+
+
+class _Peer:
+    """The pipe to the process that runs the other half of each epoch."""
+
+    def __init__(self, conn: Connection, first: bool):
+        self.conn = conn
+        self.first = first  # this process runs half 1
+
+    def swap(self, mine: Array) -> tuple[Array, Array]:
+        """Half 1's and half 2's array: mine and the other process's, of
+        the same shape. Half 1's process sends first and half 2's
+        receives first, so neither waits on a full pipe."""
+        theirs = np.empty_like(mine)
+        if self.first:
+            send_arrays(self.conn, mine)
+            recv_arrays(self.conn, theirs)
+            return mine, theirs
+        recv_arrays(self.conn, theirs)
+        send_arrays(self.conn, mine)
+        return theirs, mine
+
+
+def _clf_loss_and_grads(params: MlpParams, labels: Array, n: int, mine: _Half,
+                        other: _Half | _Peer) -> tuple[float, Array]:
+    """BCE loss of the train clouds' pooled logits on an n-row eval
+    sample, and its gradient in W's parameters.
+
+    The logits are (P1 + P2)/n and the gradient g1 + g2, each P and g one
+    half's (_Half). mine is this process's half: half 1, except in a
+    worker. other is half 2 run here too, or the _Peer that runs the
+    other half. A non-finite loss raises NumericError before either
+    half's gradient, in both processes alike.
+    """
+    P = mine.pooled(params)
+    P1, P2 = other.swap(P) if isinstance(other, _Peer) else (P, other.pooled(params))
+    loss, resid = bce((P1 + P2) / n, labels)
+    if not np.isfinite(loss):
+        raise NumericError("non-finite classifier loss")
+    g = mine.grads(params, resid, n)
+    g1, g2 = other.swap(g) if isinstance(other, _Peer) else (g, other.grads(params, resid, n))
+    g1 += g2
+    return loss, g1
+
+
+def _clf_epoch(params: MlpParams, state: OptimState, labels: Array, n: int,
+               mine: _Half, other: _Half | _Peer) -> float:
+    """One Adam step of W on _clf_loss_and_grads; returns the loss."""
+    loss, grads = _clf_loss_and_grads(params, labels, n, mine, other)
+    params.theta -= adam_step(grads, state)
+    return loss
+
+
+def _send_clf(conn: Connection, params: MlpParams, widths: tuple[int, ...], lr: float,
+              labels: Array, n: int, half: _Half, epochs: int) -> None:
+    """Hand half 2 of `epochs` classifier epochs to a worker process
+    (_clf_remote): W's parameters, half 2's rows and the labels go once,
+    as raw buffers."""
+    conn.send((_clf_remote, (widths, lr, n, half.G.shape, epochs)))
+    send_arrays(conn, params.theta, half.X, half.G, labels)
+
+
+def _clf_remote(conn: Connection, widths: tuple[int, ...], lr: float, n: int,
+                shape: tuple[int, int, int], epochs: int) -> None:
+    """A worker process's side of _send_clf: half 2 of every epoch, on
+    its own copy of W and a fresh Adam state, as the caller's. It stops
+    where the caller's epochs raise NumericError, with nothing to send."""
+    params = MlpParams.empty(mlp_shapes(widths))
+    half = _Half(np.empty(shape[1:]), np.empty(shape))
+    labels = np.empty(shape[0])
+    recv_arrays(conn, params.theta, half.X, half.G, labels)
+    state = OptimState(lr=lr)
+    peer = _Peer(conn, first=False)
+    with contextlib.suppress(NumericError):
+        for _ in range(epochs):
+            _clf_epoch(params, state, labels, n, half, peer)
+
+
 def train_alternating(
     train: LabeledDataset,
     val: LabeledDataset,
@@ -240,6 +350,19 @@ def train_alternating(
     One fit_pairs call gives every train and validation cloud the
     schedule's solver steps (map fitting never sees W or the labels); W
     is then trained by the BCE step on the training clouds' final maps.
+    Each classifier epoch is half 1 plus half 2 of the eval sample, rows
+    [0, h) and [h, n) with h = ceil(n/2): the logits are (P1 + P2)/n, P
+    a half's pooled sums, and the gradient g1 + g2, added in that order
+    before one Adam step (_clf_loss_and_grads). With one usable CPU, or
+    no worker started up yet, both halves run here. Otherwise a worker
+    process gets half 2's rows, the labels and W once, keeps its own
+    copy of W and of W's Adam state, and each epoch swaps only its P and
+    its gradient with the caller's; both take the same step, so W is
+    bitwise the same at every CPU count. The caller waits for the worker
+    every epoch; validation runs here, on the caller's W. A non-finite
+    classifier loss raises NumericError naming the phase once both
+    processes have stopped, so the worker stays in use.
+
     Validation clouds get pairs too, so validation accuracy is always
     measurable; their maps on the evaluation sample are computed once,
     after the fit. History has one row per schedule phase: its epoch, the
@@ -291,31 +414,43 @@ def train_alternating(
                           sum(steps for steps, _, _ in phases))
     G_tr = maps_on([pairs[i] for i in train_ids], X_eval)
     G_val = maps_on([pairs[i] for i in val_ids], X_eval)
+    n = X_eval.shape[0]
+    h = -(-n // 2)
+    half1, half2 = (_Half(X_eval[rows], np.ascontiguousarray(G_tr[:, rows]))
+                    for rows in (slice(0, h), slice(h, n)))
 
     history: list[dict] = []
     done = 0                                # solver steps of the phases so far
-    for phase, (steps, clf_epochs, epoch) in enumerate(phases):
-        clf_loss = float("nan")
-        for _ in range(clf_epochs):
-            Wvals, cache = mlp_forward(wn.params, X_eval)
-            logits = np.einsum("nd,ind->i", Wvals, G_tr) / X_eval.shape[0]
-            clf_loss, resid = bce(logits, labels_tr)
-            if not np.isfinite(clf_loss):
-                raise NumericError(f"non-finite classifier loss (phase {phase})")
-            upstream = np.einsum("i,ind->nd", resid, G_tr) / X_eval.shape[0]
-            grads, _ = mlp_backward(wn.params, cache, upstream)
-            wn.params.theta -= adam_step(grads, wn_state)
-        preds = _probs(model, X_eval, G_val)
-        history.append({
-            "phase": phase,
-            "epoch": epoch,
-            # fit_pairs' losses are step-major: len(clouds) per step
-            "ot_loss_mean": float(np.mean(
-                ot_losses[done * len(clouds):(done + steps) * len(clouds)])),
-            "clf_loss": clf_loss,
-            "val_accuracy": evaluate(preds, labels_val, clf_cfg.threshold).accuracy,
-        })
-        done += steps
+    failure = None
+    with worker_processes(2) as pool:
+        other: _Half | _Peer = half2
+        if pool:
+            _send_clf(pool[0], wn.params, (dim, *clf_cfg.hidden, dim), clf_cfg.lr,
+                      labels_tr, n, half2, sum(c for _, c, _ in phases))
+            other = _Peer(pool[0], first=True)
+        for phase, (steps, clf_epochs, epoch) in enumerate(phases):
+            clf_loss = float("nan")
+            try:
+                for _ in range(clf_epochs):
+                    clf_loss = _clf_epoch(wn.params, wn_state, labels_tr, n, half1, other)
+            except NumericError as e:
+                # raised once out of the pool, which would end the worker
+                failure = NumericError(f"{e} (phase {phase})")
+                failure.__cause__ = e
+                break
+            preds = _probs(model, X_eval, G_val)
+            history.append({
+                "phase": phase,
+                "epoch": epoch,
+                # fit_pairs' losses are step-major: len(clouds) per step
+                "ot_loss_mean": float(np.mean(
+                    ot_losses[done * len(clouds):(done + steps) * len(clouds)])),
+                "clf_loss": clf_loss,
+                "val_accuracy": evaluate(preds, labels_val, clf_cfg.threshold).accuracy,
+            })
+            done += steps
+    if failure:
+        raise failure
 
     emb = EmbeddingSet.build(
         reference, train_ids + val_ids, pairs,

@@ -22,10 +22,14 @@ worker per usable CPU with the caller included, and none for one item
 - worker_processes, persistent worker processes for solver steps
   (256-row steps hold the GIL for most of their time), whose caller
   waits for every reply; `train` and `eval` fit their maps on them
-  (otsolve.fit_pairs), a lone cloud's on two processes.
+  (otsolve.fit_pairs), a lone cloud's on two processes, and `train`
+  runs half 2 of each classifier epoch on one
+  (classify.train_alternating).
 Each item runs whole on one thread or process, so no result depends on
-the CPU count. The pin reaches only the OpenBLAS that numpy's wheel
-bundles; a numpy built on another BLAS keeps that BLAS's own setting.
+the CPU count; a lone cloud's step and a classifier epoch are split
+into two fixed halves at every CPU count. The pin reaches only the
+OpenBLAS that numpy's wheel bundles; a numpy built on another BLAS
+keeps that BLAS's own setting.
 All arrays are float64; 32-bit cannot hold the gradient-check tolerances.
 """
 
@@ -279,13 +283,16 @@ def worker_processes(n: int) -> Iterator[list[Connection]]:
     to one thread too. Only workers that have finished starting up
     (0.75-1 s, mostly imports) are handed out, so the calls until then
     get fewer or none; so does a second thread while another holds them.
-    The body sends each worker a task (see _serve) and waits for its
-    whole reply: a pickled header, then the send_arrays messages the
-    header implies. A worker on a busy CPU holds the caller up for as
-    long as it is late. If the body raises, its workers are ended, since
-    their pipes may hold half a message; one that died mid-task raises
-    RuntimeError. Workers run untraced: benchmarks/tracing.py sees only
-    the caller's share.
+    The body sends each worker a task (see _serve) and reads all it
+    sends back: for fit_pairs a pickled header, then the send_arrays
+    messages the header implies; for train_alternating's classifier
+    epochs, the arrays each epoch swaps. A worker on a busy CPU holds
+    the caller up for as long as it is late, and a hung worker hangs
+    it: fit_pairs waits on every chunk and on each step's half of a
+    lone cloud, train_alternating on every classifier epoch. If the
+    body raises, its workers are ended, since their pipes may hold half
+    a message; one that died mid-task raises RuntimeError. Workers run
+    untraced: benchmarks/tracing.py sees only the caller's share.
     """
     if not _WORKERS.lock.acquire(blocking=False):
         yield []

@@ -1,15 +1,23 @@
+import contextlib
+import dataclasses
+import functools
+
 import numpy as np
 import pytest
 from scipy.special import expit
 
+import lotnn.classify as classify_mod
+import lotnn.otsolve as otsolve_mod
 from lotnn import nncore
-from lotnn.errors import DataError, ShapeError
+from lotnn.errors import DataError, NumericError, ShapeError
 from lotnn.classify import (
     ClassifierConfig,
     ClassifierModel,
     Metrics,
     TrainSchedule,
     WeightNet,
+    _clf_loss_and_grads,
+    _Half,
     _pooled,
     evaluate,
     predict_resampled,
@@ -18,13 +26,13 @@ from lotnn.classify import (
 )
 from lotnn.data import LabeledDataset, PointCloud, SyntheticSpec, gen_synthetic
 from lotnn.icnn import project_nonneg
-from lotnn.nncore import (MlpParams, Rng, finite_diff_grad, mlp_backward, mlp_forward,
+from lotnn.nncore import (MlpParams, Rng, bce, finite_diff_grad, mlp_backward, mlp_forward,
                           mlp_init)
 from lotnn.lot import ReferenceMeasure
 from lotnn.otsolve import (Frame, SolverConfig, fit_pairs, init_dual_pair, pair_for_cloud,
                            train_map)
-from conftest import (blocks, load_tracing, quad_pair, relerr, start_workers,
-                      unit_reference)
+from conftest import (blocks, exit_inner_task, load_tracing, quad_pair, relerr,
+                      start_workers, unit_reference)
 
 
 def zero_weightnet(dim, bias=None):
@@ -192,6 +200,32 @@ class TestBceGradientThroughPooling:
                                     resid * G / sample.shape[0])
             # perturbs wn.params.theta in place; the model sees it
             fd = finite_diff_grad(lambda _: bce_of(model), wn.params.theta, 1e-5)
+            for (key, g), (_, f) in zip(blocks(wn.params, grads),
+                                        blocks(wn.params, fd)):
+                assert relerr(g, f) < 1e-4, key
+
+    def test_two_uneven_halves_match_finite_differences(self, rng):
+        # train_alternating's epochs: the loss and gradient of every
+        # cloud's logit, as half 1 (7 rows) plus half 2 (6 rows)
+        n, h = 13, 7
+        for trial in range(4):
+            dim = int(rng.integers(1, 4))
+            wn = random_weightnet(dim, rng.spawn(trial))
+            X = rng.normal((n, dim))
+            G = np.stack([quad_pair(dim, q_psi=float(rng.uniform((), 0.3, 1.5)),
+                                    psi_tilt=rng.normal(dim)).map_forward(X)
+                          for _ in range(3)])
+            y = np.array([0.0, 1.0, 1.0])
+
+            def loss_of(_):
+                return bce(np.einsum("nd,ind->i", mlp_forward(wn.params, X)[0], G) / n, y)[0]
+
+            halves = [_Half(X[rows], np.ascontiguousarray(G[:, rows]))
+                      for rows in (slice(0, h), slice(h, n))]
+            loss, grads = _clf_loss_and_grads(wn.params, y, n, *halves)
+            assert loss == pytest.approx(loss_of(None), rel=1e-12)
+            # perturbs wn.params.theta in place; loss_of sees it
+            fd = finite_diff_grad(loss_of, wn.params.theta, 1e-5)
             for (key, g), (_, f) in zip(blocks(wn.params, grads),
                                         blocks(wn.params, fd)):
                 assert relerr(g, f) < 1e-4, key
@@ -447,3 +481,90 @@ class TestTrainAlternating:
             p1 = score(m1, emb1.pairs[cid], emb1.eval_sample)
             p2 = score(m2, emb2.pairs[cid], emb2.eval_sample)
             assert (p1 > 0.5) == (p2 <= 0.5)
+
+
+class TestClassifierOnTwoProcesses:
+    """train_alternating runs half 2 of each classifier epoch on a worker."""
+
+    # an odd eval sample: halves of 65 and 64 rows
+    CLF = dataclasses.replace(QUICK_CLF, eval_n=129)
+
+    def _run(self, clf=CLF):
+        train, val = two_class_sets(Rng(5))
+        emb, model, history = train_alternating(train, val, TestTrainAlternating.PHASES,
+                                                QUICK_SOLVER, clf, seed=7)
+        return (model.weightnet.params.theta.tobytes(), repr(history),
+                [(cid, p.meta, p.psi.theta.tobytes(), p.phi.theta.tobytes())
+                 for cid, p in emb.pairs.items()])
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_is_bitwise_the_same_at_every_cpu_count(self, monkeypatch, cpus):
+        # W, the history and the pairs
+        monkeypatch.setattr(nncore, "_usable_cpus", lambda: 1)
+        want = self._run()
+        start_workers(monkeypatch, cpus)
+        assert self._run() == want
+
+    def test_the_worker_takes_half_2(self, monkeypatch):
+        monkeypatch.setattr(nncore, "_usable_cpus", lambda: 1)
+        want = self._run()
+        start_workers(monkeypatch, 2)
+        sent = []
+
+        class Spy:
+            def __init__(self, conn):
+                self.conn = conn
+
+            def send(self, obj):
+                sent.append(obj)
+                self.conn.send(obj)
+
+            def __getattr__(self, name):
+                return getattr(self.conn, name)
+
+        real = classify_mod.worker_processes
+
+        @contextlib.contextmanager
+        def spied(n):
+            with real(n) as pool:
+                yield [Spy(conn) for conn in pool]
+
+        monkeypatch.setattr(classify_mod, "worker_processes", spied)
+        assert self._run() == want
+        # one task for the whole call: half 2's 64 of the 129 rows of the
+        # 12 train clouds' maps, for the schedule's 2 + 2 + 0 epochs
+        train, _ = two_class_sets(Rng(5))
+        d = train.dim
+        assert sent == [(classify_mod._clf_remote,
+                         ((d, *self.CLF.hidden, d), self.CLF.lr, 129, (12, 64, d), 4))]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_nonfinite_loss_names_the_phase_and_leaves_no_reply_unread(
+            self, monkeypatch, cpus):
+        start_workers(monkeypatch, cpus)
+        # steps of 1e307 overflow W, and so the logits of epoch 2, in phase 0
+        clf = dataclasses.replace(self.CLF, lr=1e307)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                NumericError, match=r"^non-finite classifier loss \(phase 0\)$"):
+            self._run(clf)
+        assert not nncore._WORKERS.broken
+        # the next fit_pairs call still gets its worker, and its reply
+        recv, replies = otsolve_mod._recv_chunk, []
+        monkeypatch.setattr(otsolve_mod, "_recv_chunk",
+                            lambda *a: replies.append(1) or recv(*a))
+        sigma = unit_reference(2, seed=1)
+        clouds = {f"c{i}": sigma.sample(40, seed=10 + i) + i for i in range(2)}
+        pairs = {cid: pair_for_cloud(sigma, points, QUICK_SOLVER, Rng(i))
+                 for i, (cid, points) in enumerate(clouds.items())}
+        fit_pairs(sigma, clouds, pairs, {}, QUICK_SOLVER, 2)
+        assert len(replies) == cpus - 1
+
+    def test_a_worker_that_dies_mid_classifier_raises(self, monkeypatch):
+        monkeypatch.setattr(nncore._WORKERS, "broken", False)  # restored after the test
+        start_workers(monkeypatch, 2)
+        # the worker reads half 2, then its process ends
+        monkeypatch.setattr(classify_mod, "_clf_remote", functools.partial(
+            exit_inner_task, "lotnn.classify", "_clf_epoch", "_clf_remote"))
+        with pytest.raises(RuntimeError, match="a worker process ended before its task did"):
+            self._run()
+        assert nncore._WORKERS.broken and not nncore._WORKERS.workers
