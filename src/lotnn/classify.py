@@ -25,10 +25,11 @@ solver steps, each on batches drawn from its own pair's seed, and W is
 then updated by the binary cross-entropy gradient on those final,
 frozen maps. Each classifier epoch's logits and gradient are sums over
 the eval sample's rows, taken as half 1, rows [0, h), plus half 2, rows
-[h, n), with h = ceil(n/2). With a second usable CPU a worker process
-runs half 2 on its own copy of W and of W's Adam state; both processes
-add the halves in that order and take the same Adam step, so W is
-bitwise the same at every CPU count.
+[h, n), with h = ceil(n/2). With a second usable CPU, as for a lone
+cloud's solver steps, a worker process runs half 2 of every epoch on its
+own copy of W and of W's Adam state and swaps its sums with the
+caller's through an nncore.Peer; both add the halves in that order and
+take the same Adam step, so W is bitwise the same at every CPU count.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from .nncore import (
     Array,
     MlpParams,
     OptimState,
+    Peer,
     Rng,
     adam_step,
     as_f64,
@@ -260,51 +262,30 @@ class _Half:
         return mlp_backward(params, self.cache, upstream)[0]
 
 
-class _Peer:
-    """The pipe to the process that runs the other half of each epoch."""
-
-    def __init__(self, conn: Connection, first: bool):
-        self.conn = conn
-        self.first = first  # this process runs half 1
-
-    def swap(self, mine: Array) -> tuple[Array, Array]:
-        """Half 1's and half 2's array: mine and the other process's, of
-        the same shape. Half 1's process sends first and half 2's
-        receives first, so neither waits on a full pipe."""
-        theirs = np.empty_like(mine)
-        if self.first:
-            send_arrays(self.conn, mine)
-            recv_arrays(self.conn, theirs)
-            return mine, theirs
-        recv_arrays(self.conn, theirs)
-        send_arrays(self.conn, mine)
-        return theirs, mine
-
-
 def _clf_loss_and_grads(params: MlpParams, labels: Array, n: int, mine: _Half,
-                        other: _Half | _Peer) -> tuple[float, Array]:
+                        other: _Half | Peer) -> tuple[float, Array]:
     """BCE loss of the train clouds' pooled logits on an n-row eval
     sample, and its gradient in W's parameters.
 
     The logits are (P1 + P2)/n and the gradient g1 + g2, each P and g one
     half's (_Half). mine is this process's half: half 1, except in a
-    worker. other is half 2 run here too, or the _Peer that runs the
+    worker. other is half 2 run here too, or the Peer that runs the
     other half. A non-finite loss raises NumericError before either
     half's gradient, in both processes alike.
     """
     P = mine.pooled(params)
-    P1, P2 = other.swap(P) if isinstance(other, _Peer) else (P, other.pooled(params))
+    P1, P2 = other.swap(P) if isinstance(other, Peer) else (P, other.pooled(params))
     loss, resid = bce((P1 + P2) / n, labels)
     if not np.isfinite(loss):
         raise NumericError("non-finite classifier loss")
     g = mine.grads(params, resid, n)
-    g1, g2 = other.swap(g) if isinstance(other, _Peer) else (g, other.grads(params, resid, n))
+    g1, g2 = other.swap(g) if isinstance(other, Peer) else (g, other.grads(params, resid, n))
     g1 += g2
     return loss, g1
 
 
 def _clf_epoch(params: MlpParams, state: OptimState, labels: Array, n: int,
-               mine: _Half, other: _Half | _Peer) -> float:
+               mine: _Half, other: _Half | Peer) -> float:
     """One Adam step of W on _clf_loss_and_grads; returns the loss."""
     loss, grads = _clf_loss_and_grads(params, labels, n, mine, other)
     params.theta -= adam_step(grads, state)
@@ -330,7 +311,7 @@ def _clf_remote(conn: Connection, widths: tuple[int, ...], lr: float, n: int,
     labels = np.empty(shape[0])
     recv_arrays(conn, params.theta, half.X, half.G, labels)
     state = OptimState(lr=lr)
-    peer = _Peer(conn, first=False)
+    peer = Peer(conn, first=False)
     with contextlib.suppress(NumericError):
         for _ in range(epochs):
             _clf_epoch(params, state, labels, n, half, peer)
@@ -350,16 +331,14 @@ def train_alternating(
     One fit_pairs call gives every train and validation cloud the
     schedule's solver steps (map fitting never sees W or the labels); W
     is then trained by the BCE step on the training clouds' final maps.
-    Each classifier epoch is half 1 plus half 2 of the eval sample, rows
-    [0, h) and [h, n) with h = ceil(n/2): the logits are (P1 + P2)/n, P
-    a half's pooled sums, and the gradient g1 + g2, added in that order
-    before one Adam step (_clf_loss_and_grads). With one usable CPU, or
-    no worker started up yet, both halves run here. Otherwise a worker
-    process gets half 2's rows, the labels and W once, keeps its own
-    copy of W and of W's Adam state, and each epoch swaps only its P and
-    its gradient with the caller's; both take the same step, so W is
-    bitwise the same at every CPU count. The caller waits for the worker
-    every epoch; validation runs here, on the caller's W. A non-finite
+    Each classifier epoch is half 1 plus half 2 of the eval sample (the
+    module docstring): the logits are (P1 + P2)/n, P a half's pooled
+    sums, and the gradient g1 + g2 (_clf_loss_and_grads). With one
+    usable CPU, or no worker started up yet, both halves run here.
+    Otherwise a worker process gets half 2's rows, the labels and W
+    once, and each epoch swaps only its P and its gradient with the
+    caller's. The caller waits for the worker every epoch; validation
+    runs here, on the caller's W. A non-finite
     classifier loss raises NumericError naming the phase once both
     processes have stopped, so the worker stays in use.
 
@@ -423,11 +402,11 @@ def train_alternating(
     done = 0                                # solver steps of the phases so far
     failure = None
     with worker_processes(2) as pool:
-        other: _Half | _Peer = half2
+        other: _Half | Peer = half2
         if pool:
             _send_clf(pool[0], wn.params, (dim, *clf_cfg.hidden, dim), clf_cfg.lr,
                       labels_tr, n, half2, sum(c for _, c, _ in phases))
-            other = _Peer(pool[0], first=True)
+            other = Peer(pool[0], first=True)
         for phase, (steps, clf_epochs, epoch) in enumerate(phases):
             clf_loss = float("nan")
             try:

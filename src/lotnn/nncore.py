@@ -21,9 +21,12 @@ worker per usable CPU with the caller included, and none for one item
   validation and bagging on it;
 - worker_processes, persistent worker processes for solver steps
   (256-row steps hold the GIL for most of their time), whose caller
-  waits for every reply; `train` and `eval` fit their maps on them
-  (otsolve.fit_pairs), a lone cloud's on two processes, and `train`
-  runs half 2 of each classifier epoch on one
+  waits for every worker. A worker runs either a chunk of the items,
+  and replies once the block of steps is done, or a half: it and the
+  caller run the same loop on their own copies, each one fixed half of
+  every step, and swap their halves through a Peer each step. `train`
+  and `eval` fit their maps in chunks (otsolve.fit_pairs), a lone
+  cloud's in halves, and `train` runs its classifier epochs in halves
   (classify.train_alternating).
 Each item runs whole on one thread or process, so no result depends on
 the CPU count; a lone cloud's step and a classifier epoch are split
@@ -284,14 +287,15 @@ def worker_processes(n: int) -> Iterator[list[Connection]]:
     (0.75-1 s, mostly imports) are handed out, so the calls until then
     get fewer or none; so does a second thread while another holds them.
     The body sends each worker a task (see _serve) and reads all it
-    sends back: for fit_pairs a pickled header, then the send_arrays
-    messages the header implies; for train_alternating's classifier
-    epochs, the arrays each epoch swaps. A worker on a busy CPU holds
-    the caller up for as long as it is late, and a hung worker hangs
-    it: fit_pairs waits on every chunk and on each step's half of a
-    lone cloud, train_alternating on every classifier epoch. If the
-    body raises, its workers are ended, since their pipes may hold half
-    a message; one that died mid-task raises RuntimeError. Workers run
+    sends back. A task is a chunk or a half (module docstring): a
+    chunk's worker replies once, a pickled header and then the
+    send_arrays messages it implies; a half's worker swaps with the
+    caller through a Peer every step and replies nothing. A worker on a
+    busy CPU holds the caller up for as long as it is late, and a hung
+    worker hangs it: fit_pairs waits on every chunk and every step of a
+    lone cloud, train_alternating on every classifier epoch. If the body
+    raises, its workers are ended, since their pipes may hold half a
+    message; one that died mid-task raises RuntimeError. Workers run
     untraced: benchmarks/tracing.py sees only the caller's share.
     """
     if not _WORKERS.lock.acquire(blocking=False):
@@ -322,6 +326,29 @@ def recv_arrays(conn: Connection, *arrays: Array) -> None:
     for a in arrays:
         if conn.recv_bytes_into(memoryview(a).cast("B")) != a.nbytes:
             raise ShapeError(f"message does not fill an array of {a.nbytes} bytes")
+
+
+class Peer:
+    """One end of the pipe between two processes that each run one fixed
+    half of the same steps on their own copies (a half task, see the
+    module docstring)."""
+
+    def __init__(self, conn: Connection, first: bool):
+        self.conn = conn
+        self.first = first  # this process runs half 1
+
+    def swap(self, mine: Array) -> tuple[Array, Array]:
+        """Half 1's and half 2's array: mine and the other process's, of
+        the same shape. Half 1's process sends first and half 2's
+        receives first, so neither waits on a full pipe."""
+        theirs = np.empty_like(mine)
+        if self.first:
+            send_arrays(self.conn, mine)
+            recv_arrays(self.conn, theirs)
+            return mine, theirs
+        recv_arrays(self.conn, theirs)
+        send_arrays(self.conn, mine)
+        return theirs, mine
 
 
 def check_finite(name: str, *arrays: Array) -> None:

@@ -55,6 +55,7 @@ from .icnn import (
 from .nncore import (
     Array,
     OptimState,
+    Peer,
     Rng,
     adam_step,
     as_f64,
@@ -227,10 +228,8 @@ def estimate_w2_dual(pair: DualPair, sigma_batch: Array, mu_batch: Array) -> flo
 LossGrads = tuple[float, Array, Array]
 
 
-def solver_loss_and_grads(
-    pair: DualPair, Xs: Array, Ys: Array, lambda_cyc: float,
-    half: Connection | None = None,
-) -> LossGrads:
+def solver_loss_and_grads(pair: DualPair, Xs: Array, Ys: Array, lambda_cyc: float,
+                          peer: Peer | None = None) -> LossGrads:
     """Loss and exact gradients of the cycle-regularized dual objective.
 
     Xs/Ys are batches already in the pair's standardized coordinates.
@@ -249,27 +248,45 @@ def solver_loss_and_grads(
     Each half weights its rows by the whole batch's 1/n, 1/m and
     2 lambda/n (_half_loss_and_grads), and half 2 is added to half 1.
     The halves are the same wherever they run, so the result is bitwise
-    the same at every CPU count. With half, a worker process's pipe,
-    half 2 is sent there before half 1 runs here, and its reply is
-    waited for, also when half 1 raised; half 1's error then wins over
-    the worker's.
+    the same at every CPU count. With peer, this process computes its
+    own half (half 1 if peer.first) and the process at the peer's end
+    the other (_swap_halves); both return the same sum.
     """
     n, m = Xs.shape[0], Ys.shape[0]
     h, k = -(-n // 2), -(-m // 2)
-    second = (pair, Xs[h:], Ys[k:], lambda_cyc, n, m)
-    if half is not None:
-        _send_half(half, *second)
+    halves = [(Xs[:h], Ys[:k]), (Xs[h:], Ys[k:])]
+    if peer is None:
+        one, two = (_half_loss_and_grads(pair, X, Y, lambda_cyc, n, m) for X, Y in halves)
+    else:
+        one, two = _swap_halves(peer, pair, *halves[0 if peer.first else 1], lambda_cyc, n, m)
+    loss, g_psi, g_phi = one
+    g_psi += two[1]
+    g_phi += two[2]
+    return loss + two[0], g_psi, g_phi
+
+
+def _swap_halves(peer: Peer, pair: DualPair, Xs: Array, Ys: Array, lambda_cyc: float,
+                 n: int, m: int) -> tuple[LossGrads, LossGrads]:
+    """Half 1's and half 2's loss and gradients, of which this process
+    computes its own (_half_loss_and_grads) and swaps the vector
+    [failed, loss, g_psi, g_phi] with the peer. If either half raised
+    NumericError, both send their error (or None) and both raise half
+    1's, else half 2's: the error the serial sum meets first, at the
+    same step in both processes, with nothing left unread."""
+    size = pair.psi.theta.size
+    vec = np.zeros(2 + size + pair.phi.theta.size)
+    error = None
     try:
-        loss, g_psi, g_phi = _half_loss_and_grads(pair, Xs[:h], Ys[:k], lambda_cyc, n, m)
-    finally:
-        # also when half 1 raised, so no reply stays unread
-        got = _recv_half(half, pair) if half is not None else None
-    if isinstance(got, Exception):
-        raise got
-    loss2, g_psi2, g_phi2 = _half_loss_and_grads(*second) if half is None else got
-    g_psi += g_psi2
-    g_phi += g_phi2
-    return loss + loss2, g_psi, g_phi
+        vec[1], vec[2:2 + size], vec[2 + size:] = _half_loss_and_grads(
+            pair, Xs, Ys, lambda_cyc, n, m)
+    except NumericError as e:
+        error, vec[0] = e, 1.0
+    halves = peer.swap(vec)
+    if halves[0][0] or halves[1][0]:
+        peer.conn.send(error)  # a few bytes each way: no order needed
+        errors = (error, peer.conn.recv()) if peer.first else (peer.conn.recv(), error)
+        raise errors[0] or errors[1]
+    return tuple((float(v[1]), v[2:2 + size], v[2 + size:]) for v in halves)
 
 
 def _half_loss_and_grads(pair: DualPair, Xs: Array, Ys: Array, lambda_cyc: float,
@@ -352,19 +369,19 @@ def pair_for_cloud(sigma: "ReferenceMeasure", points: Array,
 
 
 def solver_step(pair: DualPair, X: Array, Y: Array, lambda_cyc: float,
-                state: OptimState, half: Connection | None = None) -> float:
+                state: OptimState, peer: Peer | None = None) -> float:
     """One joint Adam update of both potentials in place, then projection.
 
     X and Y are original-coordinates batches; standardization happens
     here using the pair's frame. Adam sees psi's and phi's parameter
     vectors as one, psi first; a non-finite gradient raises before
-    either network changes. With half, a worker process's pipe, the
-    batch's second half runs there; see solver_loss_and_grads. Returns
-    the loss.
+    either network changes. With peer, the process at its end computes
+    the other half of the batch; see solver_loss_and_grads. Returns the
+    loss.
     """
     Xs = pair._sigma_side(X)
     Ys = pair._mu_side(Y)
-    loss, g_psi, g_phi = solver_loss_and_grads(pair, Xs, Ys, lambda_cyc, half)
+    loss, g_psi, g_phi = solver_loss_and_grads(pair, Xs, Ys, lambda_cyc, peer)
     step = adam_step(np.concatenate([g_psi, g_phi]), state)
     pair.psi.theta -= step[:g_psi.size]
     pair.phi.theta -= step[g_psi.size:]
@@ -382,10 +399,10 @@ def fit_pairs(sigma: "ReferenceMeasure", clouds: dict[str, Array],
     its meta["seed"] and t alone (_batch), so a fit depends neither on
     the other clouds of the call nor on how calls split the steps. A
     missing Adam state is created from cfg, and missing Adam
-    accumulators as the zeros adam_step starts from. Each step updates
-    the pair's networks and Adam state in place and adds one to the
-    pair's meta["iterations"]. Returns the losses, step-major, each
-    step's in the clouds' dict order.
+    accumulators as the zeros adam_step starts from (_run_chunk).
+    Each step updates the pair's networks and Adam state in place and
+    adds one to the pair's meta["iterations"]. Returns the losses,
+    step-major, each step's in the clouds' dict order.
 
     The clouds are shared out, in contiguous chunks, over the caller and
     the worker processes of nncore.worker_processes, one per further
@@ -394,45 +411,43 @@ def fit_pairs(sigma: "ReferenceMeasure", clouds: dict[str, Array],
     asked for again before each, so one that is still starting up when a
     long call begins joins it later; then the remaining steps run in one
     block. A worker gets its pairs' parameters, Adam state and
-    iterations as raw buffers and sends them back into the same arrays,
-    so every output is bitwise the serial one at any CPU count. The
-    caller keeps the largest chunk and, once it is done, waits for each
-    worker's reply in turn. Of the failures, the one the serial loop
-    would meet first (lowest step, then cloud order) is raised; clouds
-    of other chunks may have gone further than the serial loop would
-    have taken them.
+    iterations as raw buffers (_send_chunk) and sends them back into the
+    same arrays, so every output is bitwise the serial one at any CPU
+    count. The caller keeps the largest chunk and, once it is done,
+    waits for each worker's reply in turn. Of the failures, the one the
+    serial loop would meet first (lowest step, then cloud order) is
+    raised; clouds of other chunks may have gone further than the serial
+    loop would have taken them.
 
     One cloud (train_map) counts as two items: every step's loss and
     gradients are the sum of two fixed halves of its batch, at every CPU
-    count (solver_loss_and_grads). With a worker, each step sends it the
-    pair's parameters and half 2's rows (_send_half), computes half 1
-    meanwhile and adds the worker's half 2, the bits it would have
-    computed itself.
+    count (solver_loss_and_grads). With a worker, both processes run the
+    block on their own copies of the pair and its Adam state, each
+    drawing every batch and computing its half, and swap their halves
+    through a Peer each step; the worker sends no reply.
     """
     if steps < 1 or not clouds:
         return []
-    for cid in clouds:
-        state = states.setdefault(cid, OptimState(lr=cfg.lr))
-        if state.m is None:
-            n = pairs[cid].psi.theta.size + pairs[cid].phi.theta.size
-            state.m, state.v = np.zeros(n), np.zeros(n)
-    work = [(cid, pairs[cid], states[cid], as_f64(points)) for cid, points in clouds.items()]
+    work = [(cid, pairs[cid], states.setdefault(cid, OptimState(lr=cfg.lr)), as_f64(points))
+            for cid, points in clouds.items()]
     losses = np.empty((len(work), steps))
     failures: list[tuple[int, int, Exception]] = []
     start = 0
     while start < steps and not failures:
         # asked for again each block, so workers still starting up join a later one
         with worker_processes(2 if len(work) == 1 else len(work)) as pool:
-            # the half's worker stays in the pool, which ends it if this raises
-            half = pool[0] if len(work) == 1 and pool else None
-            conns = [] if half else pool
             block = steps - start if pool else 1
             out = losses[:, start:start + block]
+            # a lone cloud's worker runs half 2 of each step, half 1 runs here
+            peer = Peer(pool[0], first=True) if len(work) == 1 and pool else None
+            if peer:
+                _send_chunk(peer.conn, work, sigma, cfg, block, half=True)
+            conns = [] if peer else pool
             # the caller's chunk first, and the largest
             cut = [-(-k * len(work) // (len(conns) + 1)) for k in range(len(conns) + 2)]
             for conn, lo, hi in zip(conns, cut[1:], cut[2:]):
                 _send_chunk(conn, work[lo:hi], sigma, cfg, block)
-            if failure := _run_chunk(work[:cut[1]], sigma, cfg, out, half):
+            if failure := _run_chunk(work[:cut[1]], sigma, cfg, out, peer):
                 failures.append(failure)
             for conn, lo, hi in zip(conns, cut[1:], cut[2:]):
                 if failure := _recv_chunk(conn, work[lo:hi], out[lo:hi]):
@@ -453,22 +468,26 @@ def _batch(sigma: "ReferenceMeasure", seed: int, step: int, points: Array,
 
 
 def _run_chunk(work: list, sigma: "ReferenceMeasure", cfg: SolverConfig, losses: Array,
-               half: Connection | None = None) -> tuple[int, int, Exception] | None:
+               peer: Peer | None = None) -> tuple[int, int, Exception] | None:
     """fit_pairs's steps for one chunk of (cid, pair, state, points).
 
     Runs losses.shape[1] steps and writes losses[j, s] for cloud j of the
     chunk. Stops at the first failure and returns it as (step, cloud,
     error), both counted from 0 in this chunk and block of steps. With
-    half, a worker process's pipe, each step's second half of the batch
-    runs there (solver_step).
+    peer, the process at its end runs the other half of each step of
+    this one-cloud chunk (solver_step).
     """
+    for _, pair, state, _ in work:
+        if state.m is None:  # adam_step's zeros, also where the first step fails
+            n = pair.psi.theta.size + pair.phi.theta.size
+            state.m, state.v = np.zeros(n), np.zeros(n)
     for s in range(losses.shape[1]):
         for j, (cid, pair, state, points) in enumerate(work):
             step = pair.meta.get("iterations", 0)
             X, Y = _batch(sigma, pair.meta["seed"], step, points, cfg.batch_size)
             args = (pair, X, Y, cfg.lambda_cyc, state)
             try:
-                loss = solver_step(*args, half) if half else solver_step(*args)
+                loss = solver_step(*args, peer) if peer else solver_step(*args)
             except NumericError as e:
                 err = NumericError(f"{e} (cloud {cid}, step {step})")
                 err.__cause__ = e
@@ -481,30 +500,39 @@ def _run_chunk(work: list, sigma: "ReferenceMeasure", cfg: SolverConfig, losses:
 
 
 def _send_chunk(conn: Connection, work: list, sigma: "ReferenceMeasure",
-                cfg: SolverConfig, steps: int) -> None:
+                cfg: SolverConfig, steps: int, half: bool = False) -> None:
     """Hand `steps` steps of one chunk of fit_pairs to a worker process
-    (_fit_remote)."""
+    (_fit_remote), or with half, half 2 of each step of a lone cloud.
+    Adam accumulators go only where the state has them."""
     specs = [(cid, p.psi_cfg, p.phi_cfg, p.frame, points.shape, s.lr, s.step,
-              p.meta["seed"], p.meta.get("iterations", 0)) for cid, p, s, points in work]
-    conn.send((_fit_remote, (sigma, cfg, specs, steps)))
+              p.meta["seed"], p.meta.get("iterations", 0), s.m is not None)
+             for cid, p, s, points in work]
+    conn.send((_fit_remote, (sigma, cfg, specs, steps, half)))
     for _, p, s, points in work:
-        send_arrays(conn, np.ascontiguousarray(points), p.psi.theta, p.phi.theta, s.m, s.v)
+        send_arrays(conn, np.ascontiguousarray(points), p.psi.theta, p.phi.theta,
+                    *([] if s.m is None else [s.m, s.v]))
 
 
 def _fit_remote(conn: Connection, sigma: "ReferenceMeasure", cfg: SolverConfig,
-                specs: list, steps: int) -> None:
-    """A worker process's side of _send_chunk and _recv_chunk."""
+                specs: list, steps: int, half: bool) -> None:
+    """A worker process's side of _send_chunk and _recv_chunk; with half,
+    it swaps each step's half with the caller and sends no reply."""
     work = []
-    for cid, psi_cfg, phi_cfg, frame, shape, lr, step, seed, iters in specs:
+    for cid, psi_cfg, phi_cfg, frame, shape, lr, step, seed, iters, moments in specs:
         pair = DualPair(IcnnParams.empty(icnn_shapes(psi_cfg)), psi_cfg,
                         IcnnParams.empty(icnn_shapes(phi_cfg)), phi_cfg,
                         frame, meta={"iterations": iters, "seed": seed})
-        n = pair.psi.theta.size + pair.phi.theta.size
-        state = OptimState(lr=lr, step=step, m=np.empty(n), v=np.empty(n))
+        state = OptimState(lr=lr, step=step)
         work.append((cid, pair, state, np.empty(shape)))
-        recv_arrays(conn, work[-1][3], pair.psi.theta, pair.phi.theta, state.m, state.v)
+        recv_arrays(conn, work[-1][3], pair.psi.theta, pair.phi.theta)
+        if moments:  # else _run_chunk starts them at zeros
+            n = pair.psi.theta.size + pair.phi.theta.size
+            state.m, state.v = np.empty(n), np.empty(n)
+            recv_arrays(conn, state.m, state.v)
     losses = np.empty((len(work), steps))
-    failure = _run_chunk(work, sigma, cfg, losses)
+    failure = _run_chunk(work, sigma, cfg, losses, Peer(conn, first=False) if half else None)
+    if half:
+        return
     arrays = [losses]
     for _, p, s, _ in work:
         arrays += [p.psi.theta, p.phi.theta, s.m, s.v]
@@ -520,49 +548,13 @@ def _recv_chunk(conn: Connection, work: list,
     recv_arrays(conn, got)
     losses[...] = got
     for (_, p, s, _), (step, iterations) in zip(work, done):
+        if s.m is None:  # none sent: the worker started them (_run_chunk)
+            n = p.psi.theta.size + p.phi.theta.size
+            s.m, s.v = np.empty(n), np.empty(n)
         recv_arrays(conn, p.psi.theta, p.phi.theta, s.m, s.v)
         s.step = step
         p.meta["iterations"] = iterations
     return failure
-
-
-def _send_half(conn: Connection, pair: DualPair, Xs: Array, Ys: Array,
-               lambda_cyc: float, n: int, m: int) -> None:
-    """Hand one step's second half of the batch, _half_loss_and_grads's
-    arguments, to a worker process (_half_remote): the pair's networks
-    and the half's rows go as raw buffers."""
-    conn.send((_half_remote, (pair.psi_cfg, pair.phi_cfg, Xs.shape[0], Ys.shape[0],
-                              lambda_cyc, n, m)))
-    send_arrays(conn, pair.psi.theta, pair.phi.theta, Xs, Ys)
-
-
-def _recv_half(conn: Connection, pair: DualPair) -> LossGrads | NumericError:
-    """A worker's reply to _send_half: its loss and gradients in fresh
-    arrays, or the NumericError it raised, returned rather than raised
-    so that it cannot mask an error of the caller's half."""
-    loss, failure = conn.recv()
-    if failure is not None:
-        return failure
-    g_psi, g_phi = np.empty_like(pair.psi.theta), np.empty_like(pair.phi.theta)
-    recv_arrays(conn, g_psi, g_phi)
-    return loss, g_psi, g_phi
-
-
-def _half_remote(conn: Connection, psi_cfg: IcnnConfig, phi_cfg: IcnnConfig,
-                 n_x: int, n_y: int, lambda_cyc: float, n: int, m: int) -> None:
-    """A worker process's side of _send_half and _recv_half."""
-    psi = IcnnParams.empty(icnn_shapes(psi_cfg))
-    phi = IcnnParams.empty(icnn_shapes(phi_cfg))
-    Xs, Ys = np.empty((n_x, psi_cfg.dim)), np.empty((n_y, phi_cfg.dim))
-    recv_arrays(conn, psi.theta, phi.theta, Xs, Ys)
-    pair = DualPair(psi, psi_cfg, phi, phi_cfg, Frame.identity(psi_cfg.dim))
-    try:
-        loss, g_psi, g_phi = _half_loss_and_grads(pair, Xs, Ys, lambda_cyc, n, m)
-    except NumericError as e:
-        conn.send((None, e))
-        return
-    conn.send((loss, None))
-    send_arrays(conn, g_psi, g_phi)
 
 
 def train_map(sigma: "ReferenceMeasure", mu, cfg: SolverConfig) -> DualPair:

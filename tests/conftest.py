@@ -1,5 +1,6 @@
 """Shared helpers: hand-wired potentials with known gradient maps."""
 
+import functools
 import importlib
 import importlib.util
 import os
@@ -138,35 +139,59 @@ def start_workers(monkeypatch, cpus: int) -> None:
         time.sleep(0.01)
 
 
-def late_inner_task(delay, module, inner, name, conn, *args):
-    """module.name(conn, *args) with each call of module.inner `delay` seconds late.
+def wrapped_inner_task(wrap, module, inner, name, conn, *args):
+    """module.name(conn, *args) with module.inner replaced by wrap(module.inner).
 
-    functools.partial(late_inner_task, delay, module, inner, name) is a
+    functools.partial(wrapped_inner_task, wrap, module, inner, name) is a
     worker process task; workers are spawned with this process's
-    sys.path, so they import this module to run it. The task goes by
-    name, as a function that a test has replaced in its module no longer
-    pickles. It reads what the caller sends it first, so the caller is
-    not held up sending a message larger than the pipe's buffer; only
-    the work, and so the reply, comes late.
+    sys.path, so they import this module to run it, and wrap must pickle
+    too: a function of this module or a partial of one. The task goes
+    by name, as a function that a test has replaced in its module no
+    longer pickles.
     """
     mod = importlib.import_module(module)
     run = getattr(mod, inner)
-
-    def late(*a, **k):
-        time.sleep(delay)
-        return run(*a, **k)
-
-    setattr(mod, inner, late)
+    setattr(mod, inner, wrap(run))
     try:
         getattr(mod, name)(conn, *args)
     finally:
         setattr(mod, inner, run)
 
 
+def late_inner_task(delay, module, inner, name, conn, *args):
+    """wrapped_inner_task with each call of module.inner `delay` seconds late.
+
+    The task reads what the caller sends it first, so the caller is not
+    held up sending a message larger than the pipe's buffer; only the
+    work, and so the reply, comes late.
+    """
+    wrapped_inner_task(functools.partial(_late, delay), module, inner, name, conn, *args)
+
+
+def _late(delay, run):
+    def late(*a, **k):
+        time.sleep(delay)
+        return run(*a, **k)
+    return late
+
+
 def exit_inner_task(module, inner, name, conn, *args):
-    """module.name(conn, *args), whose process ends at the first call of
-    module.inner: after it has read what the caller sent, before it replies.
-    A worker process task, like late_inner_task."""
-    mod = importlib.import_module(module)
-    setattr(mod, inner, lambda *a, **k: os._exit(1))
-    getattr(mod, name)(conn, *args)
+    """wrapped_inner_task whose process ends at the first call of
+    module.inner: after it has read what the caller sent, before it replies."""
+    wrapped_inner_task(_exit, module, inner, name, conn, *args)
+
+
+def _exit(run):
+    return lambda *a, **k: os._exit(1)
+
+
+def nan_batch(step, rows, run):
+    """otsolve._batch `run` with NaN in `rows` of step `step`'s reference
+    batch. A process that draws its own batches (a worker running half
+    of a lone cloud's steps) gets it through wrapped_inner_task."""
+    def draw(sigma, seed, t, points, batch_size):
+        X, Y = run(sigma, seed, t, points, batch_size)
+        if t == step:
+            X[list(rows), 0] = np.nan
+        return X, Y
+    return draw

@@ -11,7 +11,6 @@ from lotnn import nncore
 from lotnn import otsolve as otsolve_mod
 from lotnn.errors import NumericError, ShapeError
 from lotnn.icnn import icnn_forward, icnn_input_grad, init_icnn, project_nonneg
-from lotnn.lot import ReferenceMeasure
 from lotnn.nncore import Rng, finite_diff_grad
 from lotnn.otsolve import (
     DualPair,
@@ -29,8 +28,9 @@ from lotnn.otsolve import (
     solver_loss_and_grads,
     train_map,
 )
-from conftest import (blocks, exit_inner_task, late_inner_task, quad_pair, relerr,
-                      shift_pair, start_workers, unit_reference)
+from conftest import (blocks, exit_inner_task, late_inner_task, nan_batch, quad_pair,
+                      relerr, shift_pair, start_workers, unit_reference,
+                      wrapped_inner_task)
 
 
 class TestDualObjective:
@@ -573,6 +573,24 @@ class TestFitPairsOnWorkers:
         assert [failure(bad) for bad in (["c3"], ["c1", "c3"])] == want
         assert not nncore._WORKERS.broken
 
+    @pytest.mark.parametrize("n_clouds", [4, 1])
+    def test_a_fresh_chunk_sends_no_moments(self, monkeypatch, n_clouds):
+        # Adam's m and v go to a worker only once a step has made them
+        start_workers(monkeypatch, 2)
+        sent, send = [], otsolve_mod.send_arrays
+        monkeypatch.setattr(otsolve_mod, "send_arrays",
+                            lambda conn, *a: sent.append(len(a)) or send(conn, *a))
+        sigma, cfg, clouds, pairs = TestFitPairs._setup(n_clouds)
+        states = {}
+        fit_pairs(sigma, clouds, pairs, states, cfg, 2)
+        # the worker's 2 of 4 clouds, or the lone cloud for its halves:
+        # points, psi and phi of each
+        worker_clouds = 2 if n_clouds == 4 else 1
+        assert sent == [3] * worker_clouds
+        sent.clear()
+        fit_pairs(sigma, clouds, pairs, states, cfg, 2)
+        assert sent == [5] * worker_clouds
+
     @pytest.mark.parametrize("n_clouds", [3, 1])
     def test_starts_no_worker(self, monkeypatch, n_clouds):
         monkeypatch.setattr(nncore, "_usable_cpus", lambda: 1)
@@ -582,15 +600,26 @@ class TestFitPairsOnWorkers:
 
 
 class TestOneCloudOnTwoProcesses:
-    """A one-cloud fit runs each step's second half of the batch on a worker."""
+    """A one-cloud fit runs half 2 of each step on a worker, which runs
+    the same steps on its own copy and swaps its half with the caller's
+    through an nncore.Peer."""
 
     @staticmethod
-    def _replies(monkeypatch):
-        """Worker replies of gradients the caller reads, as a growing list."""
-        read, recv = [], otsolve_mod.recv_arrays
-        monkeypatch.setattr(otsolve_mod, "recv_arrays",
-                            lambda *a: read.append(1) or recv(*a))
-        return read
+    def _swaps(monkeypatch):
+        """The caller's swaps with the worker, as a growing list."""
+        swaps, swap = [], nncore.Peer.swap
+        monkeypatch.setattr(nncore.Peer, "swap",
+                            lambda self, mine: swaps.append(1) or swap(self, mine))
+        return swaps
+
+    @staticmethod
+    def _raised_in(error):
+        """The function whose frame raised error: where a half failed, or
+        _swap_halves for an error received from the other process."""
+        tb = error.__traceback__
+        while tb.tb_next:
+            tb = tb.tb_next
+        return tb.tb_frame.f_code.co_name
 
     @pytest.mark.parametrize("batch_size", [16, 2, 7])
     @pytest.mark.parametrize("cpus", [2, 3])
@@ -599,11 +628,11 @@ class TestOneCloudOnTwoProcesses:
         monkeypatch.setattr(nncore, "_usable_cpus", lambda: 1)
         want, _ = TestFitPairsOnWorkers._run(monkeypatch, 1, batch_size=batch_size)
         start_workers(monkeypatch, cpus)
-        read = self._replies(monkeypatch)
+        swaps = self._swaps(monkeypatch)
         got, here = TestFitPairsOnWorkers._run(monkeypatch, 1, batch_size=batch_size)
         assert got == want
-        # every step ran here, and its second half on the one worker
-        assert here == len(read) == 5
+        # every step ran here, and swapped its half with the one worker
+        assert here == len(swaps) == 5
 
     @pytest.mark.parametrize("cpus", [2, 3])
     def test_train_map_equals_the_serial_fit_bitwise(self, monkeypatch, cpus):
@@ -618,24 +647,24 @@ class TestOneCloudOnTwoProcesses:
         monkeypatch.setattr(nncore, "_usable_cpus", lambda: 1)
         want = fit()
         start_workers(monkeypatch, cpus)
-        read = self._replies(monkeypatch)
-        assert fit() == want and len(read) == cfg.iters
+        swaps = self._swaps(monkeypatch)
+        assert fit() == want and len(swaps) == cfg.iters
         assert want[0]["iterations"] == cfg.iters
 
     def test_late_worker_half_is_waited_for_every_step(self, monkeypatch):
         monkeypatch.setattr(nncore, "_usable_cpus", lambda: 1)
         want, _ = TestFitPairsOnWorkers._run(monkeypatch, 1)
         start_workers(monkeypatch, 2)
-        read = self._replies(monkeypatch)
-        # the worker reads each step's half 2, then starts it 50 ms late:
-        # every step still takes its second half from the worker
-        monkeypatch.setattr(otsolve_mod, "_half_remote", functools.partial(
-            late_inner_task, 0.05, "lotnn.otsolve", "_half_loss_and_grads", "_half_remote"))
+        swaps = self._swaps(monkeypatch)
+        # the worker computes each step's half 2 50 ms late: every step
+        # still takes its second half from the worker
+        monkeypatch.setattr(otsolve_mod, "_fit_remote", functools.partial(
+            late_inner_task, 0.05, "lotnn.otsolve", "_half_loss_and_grads", "_fit_remote"))
         assert TestFitPairsOnWorkers._run(monkeypatch, 1)[0] == want
-        assert len(read) == 5 and not nncore._WORKERS.broken
+        assert len(swaps) == 5 and not nncore._WORKERS.broken
 
     def test_an_error_mid_step_ends_the_worker(self, monkeypatch):
-        # its pipe may hold a reply no one will read, so the pool ends it
+        # it waits on a swap no one will make, so the pool ends it
         monkeypatch.setattr(nncore._WORKERS, "broken", False)  # restored after the test
         start_workers(monkeypatch, 2)
         half, calls = otsolve_mod._half_loss_and_grads, []
@@ -653,51 +682,61 @@ class TestOneCloudOnTwoProcesses:
 
     def test_worker_side_failure_raises_the_serial_error(self, monkeypatch):
         # a NaN in the last row of step 1's reference batch: only half 2 of
-        # that batch raises, on the worker. Step 0's half 2 came back as
-        # gradients, step 1's as the error
-        assert self._step_1_failure(monkeypatch, row=-1) == 1
+        # that batch raises, on the worker, which sends its error here
+        error = self._step_1_failure(monkeypatch, rows=[-1])
+        assert self._raised_in(error.__cause__) == "_swap_halves"
 
     def test_caller_side_failure_still_reads_the_worker_reply(self, monkeypatch):
         # in the first row only half 1 raises, here; step 1's half 2 still
-        # comes back as gradients, and is read before the error is raised
-        assert self._step_1_failure(monkeypatch, row=0) == 2
+        # comes back from the worker, and then this error goes to it
+        error = self._step_1_failure(monkeypatch, rows=[0])
+        assert self._raised_in(error.__cause__) == "check_finite"
 
-    @staticmethod
-    def _step_1_failure(monkeypatch, row):
-        """The serial error of a NaN in `row` of step 1's reference batch,
-        checked at 2 CPUs; the worker replies of gradients read there."""
-        sample = ReferenceMeasure.sample
-        drawn = []
+    def test_both_halves_failing_raise_half_1s_error(self, monkeypatch):
+        # both send their errors, and both processes raise half 1's
+        error = self._step_1_failure(monkeypatch, rows=[0, -1])
+        assert self._raised_in(error.__cause__) == "check_finite"
 
-        def poisoned(self, n, seed=None):
-            X = sample(self, n, seed=seed)
-            drawn.append(1)
-            if len(drawn) == 2:
-                X[row, 0] = np.nan
-            return X
+    @classmethod
+    def _step_1_failure(cls, monkeypatch, rows):
+        """The serial error of NaNs in `rows` of step 1's reference batch,
+        checked at 2 CPUs, where the worker draws its own batches through
+        the same patch; then a clean fit_pairs call, which must still get
+        the worker and the serial bits. Returns the error raised there,
+        having swapped both steps' halves first."""
+        errors = []
 
         def failure():
             sigma, cfg, clouds, pairs = TestFitPairs._setup(1)
-            drawn.clear()
             states = {}
             with pytest.raises(NumericError) as e:
                 fit_pairs(sigma, clouds, pairs, states, cfg, 3)
+            errors.append(e.value)
             s = states["c0"]
             return str(e.value), (pairs["c0"].meta["iterations"], s.step,
                                   pairs["c0"].psi.theta.tobytes(), s.m.tobytes())
 
-        monkeypatch.setattr(ReferenceMeasure, "sample", poisoned)
         monkeypatch.setattr(nncore, "_usable_cpus", lambda: 1)
+        clean, _ = TestFitPairsOnWorkers._run(monkeypatch, 1)
+        draw, remote = otsolve_mod._batch, otsolve_mod._fit_remote
+        poisoned = functools.partial(nan_batch, 1, rows)
+        monkeypatch.setattr(otsolve_mod, "_batch", poisoned(draw))
         want = failure()
         assert want[0] == "non-finite values in icnn_input_grad output (cloud c0, step 1)"
         assert want[1][:2] == (1, 1)
         start_workers(monkeypatch, 2)
-        read = TestOneCloudOnTwoProcesses._replies(monkeypatch)
-        assert failure() == want
+        monkeypatch.setattr(otsolve_mod, "_fit_remote", functools.partial(
+            wrapped_inner_task, poisoned, "lotnn.otsolve", "_batch", "_fit_remote"))
+        swaps = cls._swaps(monkeypatch)
+        assert failure() == want and len(swaps) == 2
         assert not nncore._WORKERS.broken
-        with nncore.worker_processes(2) as conns:
-            assert len(conns) == 1  # its pipe holds nothing unread
-        return len(read)
+        monkeypatch.setattr(otsolve_mod, "_batch", draw)
+        monkeypatch.setattr(otsolve_mod, "_fit_remote", remote)
+        swaps.clear()
+        # the worker stopped at the same step and its pipe holds nothing unread
+        assert TestFitPairsOnWorkers._run(monkeypatch, 1)[0] == clean
+        assert len(swaps) == 5
+        return errors[-1]
 
 
 def brute_force_cost(X, Y):
