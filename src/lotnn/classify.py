@@ -26,10 +26,12 @@ then updated by the binary cross-entropy gradient on those final,
 frozen maps. Each classifier epoch's logits and gradient are sums over
 the eval sample's rows, taken as half 1, rows [0, h), plus half 2, rows
 [h, n), with h = ceil(n/2). With a second usable CPU, as for a lone
-cloud's solver steps, a worker process runs half 2 of every epoch on its
-own copy of W and of W's Adam state and swaps its sums with the
-caller's through an nncore.Peer; both add the halves in that order and
-take the same Adam step, so W is bitwise the same at every CPU count.
+cloud's solver steps, a worker process runs half 2 of every epoch. It is
+posted W, half 2 and the labels once, as objects (nncore.post), and runs
+on its own copy of W and of W's Adam state, swapping its sums with the
+caller's through an nncore.Peer each epoch; both add the halves in that
+order and take the same Adam step, so W is bitwise the same at every
+CPU count.
 """
 
 from __future__ import annotations
@@ -59,10 +61,8 @@ from .nncore import (
     mlp_backward,
     mlp_forward,
     mlp_init,
-    mlp_shapes,
     on_cpus,
-    recv_arrays,
-    send_arrays,
+    post,
     sorted_mean,
     worker_processes,
 )
@@ -292,24 +292,12 @@ def _clf_epoch(params: MlpParams, state: OptimState, labels: Array, n: int,
     return loss
 
 
-def _send_clf(conn: Connection, params: MlpParams, widths: tuple[int, ...], lr: float,
-              labels: Array, n: int, half: _Half, epochs: int) -> None:
-    """Hand half 2 of `epochs` classifier epochs to a worker process
-    (_clf_remote): W's parameters, half 2's rows and the labels go once,
-    as raw buffers."""
-    conn.send((_clf_remote, (widths, lr, n, half.G.shape, epochs)))
-    send_arrays(conn, params.theta, half.X, half.G, labels)
-
-
-def _clf_remote(conn: Connection, widths: tuple[int, ...], lr: float, n: int,
-                shape: tuple[int, int, int], epochs: int) -> None:
-    """A worker process's side of _send_clf: half 2 of every epoch, on
-    its own copy of W and a fresh Adam state, as the caller's. It stops
-    where the caller's epochs raise NumericError, with nothing to send."""
-    params = MlpParams.empty(mlp_shapes(widths))
-    half = _Half(np.empty(shape[1:]), np.empty(shape))
-    labels = np.empty(shape[0])
-    recv_arrays(conn, params.theta, half.X, half.G, labels)
+def _clf_remote(conn: Connection, params: MlpParams, lr: float, n: int, half: _Half,
+                labels: Array, epochs: int) -> None:
+    """A worker process's task for half 2 of every classifier epoch of
+    train_alternating, on its own copy of W and a fresh Adam state, as
+    the caller's. It stops where the caller's epochs raise NumericError,
+    with nothing to send."""
     state = OptimState(lr=lr)
     peer = Peer(conn, first=False)
     with contextlib.suppress(NumericError):
@@ -335,10 +323,10 @@ def train_alternating(
     module docstring): the logits are (P1 + P2)/n, P a half's pooled
     sums, and the gradient g1 + g2 (_clf_loss_and_grads). With one
     usable CPU, or no worker started up yet, both halves run here.
-    Otherwise a worker process gets half 2's rows, the labels and W
-    once, and each epoch swaps only its P and its gradient with the
-    caller's. The caller waits for the worker every epoch; validation
-    runs here, on the caller's W. A non-finite
+    Otherwise a worker process is posted W, half 2 and the labels
+    once (_clf_remote), and each epoch swaps only its P and its
+    gradient with the caller's. The caller waits for the worker every
+    epoch; validation runs here, on the caller's W. A non-finite
     classifier loss raises NumericError naming the phase once both
     processes have stopped, so the worker stays in use.
 
@@ -404,8 +392,8 @@ def train_alternating(
     with worker_processes(2) as pool:
         other: _Half | Peer = half2
         if pool:
-            _send_clf(pool[0], wn.params, (dim, *clf_cfg.hidden, dim), clf_cfg.lr,
-                      labels_tr, n, half2, sum(c for _, c, _ in phases))
+            post(pool[0], (_clf_remote, (wn.params, clf_cfg.lr, n, half2, labels_tr,
+                                         sum(c for _, c, _ in phases))))
             other = Peer(pool[0], first=True)
         for phase, (steps, clf_epochs, epoch) in enumerate(phases):
             clf_loss = float("nan")

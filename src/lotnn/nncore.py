@@ -28,6 +28,9 @@ worker per usable CPU with the caller included, and none for one item
   and `eval` fit their maps in chunks (otsolve.fit_pairs), a lone
   cloud's in halves, and `train` runs its classifier epochs in halves
   (classify.train_alternating).
+Tasks, replies and errors travel as the objects themselves (post and
+take), so no other module knows the message format; only a Peer's
+swap, on the per-step path, sends a bare array with no pickle.
 Each item runs whole on one thread or process, so no result depends on
 the CPU count; a lone cloud's step and a classifier epoch are split
 into two fixed halves at every CPU count. The pin reaches only the
@@ -44,6 +47,7 @@ import functools
 import math
 import multiprocessing
 import os
+import pickle
 import platform
 import signal
 import threading
@@ -196,10 +200,13 @@ class _Worker:
         self.ready = False
 
     def poll(self) -> bool:
-        """True once the worker has sent word that it has started up."""
+        """True once the worker has sent word that it has started up.
+        Raises EOFError or OSError once it has died, also while idle."""
         if not self.ready and self.conn.poll():
             self.conn.recv()
             self.ready = True
+        if self.ready and not self.proc.is_alive():
+            raise EOFError("the worker process has ended")
         return self.ready
 
     def close(self, wait: float = 5.0) -> None:
@@ -211,7 +218,8 @@ class _Worker:
 
 
 def _serve(conn: Connection) -> None:
-    """A worker process: run each (task, args) sent as task(conn, *args).
+    """A worker process: run task(conn, *args) for each (task, args)
+    posted to it. A task gets its input as objects, all read before it runs.
 
     It leaves when the parent closes its end of the pipe or exits, also
     when the parent is killed: the parent's end is held by no one else.
@@ -223,7 +231,7 @@ def _serve(conn: Connection) -> None:
     try:
         conn.send(None)  # started up
         while True:
-            task, args = conn.recv()
+            task, args = take(conn)
             task(conn, *args)
     except (EOFError, BrokenPipeError, ConnectionResetError):
         pass
@@ -257,7 +265,7 @@ class _Workers:
             try:
                 if w.poll():
                     conns.append(w.conn)
-            except (EOFError, OSError):  # it died starting up
+            except (EOFError, OSError):  # it died, starting up or while idle
                 self.drop([w.conn])
         return conns
 
@@ -286,10 +294,9 @@ def worker_processes(n: int) -> Iterator[list[Connection]]:
     to one thread too. Only workers that have finished starting up
     (0.75-1 s, mostly imports) are handed out, so the calls until then
     get fewer or none; so does a second thread while another holds them.
-    The body sends each worker a task (see _serve) and reads all it
+    The body posts each worker a task (see _serve) and takes all it
     sends back. A task is a chunk or a half (module docstring): a
-    chunk's worker replies once, a pickled header and then the
-    send_arrays messages it implies; a half's worker swaps with the
+    chunk's worker posts one reply; a half's worker swaps with the
     caller through a Peer every step and replies nothing. A worker on a
     busy CPU holds the caller up for as long as it is late, and a hung
     worker hangs it: fit_pairs waits on every chunk and every step of a
@@ -326,6 +333,28 @@ def recv_arrays(conn: Connection, *arrays: Array) -> None:
     for a in arrays:
         if conn.recv_bytes_into(memoryview(a).cast("B")) != a.nbytes:
             raise ShapeError(f"message does not fill an array of {a.nbytes} bytes")
+
+
+def post(conn: Connection, obj) -> None:
+    """Send obj to take() at the pipe's other end: its protocol-5 pickle
+    and each out-of-band buffer's size and writeability in one message,
+    then each buffer (a contiguous numpy array's bytes) by send_arrays."""
+    buffers: list[pickle.PickleBuffer] = []
+    data = pickle.dumps(obj, protocol=5, buffer_callback=buffers.append)
+    raw = [b.raw() for b in buffers]
+    conn.send((data, [(m.nbytes, m.readonly) for m in raw]))
+    send_arrays(conn, *raw)
+
+
+def take(conn: Connection):
+    """The next object post() sent, each buffer received into a new
+    np.uint8 array by recv_arrays: every array comes back bitwise equal,
+    with its shape, dtype and writeability."""
+    data, sizes = conn.recv()
+    buffers = [np.empty(n, np.uint8) for n, _ in sizes]
+    recv_arrays(conn, *buffers)
+    return pickle.loads(data, buffers=[memoryview(b).toreadonly() if readonly else b
+                                       for b, (_, readonly) in zip(buffers, sizes)])
 
 
 class Peer:
@@ -542,11 +571,6 @@ class FlatParams:
         new = object.__new__(cls)
         new._bind(theta, shapes)
         return new
-
-    @classmethod
-    def empty(cls, shapes: tuple):
-        """The network with block shapes `shapes` over a new, unset vector."""
-        return cls.over(np.empty(sum(math.prod(s) for g in shapes for s in g)), shapes)
 
     def with_theta(self, theta: Array):
         """The same layout over another vector, sharing its memory."""

@@ -48,7 +48,6 @@ from .icnn import (
     icnn_forward,
     icnn_input_grad,
     icnn_inputgrad_vjp,
-    icnn_shapes,
     init_icnn,
     project_nonneg,
 )
@@ -60,8 +59,8 @@ from .nncore import (
     adam_step,
     as_f64,
     check_finite,
-    recv_arrays,
-    send_arrays,
+    post,
+    take,
     worker_processes,
 )
 
@@ -283,8 +282,8 @@ def _swap_halves(peer: Peer, pair: DualPair, Xs: Array, Ys: Array, lambda_cyc: f
         error, vec[0] = e, 1.0
     halves = peer.swap(vec)
     if halves[0][0] or halves[1][0]:
-        peer.conn.send(error)  # a few bytes each way: no order needed
-        errors = (error, peer.conn.recv()) if peer.first else (peer.conn.recv(), error)
+        post(peer.conn, error)  # a few bytes each way: no order needed
+        errors = (error, take(peer.conn)) if peer.first else (take(peer.conn), error)
         raise errors[0] or errors[1]
     return tuple((float(v[1]), v[2:2 + size], v[2 + size:]) for v in halves)
 
@@ -410,11 +409,11 @@ def fit_pairs(sigma: "ReferenceMeasure", clouds: dict[str, Array],
     worker is ready the steps run here one at a time, and workers are
     asked for again before each, so one that is still starting up when a
     long call begins joins it later; then the remaining steps run in one
-    block. A worker gets its pairs' parameters, Adam state and
-    iterations as raw buffers (_send_chunk) and sends them back into the
-    same arrays, so every output is bitwise the serial one at any CPU
-    count. The caller keeps the largest chunk and, once it is done,
-    waits for each worker's reply in turn. Of the failures, the one the
+    block. A worker is posted its chunk's own (cid, pair, state, points)
+    tuples (_fit_remote), and its reply is written back into the
+    caller's arrays (_recv_chunk), so every output is bitwise the serial
+    one at any CPU count. The caller keeps the largest chunk and, once
+    it is done, waits for each worker's reply in turn. Of the failures, the one the
     serial loop would meet first (lowest step, then cloud order) is
     raised; clouds of other chunks may have gone further than the serial
     loop would have taken them.
@@ -441,12 +440,12 @@ def fit_pairs(sigma: "ReferenceMeasure", clouds: dict[str, Array],
             # a lone cloud's worker runs half 2 of each step, half 1 runs here
             peer = Peer(pool[0], first=True) if len(work) == 1 and pool else None
             if peer:
-                _send_chunk(peer.conn, work, sigma, cfg, block, half=True)
+                post(peer.conn, (_fit_remote, (sigma, cfg, work, block, True)))
             conns = [] if peer else pool
             # the caller's chunk first, and the largest
             cut = [-(-k * len(work) // (len(conns) + 1)) for k in range(len(conns) + 2)]
             for conn, lo, hi in zip(conns, cut[1:], cut[2:]):
-                _send_chunk(conn, work[lo:hi], sigma, cfg, block)
+                post(conn, (_fit_remote, (sigma, cfg, work[lo:hi], block, False)))
             if failure := _run_chunk(work[:cut[1]], sigma, cfg, out, peer):
                 failures.append(failure)
             for conn, lo, hi in zip(conns, cut[1:], cut[2:]):
@@ -499,61 +498,32 @@ def _run_chunk(work: list, sigma: "ReferenceMeasure", cfg: SolverConfig, losses:
     return None
 
 
-def _send_chunk(conn: Connection, work: list, sigma: "ReferenceMeasure",
-                cfg: SolverConfig, steps: int, half: bool = False) -> None:
-    """Hand `steps` steps of one chunk of fit_pairs to a worker process
-    (_fit_remote), or with half, half 2 of each step of a lone cloud.
-    Adam accumulators go only where the state has them."""
-    specs = [(cid, p.psi_cfg, p.phi_cfg, p.frame, points.shape, s.lr, s.step,
-              p.meta["seed"], p.meta.get("iterations", 0), s.m is not None)
-             for cid, p, s, points in work]
-    conn.send((_fit_remote, (sigma, cfg, specs, steps, half)))
-    for _, p, s, points in work:
-        send_arrays(conn, np.ascontiguousarray(points), p.psi.theta, p.phi.theta,
-                    *([] if s.m is None else [s.m, s.v]))
-
-
 def _fit_remote(conn: Connection, sigma: "ReferenceMeasure", cfg: SolverConfig,
-                specs: list, steps: int, half: bool) -> None:
-    """A worker process's side of _send_chunk and _recv_chunk; with half,
-    it swaps each step's half with the caller and sends no reply."""
-    work = []
-    for cid, psi_cfg, phi_cfg, frame, shape, lr, step, seed, iters, moments in specs:
-        pair = DualPair(IcnnParams.empty(icnn_shapes(psi_cfg)), psi_cfg,
-                        IcnnParams.empty(icnn_shapes(phi_cfg)), phi_cfg,
-                        frame, meta={"iterations": iters, "seed": seed})
-        state = OptimState(lr=lr, step=step)
-        work.append((cid, pair, state, np.empty(shape)))
-        recv_arrays(conn, work[-1][3], pair.psi.theta, pair.phi.theta)
-        if moments:  # else _run_chunk starts them at zeros
-            n = pair.psi.theta.size + pair.phi.theta.size
-            state.m, state.v = np.empty(n), np.empty(n)
-            recv_arrays(conn, state.m, state.v)
+                work: list, steps: int, half: bool) -> None:
+    """A worker process's task: `steps` steps of one chunk of fit_pairs,
+    whose outputs it posts back (_recv_chunk), or with half, half 2 of
+    each step of a lone cloud, swapping halves and posting nothing."""
     losses = np.empty((len(work), steps))
     failure = _run_chunk(work, sigma, cfg, losses, Peer(conn, first=False) if half else None)
-    if half:
-        return
-    arrays = [losses]
-    for _, p, s, _ in work:
-        arrays += [p.psi.theta, p.phi.theta, s.m, s.v]
-    conn.send(([(s.step, p.meta["iterations"]) for _, p, s, _ in work], failure))
-    send_arrays(conn, *arrays)
+    if not half:
+        post(conn, (losses, [(p.psi.theta, p.phi.theta, p.meta["iterations"], s)
+                             for _, p, s, _ in work], failure))
 
 
 def _recv_chunk(conn: Connection, work: list,
                 losses: Array) -> tuple[int, int, Exception] | None:
-    """A worker's reply to _send_chunk, written into the chunk's own arrays."""
-    done, failure = conn.recv()
-    got = np.empty(losses.shape)
-    recv_arrays(conn, got)
+    """A worker's reply to _fit_remote, written into the chunk's own
+    arrays; a state that had no Adam accumulators takes the worker's."""
+    got, done, failure = take(conn)
     losses[...] = got
-    for (_, p, s, _), (step, iterations) in zip(work, done):
-        if s.m is None:  # none sent: the worker started them (_run_chunk)
-            n = p.psi.theta.size + p.phi.theta.size
-            s.m, s.v = np.empty(n), np.empty(n)
-        recv_arrays(conn, p.psi.theta, p.phi.theta, s.m, s.v)
-        s.step = step
+    for (_, p, s, _), (psi, phi, iterations, state) in zip(work, done):
+        p.psi.theta[...], p.phi.theta[...] = psi, phi
         p.meta["iterations"] = iterations
+        if s.m is None:  # the worker started them (_run_chunk)
+            s.m, s.v = state.m, state.v
+        else:
+            s.m[...], s.v[...] = state.m, state.v
+        s.step = state.step
     return failure
 
 

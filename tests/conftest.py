@@ -161,9 +161,8 @@ def wrapped_inner_task(wrap, module, inner, name, conn, *args):
 def late_inner_task(delay, module, inner, name, conn, *args):
     """wrapped_inner_task with each call of module.inner `delay` seconds late.
 
-    The task reads what the caller sends it first, so the caller is not
-    held up sending a message larger than the pipe's buffer; only the
-    work, and so the reply, comes late.
+    A task has read all the caller sent before it runs (nncore._serve),
+    so only the work, and so the reply, comes late.
     """
     wrapped_inner_task(functools.partial(_late, delay), module, inner, name, conn, *args)
 
@@ -177,7 +176,8 @@ def _late(delay, run):
 
 def exit_inner_task(module, inner, name, conn, *args):
     """wrapped_inner_task whose process ends at the first call of
-    module.inner: after it has read what the caller sent, before it replies."""
+    module.inner: after nncore._serve has read all the caller sent,
+    before the task replies."""
     wrapped_inner_task(_exit, module, inner, name, conn, *args)
 
 

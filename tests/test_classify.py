@@ -1,4 +1,3 @@
-import contextlib
 import dataclasses
 import functools
 
@@ -509,34 +508,20 @@ class TestClassifierOnTwoProcesses:
         monkeypatch.setattr(nncore, "_usable_cpus", lambda: 1)
         want = self._run()
         start_workers(monkeypatch, 2)
-        sent = []
-
-        class Spy:
-            def __init__(self, conn):
-                self.conn = conn
-
-            def send(self, obj):
-                sent.append(obj)
-                self.conn.send(obj)
-
-            def __getattr__(self, name):
-                return getattr(self.conn, name)
-
-        real = classify_mod.worker_processes
-
-        @contextlib.contextmanager
-        def spied(n):
-            with real(n) as pool:
-                yield [Spy(conn) for conn in pool]
-
-        monkeypatch.setattr(classify_mod, "worker_processes", spied)
+        sent, post = [], classify_mod.post
+        monkeypatch.setattr(classify_mod, "post",
+                            lambda conn, obj: sent.append(obj) or post(conn, obj))
         assert self._run() == want
         # one task for the whole call: half 2's 64 of the 129 rows of the
         # 12 train clouds' maps, for the schedule's 2 + 2 + 0 epochs
         train, _ = two_class_sets(Rng(5))
         d = train.dim
-        assert sent == [(classify_mod._clf_remote,
-                         ((d, *self.CLF.hidden, d), self.CLF.lr, 129, (12, 64, d), 4))]
+        [(task, (params, lr, n, half, labels, epochs))] = sent
+        assert task is classify_mod._clf_remote
+        assert (lr, n, epochs) == (self.CLF.lr, 129, 4)
+        assert half.X.shape == (64, d) and half.G.shape == (12, 64, d)
+        assert labels.shape == (12,)
+        assert params.weights[0].shape == (self.CLF.hidden[0], d)
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_a_nonfinite_loss_names_the_phase_and_leaves_no_reply_unread(

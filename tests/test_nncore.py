@@ -539,3 +539,54 @@ class TestWorkerProcesses:
         finally:
             a.close()
             b.close()
+
+    def test_objects_travel_bitwise_in_new_memory(self):
+        import multiprocessing
+
+        from lotnn.otsolve import SolverConfig, init_dual_pair
+
+        pair = init_dual_pair(2, SolverConfig(hidden=(3,)), Rng(1))
+        whole = np.arange(24.0).reshape(4, 6)
+        readonly = np.linspace(0.0, 1.0, 5)
+        readonly.flags.writeable = False
+        sent = {"pair": pair, "fresh": OptimState(lr=0.5, step=2),
+                "used": OptimState(lr=0.1, step=3, m=np.ones(4), v=np.full(4, 2.0)),
+                "view": whole[1:3], "strided": whole[:, ::2], "readonly": readonly,
+                "ints": np.arange(3, dtype=np.int64), "fortran": np.asfortranarray(whole)}
+        a, b = multiprocessing.Pipe()
+        try:
+            nncore.post(a, sent)
+            got = nncore.take(b)
+        finally:
+            a.close()
+            b.close()
+        assert got["fresh"].m is None and got["fresh"].step == 2
+        assert got["pair"].meta == pair.meta and got["pair"].frame == pair.frame
+        assert got["pair"].psi_cfg == pair.psi_cfg
+        arrays = [("psi", pair.psi.theta, got["pair"].psi.theta),
+                  ("phi", pair.phi.theta, got["pair"].phi.theta),
+                  ("m", sent["used"].m, got["used"].m), ("v", sent["used"].v, got["used"].v)]
+        arrays += [(k, sent[k], got[k]) for k in ("view", "strided", "readonly", "ints", "fortran")]
+        for name, want, have in arrays:
+            assert have.tobytes() == want.tobytes() and have.dtype == want.dtype, name
+            assert have.shape == want.shape and not np.shares_memory(have, want), name
+            assert have.flags.writeable == want.flags.writeable, name
+        # the networks' views still view their vector
+        assert np.shares_memory(got["pair"].psi.wx[0], got["pair"].psi.theta)
+        assert got["fortran"].flags.f_contiguous
+
+    def test_a_short_buffer_raises(self, monkeypatch):
+        import multiprocessing
+
+        # each buffer goes 8 bytes short of the size the header gives
+        send = nncore.send_arrays
+        monkeypatch.setattr(nncore, "send_arrays",
+                            lambda conn, *raw: send(conn, *(m[:-8] for m in raw)))
+        a, b = multiprocessing.Pipe()
+        try:
+            nncore.post(a, np.ones(4))
+            with pytest.raises(ShapeError):
+                nncore.take(b)
+        finally:
+            a.close()
+            b.close()

@@ -2,6 +2,9 @@ import contextlib
 import dataclasses
 import functools
 import itertools
+import os
+import pickle
+import signal
 import tracemalloc
 
 import numpy as np
@@ -399,23 +402,27 @@ class TestFitPairs:
             assert states[cid].m.tobytes() == m.tobytes()
             assert states[cid].v.tobytes() == v.tobytes()
 
-    def test_keeps_each_pair_and_its_buffers(self):
-        sigma, cfg, clouds, pairs = self._setup()
-        before = dict(pairs)
-        nets = {cid: (p.psi, p.phi, p.psi.theta, p.phi.theta) for cid, p in pairs.items()}
-        bytes0 = {cid: p.psi.theta.tobytes() for cid, p in pairs.items()}
-        states = {}
-        fit_pairs(sigma, clouds, pairs, states, cfg, 2)
-        adam = {cid: (s, s.m, s.v) for cid, s in states.items()}
-        fit_pairs(sigma, clouds, pairs, states, cfg, 3)
-        for cid, pair in pairs.items():
-            psi, phi, psi_th, phi_th = nets[cid]
-            assert pair is before[cid] and pair.psi is psi and pair.phi is phi
-            assert np.shares_memory(pair.psi.theta, psi_th)
-            assert np.shares_memory(pair.phi.theta, phi_th)
-            assert pair.psi.theta.tobytes() != bytes0[cid]  # the steps did happen
-            s, m, v = adam[cid]
-            assert states[cid] is s and s.m is m and s.v is v and s.step == 5
+    def test_keeps_each_pair_and_its_buffers(self, monkeypatch):
+        # at every CPU count: a worker's reply goes into the caller's
+        # arrays, Adam's m and v included once the caller has them
+        for cpus in (1, 2, 3):
+            start_workers(monkeypatch, cpus)
+            sigma, cfg, clouds, pairs = self._setup()
+            before = dict(pairs)
+            nets = {cid: (p.psi, p.phi, p.psi.theta, p.phi.theta) for cid, p in pairs.items()}
+            bytes0 = {cid: p.psi.theta.tobytes() for cid, p in pairs.items()}
+            states = {}
+            fit_pairs(sigma, clouds, pairs, states, cfg, 2)
+            adam = {cid: (s, s.m, s.v) for cid, s in states.items()}
+            fit_pairs(sigma, clouds, pairs, states, cfg, 3)
+            for cid, pair in pairs.items():
+                psi, phi, psi_th, phi_th = nets[cid]
+                assert pair is before[cid] and pair.psi is psi and pair.phi is phi, cpus
+                assert np.shares_memory(pair.psi.theta, psi_th), cpus
+                assert np.shares_memory(pair.phi.theta, phi_th), cpus
+                assert pair.psi.theta.tobytes() != bytes0[cid], cpus  # the steps did happen
+                s, m, v = adam[cid]
+                assert states[cid] is s and s.m is m and s.v is v and s.step == 5, cpus
 
     @pytest.mark.usefixtures("one_cpu")
     def test_nonfinite_gradient_changes_nothing(self, monkeypatch):
@@ -576,20 +583,52 @@ class TestFitPairsOnWorkers:
     @pytest.mark.parametrize("n_clouds", [4, 1])
     def test_a_fresh_chunk_sends_no_moments(self, monkeypatch, n_clouds):
         # Adam's m and v go to a worker only once a step has made them
+        def buffers(obj):
+            """The arrays that nncore.post sends beside obj's pickle."""
+            out = []
+            pickle.dumps(obj, protocol=5, buffer_callback=out.append)
+            return len(out)
+
         start_workers(monkeypatch, 2)
-        sent, send = [], otsolve_mod.send_arrays
-        monkeypatch.setattr(otsolve_mod, "send_arrays",
-                            lambda conn, *a: sent.append(len(a)) or send(conn, *a))
+        sent, post = [], otsolve_mod.post
+        monkeypatch.setattr(otsolve_mod, "post", lambda conn, obj: sent.append(
+            (buffers(obj), [buffers(item) for item in obj[1][2]])) or post(conn, obj))
         sigma, cfg, clouds, pairs = TestFitPairs._setup(n_clouds)
         states = {}
         fit_pairs(sigma, clouds, pairs, states, cfg, 2)
-        # the worker's 2 of 4 clouds, or the lone cloud for its halves:
-        # points, psi and phi of each
+        # one task: the worker's 2 of 4 clouds, or the lone cloud for its
+        # halves, with the points, psi and phi of each and nothing else
         worker_clouds = 2 if n_clouds == 4 else 1
-        assert sent == [3] * worker_clouds
+        assert sent == [(3 * worker_clouds, [3] * worker_clouds)]
         sent.clear()
         fit_pairs(sigma, clouds, pairs, states, cfg, 2)
-        assert sent == [5] * worker_clouds
+        assert sent == [(5 * worker_clouds, [5] * worker_clouds)]
+
+    def test_a_worker_that_died_while_idle_leaves_the_call_serial(self, monkeypatch):
+        def fit(between=lambda: None):
+            sigma, cfg, clouds, pairs = TestFitPairs._setup(4)
+            states = {}
+            losses = [fit_pairs(sigma, clouds, pairs, states, cfg, 2)]
+            between()
+            losses.append(fit_pairs(sigma, clouds, pairs, states, cfg, 2))
+            return losses, {cid: (p.meta, p.psi.theta.tobytes(), p.phi.theta.tobytes(),
+                                  states[cid].m.tobytes(), states[cid].step)
+                            for cid, p in pairs.items()}
+
+        def kill():
+            os.kill(worker.pid, signal.SIGKILL)
+            worker.join(10)
+            assert not worker.is_alive()
+
+        monkeypatch.setattr(nncore._WORKERS, "broken", False)  # restored after the test
+        monkeypatch.setattr(nncore, "_usable_cpus", lambda: 1)
+        want = fit()
+        start_workers(monkeypatch, 2)
+        worker = nncore._WORKERS.workers[0].proc
+        # the first call shares its clouds with the worker; the second,
+        # finding it dead, runs them all here
+        assert fit(kill) == want
+        assert nncore._WORKERS.broken and not nncore._WORKERS.workers
 
     @pytest.mark.parametrize("n_clouds", [3, 1])
     def test_starts_no_worker(self, monkeypatch, n_clouds):

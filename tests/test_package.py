@@ -1,4 +1,6 @@
+import ast
 import importlib
+from pathlib import Path
 
 import lotnn
 from lotnn import classify, otsolve
@@ -25,3 +27,26 @@ def test_traced_layers_resolve():
 def test_classify_keeps_the_solver_step_the_benchmark_traces():
     # benchmarks/test_bench.py checks the traced run wraps this name too
     assert classify.solver_step is otsolve.solver_step
+
+
+PIPE_METHODS = {"send", "recv", "send_bytes", "recv_bytes", "recv_bytes_into"}
+PIPE_HELPERS = {"send_arrays", "recv_arrays"}
+
+
+def test_only_nncore_reads_or_writes_a_pipe():
+    # every other module hands its tasks and replies to nncore.post and
+    # nncore.take, so the message format is nncore's alone
+    for path in sorted(Path(lotnn.__file__).parent.glob("*.py")):
+        if path.name == "nncore.py":
+            continue
+        found = []
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom):
+                found += [a.name for a in node.names if a.name in PIPE_HELPERS]
+            elif isinstance(node, ast.Call):
+                f = node.func
+                name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+                if name in PIPE_HELPERS or (isinstance(f, ast.Attribute)
+                                            and name in PIPE_METHODS):
+                    found.append(f"{name}() on line {node.lineno}")
+        assert not found, f"{path.name}: {found}"
