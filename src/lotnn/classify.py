@@ -422,8 +422,7 @@ def train_alternating(
     emb = EmbeddingSet.build(
         reference, train_ids + val_ids, pairs,
         eval_n=clf_cfg.eval_n, eval_seed=eval_seed,
-        meta={"train_ids": train_ids, "val_ids": val_ids, "seed": seed,
-              "best_phase": history[-1]["phase"],
+        meta={"best_phase": history[-1]["phase"],
               "best_val_accuracy": history[-1]["val_accuracy"]},
     )
     return emb, model, history

@@ -358,29 +358,30 @@ def save_csv_dir(ds: LabeledDataset, path) -> None:
 # ---------------------------------------------------------------------------
 
 def split(ds: LabeledDataset, seed: int) -> tuple[LabeledDataset, LabeledDataset, LabeledDataset]:
-    """Deterministic train/val/test partition.
+    """Deterministic train/val/test partition; val and test hold both classes.
 
-    Train takes floor(P/2) positives plus exactly twice as many
-    negatives (a 2:1 ratio); of the remaining clouds, floor(10%) per
-    class goes to validation and the rest to test. Rounding is floor,
-    applied per class.
+    Train takes floor(P/2) of the P positives. It takes exactly twice as
+    many negatives (a 2:1 ratio) where that leaves at least two
+    negatives out of train, one for val and one for test; otherwise it
+    splits each class in proportion and takes floor(N/2) of the N
+    negatives. Of each class's remaining clouds, floor(10%) but at least
+    one goes to validation and the rest to test. So each class needs at
+    least three clouds.
     """
     pos = sorted(ds.class_ids(1))
     neg = sorted(ds.class_ids(0))
-    if not pos or not neg:
-        raise DataError("both classes must be present")
+    if min(len(pos), len(neg)) < 3:
+        raise DataError(f"each class needs at least 3 clouds for train, val and test; "
+                        f"got {len(pos)} positives / {len(neg)} negatives")
     n_pos_train = len(pos) // 2
-    n_neg_train = 2 * n_pos_train
-    if n_pos_train < 1 or n_neg_train > len(neg):
-        raise DataError(
-            f"cannot satisfy the 2:1 split with {len(pos)} positives / {len(neg)} negatives")
+    n_neg_train = 2 * n_pos_train if len(neg) - 2 * n_pos_train >= 2 else len(neg) // 2
     rng = Rng(seed)
     pos = [pos[i] for i in rng.spawn(1).permutation(len(pos))]
     neg = [neg[i] for i in rng.spawn(2).permutation(len(neg))]
     train_ids = pos[:n_pos_train] + neg[:n_neg_train]
     rem_pos, rem_neg = pos[n_pos_train:], neg[n_neg_train:]
-    n_pos_val = len(rem_pos) // 10
-    n_neg_val = len(rem_neg) // 10
+    n_pos_val = max(1, len(rem_pos) // 10)
+    n_neg_val = max(1, len(rem_neg) // 10)
     val_ids = rem_pos[:n_pos_val] + rem_neg[:n_neg_val]
     test_ids = rem_pos[n_pos_val:] + rem_neg[n_neg_val:]
     return ds.subset(train_ids), ds.subset(val_ids), ds.subset(test_ids)

@@ -226,9 +226,26 @@ def estimate_w2_dual(pair: DualPair, sigma_batch: Array, mu_batch: Array) -> flo
 # a loss and its psi and phi gradients
 LossGrads = tuple[float, Array, Array]
 
+# A fit counts as running away once the RMS displacement of its map on a
+# step's batch exceeds RUNAWAY_SLACK times that batch's product-coupling
+# bound (runaway_bound). _run_chunk checks every RUNAWAY_EVERY steps of a
+# pair and at the last step of a fit_pairs call.
+RUNAWAY_SLACK = 3.0
+RUNAWAY_EVERY = 100
+
+
+def runaway_bound(X: Array, Y: Array) -> float:
+    """sqrt(E||x||^2 + E||y||^2 - 2 m_x.m_y) over batches X and Y: the
+    cost of their product coupling, which no optimal coupling exceeds.
+    Summed as ||m_x - m_y||^2 plus both batches' variances, which is
+    equal and does not cancel."""
+    mx, my = X.mean(axis=0), Y.mean(axis=0)
+    return float(np.sqrt(np.sum((mx - my) ** 2) + np.sum(X.var(axis=0))
+                         + np.sum(Y.var(axis=0))))
+
 
 def solver_loss_and_grads(pair: DualPair, Xs: Array, Ys: Array, lambda_cyc: float,
-                          peer: Peer | None = None) -> LossGrads:
+                          peer: Peer | None = None, bound: float | None = None) -> LossGrads:
     """Loss and exact gradients of the cycle-regularized dual objective.
 
     Xs/Ys are batches already in the pair's standardized coordinates.
@@ -250,6 +267,10 @@ def solver_loss_and_grads(pair: DualPair, Xs: Array, Ys: Array, lambda_cyc: floa
     the same at every CPU count. With peer, this process computes its
     own half (half 1 if peer.first) and the process at the peer's end
     the other (_swap_halves); both return the same sum.
+
+    With bound, raises NumericError when the map's RMS displacement
+    sqrt(E||T(x) - x||^2) on the batch, summed from the halves likewise,
+    exceeds RUNAWAY_SLACK * bound; both processes of a peer raise it.
     """
     n, m = Xs.shape[0], Ys.shape[0]
     h, k = -(-n // 2), -(-m // 2)
@@ -258,25 +279,28 @@ def solver_loss_and_grads(pair: DualPair, Xs: Array, Ys: Array, lambda_cyc: floa
         one, two = (_half_loss_and_grads(pair, X, Y, lambda_cyc, n, m) for X, Y in halves)
     else:
         one, two = _swap_halves(peer, pair, *halves[0 if peer.first else 1], lambda_cyc, n, m)
-    loss, g_psi, g_phi = one
+    loss, g_psi, g_phi, cost = one
+    if bound is not None and (rms := float(np.sqrt(cost + two[3]))) > RUNAWAY_SLACK * bound:
+        raise NumericError(f"runaway map: RMS displacement {rms:.4g} > {RUNAWAY_SLACK:g} x "
+                           f"product-coupling bound {bound:.4g}")
     g_psi += two[1]
     g_phi += two[2]
     return loss + two[0], g_psi, g_phi
 
 
 def _swap_halves(peer: Peer, pair: DualPair, Xs: Array, Ys: Array, lambda_cyc: float,
-                 n: int, m: int) -> tuple[LossGrads, LossGrads]:
-    """Half 1's and half 2's loss and gradients, of which this process
-    computes its own (_half_loss_and_grads) and swaps the vector
-    [failed, loss, g_psi, g_phi] with the peer. If either half raised
+                 n: int, m: int) -> tuple[HalfResult, HalfResult]:
+    """Half 1's and half 2's results, of which this process computes its
+    own (_half_loss_and_grads) and swaps the vector
+    [failed, loss, cost, g_psi, g_phi] with the peer. If either half raised
     NumericError, both send their error (or None) and both raise half
     1's, else half 2's: the error the serial sum meets first, at the
     same step in both processes, with nothing left unread."""
     size = pair.psi.theta.size
-    vec = np.zeros(2 + size + pair.phi.theta.size)
+    vec = np.zeros(3 + size + pair.phi.theta.size)
     error = None
     try:
-        vec[1], vec[2:2 + size], vec[2 + size:] = _half_loss_and_grads(
+        vec[1], vec[3:3 + size], vec[3 + size:], vec[2] = _half_loss_and_grads(
             pair, Xs, Ys, lambda_cyc, n, m)
     except NumericError as e:
         error, vec[0] = e, 1.0
@@ -285,14 +309,19 @@ def _swap_halves(peer: Peer, pair: DualPair, Xs: Array, Ys: Array, lambda_cyc: f
         post(peer.conn, error)  # a few bytes each way: no order needed
         errors = (error, take(peer.conn)) if peer.first else (take(peer.conn), error)
         raise errors[0] or errors[1]
-    return tuple((float(v[1]), v[2:2 + size], v[2 + size:]) for v in halves)
+    return tuple((float(v[1]), v[3:3 + size], v[3 + size:], float(v[2])) for v in halves)
+
+
+# a half's loss and gradients, and its share of E||T(x) - x||^2
+HalfResult = tuple[float, Array, Array, float]
 
 
 def _half_loss_and_grads(pair: DualPair, Xs: Array, Ys: Array, lambda_cyc: float,
-                         n: int, m: int) -> LossGrads:
+                         n: int, m: int) -> HalfResult:
     """One half's share of solver_loss_and_grads, of a batch of n rows of
-    Xs and m of Ys. It calls only the ICNN passes, which need nothing but
-    the pair's networks, so a worker process runs it too."""
+    Xs and m of Ys, and of the map's mean squared displacement. It calls
+    only the ICNN passes, which need nothing but the pair and the rows,
+    so a worker process runs it too."""
     # each cache builds only what its passes read: psi at X feeds the
     # input grad and the VJP, phi at Y the value and backward pass, and
     # phi at G all of them
@@ -319,7 +348,12 @@ def _half_loss_and_grads(pair: DualPair, Xs: Array, Ys: Array, lambda_cyc: float
     v = Xs / n + u_grad
     g_psi, _ = icnn_inputgrad_vjp(pair.psi, pair.psi_cfg, Xs, v, cache=c_psi_x)
     g_phi_y += g_phi_g
-    return loss, g_psi, g_phi_y
+
+    # T(x) - x = s (G - Xs + (m_mu - m_sigma)/s) in the original coordinates
+    s = pair.frame.scale
+    D = G - Xs
+    D += (np.asarray(pair.frame.mu_mean) - np.asarray(pair.frame.sigma_mean)) / s
+    return loss, g_psi, g_phi_y, s * s * float(np.vdot(D, D)) / n
 
 
 def make_frame(sigma: "ReferenceMeasure", points: Array) -> Frame:
@@ -368,19 +402,20 @@ def pair_for_cloud(sigma: "ReferenceMeasure", points: Array,
 
 
 def solver_step(pair: DualPair, X: Array, Y: Array, lambda_cyc: float,
-                state: OptimState, peer: Peer | None = None) -> float:
+                state: OptimState, peer: Peer | None = None,
+                bound: float | None = None) -> float:
     """One joint Adam update of both potentials in place, then projection.
 
     X and Y are original-coordinates batches; standardization happens
     here using the pair's frame. Adam sees psi's and phi's parameter
-    vectors as one, psi first; a non-finite gradient raises before
-    either network changes. With peer, the process at its end computes
-    the other half of the batch; see solver_loss_and_grads. Returns the
-    loss.
+    vectors as one, psi first; a non-finite gradient, or with bound a
+    runaway map, raises before either network changes. With peer, the
+    process at its end computes the other half of the batch; see
+    solver_loss_and_grads. Returns the loss.
     """
     Xs = pair._sigma_side(X)
     Ys = pair._mu_side(Y)
-    loss, g_psi, g_phi = solver_loss_and_grads(pair, Xs, Ys, lambda_cyc, peer)
+    loss, g_psi, g_phi = solver_loss_and_grads(pair, Xs, Ys, lambda_cyc, peer, bound)
     step = adam_step(np.concatenate([g_psi, g_phi]), state)
     pair.psi.theta -= step[:g_psi.size]
     pair.phi.theta -= step[g_psi.size:]
@@ -446,7 +481,8 @@ def fit_pairs(sigma: "ReferenceMeasure", clouds: dict[str, Array],
             cut = [-(-k * len(work) // (len(conns) + 1)) for k in range(len(conns) + 2)]
             for conn, lo, hi in zip(conns, cut[1:], cut[2:]):
                 post(conn, (_fit_remote, (sigma, cfg, work[lo:hi], block, False)))
-            if failure := _run_chunk(work[:cut[1]], sigma, cfg, out, peer):
+            if failure := _run_chunk(work[:cut[1]], sigma, cfg, out, peer,
+                                     final=start + block == steps):
                 failures.append(failure)
             for conn, lo, hi in zip(conns, cut[1:], cut[2:]):
                 if failure := _recv_chunk(conn, work[lo:hi], out[lo:hi]):
@@ -467,7 +503,8 @@ def _batch(sigma: "ReferenceMeasure", seed: int, step: int, points: Array,
 
 
 def _run_chunk(work: list, sigma: "ReferenceMeasure", cfg: SolverConfig, losses: Array,
-               peer: Peer | None = None) -> tuple[int, int, Exception] | None:
+               peer: Peer | None = None,
+               final: bool = True) -> tuple[int, int, Exception] | None:
     """fit_pairs's steps for one chunk of (cid, pair, state, points).
 
     Runs losses.shape[1] steps and writes losses[j, s] for cloud j of the
@@ -475,18 +512,29 @@ def _run_chunk(work: list, sigma: "ReferenceMeasure", cfg: SolverConfig, losses:
     error), both counted from 0 in this chunk and block of steps. With
     peer, the process at its end runs the other half of each step of
     this one-cloud chunk (solver_step).
+
+    A pair's step t checks for a runaway map (solver_loss_and_grads)
+    when t + 1 is a multiple of RUNAWAY_EVERY, and so does the last step
+    of a final block, the call's last. The check reads the map the step
+    evaluates, before its update, on the step's own batch, so it costs
+    no pass and moves no draw, and every process that runs the step
+    checks alike. A worker's block is always final: fit_pairs sends one
+    only for all the steps left.
     """
     for _, pair, state, _ in work:
         if state.m is None:  # adam_step's zeros, also where the first step fails
             n = pair.psi.theta.size + pair.phi.theta.size
             state.m, state.v = np.zeros(n), np.zeros(n)
+    last = losses.shape[1] - 1 if final else -1
     for s in range(losses.shape[1]):
         for j, (cid, pair, state, points) in enumerate(work):
             step = pair.meta.get("iterations", 0)
             X, Y = _batch(sigma, pair.meta["seed"], step, points, cfg.batch_size)
-            args = (pair, X, Y, cfg.lambda_cyc, state)
+            kw = {"peer": peer} if peer else {}
+            if s == last or (step + 1) % RUNAWAY_EVERY == 0:
+                kw["bound"] = runaway_bound(X, Y)
             try:
-                loss = solver_step(*args, peer) if peer else solver_step(*args)
+                loss = solver_step(pair, X, Y, cfg.lambda_cyc, state, **kw)
             except NumericError as e:
                 err = NumericError(f"{e} (cloud {cid}, step {step})")
                 err.__cause__ = e
@@ -554,12 +602,12 @@ def train_map(sigma: "ReferenceMeasure", mu, cfg: SolverConfig) -> DualPair:
 # Exact oracles
 # ---------------------------------------------------------------------------
 
-def exact_ot_discrete(X, Y) -> tuple[Array, float]:
+def exact_ot_discrete(X: Array, Y: Array) -> tuple[Array, float]:
     """Minimum-cost perfect matching between equal-size uniform clouds.
 
     Returns (pi, cost) where pi[k] matches X[k] with Y[pi[k]] and
     cost = (1/n) sum ||x_k - y_{pi(k)}||^2. The W2 distance is
-    sqrt(cost); see exact_w2_discrete.
+    sqrt(cost), a true metric on equal-size clouds.
 
     Centering each cloud on its own mean, then subtracting each row's and
     each column's minimum, shifts every permutation's total by the same
@@ -567,8 +615,8 @@ def exact_ot_discrete(X, Y) -> tuple[Array, float]:
     longer builds that separable part up one augmentation at a time. The
     cost is summed in the original coordinates.
     """
-    Xp = np.atleast_2d(as_f64(X.points if hasattr(X, "points") else X))
-    Yp = np.atleast_2d(as_f64(Y.points if hasattr(Y, "points") else Y))
+    Xp = np.atleast_2d(as_f64(X))
+    Yp = np.atleast_2d(as_f64(Y))
     if Xp.size == 0 or Yp.size == 0:
         raise ShapeError("empty cloud")
     if Xp.shape != Yp.shape:
@@ -589,12 +637,6 @@ def exact_ot_discrete(X, Y) -> tuple[Array, float]:
     if not np.isfinite(cost):
         raise NumericError("exact_ot_discrete: non-finite cost")
     return perm, cost
-
-
-def exact_w2_discrete(X, Y) -> float:
-    """sqrt of the exact assignment cost; a true metric on equal-size clouds."""
-    _, cost = exact_ot_discrete(X, Y)
-    return float(np.sqrt(cost))
 
 
 @dataclass(frozen=True)

@@ -304,7 +304,7 @@ class TestTrainAlternating:
         import lotnn.otsolve as otsolve_mod
 
         monkeypatch.setattr(otsolve_mod, "solver_step",
-                            lambda pair, X, Y, lam, state: 0.0)
+                            lambda pair, X, Y, lam, state, **kw: 0.0)
         train, val = two_class_sets(rng)
         sched = TrainSchedule(ot_epochs_per_phase=2, clf_epochs_per_phase=4,
                               total_epochs=12)

@@ -59,8 +59,19 @@ def test_eval_test_subset(workdir, capsys):
     assert out.exists() and out.with_suffix(".probs.csv").exists()
     err = capsys.readouterr().err
     assert "config_hash" not in err
-    # split() leaves the tiny config a test set of class 1 only
-    assert err.count("note: subset 'test' holds only class 1;") == 1
+    # split() gives the test subset both classes
+    assert "holds only class" not in err
+
+
+def test_eval_notes_a_subset_of_one_class(workdir, capsys):
+    d, base = workdir
+    header, payload = read_document(d / "bundle.json")
+    header["split"]["test"] = [i for i in header["split"]["test"] if i.startswith("c1_")]
+    write_document(d / "one_class_test.json", header, payload)
+    assert main(base + ["eval", "--bundle", str(d / "one_class_test.json"),
+                        "--data", str(d / "data"), "--subset", "test",
+                        "--resamples", "1"]) == 0
+    assert capsys.readouterr().err.count("note: subset 'test' holds only class 1;") == 1
 
 
 def test_eval_embeds_with_the_bundle_solver(workdir, capsys):
@@ -506,7 +517,7 @@ def test_bundle_storing_the_retired_steps_per_ot_epoch_still_loads(workdir):
 def test_train_numeric_failure_exits_4(workdir, monkeypatch, capsys):
     import lotnn.otsolve as otsolve_mod
 
-    def fail(pair, X, Y, lam, state):
+    def fail(pair, X, Y, lam, state, **kw):
         raise NumericError("injected")
 
     d, base = workdir
@@ -522,8 +533,8 @@ def test_train_numeric_failure_exits_4(workdir, monkeypatch, capsys):
 def test_baseline_and_bound(workdir, capsys):
     d, base = workdir
     assert main(base + ["baseline", "--data", str(d / "data")]) == 0
-    # the test subset it scores holds class 1 only, as in test_eval_test_subset
-    assert capsys.readouterr().err.count("note: subset 'test' holds only class 1;") == 1
+    # the test subset it scores holds both classes, as in test_eval_test_subset
+    assert "holds only class" not in capsys.readouterr().err
     assert main(["bound", "--beta", "1", "--eps", "0.1", "--R", "1",
                  "--delta", "0.05", "--n", "1000"]) == 0
 

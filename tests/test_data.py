@@ -1,3 +1,6 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
@@ -13,7 +16,7 @@ from lotnn.data import (
     split,
 )
 from lotnn.nncore import Rng
-from lotnn.otsolve import exact_w2_discrete
+from lotnn.otsolve import exact_ot_discrete
 
 
 @pytest.mark.parametrize("dim", [1, 2, 10])
@@ -34,6 +37,32 @@ def test_every_cloud_is_scale_times_base_plus_shift(dim, base, scale_jitter, shi
             assert c.points.tobytes() == want.tobytes()
             assert c.meta["scale"] == 1.0 or scale_jitter > 0
             assert (np.linalg.norm(c.meta["shift"]) == 0.0) == (shift_bound == 0.0)
+
+
+@pytest.mark.parametrize("dim", [2, 10])
+@pytest.mark.parametrize("base", ["gaussian", "mixture", "ring"])
+def test_same_class_w2_has_a_closed_form(tmp_path, dim, base):
+    # clouds c_i b + a_i and c_j b + a_j of one base b are matched point by
+    # point by an optimal map, so W2 needs only b and each cloud's meta,
+    # also after a CSV round trip that keeps every point in file order
+    spec = SyntheticSpec(dim=dim, base=base, scale_jitter=0.2)
+    n = 150
+    ds = gen_synthetic(spec, n_clouds_per_class=3, n_points=n, seed=21)
+    flat = gen_synthetic(dataclasses.replace(spec, shift_bound=0.0, scale_jitter=0.0),
+                         n_clouds_per_class=1, n_points=n, seed=21)
+    save_csv_dir(ds, tmp_path)
+    loaded = load_csv_dir(tmp_path, n, seed=5)
+    for label in (0, 1):
+        b = flat.cloud(f"c{label}_000").points
+        metas = {cid: ds.cloud(cid).meta for cid in ds.class_ids(label)}
+        for i, j in itertools.combinations(sorted(metas), 2):
+            ci, cj = metas[i]["scale"], metas[j]["scale"]
+            da = np.asarray(metas[i]["shift"]) - np.asarray(metas[j]["shift"])
+            want = np.sqrt(np.mean(np.sum(((ci - cj) * b + da) ** 2, axis=1)))
+            for clouds in (ds, loaded):
+                X, Y = clouds.cloud(i).points, clouds.cloud(j).points
+                got = np.sqrt(exact_ot_discrete(X, Y)[1])
+                assert abs(got - want) <= 1e-12 * want, (i, j)
 
 
 class TestSyntheticGenerator:
@@ -63,7 +92,7 @@ class TestSyntheticGenerator:
         a0 = np.asarray(c0[0].meta["shift"])
         a1 = np.asarray(c0[1].meta["shift"])
         want = float(np.linalg.norm(a1 - a0))
-        got = exact_w2_discrete(c0[0].points, c0[1].points)
+        got = np.sqrt(exact_ot_discrete(c0[0].points, c0[1].points)[1])
         assert abs(got - want) <= 0.1
 
     def test_deterministic(self):
@@ -202,9 +231,21 @@ class TestSplit:
         assert len(test.clouds) == 359 - 63 - 29
 
     def test_smallest_viable(self, rng):
-        train, val, test = split(self._dataset(2, 4, rng), seed=1)
-        assert len(train.class_ids(1)) == 1
-        assert len(train.class_ids(0)) == 2
+        # three clouds per class: one each for train, val and test
+        train, val, test = split(self._dataset(3, 3, rng), seed=1)
+        for part in (train, val, test):
+            assert len(part.class_ids(1)) == len(part.class_ids(0)) == 1
+
+    @pytest.mark.parametrize("per_class", [12, 30])
+    def test_val_and_test_hold_both_classes(self, rng, per_class):
+        # gen's balanced classes leave no negatives for a 2:1 train set,
+        # so each class splits in proportion
+        train, val, test = split(self._dataset(per_class, per_class, rng), seed=4)
+        half = per_class // 2
+        assert len(train.class_ids(1)) == len(train.class_ids(0)) == half
+        n_val = max(1, (per_class - half) // 10)
+        for part, n in ((val, n_val), (test, per_class - half - n_val)):
+            assert len(part.class_ids(1)) == len(part.class_ids(0)) == n
 
     def test_partition(self, rng):
         ds = self._dataset(11, 40, rng)
@@ -224,9 +265,20 @@ class TestSplit:
         for a, b in zip(t1, t2):
             assert a.ids == b.ids
 
-    def test_insufficient_negatives_rejected(self, rng):
-        with pytest.raises(DataError):
-            split(self._dataset(10, 8, rng), seed=0)
+    def test_too_few_negatives_split_each_class_in_proportion(self, rng):
+        # 2:1 would need 10 of the 8 negatives
+        train, val, test = split(self._dataset(10, 8, rng), seed=0)
+        assert (len(train.class_ids(1)), len(train.class_ids(0))) == (5, 4)
+        assert (len(val.class_ids(1)), len(val.class_ids(0))) == (1, 1)
+        assert (len(test.class_ids(1)), len(test.class_ids(0))) == (4, 3)
+        # 2:1 would leave one negative, for val or test but not both
+        train, _, _ = split(self._dataset(10, 11, rng), seed=0)
+        assert (len(train.class_ids(1)), len(train.class_ids(0))) == (5, 5)
+
+    @pytest.mark.parametrize("n_pos, n_neg", [(2, 10), (10, 2)])
+    def test_class_of_under_three_clouds_rejected(self, rng, n_pos, n_neg):
+        with pytest.raises(DataError, match="at least 3 clouds"):
+            split(self._dataset(n_pos, n_neg, rng), seed=0)
 
     def test_single_class_rejected(self, rng):
         clouds = [PointCloud(f"c{i}", rng.normal((3, 2))) for i in range(4)]

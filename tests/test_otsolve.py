@@ -12,8 +12,10 @@ import pytest
 
 from lotnn import nncore
 from lotnn import otsolve as otsolve_mod
+from lotnn.data import PointCloud
 from lotnn.errors import NumericError, ShapeError
 from lotnn.icnn import icnn_forward, icnn_input_grad, init_icnn, project_nonneg
+from lotnn.lot import ReferenceMeasure
 from lotnn.nncore import Rng, finite_diff_grad
 from lotnn.otsolve import (
     DualPair,
@@ -23,7 +25,6 @@ from lotnn.otsolve import (
     dual_objective_V,
     estimate_w2_dual,
     exact_ot_discrete,
-    exact_w2_discrete,
     fit_pairs,
     gaussian_w2,
     init_dual_pair,
@@ -298,7 +299,7 @@ class TestFitPairs:
         pairs["c2"].meta["seed"] = pairs["c0"].meta["seed"]
         seen = []
         monkeypatch.setattr(otsolve_mod, "solver_step",
-                            lambda pair, X, Y, lam, state: seen.append((X, Y)) or 0.0)
+                            lambda pair, X, Y, lam, state, **kw: seen.append((X, Y)) or 0.0)
         fit_pairs(sigma, clouds, pairs, {}, cfg, 2)
         assert len(seen) == 6
         draws = {(cid, t): seen[3 * t + j] for t in (0, 1) for j, cid in enumerate(clouds)}
@@ -326,7 +327,7 @@ class TestFitPairs:
         sigma, cfg, clouds, pairs = self._setup()
         calls = []
 
-        def fake_step(pair, X, Y, lam, state):
+        def fake_step(pair, X, Y, lam, state, **kw):
             calls.append(1)
             return float("nan") if len(calls) == 4 else 0.0
 
@@ -340,7 +341,7 @@ class TestFitPairs:
     def test_step_error_names_cloud_and_step(self, monkeypatch):
         import lotnn.otsolve as otsolve_mod
 
-        def fail(pair, X, Y, lam, state):
+        def fail(pair, X, Y, lam, state, **kw):
             raise NumericError("injected")
 
         sigma, cfg, clouds, pairs = self._setup()
@@ -459,7 +460,7 @@ class TestFitPairsOnWorkers:
         here = []
         step = otsolve_mod.solver_step
         monkeypatch.setattr(otsolve_mod, "solver_step",
-                            lambda *args: here.append(1) or step(*args))
+                            lambda *args, **kw: here.append(1) or step(*args, **kw))
         sigma, cfg, clouds, pairs = TestFitPairs._setup(n_clouds)
         if batch_seed is not None:
             for i, pair in enumerate(pairs.values()):
@@ -518,7 +519,7 @@ class TestFitPairsOnWorkers:
         want = run()
         start_workers(monkeypatch, 2)
         monkeypatch.setattr(otsolve_mod, "solver_step",
-                            lambda *args: here.append(1) or step(*args))
+                            lambda *args, **kw: here.append(1) or step(*args, **kw))
         # the worker reads its two clouds, then starts them 1 s late: the
         # caller runs only its own three, all 4 steps, and waits
         monkeypatch.setattr(otsolve_mod, "_fit_remote", functools.partial(
@@ -778,6 +779,73 @@ class TestOneCloudOnTwoProcesses:
         return errors[-1]
 
 
+class TestRunawayCheck:
+    """A fit whose map's RMS displacement on a step's batch exceeds
+    RUNAWAY_SLACK times the batch's product-coupling bound stops with a
+    NumericError naming its cloud and step."""
+
+    @staticmethod
+    def _anisotropic_cloud():
+        # 300 points N(0, I) * U(0.5, 2)^10 + N(0, I): rows, scales, shift
+        gen = np.random.default_rng(1001)
+        z = gen.normal(size=(300, 10))
+        return z * gen.uniform(0.5, 2.0, size=10) + gen.normal(size=10)
+
+    def test_bound_is_the_product_coupling_cost(self, rng):
+        X, Y = rng.normal((50, 3)) + 2.0, 3.0 * rng.normal((40, 3)) - 1.0
+        want = (np.mean(np.sum(X * X, axis=1)) + np.mean(np.sum(Y * Y, axis=1))
+                - 2 * X.mean(axis=0) @ Y.mean(axis=0))
+        assert relerr(otsolve_mod.runaway_bound(X, Y) ** 2, want) < 1e-14
+
+    @pytest.mark.parametrize("over", [True, False])
+    def test_step_checks_its_own_map_before_the_update(self, rng, over):
+        # the shift map x -> x + a moves every point by ||a|| = 5
+        pair = shift_pair(2, [3.0, 4.0])
+        X, Y = rng.normal((8, 2)), rng.normal((8, 2))
+        bound = 5.0 / otsolve_mod.RUNAWAY_SLACK * (1 - 1e-9 if over else 1 + 1e-9)
+        before = (pair.psi.theta.tobytes(), pair.phi.theta.tobytes())
+        state = nncore.OptimState(lr=0.1)
+        if over:
+            with pytest.raises(NumericError, match=r"^runaway map: RMS displacement 5 > 3 x"):
+                otsolve_mod.solver_step(pair, X, Y, 1.0, state, bound=bound)
+            assert (pair.psi.theta.tobytes(), pair.phi.theta.tobytes()) == before
+            assert state.step == 0
+        else:
+            otsolve_mod.solver_step(pair, X, Y, 1.0, state, bound=bound)
+            assert state.step == 1
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_runaway_fit_raises_at_its_first_check(self, monkeypatch, cpus):
+        # against the unit reference this cloud's loss runs off without
+        # bound; its map's RMS displacement passes 3x the bound by step 99
+        start_workers(monkeypatch, cpus)
+        with pytest.raises(NumericError, match=r"^runaway map: RMS displacement \S+ > 3 x "
+                                               r"product-coupling bound \S+ "
+                                               r"\(cloud target, step 99\)$"):
+            train_map(unit_reference(10, seed=1), self._anisotropic_cloud(),
+                      SolverConfig(iters=300, seed=1))
+        assert not nncore._WORKERS.broken
+
+    def test_runaway_cloud_on_a_worker_fails_the_call(self, monkeypatch):
+        # at 3 CPUs the second cloud runs on a worker, which replies with
+        # the error once the calm cloud's chunk is done here
+        start_workers(monkeypatch, 3)
+        sigma, cfg = unit_reference(10, seed=1), SolverConfig(iters=100, seed=1)
+        clouds = {"calm": sigma.sample(300, seed=7) + 1.0, "wild": self._anisotropic_cloud()}
+        pairs = {cid: pair_for_cloud(sigma, pts, cfg, Rng(cfg.seed).spawn(0))
+                 for cid, pts in clouds.items()}
+        with pytest.raises(NumericError, match=r"\(cloud wild, step 99\)$"):
+            fit_pairs(sigma, clouds, pairs, {}, cfg, cfg.iters)
+        assert pairs["calm"].meta["iterations"] == 100
+        assert pairs["wild"].meta["iterations"] == 99
+
+    def test_same_cloud_against_its_fitted_reference_passes(self):
+        cloud = self._anisotropic_cloud()
+        sigma = ReferenceMeasure.fitted([PointCloud("x", cloud)], seed=1)
+        pair = train_map(sigma, cloud, SolverConfig(iters=300, seed=1))
+        assert pair.meta["iterations"] == 300
+
+
 def brute_force_cost(X, Y):
     n = X.shape[0]
     best = np.inf
@@ -785,6 +853,10 @@ def brute_force_cost(X, Y):
         cost = float(np.mean(np.sum((X - Y[list(perm)]) ** 2, axis=1)))
         best = min(best, cost)
     return best
+
+
+def w2_discrete(X, Y):
+    return float(np.sqrt(exact_ot_discrete(X, Y)[1]))
 
 
 class TestExactOt:
@@ -797,11 +869,10 @@ class TestExactOt:
     def test_monotone_matching_on_line(self):
         X = np.array([[0.0], [2.0]])
         Y = np.array([[1.0], [3.0]])
-        assert abs(exact_w2_discrete(X, Y) - 1.0) < 1e-12
+        assert abs(w2_discrete(X, Y) - 1.0) < 1e-12
 
     def test_single_pair(self):
-        assert exact_w2_discrete(np.array([[0.0, 0.0]]),
-                                 np.array([[3.0, 4.0]])) == 5.0
+        assert w2_discrete(np.array([[0.0, 0.0]]), np.array([[3.0, 4.0]])) == 5.0
 
     def test_matches_brute_force(self, rng):
         for _ in range(100):
@@ -826,10 +897,10 @@ class TestExactOt:
             X = rng.normal((5, 2))
             Y = rng.normal((5, 2))
             Z = rng.normal((5, 2))
-            dxy = exact_w2_discrete(X, Y)
-            dyx = exact_w2_discrete(Y, X)
+            dxy = w2_discrete(X, Y)
+            dyx = w2_discrete(Y, X)
             assert abs(dxy - dyx) < 1e-9
-            assert dxy <= exact_w2_discrete(X, Z) + exact_w2_discrete(Z, Y) + 1e-9
+            assert dxy <= w2_discrete(X, Z) + w2_discrete(Z, Y) + 1e-9
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(ShapeError):
