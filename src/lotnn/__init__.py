@@ -12,7 +12,7 @@ Import the module that holds a name, as in `from lotnn import otsolve`:
 - otsolve: DualPair, SolverConfig, the solver (train_map), exact oracles;
 - lot: ReferenceMeasure, EmbeddingSet, LOT distances, theorem_bound;
 - data: PointCloud, LabeledDataset, gen_synthetic, CSV I/O, split;
-- classify: the weight-net classifier (train_alternating, score);
+- classify: weight-net training (train_alternating, train_classifier), score;
 - deepsets: the DeepSets baseline (ds_train, ds_bagging);
 - bundle: ModelBundle, save_bundle, load_bundle;
 - cli: the `lotnn` command.

@@ -20,26 +20,21 @@ OpenBLAS. The default eval_n of 1000 is below both; a larger eval
 sample scores its points differently as it grows (ROADMAP item 17).
 
 Training embeds first and classifies after, as LOT does (Wang et al.
-2013): one `otsolve.fit_pairs` call fits every map for the schedule's
-solver steps, each on batches drawn from its own pair's seed, and W is
-then updated by the binary cross-entropy gradient on those final,
-frozen maps. Each classifier epoch's logits and gradient are sums over
-the eval sample's rows, taken as half 1, rows [0, h), plus half 2, rows
-[h, n), with h = ceil(n/2). With a second usable CPU, as for a lone
-cloud's solver steps, a worker process runs half 2 of every epoch. It is
-posted W, half 2 and the labels once, as objects (nncore.post), and runs
-on its own copy of W and of W's Adam state, swapping its sums with the
-caller's through an nncore.Peer each epoch; both add the halves in that
-order and take the same Adam step, so W is bitwise the same at every
-CPU count.
+2013): train_alternating fits every map in one `otsolve.fit_pairs` call,
+each on batches drawn from its own pair's seed, then train_classifier
+trains W by the binary cross-entropy gradient on those frozen maps.
+train_classifier reads only the maps on the eval sample, so one
+embedding can serve many classifier fits; its docstring says how each
+epoch splits over two processes, bitwise the same at every CPU count.
 """
 
 from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass
+from itertools import accumulate
 from multiprocessing.connection import Connection
-from typing import ClassVar
+from typing import ClassVar, Sequence
 
 import numpy as np
 from scipy.special import expit
@@ -103,7 +98,7 @@ class TrainSchedule:
     epochs, cut at total_epochs; one history row per phase.
 
     train_alternating runs every phase's solver steps first, in one fit,
-    then every classifier epoch.
+    then each phase's classifier epochs as one train_classifier block.
     """
 
     ot_epochs_per_phase: int = 10
@@ -295,7 +290,7 @@ def _clf_epoch(params: MlpParams, state: OptimState, labels: Array, n: int,
 def _clf_remote(conn: Connection, params: MlpParams, lr: float, n: int, half: _Half,
                 labels: Array, epochs: int) -> None:
     """A worker process's task for half 2 of every classifier epoch of
-    train_alternating, on its own copy of W and a fresh Adam state, as
+    train_classifier, on its own copy of W and a fresh Adam state, as
     the caller's. It stops where the caller's epochs raise NumericError,
     with nothing to send."""
     state = OptimState(lr=lr)
@@ -303,6 +298,58 @@ def _clf_remote(conn: Connection, params: MlpParams, lr: float, n: int, half: _H
     with contextlib.suppress(NumericError):
         for _ in range(epochs):
             _clf_epoch(params, state, labels, n, half, peer)
+
+
+def train_classifier(X: Array, maps: Array, labels, val_maps: Array, val_labels,
+                     cfg: ClassifierConfig, blocks: Sequence[int],
+                     rng: Rng) -> tuple[ClassifierModel, list[tuple[float, float]]]:
+    """Train W on frozen maps, in blocks of epochs, validating after each.
+
+    X is the (n, d) eval sample; maps and val_maps hold the training and
+    validation clouds' maps on X, (N, n, d), each set with its 0/1
+    labels. W starts at mlp_init from rng. Returns the model and, per
+    block, its last loss (nan if empty) and the val accuracy after it.
+
+    An epoch is one Adam step on the BCE of half 1 plus half 2 of X, rows
+    [0, h) and [h, n) with h = ceil(n/2) (_clf_loss_and_grads). With a
+    worker process to hand, it is posted W, half 2 and the labels once
+    (_clf_remote) and runs on its own copy of W and of W's Adam state;
+    each epoch the two swap their pooled sums, then their gradients,
+    through an nncore.Peer and take the same step, so W is bitwise the
+    same at every CPU count. A non-finite loss raises NumericError naming
+    the block as "(phase k)" once both processes have stopped, so the
+    worker stays in use.
+    """
+    n, dim = X.shape
+    labels = np.asarray(labels, dtype=np.float64)
+    wn = WeightNet(mlp_init((dim, *cfg.hidden, dim), rng))
+    state = OptimState(lr=cfg.lr)
+    model = ClassifierModel(wn, cfg.threshold)
+    h = -(-n // 2)
+    half1, half2 = (_Half(X[rows], np.ascontiguousarray(maps[:, rows]))
+                    for rows in (slice(0, h), slice(h, n)))
+
+    per_block, failure = [], None
+    with worker_processes(2) as pool:
+        other: _Half | Peer = half2
+        if pool:
+            post(pool[0], (_clf_remote, (wn.params, cfg.lr, n, half2, labels, sum(blocks))))
+            other = Peer(pool[0], first=True)
+        for block, epochs in enumerate(blocks):
+            loss = float("nan")
+            try:
+                for _ in range(epochs):
+                    loss = _clf_epoch(wn.params, state, labels, n, half1, other)
+            except NumericError as e:
+                # raised once out of the pool, which would end the worker
+                failure = NumericError(f"{e} (phase {block})")
+                failure.__cause__ = e
+                break
+            per_block.append((loss, evaluate(_probs(model, X, val_maps), val_labels,
+                                             cfg.threshold).accuracy))
+    if failure:
+        raise failure
+    return model, per_block
 
 
 def train_alternating(
@@ -316,30 +363,19 @@ def train_alternating(
 ) -> tuple[EmbeddingSet, ClassifierModel, list[dict]]:
     """Fit every map, then the classifier, over a labeled cloud set.
 
-    One fit_pairs call gives every train and validation cloud the
-    schedule's solver steps (map fitting never sees W or the labels); W
-    is then trained by the BCE step on the training clouds' final maps.
-    Each classifier epoch is half 1 plus half 2 of the eval sample (the
-    module docstring): the logits are (P1 + P2)/n, P a half's pooled
-    sums, and the gradient g1 + g2 (_clf_loss_and_grads). With one
-    usable CPU, or no worker started up yet, both halves run here.
-    Otherwise a worker process is posted W, half 2 and the labels
-    once (_clf_remote), and each epoch swaps only its P and its
-    gradient with the caller's. The caller waits for the worker every
-    epoch; validation runs here, on the caller's W. A non-finite
-    classifier loss raises NumericError naming the phase once both
-    processes have stopped, so the worker stays in use.
+    One fit_pairs call gives every train and validation cloud, which
+    must be distinct, the schedule's solver steps (map fitting never
+    sees W or the labels). train_classifier then trains W on each set's
+    maps on the shared evaluation sample, one block of classifier epochs
+    per schedule phase.
 
-    Validation clouds get pairs too, so validation accuracy is always
-    measurable; their maps on the evaluation sample are computed once,
-    after the fit. History has one row per schedule phase: its epoch, the
-    mean loss of its solver steps, and the classifier loss and
-    validation accuracy after its classifier epochs. The embedding holds
-    the final pairs and the shared evaluation sample, the model the
-    final W. emb.meta's "best_phase" and "best_val_accuracy" hold the
-    last phase and the final accuracy; they keep the names of the
-    best-phase snapshot this once kept because benchmarks/pipeline.py
-    reads them.
+    History has one row per schedule phase: its epoch, the mean loss of
+    its solver steps, and the classifier loss and validation accuracy
+    after its classifier epochs. The embedding holds the final pairs and
+    the shared evaluation sample, the model the final W. emb.meta's
+    "best_phase" and "best_val_accuracy" hold the last phase and the
+    final accuracy; they keep the names of the best-phase snapshot this
+    once kept because benchmarks/pipeline.py reads them.
     """
     for name, ds in (("train", train), ("val", val)):
         if not ds.clouds:
@@ -348,24 +384,17 @@ def train_alternating(
         raise DataError("training set must contain both classes")
     if train.dim != val.dim:
         raise ShapeError("train/val dimension mismatch")
+    if shared := sorted(set(train.ids) & set(val.ids)):
+        raise DataError(f"train and val share clouds: {', '.join(shared)}")
 
     rng = Rng(seed)
     if reference is None:
         reference = ReferenceMeasure.fitted(train.clouds, seed=rng.spawn(1).seed)
-    dim = train.dim
-    train_ids = sorted(train.ids)
-    val_ids = sorted(val.ids)
+    train_ids, val_ids = sorted(train.ids), sorted(val.ids)
     by_id = {c.id: c.points for c in train.clouds + val.clouds}
     clouds = {cid: by_id[cid] for cid in train_ids + val_ids}
-    labels_tr = np.array([train.labels[i] for i in train_ids], dtype=np.float64)
-    labels_val = [val.labels[i] for i in val_ids]
-
     pairs = {cid: pair_for_cloud(reference, points, solver_cfg, rng.spawn(1000 + j))
              for j, (cid, points) in enumerate(clouds.items())}
-
-    wn = WeightNet(mlp_init((dim, *clf_cfg.hidden, dim), rng.spawn(2)))
-    wn_state = OptimState(lr=clf_cfg.lr)
-    model = ClassifierModel(wn, clf_cfg.threshold)
     eval_seed = int(rng.spawn(3).integers(0, 2**62))
     X_eval = reference.sample(clf_cfg.eval_n, seed=eval_seed)
 
@@ -376,48 +405,21 @@ def train_alternating(
         clf_epochs = min(sched.clf_epochs_per_phase, sched.total_epochs - epoch - ot_epochs)
         epoch += ot_epochs + clf_epochs
         phases.append((ot_epochs, clf_epochs, epoch))
+    steps, blocks, epochs = zip(*phases)
 
-    ot_losses = fit_pairs(reference, clouds, pairs, {}, solver_cfg,
-                          sum(steps for steps, _, _ in phases))
-    G_tr = maps_on([pairs[i] for i in train_ids], X_eval)
-    G_val = maps_on([pairs[i] for i in val_ids], X_eval)
-    n = X_eval.shape[0]
-    h = -(-n // 2)
-    half1, half2 = (_Half(X_eval[rows], np.ascontiguousarray(G_tr[:, rows]))
-                    for rows in (slice(0, h), slice(h, n)))
-
-    history: list[dict] = []
-    done = 0                                # solver steps of the phases so far
-    failure = None
-    with worker_processes(2) as pool:
-        other: _Half | Peer = half2
-        if pool:
-            post(pool[0], (_clf_remote, (wn.params, clf_cfg.lr, n, half2, labels_tr,
-                                         sum(c for _, c, _ in phases))))
-            other = Peer(pool[0], first=True)
-        for phase, (steps, clf_epochs, epoch) in enumerate(phases):
-            clf_loss = float("nan")
-            try:
-                for _ in range(clf_epochs):
-                    clf_loss = _clf_epoch(wn.params, wn_state, labels_tr, n, half1, other)
-            except NumericError as e:
-                # raised once out of the pool, which would end the worker
-                failure = NumericError(f"{e} (phase {phase})")
-                failure.__cause__ = e
-                break
-            preds = _probs(model, X_eval, G_val)
-            history.append({
-                "phase": phase,
-                "epoch": epoch,
-                # fit_pairs' losses are step-major: len(clouds) per step
-                "ot_loss_mean": float(np.mean(
-                    ot_losses[done * len(clouds):(done + steps) * len(clouds)])),
-                "clf_loss": clf_loss,
-                "val_accuracy": evaluate(preds, labels_val, clf_cfg.threshold).accuracy,
-            })
-            done += steps
-    if failure:
-        raise failure
+    ot_losses = fit_pairs(reference, clouds, pairs, {}, solver_cfg, sum(steps))
+    model, rows = train_classifier(
+        X_eval, maps_on([pairs[i] for i in train_ids], X_eval),
+        [train.labels[i] for i in train_ids],
+        maps_on([pairs[i] for i in val_ids], X_eval), [val.labels[i] for i in val_ids],
+        clf_cfg, blocks, rng.spawn(2))
+    # fit_pairs' losses are step-major: one row of len(clouds) per step
+    losses = np.reshape(ot_losses, (-1, len(clouds)))
+    history = [{"phase": phase, "epoch": epoch,
+                "ot_loss_mean": float(np.mean(losses[end - n_steps:end])),
+                "clf_loss": clf_loss, "val_accuracy": accuracy}
+               for phase, (epoch, n_steps, end, (clf_loss, accuracy))
+               in enumerate(zip(epochs, steps, accumulate(steps), rows))]
 
     emb = EmbeddingSet.build(
         reference, train_ids + val_ids, pairs,

@@ -151,7 +151,6 @@ def cmd_train(cfg: RunConfig, data_dir: str, bundle_path: str,
               history_path: str | None) -> int:
     ds = load_csv_dir(data_dir, cfg.subsample_n, seed=cfg.seed)
     train_ds, val_ds, test_ds = split(ds, seed=cfg.seed)
-    _note_single_class("val", val_ds.labels.values())
     reference = ReferenceMeasure.fitted(train_ds.clouds, seed=cfg.seed)
     emb, model, history = train_alternating(
         train_ds, val_ds, cfg.schedule, cfg.solver, cfg.classifier,
@@ -310,18 +309,16 @@ def cmd_bound(beta: float, eps: float, R: float, delta: float, n: int) -> int:
 def cmd_baseline(cfg: RunConfig, data_dir: str, out_path: str | None) -> int:
     ds = load_csv_dir(data_dir, cfg.subsample_n, seed=cfg.seed)
     train_ds, val_ds, test_ds = split(ds, seed=cfg.seed)
-    subset, eval_ds = ("test", test_ds) if test_ds.clouds else ("val", val_ds)
-    labels = [eval_ds.labels[c.id] for c in eval_ds.clouds]
-    _note_single_class(subset, labels)
+    labels = [test_ds.labels[c.id] for c in test_ds.clouds]
 
     model, _ = ds_train(train_ds, val_ds, cfg.deepsets_epochs, cfg.deepsets,
                         seed=cfg.seed)
-    single = [ds_forward(model, c) for c in eval_ds.clouds]
+    single = [ds_forward(model, c) for c in test_ds.clouds]
     m_single = evaluate(single, labels)
 
     members = [ds_train(train_ds, val_ds, cfg.deepsets_epochs, cfg.deepsets,
                         seed=cfg.seed + 1 + j)[0] for j in range(cfg.bagging)]
-    bagged = [ds_bagging(members, c) for c in eval_ds.clouds]
+    bagged = [ds_bagging(members, c) for c in test_ds.clouds]
     m_bag = evaluate(bagged, labels)
 
     rows = [_metrics_row("deepsets", m_single),

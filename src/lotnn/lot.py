@@ -9,8 +9,8 @@ error, and the deviation-bound calculator quantifies that error budget.
 
 maps_on evaluates many clouds' maps on one sample on nncore.on_cpus,
 so `lotnn dist` (pairwise_matrix) and `lotnn train` (the fitted maps
-that train_alternating's classifier reads) use all the CPUs the process
-may run on; nncore describes how lotnn shares work out over CPUs.
+that train_classifier reads) use all the CPUs the process may run
+on; nncore describes how lotnn shares work out over CPUs.
 Results do not depend on the CPU count: each map is computed whole by
 one thread, bit for bit as map_forward computes it.
 """

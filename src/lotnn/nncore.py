@@ -27,7 +27,7 @@ worker per usable CPU with the caller included, and none for one item
   every step, and swap their halves through a Peer each step. `train`
   and `eval` fit their maps in chunks (otsolve.fit_pairs), a lone
   cloud's in halves, and `train` runs its classifier epochs in halves
-  (classify.train_alternating).
+  (classify.train_classifier).
 Tasks, replies and errors travel as the objects themselves (post and
 take), so no other module knows the message format; only a Peer's
 swap, on the per-step path, sends a bare array with no pickle.
@@ -300,7 +300,7 @@ def worker_processes(n: int) -> Iterator[list[Connection]]:
     caller through a Peer every step and replies nothing. A worker on a
     busy CPU holds the caller up for as long as it is late, and a hung
     worker hangs it: fit_pairs waits on every chunk and every step of a
-    lone cloud, train_alternating on every classifier epoch. If the body
+    lone cloud, train_classifier on every classifier epoch. If the body
     raises, its workers are ended, since their pipes may hold half a
     message; one that died mid-task raises RuntimeError. Workers run
     untraced: benchmarks/tracing.py sees only the caller's share.

@@ -18,19 +18,23 @@ from lotnn.lot import ReferenceMeasure
 from lotnn.otsolve import DualPair, Frame
 
 
-def load_tracing():
-    """benchmarks/tracing.py, the benchmark's tracer, loaded by path.
+def load_benchmark(name):
+    """benchmarks/<name>.py, a module of the benchmark, loaded by path.
 
-    It imports only the standard library at load time; its dataclasses
-    look their module up in sys.modules while it loads.
+    benchmarks/ is on sys.path while it loads, for the benchmark modules
+    it imports (pipeline imports calibrate); its dataclasses look their
+    module up in sys.modules while it loads.
     """
-    path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("lotnn_bench_tracing", path)
+    bench_dir = str(Path(__file__).resolve().parents[1] / "benchmarks")
+    spec = importlib.util.spec_from_file_location(f"lotnn_bench_{name}",
+                                                  Path(bench_dir, f"{name}.py"))
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module
+    sys.path.insert(0, bench_dir)
     try:
         spec.loader.exec_module(module)
     finally:
+        sys.path.remove(bench_dir)
         del sys.modules[spec.name]
     return module
 

@@ -22,6 +22,7 @@ from lotnn.classify import (
     predict_resampled,
     score,
     train_alternating,
+    train_classifier,
 )
 from lotnn.data import LabeledDataset, PointCloud, SyntheticSpec, gen_synthetic
 from lotnn.icnn import project_nonneg
@@ -30,7 +31,7 @@ from lotnn.nncore import (MlpParams, Rng, bce, finite_diff_grad, mlp_backward, m
 from lotnn.lot import ReferenceMeasure
 from lotnn.otsolve import (Frame, SolverConfig, fit_pairs, init_dual_pair, pair_for_cloud,
                            train_map)
-from conftest import (blocks, exit_inner_task, load_tracing, quad_pair, relerr,
+from conftest import (blocks, exit_inner_task, load_benchmark, quad_pair, relerr,
                       start_workers, unit_reference)
 
 
@@ -96,7 +97,7 @@ class TestScore:
         # call no traced function, as nncore.on_cpus requires
         from lotnn import classify, deepsets
 
-        tracing = load_tracing()
+        tracing = load_benchmark("tracing")
         model = ClassifierModel(random_weightnet(2, rng))
         pair = quad_pair(2, q_psi=1.3, psi_tilt=(0.2, -0.4))
         ds_model = deepsets.init_deepsets(
@@ -204,7 +205,7 @@ class TestBceGradientThroughPooling:
                 assert relerr(g, f) < 1e-4, key
 
     def test_two_uneven_halves_match_finite_differences(self, rng):
-        # train_alternating's epochs: the loss and gradient of every
+        # train_classifier's epochs: the loss and gradient of every
         # cloud's logit, as half 1 (7 rows) plus half 2 (6 rows)
         n, h = 13, 7
         for trial in range(4):
@@ -410,7 +411,7 @@ class TestTrainAlternating:
 
         from lotnn import classify, deepsets, lot, otsolve
 
-        tracing = load_tracing()
+        tracing = load_benchmark("tracing")
         calls: dict[str, set] = {}
 
         def record(name, fn, pause=0.0):
@@ -464,6 +465,22 @@ class TestTrainAlternating:
             train_alternating(pos_only, val, TrainSchedule(1, 1, 2),
                               QUICK_SOLVER, QUICK_CLF, seed=0)
 
+    def test_a_val_set_sharing_a_cloud_with_train_is_rejected_before_any_fit(
+            self, rng, monkeypatch):
+        # a shared cloud would be embedded twice, and val accuracy would
+        # count a training cloud
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a pair was made")
+
+        monkeypatch.setattr(classify_mod, "pair_for_cloud", no_fit)
+        train, val = two_class_sets(rng)
+        shared = sorted(train.ids)[:2]
+        val = LabeledDataset(val.clouds + [train.cloud(cid) for cid in shared],
+                             {**val.labels, **{cid: train.labels[cid] for cid in shared}})
+        with pytest.raises(DataError, match=f"^train and val share clouds: {', '.join(shared)}$"):
+            train_alternating(train, val, TrainSchedule(1, 1, 2), QUICK_SOLVER, QUICK_CLF,
+                              seed=0)
+
     def test_label_swap_flips_assignments(self, rng):
         train, val = two_class_sets(rng)
         sched = TrainSchedule(ot_epochs_per_phase=5, clf_epochs_per_phase=5,
@@ -482,8 +499,18 @@ class TestTrainAlternating:
             assert (p1 > 0.5) == (p2 <= 0.5)
 
 
+def hand_made_maps():
+    """An odd eval sample, 129 points in 2-d, and random maps on it of 6
+    train and 4 val clouds, with labels: no cloud, pair or reference."""
+    r = Rng(11)
+    labels, val_labels = np.arange(6) % 2, np.arange(4) % 2
+    return (r.normal((129, 2)), r.normal((6, 129, 2)) + labels[:, None, None], labels,
+            r.normal((4, 129, 2)) + val_labels[:, None, None], val_labels)
+
+
 class TestClassifierOnTwoProcesses:
-    """train_alternating runs half 2 of each classifier epoch on a worker."""
+    """train_classifier runs half 2 of each classifier epoch on a worker,
+    for train_alternating too."""
 
     # an odd eval sample: halves of 65 and 64 rows
     CLF = dataclasses.replace(QUICK_CLF, eval_n=129)
@@ -496,42 +523,69 @@ class TestClassifierOnTwoProcesses:
                 [(cid, p.meta, p.psi.theta.tobytes(), p.phi.theta.tobytes())
                  for cid, p in emb.pairs.items()])
 
-    @pytest.mark.parametrize("cpus", [1, 2, 3])
-    def test_is_bitwise_the_same_at_every_cpu_count(self, monkeypatch, cpus):
-        # W, the history and the pairs
-        monkeypatch.setattr(nncore, "_usable_cpus", lambda: 1)
-        want = self._run()
-        start_workers(monkeypatch, cpus)
-        assert self._run() == want
+    def _classify(self, epochs=(2, 3, 0), clf=CLF):
+        model, rows = train_classifier(*hand_made_maps(), clf, list(epochs), Rng(3))
+        return model.weightnet.params.theta.tobytes(), repr(rows)
 
-    def test_the_worker_takes_half_2(self, monkeypatch):
-        monkeypatch.setattr(nncore, "_usable_cpus", lambda: 1)
-        want = self._run()
-        start_workers(monkeypatch, 2)
+    def _count_posts(self, monkeypatch):
         sent, post = [], classify_mod.post
         monkeypatch.setattr(classify_mod, "post",
                             lambda conn, obj: sent.append(obj) or post(conn, obj))
+        return sent
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_is_bitwise_the_same_at_every_cpu_count(self, monkeypatch, cpus):
+        # train_alternating's W, history and pairs, with one classifier task
+        monkeypatch.setattr(nncore, "_usable_cpus", lambda: 1)
+        want = self._run()
+        start_workers(monkeypatch, cpus)
+        sent = self._count_posts(monkeypatch)
         assert self._run() == want
+        assert [task for task, _ in sent] == [classify_mod._clf_remote] * (cpus > 1)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_hand_made_maps_give_the_same_bits_at_every_cpu_count(self, monkeypatch, cpus):
+        # W and the block rows, on maps alone
+        monkeypatch.setattr(nncore, "_usable_cpus", lambda: 1)
+        want = self._classify()
+        start_workers(monkeypatch, cpus)
+        assert self._classify() == want
+        assert want[1].count("nan") == 1  # the empty last block
+
+    def test_validation_between_blocks_changes_no_weight(self, monkeypatch):
+        for name in ("fit_pairs", "pair_for_cloud", "solver_step", "maps_on"):
+            monkeypatch.setattr(classify_mod, name, None)  # it reads the maps alone
+        (split, split_rows), (whole, whole_rows) = (
+            train_classifier(*hand_made_maps(), self.CLF, epochs, Rng(3))
+            for epochs in ([2, 3], [5]))
+        assert (split.weightnet.params.theta.tobytes()
+                == whole.weightnet.params.theta.tobytes())
+        assert len(split_rows) == 2 and split_rows[-1] == whole_rows[0]
+
+    def test_the_worker_takes_half_2(self, monkeypatch):
+        monkeypatch.setattr(nncore, "_usable_cpus", lambda: 1)
+        want = self._classify()
+        start_workers(monkeypatch, 2)
+        sent = self._count_posts(monkeypatch)
+        assert self._classify() == want
         # one task for the whole call: half 2's 64 of the 129 rows of the
-        # 12 train clouds' maps, for the schedule's 2 + 2 + 0 epochs
-        train, _ = two_class_sets(Rng(5))
-        d = train.dim
+        # 6 train maps, for the blocks' 2 + 3 + 0 epochs
         [(task, (params, lr, n, half, labels, epochs))] = sent
         assert task is classify_mod._clf_remote
-        assert (lr, n, epochs) == (self.CLF.lr, 129, 4)
-        assert half.X.shape == (64, d) and half.G.shape == (12, 64, d)
-        assert labels.shape == (12,)
-        assert params.weights[0].shape == (self.CLF.hidden[0], d)
+        assert (lr, n, epochs) == (self.CLF.lr, 129, 5)
+        assert half.X.shape == (64, 2) and half.G.shape == (6, 64, 2)
+        assert labels.shape == (6,)
+        assert params.weights[0].shape == (self.CLF.hidden[0], 2)
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_a_nonfinite_loss_names_the_phase_and_leaves_no_reply_unread(
             self, monkeypatch, cpus):
         start_workers(monkeypatch, cpus)
-        # steps of 1e307 overflow W, and so the logits of epoch 2, in phase 0
+        # steps of 1e307 overflow W, and so the logits of epoch 2, in block 0
         clf = dataclasses.replace(self.CLF, lr=1e307)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
                 NumericError, match=r"^non-finite classifier loss \(phase 0\)$"):
-            self._run(clf)
+            self._classify(clf=clf)
         assert not nncore._WORKERS.broken
         # the next fit_pairs call still gets its worker, and its reply
         recv, replies = otsolve_mod._recv_chunk, []
@@ -551,5 +605,5 @@ class TestClassifierOnTwoProcesses:
         monkeypatch.setattr(classify_mod, "_clf_remote", functools.partial(
             exit_inner_task, "lotnn.classify", "_clf_epoch", "_clf_remote"))
         with pytest.raises(RuntimeError, match="a worker process ended before its task did"):
-            self._run()
+            self._classify()
         assert nncore._WORKERS.broken and not nncore._WORKERS.workers

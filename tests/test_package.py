@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import pkgutil
 import types
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import lotnn
 from lotnn import classify, otsolve
-from conftest import load_tracing
+from conftest import load_benchmark
 
 
 def test_package_namespace_holds_only_its_modules():
@@ -23,13 +24,30 @@ def test_package_namespace_holds_only_its_modules():
 
 def test_traced_layers_resolve():
     # the benchmark's tracer wraps these by name; a rename must fail here
-    layers = load_tracing().LAYERS
+    layers = load_benchmark("tracing").LAYERS
     assert layers
     for mod_name, qual in layers:
         obj = importlib.import_module(f"lotnn.{mod_name}")
         for attr in qual.split("."):
             obj = getattr(obj, attr)
         assert callable(obj), f"{mod_name}.{qual}"
+
+
+def test_a_tiny_benchmark_round_fails_no_check(tmp_path):
+    # benchmarks/pipeline.py reads emb.meta["best_phase"], the history's
+    # ot_loss_mean and clf_loss, TrainSchedule's fields, pair.phi and
+    # ModelBundle's fields: a rename fails here too, not only in the
+    # benchmark's own tests
+    pipeline = load_benchmark("pipeline")
+    for name, w in pipeline.WORKLOADS.items():
+        w = dataclasses.replace(
+            w, n_points=40, train=2, val=1, test=1, extra=1 if w.untrained_bundle else 0,
+            schedule=classify.TrainSchedule(ot_epochs_per_phase=1, clf_epochs_per_phase=1,
+                                            total_epochs=2),
+            embed_iters=1, oracle_pairs=1, oracle_n=40, ds_epochs=1, ds_members=1,
+            resamples=2)
+        ops = pipeline.run_round(w, pipeline.setup(w, 3, tmp_path / name), 3).ops
+        assert ops.attempted > 0 and ops.failed == 0, (name, ops.failures)
 
 
 def test_classify_keeps_the_solver_step_the_benchmark_traces():
