@@ -1,9 +1,12 @@
 """DeepSets baseline: encoder, mean pooling, sigmoid head, bagging.
 
-f(X) = rho( mean_k phi(x_k) ) with phi and rho plain MLPs. Pooling sums
-each pooled coordinate in sorted order, so the output is bitwise
-invariant under point reordering. Bagging averages the probabilities of
-independently seeded models.
+f(X) = rho( mean_k phi(x_k) ) with phi and rho plain MLPs. Inference
+runs phi on every point and sums each pooled coordinate in sorted order,
+so the output is bitwise invariant under point reordering. Training
+(ds_loss_and_grads) applies phi's linear head once per cloud, to the
+plain mean of its last hidden layer, which is the same pooled row up to
+rounding. Bagging averages the probabilities of independently seeded
+models.
 
 ds_train's per-epoch validation (over the val clouds) and ds_bagging
 (over its members) run on every CPU through nncore's thread pool, one
@@ -101,19 +104,29 @@ def ds_loss_and_grads(model: DeepSetsModel, batches: list[Array],
                       y: Array) -> tuple[float, Array, Array]:
     """Mean BCE of the clouds' logits and its gradients in phi and rho.
 
-    batches holds one point batch per cloud, each pooled by its plain
-    mean (training needs no sorted sums); y holds their labels.
+    batches holds one point batch per cloud; y holds their labels. phi's
+    layers below its linear head run on every row, and the head on each
+    cloud's plain mean of the last hidden layer: mean_k(A h_k + c) =
+    A mean_k(h_k) + c, so the head costs C rows, not one per point.
+    Training pools by plain means. Inference (_prob) keeps the head on
+    every row and the sorted mean of phi's outputs, which makes it
+    bitwise permutation invariant; sorting the wider hidden layer there
+    would cost more than the head saves.
     """
     counts = np.array([b.shape[0] for b in batches])
-    feats, phi_cache = mlp_forward(model.phi, np.vstack(batches))
-    pooled = np.array([seg.mean(axis=0)
-                       for seg in np.split(feats, np.cumsum(counts)[:-1])])
+    phi = model.phi
+    hidden, hidden_cache = mlp_forward(phi, np.vstack(batches), slice(-1))
+    hbar = np.array([seg.mean(axis=0)
+                     for seg in np.split(hidden, np.cumsum(counts)[:-1])])
+    pooled, head_cache = mlp_forward(phi, hbar, slice(-1, None))
     logits, rho_cache = mlp_forward(model.rho, pooled)
     loss, resid = bce(logits[:, 0], y)
     g_rho, d_pooled = mlp_backward(model.rho, rho_cache, resid[:, None])
-    g_phi, _ = mlp_backward(model.phi, phi_cache,
-                            np.repeat(d_pooled / counts[:, None], counts, axis=0))
-    return loss, g_phi, g_rho
+    g_head, d_hbar = mlp_backward(phi, head_cache, d_pooled, slice(-1, None))
+    g_hidden, _ = mlp_backward(phi, hidden_cache,
+                               np.repeat(d_hbar / counts[:, None], counts, axis=0),
+                               slice(-1), input_grad=False)
+    return loss, g_head + g_hidden, g_rho
 
 
 def ds_train(
@@ -125,8 +138,9 @@ def ds_train(
 ) -> tuple[DeepSetsModel, list[dict]]:
     """BCE training with one full-batch step per epoch over all clouds.
 
-    Per epoch each cloud contributes a fresh point subsample of size
-    batch_points (whole cloud if smaller), and Adam updates both networks
+    Per epoch each cloud contributes batch_points of its points, drawn
+    afresh with replacement (the whole cloud if it has no more than
+    batch_points), and Adam updates both networks
     in place. Keeps and returns the best-validation-accuracy snapshot;
     deterministic for a fixed seed.
 

@@ -626,47 +626,61 @@ def mlp_init(widths: Sequence[int], rng: Rng, scale: float = 1.0) -> MlpParams:
                      [np.zeros(s) for s in b_shapes])
 
 
-def mlp_forward(p: MlpParams, x: Array) -> tuple[Array, list[Array]]:
-    """Batched forward pass; returns (output (n,out), per-layer inputs cache)."""
-    return _mlp_forward(p, x)
+def mlp_forward(p: MlpParams, x: Array,
+                layers: slice = slice(None)) -> tuple[Array, list[Array]]:
+    """Batched forward pass; returns (output (n,out), per-layer inputs cache).
+
+    layers picks a run of the net's layers (all by default): slice(-1)
+    is every layer below the linear head, ending on a tanh layer's
+    output, and slice(-1, None) is the head alone.
+    """
+    return _mlp_forward(p, x, layers)
 
 
-def _mlp_forward(p: MlpParams, x: Array) -> tuple[Array, list[Array]]:
+def _mlp_forward(p: MlpParams, x: Array,
+                 layers: slice = slice(None)) -> tuple[Array, list[Array]]:
     """The body of mlp_forward, which on_cpus workers call instead."""
+    start, stop, _ = layers.indices(len(p.weights))
     x = np.atleast_2d(as_f64(x))
-    if x.shape[1] != p.in_dim:
-        raise ShapeError(f"MLP expects dim {p.in_dim}, got {x.shape[1]}")
+    want = p.weights[start].shape[1] if start < stop else x.shape[1]
+    if x.shape[1] != want:
+        raise ShapeError(f"MLP expects dim {want}, got {x.shape[1]}")
     cache = [x]
     h = x
     last = len(p.weights) - 1
-    for k, (W, b) in enumerate(zip(p.weights, p.biases)):
-        h = h @ W.T
-        h += b
+    for k in range(start, stop):
+        h = h @ p.weights[k].T
+        h += p.biases[k]
         if k < last:
             np.tanh(h, out=h)
         cache.append(h)
     return h, cache
 
 
-def mlp_backward(p: MlpParams, cache: list[Array],
-                 upstream: Array) -> tuple[Array, Array]:
+def mlp_backward(p: MlpParams, cache: list[Array], upstream: Array,
+                 layers: slice = slice(None),
+                 input_grad: bool = True) -> tuple[Array, Array | None]:
     """Reverse pass for sum_b <upstream_b, out_b>.
 
-    upstream is (n, out_dim). Returns the parameter gradient as a vector
-    in p's layout and the gradient with respect to the input batch
-    (n, in_dim).
+    cache and out come from mlp_forward over the same layers; upstream
+    is (n, width of out). Returns the parameter gradient as a vector in
+    p's layout, zero in the layers outside the run, and the gradient
+    with respect to the input batch, or None if input_grad is False.
     """
-    g = p.with_theta(np.empty_like(p.theta))
+    g = p.with_theta(np.zeros_like(p.theta))
     delta = np.atleast_2d(as_f64(upstream))
+    start, stop, _ = layers.indices(len(p.weights))
     last = len(p.weights) - 1
-    for k in range(last, -1, -1):
-        # cache[k] is the input to layer k; cache[k+1] its (activated) output
+    for k in range(stop - 1, start - 1, -1):
+        # cache[i] is the input to layer k; cache[i+1] its (activated) output
+        i = k - start
         if k < last:  # delta * tanh' = delta * (1 - out^2), in place
-            t = np.square(cache[k + 1])
+            t = np.square(cache[i + 1])
             np.subtract(1.0, t, out=t)
             t *= delta
             delta = t
-        g.weights[k][...] = delta.T @ cache[k]
+        g.weights[k][...] = delta.T @ cache[i]
         g.biases[k][...] = delta.sum(axis=0)
-        delta = delta @ p.weights[k]
-    return g.theta, delta
+        if k > start or input_grad:
+            delta = delta @ p.weights[k]
+    return g.theta, delta if input_grad else None

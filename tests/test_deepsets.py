@@ -49,10 +49,15 @@ SMALL = DeepSetsConfig(phi_hidden=(5,), pooled_dim=4, rho_hidden=(3,),
                        batch_points=10, lr=1e-2)
 
 
-def test_loss_gradients_match_finite_differences(rng):
-    # clouds above batch_points enter as subsamples of batch_points rows,
-    # the others whole, so the segments differ in length
-    model = init_deepsets(2, SMALL, rng.spawn(0))
+@pytest.mark.parametrize("phi_hidden", [(), (5,), (5, 4)],
+                         ids=["depth0", "depth1", "depth2"])
+def test_loss_gradients_match_finite_differences(rng, phi_hidden):
+    # clouds above batch_points enter as batch_points rows drawn with
+    # replacement, the others whole, so the segments differ in length;
+    # each depth runs a different number of layers below phi's head
+    cfg = DeepSetsConfig(phi_hidden=phi_hidden, pooled_dim=4, rho_hidden=(3,),
+                         batch_points=10, lr=1e-2)
+    model = init_deepsets(2, cfg, rng.spawn(0))
     batches = [rng.normal((n, 2), scale=1.5) for n in (10, 7, 10, 3, 1)]
     y = np.array([0.0, 1.0, 1.0, 0.0, 1.0])
     _, g_phi, g_rho = ds_loss_and_grads(model, batches, y)
@@ -61,7 +66,7 @@ def test_loss_gradients_match_finite_differences(rng):
 
         def loss(th, net=net, p=p):
             nets = {"phi": model.phi, "rho": model.rho, net: p.with_theta(th)}
-            return ds_loss_and_grads(DeepSetsModel(nets["phi"], nets["rho"], SMALL),
+            return ds_loss_and_grads(DeepSetsModel(nets["phi"], nets["rho"], cfg),
                                      batches, y)[0]
 
         fd = finite_diff_grad(loss, p.theta.copy(), 1e-6)
@@ -69,28 +74,65 @@ def test_loss_gradients_match_finite_differences(rng):
             assert relerr(a, b) < 1e-6, key
 
 
+def random_batches(rng, dim):
+    """One to six clouds of 1 to 14 points, and their labels."""
+    sizes = [int(n) for n in rng.integers(1, 15, size=int(rng.integers(1, 7)))]
+    y = rng.integers(0, 2, size=len(sizes)).astype(np.float64)
+    return [rng.normal((n, dim)) for n in sizes], y
+
+
 def test_loss_and_grads_equal_the_segment_loops_bitwise(rng):
-    # the reference: per-cloud loops over the stacked batch's segments
+    # the reference: phi's hidden layers over the stacked batch, a loop
+    # over the clouds for each mean row, then phi's head on those rows;
+    # backward, a loop over the clouds for the hidden layers' upstream
     for trial in range(20):
         model = init_deepsets(3, SMALL, rng.spawn(trial))
-        sizes = [int(n) for n in rng.integers(1, 15, size=int(rng.integers(1, 7)))]
-        batches = [rng.normal((n, 3)) for n in sizes]
-        y = rng.integers(0, 2, size=len(sizes)).astype(np.float64)
-        feats, phi_cache = mlp_forward(model.phi, np.vstack(batches))
+        batches, y = random_batches(rng, 3)
+        sizes = [b.shape[0] for b in batches]
+        phi = model.phi
+        A, c = phi.weights[-1], phi.biases[-1]
+        hidden, hidden_cache = mlp_forward(phi, np.vstack(batches), slice(-1))
         offsets = np.cumsum([0] + sizes)
-        pooled = np.empty((len(sizes), SMALL.pooled_dim))
+        hbar = np.empty((len(sizes), hidden.shape[1]))
         for i in range(len(sizes)):
-            pooled[i] = feats[offsets[i]:offsets[i + 1]].mean(axis=0)
-        logits, rho_cache = mlp_forward(model.rho, pooled)
+            hbar[i] = hidden[offsets[i]:offsets[i + 1]].mean(axis=0)
+        logits, rho_cache = mlp_forward(model.rho, hbar @ A.T + c)
         loss, resid = bce(logits[:, 0], y)
         g_rho, d_pooled = mlp_backward(model.rho, rho_cache, resid[:, None])
-        upstream = np.empty_like(feats)
+        d_hbar = d_pooled @ A
+        upstream = np.empty_like(hidden)
         for i in range(len(sizes)):
-            upstream[offsets[i]:offsets[i + 1]] = d_pooled[i] / sizes[i]
-        g_phi, _ = mlp_backward(model.phi, phi_cache, upstream)
+            upstream[offsets[i]:offsets[i + 1]] = d_hbar[i] / sizes[i]
+        g_phi, _ = mlp_backward(phi, hidden_cache, upstream, slice(-1))
+        head = phi.with_theta(g_phi)
+        head.weights[-1][...] = d_pooled.T @ hbar
+        head.biases[-1][...] = d_pooled.sum(axis=0)
         got = ds_loss_and_grads(model, batches, y)
         assert got[0] == loss
         assert got[1].tobytes() == g_phi.tobytes() and got[2].tobytes() == g_rho.tobytes()
+
+
+@pytest.mark.parametrize("phi_hidden", [(), (5,), (6, 5)],
+                         ids=["depth0", "depth1", "depth2"])
+def test_loss_and_grads_equal_the_head_on_every_row(rng, phi_hidden):
+    # the head on each cloud's mean hidden row is the mean of the head on
+    # every row, up to rounding: phi over all rows, then the plain means
+    cfg = DeepSetsConfig(phi_hidden=phi_hidden, pooled_dim=4, rho_hidden=(3,))
+    for trial in range(10):
+        model = init_deepsets(3, cfg, rng.spawn(trial))
+        batches, y = random_batches(rng, 3)
+        counts = np.array([b.shape[0] for b in batches])
+        feats, phi_cache = mlp_forward(model.phi, np.vstack(batches))
+        pooled = np.array([seg.mean(axis=0)
+                           for seg in np.split(feats, np.cumsum(counts)[:-1])])
+        logits, rho_cache = mlp_forward(model.rho, pooled)
+        loss, resid = bce(logits[:, 0], y)
+        g_rho, d_pooled = mlp_backward(model.rho, rho_cache, resid[:, None])
+        g_phi, _ = mlp_backward(model.phi, phi_cache,
+                                np.repeat(d_pooled / counts[:, None], counts, axis=0))
+        got = ds_loss_and_grads(model, batches, y)
+        assert relerr(got[0], loss) < 1e-12
+        assert relerr(got[1], g_phi) < 1e-12 and relerr(got[2], g_rho) < 1e-12
 
 
 def test_ds_train_reruns_are_byte_identical(rng):

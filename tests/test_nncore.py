@@ -236,6 +236,32 @@ class TestMlp:
             assert xg.tobytes() == want_xg.tobytes()
 
 
+    def test_a_pass_split_below_the_head_equals_the_whole_pass_bitwise(self, rng):
+        # the layers below the head, then the head on their output, is the
+        # whole net; the two backward runs' gradients sum to the whole one
+        for widths in ((2, 64, 64, 32), (3, 5, 2), (3, 1)):
+            p = mlp_init(widths, rng, scale=1.5)
+            x, u = rng.normal((9, widths[0])), rng.normal((9, widths[-1]))
+            out, cache = mlp_forward(p, x)
+            hidden, hidden_cache = mlp_forward(p, x, slice(-1))
+            head_out, head_cache = mlp_forward(p, hidden, slice(-1, None))
+            assert len(hidden_cache) == len(widths) - 1 and len(head_cache) == 2
+            assert head_out.tobytes() == out.tobytes()
+            grads, xg = mlp_backward(p, cache, u)
+            g_head, d_hidden = mlp_backward(p, head_cache, u, slice(-1, None))
+            g_rest, xg_rest = mlp_backward(p, hidden_cache, d_hidden, slice(-1))
+            assert not g_head[p.span("weights")][:-p.weights[-1].size].any()
+            assert (g_head + g_rest).tobytes() == grads.tobytes()
+            assert xg_rest.tobytes() == xg.tobytes()
+            no_xg = mlp_backward(p, hidden_cache, d_hidden, slice(-1), input_grad=False)
+            assert no_xg[0].tobytes() == g_rest.tobytes() and no_xg[1] is None
+
+    def test_a_run_checks_the_width_of_its_first_layer(self, rng):
+        p = mlp_init((3, 5, 2), rng)
+        with pytest.raises(ShapeError, match="expects dim 5"):
+            mlp_forward(p, np.ones((4, 3)), slice(-1, None))
+
+
 class TestMlpLayout:
     def test_blocks_are_views_into_theta(self, rng):
         p = mlp_init((3, 5, 2), rng)
